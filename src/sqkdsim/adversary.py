@@ -4,9 +4,10 @@ An attack acts on the transmitted pair (with its tags) joined to Eve's
 private probe.  ``u_forward`` dresses the state on its way from Bob to
 Alice, ``v_backward`` on the way back.  Both are arbitrary unitaries on the
 truncated space, so Eve may inject or absorb photons unless she declares
-herself photon-preserving.  Attacks are defined over a one-pair system and
-lifted on demand onto the full simulation space, where the transmitted pair
-is by convention the last one.
+herself photon-preserving.  This one-pair-plus-probe space is also the
+space every protocol round runs on: Alice's storage is empty whenever Eve
+acts, so the matrices apply as they are, through
+:func:`sqkdsim.fock.apply_truncating_unitary`.
 
 A small builder vocabulary (basis permutations, pair-mode mixers, probe
 unitaries, photon-number sector phases) composes the named attacks and is
@@ -16,13 +17,13 @@ exported for constructing new ones.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
 from scipy.linalg import expm
 
-from .fock import FockVector, ModeSystem, hadamard_matrix, pair_mode_transform
+from .fock import ModeSystem, hadamard_matrix, pair_mode_transform
 
 __all__ = [
     "Attack",
@@ -37,8 +38,6 @@ __all__ = [
     "measure_resend_attack",
     "random_attack",
     "probe_rotation_attack",
-    "apply_forward",
-    "apply_backward",
     "save_attack",
     "load_attack",
     "attack_to_document",
@@ -68,7 +67,6 @@ class Attack:
     v_backward: np.ndarray
     initial_probe: np.ndarray
     photon_preserving: bool = False
-    _lifts: dict = field(default_factory=dict, repr=False)
 
     def __post_init__(self) -> None:
         self.u_forward = np.array(self.u_forward, dtype=np.complex128)
@@ -102,62 +100,6 @@ class Attack:
                 comm = np.abs(mat * (number[None, :] - number[:, None])).max()
                 if comm > UNITARY_ATOL:
                     raise ValueError(f"{label} declared photon-preserving but is not")
-
-    def lifted(self, joint: ModeSystem, backward: bool = False) -> np.ndarray:
-        """Matrix of this attack on ``joint``, acting on the last pair + probe.
-
-        Entries that would push the joint photon total past n_max are
-        dropped; in protocol use the other pairs are in vacuum whenever an
-        attack acts, so nothing is ever dropped there.
-        """
-        key = (joint, backward)
-        cached = self._lifts.get(key)
-        if cached is not None:
-            return cached
-        self.system.require_same_layout(joint)
-        if joint.probe_dim != self.system.probe_dim:
-            raise ValueError("joint system must carry the attack's probe")
-        mat = self.v_backward if backward else self.u_forward
-        if joint == self.system:
-            self._lifts[key] = mat
-            return mat
-
-        pair = joint.num_pairs - 1
-        pair_slots = joint.pair_slots(pair)
-        lift = np.zeros((joint.dim, joint.dim), dtype=np.complex128)
-        asys = self.system
-        for j in range(joint.dim):
-            occ, probe = joint.basis_state(j)
-            spectator = list(joint.cleared(occ, pair))
-            spectator_total = sum(spectator)
-            col = asys.basis_index(joint.pair_occupation(occ, pair), probe)
-            for row in np.flatnonzero(np.abs(mat[:, col]) > 0):
-                occ_b, probe_b = asys.basis_state(int(row))
-                if spectator_total + sum(occ_b) > joint.n_max:
-                    continue  # dropped by truncation, visible as lost norm
-                new_occ = list(spectator)
-                for k, s in enumerate(pair_slots):
-                    new_occ[s] = occ_b[k]
-                lift[joint.basis_index(new_occ, probe_b), j] = mat[row, col]
-        lift.setflags(write=False)
-        self._lifts[key] = lift
-        return lift
-
-
-def apply_forward(attack: Attack, state: FockVector) -> FockVector:
-    """Eve's Bob-to-Alice pass; truncation losses land in ``leaked``."""
-    mat = attack.lifted(state.system, backward=False)
-    out = mat @ state.amplitudes
-    lost = state.norm2 - float(np.vdot(out, out).real)
-    return FockVector(state.system, out, state.leaked + max(lost, 0.0))
-
-
-def apply_backward(attack: Attack, state: FockVector) -> FockVector:
-    """Eve's Alice-to-Bob pass."""
-    mat = attack.lifted(state.system, backward=True)
-    out = mat @ state.amplitudes
-    lost = state.norm2 - float(np.vdot(out, out).real)
-    return FockVector(state.system, out, state.leaked + max(lost, 0.0))
 
 
 # -- builders -----------------------------------------------------------------

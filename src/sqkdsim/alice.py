@@ -4,9 +4,14 @@ Alice never touches a quantum measurement basis.  Her device either reflects
 the incoming light unchanged (CTRL) or exchanges the contents of one or both
 transmitted modes with her local, initially empty pair (SWAP-10 swaps the
 mode-1 rail, SWAP-01 the mode-0 rail, SWAP-ALL both), after which she
-threshold-measures whatever she captured.  On joint systems pair 0 is
+threshold-measures whatever she captured.
+
+This module is the two-pair specification.  On joint systems pair 0 is
 Alice's storage and pair 1 the transmitted pair; tags ride along with their
 photons, so every swap is an exact permutation of the truncated basis.
+Rounds skip the storage pair and threshold-measure the swapped rails
+(:func:`swapped_slots`) of the transmitted pair directly; the permutations
+serve as the oracle of :func:`sqkdsim.robustness.measurement_cross_check`.
 """
 
 from __future__ import annotations
@@ -22,6 +27,7 @@ __all__ = [
     "ALICE_PAIR",
     "TRANSMIT_PAIR",
     "AliceOp",
+    "swapped_slots",
     "swap_index_map",
     "swap_matrix",
     "apply_alice_op",
@@ -43,23 +49,26 @@ _SWAPPED_MODES = {
 }
 
 
+def swapped_slots(system: ModeSystem, op: AliceOp, pair: int) -> tuple[int, ...]:
+    """Slots of ``pair`` on the rails ``op`` swaps, every tag, mode 0 first."""
+    if op not in _SWAPPED_MODES:
+        raise ValueError(f"{op} is not a mirror-protocol operation")
+    return sum((system.mode_slots(pair, mode) for mode in _SWAPPED_MODES[op]), ())
+
+
 @lru_cache(maxsize=None)
 def swap_index_map(system: ModeSystem, op: AliceOp) -> np.ndarray:
     """Basis permutation of ``op``: entry i holds the image index of state i."""
-    if op not in _SWAPPED_MODES:
-        raise ValueError(f"{op} is not a mirror-protocol operation")
     if system.num_pairs < 2:
         raise ValueError("mirror operations need Alice's pair and the transmitted pair")
-    modes = _SWAPPED_MODES[op]
+    exchanges = list(zip(swapped_slots(system, op, ALICE_PAIR),
+                         swapped_slots(system, op, TRANSMIT_PAIR)))
     image = np.empty(system.dim, dtype=np.intp)
     for i in range(system.dim):
         occ, probe = system.basis_state(i)
         moved = list(occ)
-        for mode in modes:
-            for tag in range(system.tag_dim):
-                a = system.slot(ALICE_PAIR, mode, tag)
-                b = system.slot(TRANSMIT_PAIR, mode, tag)
-                moved[a], moved[b] = moved[b], moved[a]
+        for a, b in exchanges:
+            moved[a], moved[b] = moved[b], moved[a]
         image[i] = system.basis_index(moved, probe)
     image.setflags(write=False)
     return image

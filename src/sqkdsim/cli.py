@@ -384,7 +384,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--tag-dim", type=int, default=None,
                        help="channel tag levels (default: attack's choice)")
     p_run.add_argument("--n-max", type=int, default=2,
-                       help="photon number cutoff per slot")
+                       help="photon budget: most photons the transmitted pair "
+                            "holds in total, over both modes and all tags")
     p_run.add_argument("--loss", type=float, default=1.0, metavar="SURVIVAL",
                        help="photon survival probability per channel pass")
     p_run.add_argument("--hadamard-prob", type=float, default=0.5)

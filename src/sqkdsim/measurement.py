@@ -10,8 +10,9 @@ Although only the click pattern is announced, the detector physically
 absorbs the photons, which destroys coherence between configurations that
 differ in photon number or tag.  Measurement results are therefore returned
 at per-configuration granularity: one branch per exact occupation of the
-measured pair, each carrying its sub-normalized residual state.  Grouping
-branches by pattern recovers the announced statistics.
+measured modes (a pair, or one rail of it), each carrying its sub-normalized
+residual state.  Grouping branches by pattern recovers the announced
+statistics.
 """
 
 from __future__ import annotations
@@ -31,6 +32,7 @@ __all__ = [
     "Interpretation",
     "MeasurementBranch",
     "measure_pair",
+    "measure_slots",
     "threshold_measure",
     "pattern_distribution",
     "sum_of",
@@ -108,7 +110,7 @@ class MeasurementBranch:
     """One exact-occupation outcome of a threshold measurement.
 
     ``residual`` is sub-normalized (its squared norm equals ``probability``)
-    and has the measured pair reset to vacuum: the detector keeps the
+    and has the measured slots reset to vacuum: the detector keeps the
     photons.  Several branches may share a click pattern.
     """
 
@@ -122,45 +124,56 @@ class MeasurementBranch:
 
 
 @lru_cache(maxsize=None)
-def _branch_tables(system: ModeSystem, pair: int):
-    """Per pair-occupation groupings of the basis, plus index remaps to vacuum."""
+def _branch_tables(system: ModeSystem, slots: tuple[int, ...]):
+    """Per-occupation groupings of the basis over ``slots``, plus index remaps
+    to the same configuration with those slots emptied."""
     groups: dict[tuple[int, ...], list[int]] = {}
     cleared: dict[int, int] = {}
     for i in range(system.dim):
         occ, probe = system.basis_state(i)
-        groups.setdefault(system.pair_occupation(occ, pair), []).append(i)
-        cleared[i] = system.basis_index(system.cleared(occ, pair), probe)
+        groups.setdefault(tuple(occ[s] for s in slots), []).append(i)
+        emptied = list(occ)
+        for s in slots:
+            emptied[s] = 0
+        cleared[i] = system.basis_index(emptied, probe)
     out = []
-    for pair_occ, idxs in sorted(groups.items()):
+    for key, idxs in sorted(groups.items()):
         sel = np.asarray(idxs, dtype=np.intp)
         dst = np.asarray([cleared[i] for i in idxs], dtype=np.intp)
-        mode0 = sum(pair_occ[: system.tag_dim])
-        mode1 = sum(pair_occ[system.tag_dim:])
-        pattern = ClickPattern.from_clicks(mode1 > 0, mode0 > 0)
-        out.append((pair_occ, pattern, sel, dst))
+        mode1 = sum(n for n, s in zip(key, slots) if s // system.tag_dim % 2)
+        pattern = ClickPattern.from_clicks(mode1 > 0, sum(key) > mode1)
+        out.append((key, pattern, sel, dst))
     return tuple(out)
 
 
-def measure_pair(state: FockVector, pair: int,
-                 prune: float = 1e-24) -> list[MeasurementBranch]:
-    """Destructive threshold measurement of ``pair`` in the computational basis.
+def measure_slots(state: FockVector, slots: tuple[int, ...],
+                  prune: float = 1e-24) -> list[MeasurementBranch]:
+    """Destructive threshold measurement of the modes in ``slots``.
 
-    Returns one branch per exact occupation with nonzero weight.  Branch
-    probabilities sum to the squared norm of ``state``, so feeding a
-    sub-normalized state through keeps joint probabilities exact.
+    One branch per exact occupation of ``slots`` (counts in slot order)
+    with nonzero weight.  Each slot clicks as the mode it belongs to, so a
+    pair's mode-1 rail alone yields "00" or "10".  Branch probabilities sum
+    to the squared norm of ``state``, so feeding a sub-normalized state
+    through keeps joint probabilities exact.
     """
     system = state.system
     amps = state.amplitudes
     branches = []
-    for pair_occ, pattern, sel, dst in _branch_tables(system, pair):
+    for key, pattern, sel, dst in _branch_tables(system, tuple(slots)):
         weight = float(np.vdot(amps[sel], amps[sel]).real)
         if weight <= prune:
             continue
         res = np.zeros(system.dim, dtype=np.complex128)
         res[dst] = amps[sel]
-        branches.append(MeasurementBranch(pattern, pair_occ, weight,
+        branches.append(MeasurementBranch(pattern, key, weight,
                                           FockVector(system, res, state.leaked)))
     return branches
+
+
+def measure_pair(state: FockVector, pair: int,
+                 prune: float = 1e-24) -> list[MeasurementBranch]:
+    """:func:`measure_slots` on every slot of ``pair`` (computational basis)."""
+    return measure_slots(state, state.system.pair_slots(pair), prune)
 
 
 def threshold_measure(state: FockVector, pair: int,

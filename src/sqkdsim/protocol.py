@@ -12,6 +12,11 @@ loss, Eve's two passes, Alice's detection, and Bob's detection all happen by
 dense linear algebra, so branch probabilities are exact.  Sampling a run
 then just draws rounds from that distribution, and the same branch lists
 feed the exact analyses (error probabilities, Eve's conditional states).
+
+Rounds of both variants run on the attack's own space, the transmitted pair
+plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
+acts, and after her destructive measurement), so a mirror SWAP followed by
+her storage measurement is a threshold measurement of the swapped rails.
 """
 
 from __future__ import annotations
@@ -23,14 +28,15 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import Attack, apply_backward, apply_forward
-from .alice import alice_measure, apply_alice_op
+from .adversary import Attack
+from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   apply_creation, plus_state, trace_distance)
+                   apply_creation, apply_truncating_unitary, plus_state,
+                   trace_distance)
 from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
                           interpret_ctrl, interpret_legacy_sift,
                           interpret_swap_all, interpret_swap_x, measure_pair,
-                          shared_bit, sum_of, threshold_measure)
+                          measure_slots, shared_bit, sum_of, threshold_measure)
 
 __all__ = [
     "Variant",
@@ -52,6 +58,7 @@ __all__ = [
 ]
 
 _PRUNE = 1e-24  # branch weights below this are numerical dust, not outcomes
+_PAIR = 0  # the transmitted pair, the only pair of an attack's space
 _PROB_ATOL = 1e-9
 
 
@@ -152,7 +159,10 @@ class RoundBranch:
 
 
 class RoundEnumerator:
-    """Exact branch distributions of a round, cached per (operation, basis)."""
+    """Exact branch distributions of a round, cached per (operation, basis).
+
+    ``system`` is the attack's one-pair-plus-probe space for both variants.
+    """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
         asys = attack.system
@@ -162,14 +172,11 @@ class RoundEnumerator:
                 f"(tag_dim={config.tag_dim}, n_max={config.n_max})")
         self.config = config
         self.attack = attack
-        n_pairs = 2 if config.variant is Variant.MIRROR else 1
-        self.system = ModeSystem(n_pairs, config.tag_dim, config.n_max,
-                                 asys.probe_dim)
-        self.bob_pair = n_pairs - 1
+        self.system = asys
         amps = np.zeros(self.system.dim, dtype=np.complex128)
         for p, c in enumerate(attack.initial_probe):
             if abs(c) > 0:
-                amps += c * plus_state(self.system, self.bob_pair, 0, p).amplitudes
+                amps += c * plus_state(self.system, _PAIR, 0, p).amplitudes
         self.initial = FockVector(self.system, amps)
         self._cache: dict[tuple[AliceOp, Basis], tuple[RoundBranch, ...]] = {}
 
@@ -185,7 +192,7 @@ class RoundEnumerator:
         if q >= 1.0:
             return [state]
         system = self.system
-        slots = system.pair_slots(self.bob_pair)
+        slots = system.pair_slots(_PAIR)
         nz = np.flatnonzero(np.abs(state.amplitudes) > 0)
         out: list[FockVector] = []
         from .fock import _occupations  # loss vectors reuse the occupation lister
@@ -223,17 +230,17 @@ class RoundEnumerator:
         if op is AliceOp.CTRL:
             return [(None, state)]
         if self.config.variant is Variant.MIRROR:
-            swapped = apply_alice_op(state, op)
-            return [(b.pattern, b.residual) for b in alice_measure(swapped)]
+            rails = swapped_slots(self.system, op, _PAIR)
+            return [(b.pattern, b.residual) for b in measure_slots(state, rails)]
         if op is AliceOp.SIFT:
             stage = []
-            for b in measure_pair(state, self.bob_pair):
+            for b in measure_pair(state, _PAIR):
                 res = b.residual
                 # Resend one fresh photon per clicked mode, tag reset to 0.
                 if b.pattern.mode0_click:
-                    res = apply_creation(res, self.system.slot(self.bob_pair, 0, 0))
+                    res = apply_creation(res, self.system.slot(_PAIR, 0, 0))
                 if b.pattern.mode1_click:
-                    res = apply_creation(res, self.system.slot(self.bob_pair, 1, 0))
+                    res = apply_creation(res, self.system.slot(_PAIR, 1, 0))
                 stage.append((b.pattern, res))
             return stage
         raise ValueError(f"operation {op} not defined for {self.config.variant}")
@@ -285,11 +292,11 @@ class RoundEnumerator:
             return cached
         out: list[RoundBranch] = []
         for s1 in self._loss_branches(self.initial):
-            s2 = apply_forward(self.attack, s1)
+            s2 = apply_truncating_unitary(s1, self.attack.u_forward)
             for a_pat, s4 in self._alice_stage(s2, op):
-                s5 = apply_backward(self.attack, s4)
+                s5 = apply_truncating_unitary(s4, self.attack.v_backward)
                 for s6 in self._loss_branches(s5):
-                    for bb in threshold_measure(s6, self.bob_pair, basis):
+                    for bb in threshold_measure(s6, _PAIR, basis):
                         prob = bb.probability
                         if prob <= _PRUNE:
                             continue

@@ -16,10 +16,11 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import Attack, apply_forward, random_attack
-from .alice import ALICE_PAIR, apply_alice_op
-from .fock import FockVector, ModeSystem, hadamard_change
-from .measurement import AliceOp, Basis, ClickPattern, measure_pair, sum_of
+from .adversary import Attack, random_attack
+from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
+from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
+                   hadamard_change, tensor, vacuum)
+from .measurement import AliceOp, Basis, ClickPattern, measure_slots, sum_of
 from .protocol import ProtocolConfig, RoundEnumerator, Variant, \
     eve_conditional_states
 
@@ -142,13 +143,16 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
 def measurement_cross_check(attack: Attack,
                             config: Optional[ProtocolConfig] = None,
                             enumerator: Optional[RoundEnumerator] = None) -> float:
-    """Re-derive Alice's measurement branches by direct projection.
+    """Check Alice's one-pair rail measurement against the two-pair spec.
 
-    For each swap operation the post-swap state is decomposed with explicit
-    index masks, one per storage-pair occupation, instead of the cached
-    branch tables.  Returns the largest absolute disagreement found across
-    branch probabilities and residual amplitudes (0.0 means both routes
-    agree to machine precision).
+    Rounds measure the swapped rails of the transmitted pair directly.  The
+    spec route places the forward-pass state next to an empty storage pair,
+    applies the SWAP permutation, and decomposes the result with explicit
+    index masks, one per storage-pair occupation.  Each projection must
+    match a rail-measurement branch: same click pattern, same probability,
+    and the same residual once placed next to the emptied storage.  Returns
+    the largest absolute disagreement found (0.0 means both routes agree to
+    machine precision, infinity that their branch sets differ).
     """
     if config is None:
         config = ProtocolConfig(variant=Variant.MIRROR,
@@ -157,11 +161,14 @@ def measurement_cross_check(attack: Attack,
     if config.channel_loss < 1.0:
         raise ValueError("cross check assumes a lossless channel")
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
-    system = enum.system
+    forward = apply_truncating_unitary(enum.initial, attack.u_forward)
+    storage = vacuum(ModeSystem(1, forward.system.tag_dim, forward.system.n_max))
+    joint = tensor(storage, forward)
+    system = joint.system
     alice_slots = system.pair_slots(ALICE_PAIR)
     worst = 0.0
     for op in (AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL):
-        swapped = apply_alice_op(apply_forward(attack, enum.initial), op)
+        swapped = apply_alice_op(joint, op)
         groups: dict[tuple[int, ...], np.ndarray] = {}
         for i in np.flatnonzero(np.abs(swapped.amplitudes) > 0):
             occ, probe = system.basis_state(int(i))
@@ -171,15 +178,24 @@ def measurement_cross_check(attack: Attack,
                 cleared[s] = 0
             vec = groups.setdefault(a_occ, np.zeros(system.dim, dtype=np.complex128))
             vec[system.basis_index(cleared, probe)] += swapped.amplitudes[i]
-        branches = {b.occupation: b for b in measure_pair(swapped, ALICE_PAIR)}
+        # Storage pair 0 of the joint space uses the slot numbers of the
+        # transmitted pair 0 of the attack space, so rail counts embed as is.
+        rails = swapped_slots(forward.system, op, 0)
+        branches = {}
+        for b in measure_slots(forward, rails):
+            counts = dict(zip(rails, b.occupation))
+            branches[tuple(counts.get(s, 0) for s in alice_slots)] = b
         if set(branches) != {occ for occ, v in groups.items()
                              if float(np.vdot(v, v).real) > 1e-24}:
             return float("inf")
         for a_occ, b in branches.items():
+            mode1 = sum(a_occ[s] for s in system.mode_slots(ALICE_PAIR, 1))
+            if b.pattern is not ClickPattern.from_clicks(mode1 > 0, sum(a_occ) > mode1):
+                return float("inf")
             vec = groups[a_occ]
+            embedded = tensor(storage, b.residual).amplitudes
             worst = max(worst, abs(b.probability - float(np.vdot(vec, vec).real)))
-            worst = max(worst,
-                        float(np.abs(b.residual.amplitudes - vec).max()))
+            worst = max(worst, float(np.abs(embedded - vec).max()))
     return worst
 
 

@@ -4,7 +4,7 @@ import pytest
 
 from sqkdsim.fock import (ContractViolation, DensityOperator, FockVector,
                           ModeSystem, annihilation_operator,
-                          basis_vector,
+                          apply_truncating_unitary, basis_vector,
                           creation_operator, hadamard_change, hadamard_matrix,
                           outer, partial_trace, plus_state, single_photon,
                           tensor, trace_distance, vacuum)
@@ -138,6 +138,26 @@ def test_truncating_unitary_tracks_leak():
     state = basis_vector(ms, (1, 1))
     rotated = hadamard_change(state, 0)
     assert rotated.leaked == pytest.approx(0.0, abs=1e-12)
+
+
+def test_truncating_unitary_records_dropped_weight():
+    """A unitary cut off at the top photon sector sheds tracked mass."""
+    ms = ModeSystem(num_pairs=1, tag_dim=1, n_max=2, probe_dim=3)
+    rng = np.random.default_rng(SEED)
+    a = rng.standard_normal((ms.dim, ms.dim)) + 1j * rng.standard_normal((ms.dim, ms.dim))
+    unitary = np.linalg.qr(a)[0]
+    top = [i for i in range(ms.dim) if sum(ms.basis_state(i)[0]) == ms.n_max]
+    cut = unitary.copy()
+    cut[top, :] = 0.0
+    for _ in range(20):
+        amps = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
+        state = FockVector(ms, amps).normalized()
+        out = apply_truncating_unitary(state, cut)
+        assert out.leaked > 1e-3
+        assert out.norm2 + out.leaked == pytest.approx(1.0, abs=1e-12)
+        # earlier losses carry over
+        again = apply_truncating_unitary(out, cut)
+        assert again.norm2 + again.leaked == pytest.approx(1.0, abs=1e-12)
 
 
 def test_tensor_product_layout():

@@ -54,9 +54,11 @@ def test_probe_rotation_family_stays_quiet():
 
 
 def test_cross_check_agrees_with_measurement_branches():
-    for attack in (identity_attack(), tagging_attack(),
-                   random_attack(9, probe_dim=2, strength=0.8)):
-        assert measurement_cross_check(attack) < 1e-12
+    randoms = [random_attack(100 + k, probe_dim=k % 8 + 1, strength=0.8,
+                             n_max=2 + k // 8 % 2) for k in range(50)]
+    for attack in (identity_attack(), tagging_attack(), tagging_attack(n_max=3),
+                   random_attack(9, probe_dim=2, strength=0.8), *randoms):
+        assert measurement_cross_check(attack) < 1e-12, attack.name
 
 
 def test_cross_check_requires_lossless_channel():
