@@ -22,10 +22,9 @@ from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
                           interpret_swap_x, measure_pair, pattern_distribution,
                           shared_bit, threshold_measure)
 from .protocol import (EveConditionals, ExactStatistics, ProtocolConfig,
-                       RoundEnumerator, RoundRecord, RoundSimulator, RunStats,
-                       SiftCtrlIdentification, Variant, eve_conditional_states,
-                       exact_statistics, legacy_identification, run_protocol,
-                       run_round, simulate_records)
+                       RoundEnumerator, RunStats, SiftCtrlIdentification,
+                       Variant, eve_conditional_states, exact_statistics,
+                       legacy_identification, run_protocol, simulate_records)
 from .robustness import (ConditionReport, LemmaInput, LemmaVerdict,
                          SweepRecord, SweepReport, check_conditions,
                          lemma_state, measurement_cross_check,
@@ -51,8 +50,8 @@ __all__ = [
     "random_attack", "probe_rotation_attack", "attack_to_document",
     "attack_from_document", "save_attack", "load_attack",
     # protocol
-    "Variant", "ProtocolConfig", "RoundEnumerator", "RoundSimulator",
-    "RoundRecord", "RunStats", "run_round", "run_protocol", "simulate_records",
+    "Variant", "ProtocolConfig", "RoundEnumerator", "RunStats", "run_protocol",
+    "simulate_records",
     "ExactStatistics", "exact_statistics", "EveConditionals",
     "eve_conditional_states", "SiftCtrlIdentification",
     "legacy_identification",

@@ -26,8 +26,9 @@ import numpy as np
 from .adversary import (Attack, identity_attack, load_attack,
                         measure_resend_attack, random_attack, tagging_attack)
 from .fock import ContractViolation
-from .protocol import (ProtocolConfig, Variant, eve_conditional_states,
-                       exact_statistics, legacy_identification, run_protocol)
+from .protocol import (ProtocolConfig, RoundEnumerator, Variant,
+                       eve_conditional_states, exact_statistics,
+                       legacy_identification, run_protocol)
 from .robustness import (LemmaInput, check_conditions, random_lemma_input,
                          robustness_sweep, verify_lemma1)
 
@@ -143,24 +144,26 @@ def cmd_run(args) -> int:
         swap_all_error_threshold=args.error_threshold,
         raw_key_error_threshold=args.error_threshold,
     )
-    stats = run_protocol(config, attack)
+    enum = RoundEnumerator(config, attack)
+    stats = run_protocol(config, attack, enum)
 
     analysis: dict = {}
     if config.variant is Variant.MIRROR:
-        report = check_conditions(attack, cross_check=args.cross_check)
-        conditionals = eve_conditional_states(attack)
+        report = check_conditions(attack, config, cross_check=args.cross_check,
+                                  enumerator=enum)
+        conditionals = eve_conditional_states(attack, config, enum)
         analysis["conditions"] = report.to_document()
         analysis["eavesdropper"] = {
             "p_shared": conditionals.p_shared,
             "trace_distance": conditionals.trace_distance,
         }
     else:
-        ident = legacy_identification(attack)
+        ident = legacy_identification(attack, config, enum)
         analysis["identification"] = {
             "trace_distance": ident.trace_distance,
             "accuracy": ident.accuracy,
         }
-    exact = exact_statistics(config, attack)
+    exact = exact_statistics(config, attack, enum)
     analysis["exact_error_probs"] = {op.value: p
                                      for op, p in exact.error_probs.items()}
 
@@ -321,11 +324,13 @@ def cmd_lemma(args) -> int:
 
 def cmd_attack_demo(args) -> int:
     attack = tagging_attack(n_max=args.n_max)
-    ident = legacy_identification(attack)
-    legacy_stats = exact_statistics(
-        ProtocolConfig(variant=Variant.LEGACY, tag_dim=2, n_max=args.n_max), attack)
-    report = check_conditions(attack)
-    conditionals = eve_conditional_states(attack)
+    legacy = RoundEnumerator(ProtocolConfig(variant=Variant.LEGACY, tag_dim=2,
+                                            n_max=args.n_max), attack)
+    mirror = RoundEnumerator(ProtocolConfig(tag_dim=2, n_max=args.n_max), attack)
+    ident = legacy_identification(attack, legacy.config, legacy)
+    legacy_stats = exact_statistics(legacy.config, attack, legacy)
+    report = check_conditions(attack, mirror.config, enumerator=mirror)
+    conditionals = eve_conditional_states(attack, mirror.config, mirror)
     doc = {
         "manifest": {"command": "attack-demo", "n_max": args.n_max},
         "legacy": {

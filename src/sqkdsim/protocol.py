@@ -12,6 +12,10 @@ loss, Eve's two passes, Alice's detection, and Bob's detection all happen by
 dense linear algebra, so branch probabilities are exact.  Sampling a run
 then just draws rounds from that distribution, and the same branch lists
 feed the exact analyses (error probabilities, Eve's conditional states).
+A sampled run is one vectorized pass: row i of a counter-based Philox
+stream keyed by the seed picks round i's operation, basis and branch, the
+round is stored as an index into the run's flat branch table, and the
+aggregates are counts over those indices.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import lru_cache
 from math import comb, sqrt
 from typing import Optional
 
@@ -31,8 +36,8 @@ import numpy as np
 from .adversary import Attack
 from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   apply_creation, apply_truncating_unitary, plus_state,
-                   trace_distance)
+                   _occupations, apply_creation, apply_truncating_unitary,
+                   plus_state, trace_distance)
 from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
                           interpret_ctrl, interpret_legacy_sift,
                           interpret_swap_all, interpret_swap_x, measure_pair,
@@ -43,10 +48,7 @@ __all__ = [
     "ProtocolConfig",
     "RoundBranch",
     "RoundEnumerator",
-    "RoundRecord",
-    "RoundSimulator",
     "RunStats",
-    "run_round",
     "run_protocol",
     "simulate_records",
     "exact_statistics",
@@ -191,36 +193,13 @@ class RoundEnumerator:
         q = self.config.channel_loss
         if q >= 1.0:
             return [state]
-        system = self.system
-        slots = system.pair_slots(_PAIR)
-        nz = np.flatnonzero(np.abs(state.amplitudes) > 0)
         out: list[FockVector] = []
-        from .fock import _occupations  # loss vectors reuse the occupation lister
-        for lost in _occupations(len(slots), system.n_max):
-            amps = np.zeros(system.dim, dtype=np.complex128)
-            hit = False
-            for i in nz:
-                occ, probe = system.basis_state(int(i))
-                coeff = 1.0
-                ok = True
-                for k, s in enumerate(slots):
-                    n, l = occ[s], lost[k]
-                    if l > n:
-                        ok = False
-                        break
-                    coeff *= comb(n, l) * q ** (n - l) * (1.0 - q) ** l
-                if not ok or coeff == 0.0:
-                    continue
-                survived = list(occ)
-                for k, s in enumerate(slots):
-                    survived[s] = occ[s] - lost[k]
-                amps[system.basis_index(survived, probe)] += \
-                    state.amplitudes[i] * sqrt(coeff)
-                hit = True
-            if hit:
-                vec = FockVector(system, amps, state.leaked)
-                if vec.norm2 > _PRUNE:
-                    out.append(vec)
+        for src, dst, amp in _loss_maps(self.system, q):
+            amps = np.zeros(self.system.dim, dtype=np.complex128)
+            amps[dst] = state.amplitudes[src] * amp
+            vec = FockVector(self.system, amps, state.leaked)
+            if vec.norm2 > _PRUNE:
+                out.append(vec)
         return out
 
     # -- alice stage -------------------------------------------------------
@@ -314,79 +293,85 @@ class RoundEnumerator:
         return result
 
 
-@dataclass(frozen=True)
-class RoundRecord:
-    """What one simulated round looked like from the parties' side.
+@lru_cache(maxsize=None)
+def _loss_maps(system: ModeSystem, survival: float):
+    """Per-photon loss on the transmitted pair as index maps.
 
-    ``branch_ref`` points back into the enumerator's branch list (operation
-    value, basis value, branch index); it is simulation-side bookkeeping and
-    never visible to the protocol participants.
+    One ``(src, dst, amplitude)`` triple per lost-photon vector (photons
+    lost from each slot of the pair): basis state ``src`` keeps
+    ``amplitude``, the square root of the binomial weight of that loss,
+    and lands on ``dst``, the same state with those photons gone.  The map
+    is injective, so one fancy-index assignment applies it.
     """
-
-    index: int
-    alice_op: AliceOp
-    bob_basis: Basis
-    alice_pattern: Optional[ClickPattern]
-    bob_pattern: ClickPattern
-    interpretation: Optional[Interpretation]
-    discarded: bool
-    alice_bit: Optional[int]
-    bob_bit: Optional[int]
-    branch_ref: tuple[str, str, int]
-
-
-class RoundSimulator:
-    """Samples rounds from the exact branch distributions."""
-
-    def __init__(self, config: ProtocolConfig, attack: Attack):
-        self.config = config
-        self.enumerator = RoundEnumerator(config, attack)
-        self.ops = config.variant.operations
-        self._op_cum = np.cumsum([config.alice_op_probs.get(op, 0.0)
-                                  for op in self.ops])
-        self._branch_cum: dict[tuple[AliceOp, Basis], np.ndarray] = {}
-
-    def _branches_with_cum(self, op: AliceOp, basis: Basis):
-        branches = self.enumerator.branches(op, basis)
-        key = (op, basis)
-        cum = self._branch_cum.get(key)
-        if cum is None:
-            cum = np.cumsum([b.probability for b in branches])
-            self._branch_cum[key] = cum
-        return branches, cum
-
-    def run_round(self, rng: np.random.Generator, index: int = 0) -> RoundRecord:
-        op = self.ops[min(int(np.searchsorted(self._op_cum, rng.random(),
-                                              side="right")),
-                          len(self.ops) - 1)]
-        basis = (Basis.HADAMARD if rng.random() < self.config.bob_hadamard_prob
-                 else Basis.COMPUTATIONAL)
-        branches, cum = self._branches_with_cum(op, basis)
-        k = min(int(np.searchsorted(cum, rng.random() * cum[-1], side="right")),
-                len(branches) - 1)
-        br = branches[k]
-        return RoundRecord(index, op, basis, br.alice_pattern, br.bob_pattern,
-                           br.interpretation, br.discarded, br.alice_bit,
-                           br.bob_bit, (op.value, basis.value, k))
+    slots = system.pair_slots(_PAIR)
+    q = survival
+    probes = np.arange(system.probe_levels)
+    maps = []
+    for lost in _occupations(len(slots), system.n_max):
+        src, dst, amp = [], [], []
+        for rank, occ in enumerate(system.occupations()):
+            counts = [occ[s] for s in slots]
+            if any(l > n for n, l in zip(counts, lost)):
+                continue
+            coeff = 1.0
+            for n, l in zip(counts, lost):
+                coeff *= comb(n, l) * q ** (n - l) * (1.0 - q) ** l
+            if coeff == 0.0:
+                continue
+            survived = list(occ)
+            for s, l in zip(slots, lost):
+                survived[s] -= l
+            src.append(rank)
+            dst.append(system.occupation_index(survived))
+            amp.append(sqrt(coeff))
+        if src:
+            maps.append(((np.asarray(src)[:, None] * len(probes) + probes).ravel(),
+                         (np.asarray(dst)[:, None] * len(probes) + probes).ravel(),
+                         np.repeat(amp, len(probes))))
+    return tuple(maps)
 
 
-def run_round(config: ProtocolConfig, attack: Attack,
-              rng: np.random.Generator) -> RoundRecord:
-    """Single-round convenience; loops should reuse a :class:`RoundSimulator`."""
-    return RoundSimulator(config, attack).run_round(rng)
+def _run_tables(config: ProtocolConfig, enum: RoundEnumerator):
+    """The tables a run draws from, in flat-index order.
 
-
-def simulate_records(config: ProtocolConfig, attack: Attack) -> list[RoundRecord]:
-    """All round records of a run, deterministic in ``config.rng_seed``.
-
-    Each round draws from its own child RNG stream, so the record list does
-    not depend on evaluation order.
+    One ``(operation index, Hadamard basis?, branches)`` per operation of
+    the variant and each basis Bob picks with nonzero probability.
     """
-    sim = RoundSimulator(config, attack)
-    root = np.random.SeedSequence(config.rng_seed)
-    rounds_ss, _ = root.spawn(2)
-    return [sim.run_round(np.random.default_rng(child), i)
-            for i, child in enumerate(rounds_ss.spawn(config.n_rounds))]
+    p_had = config.bob_hadamard_prob
+    return [(k, basis is Basis.HADAMARD, enum.branches(op, basis))
+            for k, op in enumerate(config.variant.operations)
+            for basis, w in ((Basis.HADAMARD, p_had),
+                             (Basis.COMPUTATIONAL, 1.0 - p_had))
+            if w > 0.0]
+
+
+def simulate_records(config: ProtocolConfig, attack: Attack,
+                     enumerator: Optional[RoundEnumerator] = None) -> np.ndarray:
+    """Flat branch index of every round of a run, deterministic in the seed.
+
+    Round i reads row i of ``Generator(Philox(key=rng_seed)).random((n_rounds,
+    3))``: Alice's operation, Bob's basis and the branch within that table.
+    A counter-based stream puts every row at a fixed position, so the first
+    n rounds of a longer run are exactly the rounds of a run of n.  Indices
+    count through the tables of :func:`_run_tables` back to back.
+    """
+    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
+    draws = np.random.Generator(np.random.Philox(key=config.rng_seed)).random(
+        (config.n_rounds, 3))
+    ops = config.variant.operations
+    op_cum = np.cumsum([config.alice_op_probs.get(op, 0.0) for op in ops])
+    op_index = np.minimum(np.searchsorted(op_cum, draws[:, 0], side="right"),
+                          len(ops) - 1)
+    hadamard = draws[:, 1] < config.bob_hadamard_prob
+    flat = np.empty(config.n_rounds, dtype=np.intp)
+    start = 0
+    for k, had, table in _run_tables(config, enum):
+        rows = (op_index == k) & (hadamard == had)
+        cum = np.cumsum([br.probability for br in table])
+        pick = np.searchsorted(cum, draws[rows, 2] * cum[-1], side="right")
+        flat[rows] = start + np.minimum(pick, len(table) - 1)
+        start += len(table)
+    return flat
 
 
 @dataclass
@@ -435,59 +420,57 @@ class RunStats:
         }
 
 
-def _rate(errors: int, total: int) -> Optional[float]:
+def _error_rate(counts: dict, ops) -> Optional[float]:
+    per_op = [counts.get(op.value, {}) for op in ops]
+    total = sum(sum(c.values()) for c in per_op)
+    errors = sum(c.get(Interpretation.ERROR.value, 0) for c in per_op)
     return errors / total if total else None
 
 
-def run_protocol(config: ProtocolConfig, attack: Attack) -> RunStats:
+def run_protocol(config: ProtocolConfig, attack: Attack,
+                 enumerator: Optional[RoundEnumerator] = None) -> RunStats:
     """Sample a full run: rounds, sifting, error estimation, abort decision."""
-    records = simulate_records(config, attack)
+    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
+    ops = config.variant.operations
+    table = [(ops[k], br) for k, _, branches in _run_tables(config, enum)
+             for br in branches]
+    rounds = simulate_records(config, attack, enum)
     counts: dict[str, dict[str, int]] = {}
-    op_totals: dict[AliceOp, int] = {}
-    op_errors: dict[AliceOp, int] = {}
-    shared: list[tuple[int, int]] = []
     sifted_key_rounds = 0
     key_ops = ((AliceOp.SWAP_10, AliceOp.SWAP_01)
                if config.variant is Variant.MIRROR else (AliceOp.SIFT,))
-    for rec in records:
-        label = "Discarded" if rec.discarded else rec.interpretation.value
-        per_op = counts.setdefault(rec.alice_op.value, {})
-        per_op[label] = per_op.get(label, 0) + 1
-        op_totals[rec.alice_op] = op_totals.get(rec.alice_op, 0) + 1
-        if rec.interpretation is Interpretation.ERROR:
-            op_errors[rec.alice_op] = op_errors.get(rec.alice_op, 0) + 1
-        if rec.alice_op in key_ops and not rec.discarded:
-            sifted_key_rounds += 1
-        if rec.interpretation is Interpretation.SHARED_BIT:
-            shared.append((rec.alice_bit, rec.bob_bit))
+    for (op, br), n in zip(table, np.bincount(rounds, minlength=len(table)).tolist()):
+        if n:
+            label = "Discarded" if br.discarded else br.interpretation.value
+            per_op = counts.setdefault(op.value, {})
+            per_op[label] = per_op.get(label, 0) + n
+            if op in key_ops and not br.discarded:
+                sifted_key_rounds += n
 
-    ctrl_rate = _rate(op_errors.get(AliceOp.CTRL, 0),
-                      op_totals.get(AliceOp.CTRL, 0))
-    swap_x_rate = _rate(sum(op_errors.get(op, 0) for op in key_ops),
-                        sum(op_totals.get(op, 0) for op in key_ops))
-    if config.variant is Variant.MIRROR:
-        swap_all_rate = _rate(op_errors.get(AliceOp.SWAP_ALL, 0),
-                              op_totals.get(AliceOp.SWAP_ALL, 0))
-    else:
-        swap_all_rate = None
+    ctrl_rate = _error_rate(counts, (AliceOp.CTRL,))
+    swap_x_rate = _error_rate(counts, key_ops)
+    swap_all_rate = (_error_rate(counts, (AliceOp.SWAP_ALL,))
+                     if config.variant is Variant.MIRROR else None)
+
+    # Shared bits in round order.
+    is_shared = np.array([br.interpretation is Interpretation.SHARED_BIT
+                          for _, br in table])
+    bits = np.array([(br.alice_bit or 0, br.bob_bit or 0) for _, br in table],
+                    dtype=np.uint8)
+    alice_bits, bob_bits = bits[rounds[is_shared[rounds]]].T
 
     # Step 6: reveal a random subset of the shared bits to estimate the
     # raw-key error rate; revealed positions are dropped from the keys.
-    root = np.random.SeedSequence(config.rng_seed)
-    _, test_ss = root.spawn(2)
-    test_rng = np.random.default_rng(test_ss)
-    n_shared = len(shared)
+    test_rng = np.random.Generator(np.random.Philox(key=config.rng_seed).jumped())
+    n_shared = len(alice_bits)
     n_test = int(round(config.test_fraction * n_shared))
-    revealed = (sorted(int(i) for i in
-                       test_rng.choice(n_shared, size=n_test, replace=False))
-                if n_test else [])
-    revealed_set = set(revealed)
-    mismatches = sum(1 for i in revealed if shared[i][0] != shared[i][1])
+    kept = np.ones(n_shared, dtype=bool)
+    if n_test:
+        kept[test_rng.choice(n_shared, size=n_test, replace=False)] = False
+    mismatches = int(np.count_nonzero(alice_bits[~kept] != bob_bits[~kept]))
     raw_key_rate = mismatches / n_test if n_test else None
-    alice_key = "".join(str(a) for i, (a, _) in enumerate(shared)
-                        if i not in revealed_set)
-    bob_key = "".join(str(b) for i, (_, b) in enumerate(shared)
-                      if i not in revealed_set)
+    alice_key, bob_key = ((party[kept] + ord("0")).tobytes().decode("ascii")
+                          for party in (alice_bits, bob_bits))
 
     reasons = []
     for name, rate, threshold in (
@@ -535,8 +518,9 @@ class ExactStatistics:
     shared_mismatch: Optional[float]
 
 
-def exact_statistics(config: ProtocolConfig, attack: Attack) -> ExactStatistics:
-    enum = RoundEnumerator(config, attack)
+def exact_statistics(config: ProtocolConfig, attack: Attack,
+                     enumerator: Optional[RoundEnumerator] = None) -> ExactStatistics:
+    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
     p_had = config.bob_hadamard_prob
     outcome: dict[AliceOp, dict[str, float]] = {}
     errors: dict[AliceOp, float] = {}
@@ -627,13 +611,14 @@ class SiftCtrlIdentification:
 
 
 def legacy_identification(attack: Attack,
-                          config: Optional[ProtocolConfig] = None) -> SiftCtrlIdentification:
+                          config: Optional[ProtocolConfig] = None,
+                          enumerator: Optional[RoundEnumerator] = None) -> SiftCtrlIdentification:
     if config is None:
         config = ProtocolConfig(variant=Variant.LEGACY, tag_dim=attack.system.tag_dim,
                                 n_max=attack.system.n_max)
     if config.variant is not Variant.LEGACY:
         raise ValueError("SIFT/CTRL identification is a legacy-variant analysis")
-    enum = RoundEnumerator(config, attack)
+    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
     pl = enum.system.probe_levels
     p_had = config.bob_hadamard_prob
     probe_space = ModeSystem(num_pairs=0, tag_dim=1, n_max=0,

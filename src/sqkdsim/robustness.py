@@ -11,7 +11,7 @@ learn nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
@@ -44,8 +44,10 @@ class ConditionReport:
     """Probabilities of the forbidden events, one field per condition.
 
     Every field is a per-round probability conditioned on the operation
-    named in it.  Fields describing Bob's detection include his 1/2 chance
-    of choosing the basis in which the event is visible;
+    named in it, at the config's channel loss.  Fields describing Bob's
+    detection include his chance of choosing the basis in which the event
+    is visible: ``bob_hadamard_prob`` for ``ctrl_minus``, its complement
+    for the computational-basis events (1/2 each by default);
     ``swap_all_alice_double`` concerns only Alice's detectors, which fire
     before Bob picks a basis, so it carries no such factor.
     """
@@ -92,9 +94,10 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
     if config.variant is not Variant.MIRROR:
         raise ValueError("detection conditions are defined for the mirror variant")
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
-    half = 0.5  # Bob's basis draw
+    p_had = config.bob_hadamard_prob
+    p_comp = 1.0 - p_had
 
-    ctrl_minus = half * sum(
+    ctrl_minus = p_had * sum(
         br.probability for br in enum.branches(AliceOp.CTRL, Basis.HADAMARD)
         if br.bob_pattern.mode1_click)
 
@@ -115,9 +118,9 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
                 p_double += br.probability
             if a == 0 and br.bob_pattern is forbidden_pattern[op]:
                 p_wrong += br.probability
-        both_held = max(both_held, half * p_both)
-        double = max(double, half * p_double)
-        wrong_mode[op] = half * p_wrong
+        both_held = max(both_held, p_comp * p_both)
+        double = max(double, p_comp * p_double)
+        wrong_mode[op] = p_comp * p_wrong
 
     alice_double = 0.0
     bob_click = 0.0
@@ -127,7 +130,8 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
         if sum_of(br.bob_pattern) >= 1:
             bob_click += br.probability
 
-    deviation = measurement_cross_check(attack, config, enum) if cross_check else None
+    deviation = (measurement_cross_check(attack, replace(config, channel_loss=1.0),
+                                         enum) if cross_check else None)
     return ConditionReport(
         ctrl_minus=ctrl_minus,
         swap_x_both_held=both_held,
@@ -135,7 +139,7 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
         swap_10_wrong_mode=wrong_mode[AliceOp.SWAP_10],
         swap_01_wrong_mode=wrong_mode[AliceOp.SWAP_01],
         swap_all_alice_double=alice_double,
-        swap_all_bob_click=half * bob_click,
+        swap_all_bob_click=p_comp * bob_click,
         cross_check_deviation=deviation,
     )
 
@@ -153,6 +157,11 @@ def measurement_cross_check(attack: Attack,
     and the same residual once placed next to the emptied storage.  Returns
     the largest absolute disagreement found (0.0 means both routes agree to
     machine precision, infinity that their branch sets differ).
+
+    The routes are compared on the lossless forward-pass state, so the
+    config must be lossless.  Loss is a separate Kraus stage that Alice's
+    measurement does not depend on, so :func:`check_conditions` checks a
+    lossy config through its lossless copy.
     """
     if config is None:
         config = ProtocolConfig(variant=Variant.MIRROR,

@@ -44,6 +44,19 @@ def test_identical_manifests_give_identical_bytes(tmp_path):
         second.with_suffix(".csv").read_bytes()
 
 
+def test_run_conditions_and_cross_check_under_loss(capsys):
+    """Conditions use the run's loss; the cross check runs lossless."""
+    assert main(["run", "--rounds", "200", "--loss", "0.5", "--cross-check",
+                 "--attack", "measure-resend-computational",
+                 "--error-threshold", "1", "--format", "structured"]) == 0
+    analysis = json.loads(capsys.readouterr().out)["analysis"]
+    assert analysis["conditions"]["cross_check_deviation"] < 1e-12
+    assert analysis["conditions"]["ctrl_minus"] == pytest.approx(0.0625,
+                                                                 abs=1e-12)
+    assert analysis["exact_error_probs"]["CTRL"] == pytest.approx(0.0625,
+                                                                  abs=1e-12)
+
+
 def test_run_with_fixture_attack(tmp_path, capsys):
     path = tmp_path / "probe.json"
     save_attack(probe_rotation_attack(2, probe_dim=2), path)

@@ -1,13 +1,16 @@
 """Round enumeration, sampling, sifting, and the exact analyses."""
+import math
+
 import numpy as np
 import pytest
 
 from sqkdsim.adversary import (identity_attack, measure_resend_attack,
                                probe_rotation_attack, random_attack,
                                tagging_attack)
+from sqkdsim.fock import ModeSystem
 from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
-from sqkdsim.protocol import (ProtocolConfig, RoundEnumerator, RoundSimulator,
-                              Variant, eve_conditional_states,
+from sqkdsim.protocol import (ProtocolConfig, RoundEnumerator, Variant,
+                              _loss_maps, _run_tables, eve_conditional_states,
                               exact_statistics, legacy_identification,
                               run_protocol, simulate_records)
 
@@ -106,6 +109,50 @@ def test_loss_probability_closed_form():
         assert p_loss == pytest.approx(1.0 - q * q, abs=1e-12)
 
 
+@pytest.mark.parametrize("q", [0.9, 0.5])
+def test_loss_maps_are_binomial_kraus_branches(q):
+    system = ModeSystem(1, tag_dim=2, n_max=3, probe_dim=3)
+    slots = system.pair_slots(0)
+    rng = np.random.default_rng(8)
+    state = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    maps = _loss_maps(system, q)
+    weights = []
+    for src, dst, amp in maps:
+        out = np.zeros(system.dim, dtype=np.complex128)
+        out[dst] = state[src] * amp
+        weights.append(np.vdot(out, out).real)
+        losts = set()
+        for i, j, a in zip(src, dst, amp):
+            (occ, probe), (kept, kept_probe) = system.basis_state(i), system.basis_state(j)
+            lost = tuple(occ[s] - kept[s] for s in slots)
+            losts.add(lost)
+            assert probe == kept_probe and min(lost) >= 0
+            assert a ** 2 == pytest.approx(np.prod(
+                [math.comb(occ[s], l) * q ** kept[s] * (1 - q) ** l
+                 for s, l in zip(slots, lost)]), rel=1e-14)
+        assert len(losts) == 1  # one map per lost-photon vector
+    assert sum(weights) == pytest.approx(np.vdot(state, state).real, rel=1e-12)
+
+    # One photon spread over the pair's slots: kept with q, lost with 1 - q.
+    single = np.zeros(system.dim, dtype=np.complex128)
+    for s in slots:
+        occ = [0] * len(slots)
+        occ[s] = 1
+        base = system.basis_index(occ)
+        single[base:base + 3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
+    single /= np.linalg.norm(single)
+    kept = lost = 0.0
+    for src, dst, amp in maps:
+        out = np.zeros(system.dim, dtype=np.complex128)
+        out[dst] = single[src] * amp
+        if np.array_equal(src, dst):
+            kept += np.vdot(out, out).real
+        else:
+            lost += np.vdot(out, out).real
+    assert kept == pytest.approx(q, abs=1e-14)
+    assert lost == pytest.approx(1 - q, abs=1e-14)
+
+
 def test_eve_probe_vectors_are_normalized():
     enum = RoundEnumerator(ProtocolConfig(), measure_resend_attack("computational"))
     for op in MIRROR_OPS:
@@ -119,11 +166,20 @@ def test_simulation_is_reproducible():
     cfg = ProtocolConfig(n_rounds=300, rng_seed=17)
     attack = identity_attack()
     first = simulate_records(cfg, attack)
-    second = simulate_records(cfg, attack)
-    assert [(r.alice_op, r.bob_basis, r.branch_ref) for r in first] == \
-        [(r.alice_op, r.bob_basis, r.branch_ref) for r in second]
+    assert len(first) == 300
+    assert np.array_equal(first, simulate_records(cfg, attack))
     assert run_protocol(cfg, attack).to_document() == \
         run_protocol(cfg, attack).to_document()
+
+
+def test_simulation_prefix_is_the_shorter_run():
+    """Round i depends only on the seed and i, not on the run length."""
+    attack = random_attack(11, probe_dim=4)
+    long = simulate_records(ProtocolConfig(n_rounds=1000, rng_seed=7,
+                                           channel_loss=0.9), attack)
+    short = simulate_records(ProtocolConfig(n_rounds=500, rng_seed=7,
+                                            channel_loss=0.9), attack)
+    assert np.array_equal(short, long[:500])
 
 
 def test_different_seeds_differ():
@@ -265,9 +321,36 @@ def test_attack_config_shape_mismatch_is_rejected():
         RoundEnumerator(ProtocolConfig(tag_dim=2), identity_attack(tag_dim=1))
 
 
+def test_sampler_matches_per_round_reference():
+    """The vectorized draw equals a scalar loop over the same stream rows."""
+    cfg = ProtocolConfig(n_rounds=2000, rng_seed=6, channel_loss=0.8,
+                         bob_hadamard_prob=0.8,
+                         alice_op_probs={"CTRL": 0.1, "SWAP-10": 0.5,
+                                         "SWAP-01": 0.0, "SWAP-ALL": 0.4})
+    attack = random_attack(3, probe_dim=2, strength=0.7)
+    enum = RoundEnumerator(cfg, attack)
+    ops = cfg.variant.operations
+    op_cum = np.cumsum([cfg.alice_op_probs[op] for op in ops])
+    starts, start = {}, 0
+    for k, had, table in _run_tables(cfg, enum):
+        starts[k, had] = start
+        start += len(table)
+    expected = []
+    draws = np.random.Generator(np.random.Philox(key=6)).random((2000, 3))
+    for u_op, u_basis, u_branch in draws:
+        k = min(int(np.searchsorted(op_cum, u_op, side="right")), len(ops) - 1)
+        had = bool(u_basis < cfg.bob_hadamard_prob)
+        table = enum.branches(ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL)
+        cum = np.cumsum([b.probability for b in table])
+        j = int(np.searchsorted(cum, u_branch * cum[-1], side="right"))
+        expected.append(starts[k, had] + min(j, len(table) - 1))
+    assert np.array_equal(simulate_records(cfg, attack, enum), expected)
+
+
 def test_simulator_draws_every_operation():
     cfg = ProtocolConfig(n_rounds=400, rng_seed=2)
-    sim = RoundSimulator(cfg, identity_attack())
-    rng = np.random.default_rng(0)
-    seen = {sim.run_round(rng, i).alice_op for i in range(400)}
+    enum = RoundEnumerator(cfg, identity_attack())
+    op_of = [cfg.variant.operations[k] for k, _, table in _run_tables(cfg, enum)
+             for _ in table]
+    seen = {op_of[i] for i in simulate_records(cfg, identity_attack(), enum)}
     assert seen == set(MIRROR_OPS)

@@ -5,7 +5,8 @@ import pytest
 from sqkdsim.adversary import (identity_attack, measure_resend_attack,
                                probe_rotation_attack, random_attack,
                                tagging_attack)
-from sqkdsim.protocol import ProtocolConfig, Variant
+from sqkdsim.measurement import AliceOp
+from sqkdsim.protocol import ProtocolConfig, Variant, exact_statistics
 from sqkdsim.robustness import (LemmaInput, check_conditions, lemma_state,
                                 measurement_cross_check, random_lemma_input,
                                 robustness_sweep, verify_lemma1)
@@ -30,6 +31,26 @@ def test_measure_resend_trips_only_the_reflection_condition():
     assert report.swap_01_wrong_mode == 0.0
     assert report.swap_all_alice_double == 0.0
     assert report.swap_all_bob_click == 0.0
+
+
+def test_conditions_honour_bob_basis_weight():
+    """At Hadamard weight 0.9 the CTRL condition is the exact CTRL error."""
+    attack = measure_resend_attack("computational")
+    cfg = ProtocolConfig(bob_hadamard_prob=0.9)
+    report = check_conditions(attack, cfg)
+    ctrl_error = exact_statistics(cfg, attack).error_probs[AliceOp.CTRL]
+    assert report.ctrl_minus == pytest.approx(0.45, abs=1e-12)
+    assert report.ctrl_minus == pytest.approx(ctrl_error, abs=1e-12)
+    # Computational-basis conditions carry the complementary weight 0.1.
+    noisy = random_attack(4, probe_dim=3, strength=0.5)
+    even = check_conditions(noisy)
+    skewed = check_conditions(noisy, ProtocolConfig(bob_hadamard_prob=0.9))
+    assert skewed.swap_all_bob_click == \
+        pytest.approx(0.2 * even.swap_all_bob_click, abs=1e-14)
+    assert skewed.swap_x_double == pytest.approx(0.2 * even.swap_x_double,
+                                                 abs=1e-14)
+    assert skewed.swap_all_alice_double == \
+        pytest.approx(even.swap_all_alice_double, abs=1e-14)
 
 
 def test_tagging_attack_is_invisible_to_the_mirror():
