@@ -66,6 +66,11 @@ class ClickPattern(enum.Enum):
         return self.value[1] == "1"
 
     @property
+    def code(self) -> int:
+        """The pattern read as a binary number: mode-1 click is bit 1."""
+        return int(self.value, 2)
+
+    @property
     def n_clicks(self) -> int:
         return int(self.mode1_click) + int(self.mode0_click)
 

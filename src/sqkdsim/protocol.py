@@ -9,9 +9,17 @@ discarded during sifting.
 
 Every round is first expanded into its exact branch distribution: channel
 loss, Eve's two passes, Alice's detection, and Bob's detection all happen by
-dense linear algebra, so branch probabilities are exact.  Sampling a run
-then just draws rounds from that distribution, and the same branch lists
-feed the exact analyses (error probabilities, Eve's conditional states).
+dense linear algebra, so branch probabilities are exact.  One pass builds
+every table of a variant: a 2-D stack of sub-normalized states, one row per
+branch so far, goes through each stage at once (loss and measurements as
+cached index maps that split every row, Eve's unitaries and Bob's Hadamard
+as one matrix product each), with every operation of Alice and both of
+Bob's bases side by side.  Rows come out in the order of the nested loop
+loss, Alice's outcome, loss, Bob's outcome, and each (operation, basis)
+table is a :class:`BranchTable` of NumPy columns.  Sampling a run then just
+draws rounds from that distribution, and the same columns feed the exact
+analyses (error probabilities, Eve's conditional states) as masks, counts
+and matrix products.
 A sampled run is one vectorized pass: row i of a counter-based Philox
 stream keyed by the seed picks round i's operation, basis and branch, the
 round is stored as an index into the run's flat branch table, and the
@@ -36,17 +44,19 @@ import numpy as np
 from .adversary import Attack
 from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   _occupations, apply_creation, apply_truncating_unitary,
-                   plus_state, trace_distance)
+                   _occupations, creation_operator,
+                   hadamard_matrix, plus_state, trace_distance)
 from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
-                          interpret_ctrl, interpret_legacy_sift,
-                          interpret_swap_all, interpret_swap_x, measure_pair,
-                          measure_slots, shared_bit, sum_of, threshold_measure)
+                          _branch_tables, interpret_ctrl, interpret_legacy_sift,
+                          interpret_swap_all, interpret_swap_x, shared_bit,
+                          sum_of)
 
 __all__ = [
     "Variant",
     "ProtocolConfig",
-    "RoundBranch",
+    "BranchTable",
+    "PATTERNS",
+    "INTERPRETATIONS",
     "RoundEnumerator",
     "RunStats",
     "run_protocol",
@@ -146,24 +156,201 @@ class ProtocolConfig:
         }
 
 
-@dataclass(frozen=True, eq=False)
-class RoundBranch:
-    """One exact outcome of a round, given Alice's operation and Bob's basis."""
+PATTERNS = tuple(ClickPattern)  # PATTERNS[p.code] is p
+INTERPRETATIONS = tuple(Interpretation)
+_CLICKS = np.array([0] + [p.n_clicks for p in PATTERNS])  # by pattern code + 1
+_LABELS = ("Discarded",) + tuple(i.value for i in INTERPRETATIONS)
+_SHARED = INTERPRETATIONS.index(Interpretation.SHARED_BIT)
+_N_CELLS = (len(PATTERNS) + 1) * len(PATTERNS)  # (Alice code + 1, Bob code)
 
-    probability: float
-    alice_pattern: Optional[ClickPattern]
-    bob_pattern: ClickPattern
-    interpretation: Optional[Interpretation]  # None when sifting discards
-    discarded: bool
-    alice_bit: Optional[int]
-    bob_bit: Optional[int]
-    eve_probe: np.ndarray  # normalized probe state after the round
+
+@dataclass(frozen=True, eq=False)
+class BranchTable:
+    """Exact outcomes of a round for one (operation, basis), one row each.
+
+    Every field is a read-only column.  ``alice_pattern`` and
+    ``bob_pattern`` hold :attr:`ClickPattern.code` values, indices into
+    :data:`PATTERNS` (the mode-1 click is bit 1, the mode-0 click bit 0);
+    ``alice_pattern`` is -1 where Alice measured nothing (CTRL).
+    ``interpretation`` indexes :data:`INTERPRETATIONS` and is -1 exactly
+    where sifting discards.  Bits are -1 unless the row is a SharedBit.
+    Row i of ``eve_probe`` is Eve's normalized probe state after branch i;
+    ``leaked`` is the weight the photon cap dropped along its path (each
+    branch of a split inherits it whole).
+    """
+
+    probability: np.ndarray
+    alice_pattern: np.ndarray
+    bob_pattern: np.ndarray
+    interpretation: np.ndarray
+    discarded: np.ndarray
+    alice_bit: np.ndarray
+    bob_bit: np.ndarray
+    eve_probe: np.ndarray
+    leaked: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.probability)
+
+    @property
+    def alice_clicks(self) -> np.ndarray:
+        """Detectors Alice fired per row (the announced sum; 0 for CTRL)."""
+        return _CLICKS[self.alice_pattern + 1]
+
+    @property
+    def bob_clicks(self) -> np.ndarray:
+        return _CLICKS[self.bob_pattern + 1]
+
+    @property
+    def labels(self) -> np.ndarray:
+        """Per-row outcome codes into ``_LABELS``: 0 for Discarded."""
+        return self.interpretation + 1
+
+
+def _norm2(rows: np.ndarray) -> np.ndarray:
+    flat = rows.view(np.float64)  # (re, im) pairs
+    return np.einsum("ij,ij->i", flat, flat)
+
+
+def _evolve(rows: np.ndarray, leaked: np.ndarray, matrix: np.ndarray):
+    """Apply a matrix unitary up to truncation to every row; lost norm is
+    recorded per row as in :func:`~sqkdsim.fock.apply_truncating_unitary`."""
+    out = rows @ matrix.T
+    return out, leaked + np.maximum(_norm2(rows) - _norm2(out), 0.0)
+
+
+def _split_plan(dim: int, maps, keep=()) -> tuple:
+    """Index maps ``(src, dst, amp)`` merged for :func:`_split`.
+
+    Map k reads columns ``src`` of a row (a nonempty segment of the merged
+    ``src`` starting at ``starts[k]``) and writes columns ``k * dim + dst``
+    of one wide row.  ``amp`` is None for maps that only move amplitudes.
+    Maps listed in ``keep`` are never pruned.
+    """
+    starts = np.cumsum([0] + [len(m[0]) for m in maps[:-1]])
+    return (len(maps), np.concatenate([m[0] for m in maps]),
+            np.concatenate([k * dim + m[1] for k, m in enumerate(maps)]),
+            None if maps[0][2] is None else np.concatenate([m[2] for m in maps]),
+            starts, np.isin(np.arange(len(maps)), keep))
+
+
+def _split(rows: np.ndarray, plan: tuple):
+    """Push every row through every map of a split plan.
+
+    Output rows are ordered by (input row, map), the order of a nested loop
+    over rows and then maps; rows of weight at most ``_PRUNE`` are dust and
+    dropped.  Returns the rows, their weights, and the input row and map
+    each came from.
+    """
+    n_maps, src, dst, amp, starts, keep_map = plan
+    n, dim = rows.shape
+    moved = rows.take(src, axis=1)
+    if amp is not None:
+        moved *= amp
+    flat = moved.view(np.float64)  # (re, im) pairs
+    weight = np.add.reduceat(flat * flat, 2 * starts, axis=1)  # (row, map)
+    keep = np.flatnonzero((weight > _PRUNE) | keep_map)
+    out = np.zeros((n, n_maps * dim), dtype=np.complex128)
+    out[:, dst] = moved
+    parent, which = np.divmod(keep, n_maps)
+    return out.reshape(n * n_maps, dim)[keep], weight.ravel()[keep], parent, which
+
+
+@lru_cache(maxsize=None)
+def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
+    """One split plan for the measurements of several operations.
+
+    CTRL passes the state on untouched (and unpruned); a mirror SWAP
+    measures the rails it swaps out; SIFT, and Bob (``None``), measure the
+    whole pair.  A measurement has one map per exact occupation of the
+    measured slots, which it empties.  Returns the plan and, per map, the
+    index of its operation in ``ops`` and its pattern code (-1 for CTRL).
+    """
+    maps, op_index, codes = [], [], []
+    for k, op in enumerate(ops):
+        if op is AliceOp.CTRL:
+            every = np.arange(system.dim)
+            groups = [(None, None, every, every)]
+        else:
+            slots = (swapped_slots(system, op, _PAIR)
+                     if op in (AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL)
+                     else system.pair_slots(_PAIR))
+            groups = _branch_tables(system, slots)
+        for _, pattern, sel, dst in groups:
+            maps.append((sel, dst, None))
+            op_index.append(k)
+            codes.append(-1 if pattern is None else pattern.code)
+    ctrl = [m for m, code in enumerate(codes) if code < 0]
+    return (_split_plan(system.dim, maps, keep=ctrl), np.array(op_index),
+            np.array(codes))
+
+
+def _classify(op: AliceOp, basis: Basis, a_pat: Optional[ClickPattern],
+              b_pat: ClickPattern):
+    """Sifting and interpretation of one (Alice pattern, Bob pattern) cell:
+    (interpretation, discarded, Alice's bit, Bob's bit)."""
+    interp, a_bit, b_bit = None, None, None
+    if op is AliceOp.CTRL:
+        if basis is Basis.COMPUTATIONAL:
+            return None, True, None, None
+        interp = interpret_ctrl(b_pat)
+    elif op in (AliceOp.SWAP_10, AliceOp.SWAP_01):
+        if basis is Basis.HADAMARD:
+            return None, True, None, None
+        interp = interpret_swap_x(sum_of(a_pat), sum_of(b_pat))
+        if interp is Interpretation.SHARED_BIT:
+            a_bit, b_bit = shared_bit(op, b_pat)
+    elif op is AliceOp.SWAP_ALL:
+        if basis is Basis.HADAMARD:
+            return None, True, None, None
+        interp = interpret_swap_all(a_pat, b_pat)
+    elif op is AliceOp.SIFT:
+        if basis is Basis.HADAMARD:
+            return None, True, None, None
+        interp = interpret_legacy_sift(a_pat, b_pat)
+        if interp is Interpretation.SHARED_BIT:
+            a_bit = 1 if a_pat is ClickPattern.P10 else 0
+            b_bit = 1 if b_pat is ClickPattern.P10 else 0
+    else:
+        raise ValueError(f"unhandled operation {op}")
+    return interp, False, a_bit, b_bit
+
+
+def _table_keys(variant: Variant) -> tuple[tuple[AliceOp, Basis], ...]:
+    """The (operation, basis) of each table of a variant, in stack order."""
+    return tuple((op, basis) for basis in Basis for op in variant.operations)
+
+
+@lru_cache(maxsize=256)
+def _cell_lookup(variant: Variant, cells: tuple[int, ...]) -> np.ndarray:
+    """:func:`_classify` of the given cells of a variant's stack.
+
+    Cell ``table * _N_CELLS + (alice code + 1) * 4 + bob code``; its row
+    holds the interpretation index, discard flag and bits, with -1 standing
+    for None.  Cached per set of cells that occur, which random attacks
+    mostly share.
+    """
+    keys = _table_keys(variant)
+    lookup = np.zeros((len(keys) * _N_CELLS, 4), dtype=np.int8)
+    for cell in cells:
+        table, local = divmod(cell, _N_CELLS)
+        a_index, b_index = divmod(local, len(PATTERNS))
+        interp, disc, a_bit, b_bit = _classify(
+            *keys[table], PATTERNS[a_index - 1] if a_index else None,
+            PATTERNS[b_index])
+        lookup[cell] = (-1 if interp is None else INTERPRETATIONS.index(interp), disc,
+                        -1 if a_bit is None else a_bit, -1 if b_bit is None else b_bit)
+    return lookup
 
 
 class RoundEnumerator:
-    """Exact branch distributions of a round, cached per (operation, basis).
+    """Exact branch distributions of a round, one table per (operation, basis).
 
     ``system`` is the attack's one-pair-plus-probe space for both variants.
+    The first call to :meth:`branches` builds the tables of every operation
+    of the variant and both of Bob's bases in one pass over a stack of
+    sub-normalized states, one row per branch so far: each stage maps or
+    splits every row at once, and the rows of one table stay contiguous.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -175,122 +362,92 @@ class RoundEnumerator:
         self.config = config
         self.attack = attack
         self.system = asys
-        amps = np.zeros(self.system.dim, dtype=np.complex128)
-        for p, c in enumerate(attack.initial_probe):
-            if abs(c) > 0:
-                amps += c * plus_state(self.system, _PAIR, 0, p).amplitudes
-        self.initial = FockVector(self.system, amps)
-        self._cache: dict[tuple[AliceOp, Basis], tuple[RoundBranch, ...]] = {}
+        # Bob's plus photon (tag 0) next to Eve's initial probe state.
+        plus = plus_state(asys, _PAIR, 0, 0).amplitudes[::asys.probe_levels]
+        self.initial = FockVector(asys, np.outer(plus, attack.initial_probe).ravel())
+        self._tables: Optional[dict[tuple[AliceOp, Basis], BranchTable]] = None
 
-    # -- channel loss ----------------------------------------------------
-
-    def _loss_branches(self, state: FockVector) -> list[FockVector]:
+    def _loss(self, rows: np.ndarray):
         """Kraus branches of per-photon loss on the transmitted pair.
 
         Each branch fixes how many photons vanished from each slot; the
         environment keeps that record, so branches do not interfere.
+        Returns the rows and the input row each came from.
         """
         q = self.config.channel_loss
         if q >= 1.0:
-            return [state]
-        out: list[FockVector] = []
-        for src, dst, amp in _loss_maps(self.system, q):
-            amps = np.zeros(self.system.dim, dtype=np.complex128)
-            amps[dst] = state.amplitudes[src] * amp
-            vec = FockVector(self.system, amps, state.leaked)
-            if vec.norm2 > _PRUNE:
-                out.append(vec)
-        return out
+            return rows, np.arange(len(rows))
+        rows, _, parent, _ = _split(rows, _split_plan(self.system.dim,
+                                                      _loss_maps(self.system, q)))
+        return rows, parent
 
-    # -- alice stage -------------------------------------------------------
+    def _enumerate(self) -> dict[tuple[AliceOp, Basis], BranchTable]:
+        system, variant = self.system, self.config.variant
+        ops = variant.operations
+        # Forward pass: loss, then Eve's forward unitary.
+        rows, _ = self._loss(self.initial.amplitudes[None, :])
+        rows, leaked = _evolve(rows, np.zeros(len(rows)), self.attack.u_forward)
 
-    def _alice_stage(self, state: FockVector,
-                     op: AliceOp) -> list[tuple[Optional[ClickPattern], FockVector]]:
-        if op is AliceOp.CTRL:
-            return [(None, state)]
-        if self.config.variant is Variant.MIRROR:
-            rails = swapped_slots(self.system, op, _PAIR)
-            return [(b.pattern, b.residual) for b in measure_slots(state, rails)]
-        if op is AliceOp.SIFT:
-            stage = []
-            for b in measure_pair(state, _PAIR):
-                res = b.residual
-                # Resend one fresh photon per clicked mode, tag reset to 0.
-                if b.pattern.mode0_click:
-                    res = apply_creation(res, self.system.slot(_PAIR, 0, 0))
-                if b.pattern.mode1_click:
-                    res = apply_creation(res, self.system.slot(_PAIR, 1, 0))
-                stage.append((b.pattern, res))
-            return stage
-        raise ValueError(f"operation {op} not defined for {self.config.variant}")
+        # Alice, every operation at once; rows are then sorted by operation
+        # (stably, so each operation keeps its nested-loop order).
+        plan, map_op, map_code = _measure_plan(system, ops)
+        rows, _, parent, which = _split(rows, plan)
+        order = np.argsort(map_op[which], kind="stable")
+        rows, parent, which = rows[order], parent[order], which[order]
+        op_index, a_code, leaked = map_op[which], map_code[which], leaked[parent]
+        if variant is Variant.LEGACY:
+            # SIFT resends one fresh photon per clicked mode, tag reset to 0.
+            # Nothing meets the photon cap: the measured pair is empty, and a
+            # double click needs room for two photons.
+            for mode in (0, 1):
+                clicked = (a_code >= 0) & ((a_code >> mode) & 1 == 1)  # bit m: mode m
+                rows[clicked] = rows[clicked] @ creation_operator(
+                    system, system.slot(_PAIR, mode, 0)).T
 
-    # -- sifting and interpretation ---------------------------------------
+        # Backward pass, then Bob in each basis: the stack is doubled, the
+        # computational copy first, so rows group by (basis, operation).
+        rows, leaked = _evolve(rows, leaked, self.attack.v_backward)
+        rows, parent = self._loss(rows)
+        rows = np.concatenate([rows, rows @ hadamard_matrix(system, _PAIR).T])
+        parent = np.concatenate([parent, parent + len(op_index)])
+        table_id = np.concatenate([op_index, op_index + len(ops)])[parent]
+        leaked = np.concatenate([leaked, leaked])[parent]
+        a_code = np.concatenate([a_code, a_code])[parent]
+        plan, _, map_code = _measure_plan(system, (None,))
+        rows, prob, parent, which = _split(rows, plan)
+        table_id, leaked, a_code = table_id[parent], leaked[parent], a_code[parent]
+        b_code = map_code[which]
 
-    def _classify(self, op: AliceOp, basis: Basis,
-                  a_pat: Optional[ClickPattern], b_pat: ClickPattern):
-        interp, a_bit, b_bit = None, None, None
-        if op is AliceOp.CTRL:
-            if basis is Basis.COMPUTATIONAL:
-                return None, True, None, None
-            interp = interpret_ctrl(b_pat)
-        elif op in (AliceOp.SWAP_10, AliceOp.SWAP_01):
-            if basis is Basis.HADAMARD:
-                return None, True, None, None
-            interp = interpret_swap_x(sum_of(a_pat), sum_of(b_pat))
-            if interp is Interpretation.SHARED_BIT:
-                a_bit, b_bit = shared_bit(op, b_pat)
-        elif op is AliceOp.SWAP_ALL:
-            if basis is Basis.HADAMARD:
-                return None, True, None, None
-            interp = interpret_swap_all(a_pat, b_pat)
-        elif op is AliceOp.SIFT:
-            if basis is Basis.HADAMARD:
-                return None, True, None, None
-            interp = interpret_legacy_sift(a_pat, b_pat)
-            if interp is Interpretation.SHARED_BIT:
-                a_bit = 1 if a_pat is ClickPattern.P10 else 0
-                b_bit = 1 if b_pat is ClickPattern.P10 else 0
-        else:
-            raise ValueError(f"unhandled operation {op}")
-        return interp, False, a_bit, b_bit
-
-    def _extract_probe(self, residual: FockVector, prob: float) -> np.ndarray:
-        pl = self.system.probe_levels
-        probe = residual.amplitudes[:pl].copy()  # vacuum occupation ranks first
-        mass = float(np.vdot(probe, probe).real)
-        if abs(mass - prob) > _PROB_ATOL * max(prob, 1.0):
-            raise ContractViolation("post-measurement state not confined to vacuum")
-        probe /= sqrt(mass)
-        probe.setflags(write=False)
-        return probe
-
-    def branches(self, op: AliceOp, basis: Basis) -> tuple[RoundBranch, ...]:
-        key = (op, basis)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        out: list[RoundBranch] = []
-        for s1 in self._loss_branches(self.initial):
-            s2 = apply_truncating_unitary(s1, self.attack.u_forward)
-            for a_pat, s4 in self._alice_stage(s2, op):
-                s5 = apply_truncating_unitary(s4, self.attack.v_backward)
-                for s6 in self._loss_branches(s5):
-                    for bb in threshold_measure(s6, _PAIR, basis):
-                        prob = bb.probability
-                        if prob <= _PRUNE:
-                            continue
-                        eve = self._extract_probe(bb.residual, prob)
-                        interp, disc, a_bit, b_bit = self._classify(
-                            op, basis, a_pat, bb.pattern)
-                        out.append(RoundBranch(prob, a_pat, bb.pattern, interp,
-                                               disc, a_bit, b_bit, eve))
-        total = sum(b.probability for b in out)
-        if abs(total - 1.0) > _PROB_ATOL:
+        keys = _table_keys(variant)
+        totals = np.bincount(table_id, weights=prob, minlength=len(keys))
+        for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL).tolist():
+            op, basis = keys[t]
             raise ContractViolation(
-                f"round branches for ({op.value}, {basis.value}) sum to {total!r}")
-        result = tuple(out)
-        self._cache[key] = result
-        return result
+                f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
+        probe = rows[:, :system.probe_levels]  # vacuum occupation ranks first
+        mass = _norm2(probe)
+        if np.any(np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)):
+            raise ContractViolation("post-measurement state not confined to vacuum")
+
+        # Interpretation, discard flag and bits per (table, Alice pattern,
+        # Bob pattern) cell.
+        cells = table_id * _N_CELLS + (a_code + 1) * len(PATTERNS) + b_code
+        present = tuple(np.flatnonzero(np.bincount(cells)).tolist())
+        interp, disc, a_bit, b_bit = _cell_lookup(variant, present)[cells].T
+        columns = (prob, a_code, b_code, interp, disc.astype(bool), a_bit, b_bit,
+                   probe / np.sqrt(mass)[:, None], leaked)
+        for column in columns:
+            column.setflags(write=False)
+        bounds = np.searchsorted(table_id, np.arange(len(keys) + 1)).tolist()
+        return {key: BranchTable(*(c[bounds[t]:bounds[t + 1]] for c in columns))
+                for t, key in enumerate(keys)}
+
+    def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
+        if op not in self.config.variant.operations:
+            raise ValueError(f"operation {op} not defined for {self.config.variant}")
+        if self._tables is None:
+            self._tables = self._enumerate()
+        return self._tables[op, basis]
 
 
 @lru_cache(maxsize=None)
@@ -367,7 +524,7 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
     start = 0
     for k, had, table in _run_tables(config, enum):
         rows = (op_index == k) & (hadamard == had)
-        cum = np.cumsum([br.probability for br in table])
+        cum = np.cumsum(table.probability)
         pick = np.searchsorted(cum, draws[rows, 2] * cum[-1], side="right")
         flat[rows] = start + np.minimum(pick, len(table) - 1)
         start += len(table)
@@ -432,20 +589,25 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     """Sample a full run: rounds, sifting, error estimation, abort decision."""
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
     ops = config.variant.operations
-    table = [(ops[k], br) for k, _, branches in _run_tables(config, enum)
-             for br in branches]
+    tables = _run_tables(config, enum)
+
+    def column(name):
+        return np.concatenate([getattr(t, name) for _, _, t in tables])
+
+    op_index = np.concatenate([np.full(len(t), k) for k, _, t in tables])
     rounds = simulate_records(config, attack, enum)
+    # Rounds per (operation, outcome label), then per-operation tallies.
+    per_cell = np.bincount((op_index * len(_LABELS) + column("labels"))[rounds],
+                           minlength=len(ops) * len(_LABELS))
     counts: dict[str, dict[str, int]] = {}
-    sifted_key_rounds = 0
+    for cell in np.flatnonzero(per_cell).tolist():
+        k, label = divmod(cell, len(_LABELS))
+        counts.setdefault(ops[k].value, {})[_LABELS[label]] = int(per_cell[cell])
     key_ops = ((AliceOp.SWAP_10, AliceOp.SWAP_01)
                if config.variant is Variant.MIRROR else (AliceOp.SIFT,))
-    for (op, br), n in zip(table, np.bincount(rounds, minlength=len(table)).tolist()):
-        if n:
-            label = "Discarded" if br.discarded else br.interpretation.value
-            per_op = counts.setdefault(op.value, {})
-            per_op[label] = per_op.get(label, 0) + n
-            if op in key_ops and not br.discarded:
-                sifted_key_rounds += n
+    sifted_key_rounds = sum(n for op in key_ops
+                            for label, n in counts.get(op.value, {}).items()
+                            if label != _LABELS[0])
 
     ctrl_rate = _error_rate(counts, (AliceOp.CTRL,))
     swap_x_rate = _error_rate(counts, key_ops)
@@ -453,11 +615,10 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
                      if config.variant is Variant.MIRROR else None)
 
     # Shared bits in round order.
-    is_shared = np.array([br.interpretation is Interpretation.SHARED_BIT
-                          for _, br in table])
-    bits = np.array([(br.alice_bit or 0, br.bob_bit or 0) for _, br in table],
-                    dtype=np.uint8)
-    alice_bits, bob_bits = bits[rounds[is_shared[rounds]]].T
+    is_shared = column("interpretation") == _SHARED
+    shared = rounds[is_shared[rounds]]
+    alice_bits = column("alice_bit")[shared].astype(np.uint8)
+    bob_bits = column("bob_bit")[shared].astype(np.uint8)
 
     # Step 6: reveal a random subset of the shared bits to estimate the
     # raw-key error rate; revealed positions are dropped from the keys.
@@ -531,14 +692,17 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
             if w == 0.0:
                 continue
-            for br in enum.branches(op, basis):
-                label = "Discarded" if br.discarded else br.interpretation.value
-                dist[label] = dist.get(label, 0.0) + w * br.probability
-                if br.interpretation is Interpretation.SHARED_BIT:
-                    weight = w * br.probability * config.alice_op_probs.get(op, 0.0)
-                    p_shared += weight
-                    if br.alice_bit != br.bob_bit:
-                        p_mismatch += weight
+            table = enum.branches(op, basis)
+            labels = table.labels
+            present = np.bincount(labels, minlength=len(_LABELS))
+            mass = np.bincount(labels, weights=w * table.probability,
+                               minlength=len(_LABELS))
+            for code in np.flatnonzero(present).tolist():
+                dist[_LABELS[code]] = dist.get(_LABELS[code], 0.0) + float(mass[code])
+            shared = table.interpretation == _SHARED
+            weight = w * table.probability * config.alice_op_probs.get(op, 0.0)
+            p_shared += float(weight[shared].sum())
+            p_mismatch += float(weight[shared & (table.alice_bit != table.bob_bit)].sum())
         outcome[op] = dist
         errors[op] = dist.get(Interpretation.ERROR.value, 0.0)
     return ExactStatistics(outcome, errors,
@@ -546,6 +710,13 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
 
 
 _PROBE_MASS_TOL = 1e-15
+
+
+def _probe_mixture(table: BranchTable, w: float, rows=slice(None)) -> np.ndarray:
+    """``w`` times the sum of p psi psi^dagger over the selected rows of a
+    table, as one product: (w p psi)^T conj(psi)."""
+    probe = table.eve_probe[rows]
+    return ((w * table.probability[rows])[:, None] * probe).T @ probe.conj()
 
 
 @dataclass(frozen=True)
@@ -581,10 +752,10 @@ def eve_conditional_states(attack: Attack,
     rho = {0: np.zeros((pl, pl), dtype=np.complex128),
            1: np.zeros((pl, pl), dtype=np.complex128)}
     for op, w in weights.items():
-        for br in enum.branches(op, Basis.COMPUTATIONAL):
-            if br.interpretation is Interpretation.SHARED_BIT:
-                rho[br.bob_bit] += (w * br.probability
-                                    * np.outer(br.eve_probe, br.eve_probe.conj()))
+        table = enum.branches(op, Basis.COMPUTATIONAL)
+        shared = table.interpretation == _SHARED
+        for b in (0, 1):
+            rho[b] += _probe_mixture(table, w, shared & (table.bob_bit == b))
     p_bit = {b: float(np.trace(m).real) for b, m in rho.items()}
     p_shared = p_bit[0] + p_bit[1]
     probe_space = ModeSystem(num_pairs=0, tag_dim=1, n_max=0,
@@ -629,8 +800,7 @@ def legacy_identification(attack: Attack,
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
             if w == 0.0:
                 continue
-            for br in enum.branches(op, basis):
-                mat += w * br.probability * np.outer(br.eve_probe, br.eve_probe.conj())
+            mat += _probe_mixture(enum.branches(op, basis), w)
         density = DensityOperator(probe_space, mat)
         density.validate(atol=1e-10)
         rho[op] = density

@@ -20,7 +20,7 @@ from .adversary import Attack, random_attack
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
                    hadamard_change, tensor, vacuum)
-from .measurement import AliceOp, Basis, ClickPattern, measure_slots, sum_of
+from .measurement import AliceOp, Basis, ClickPattern, measure_slots
 from .protocol import ProtocolConfig, RoundEnumerator, Variant, \
     eve_conditional_states
 
@@ -97,9 +97,9 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
     p_had = config.bob_hadamard_prob
     p_comp = 1.0 - p_had
 
-    ctrl_minus = p_had * sum(
-        br.probability for br in enum.branches(AliceOp.CTRL, Basis.HADAMARD)
-        if br.bob_pattern.mode1_click)
+    ctrl = enum.branches(AliceOp.CTRL, Basis.HADAMARD)
+    minus = ctrl.bob_pattern >= ClickPattern.P10.code  # 10 and 11: mode-1 bit set
+    ctrl_minus = p_had * float(ctrl.probability[minus].sum())
 
     both_held = 0.0
     double = 0.0
@@ -109,26 +109,20 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
     forbidden_pattern = {AliceOp.SWAP_10: ClickPattern.P10,
                          AliceOp.SWAP_01: ClickPattern.P01}
     for op in (AliceOp.SWAP_10, AliceOp.SWAP_01):
-        p_both = p_double = p_wrong = 0.0
-        for br in enum.branches(op, Basis.COMPUTATIONAL):
-            a, b = sum_of(br.alice_pattern), sum_of(br.bob_pattern)
-            if a >= 1 and b >= 1:
-                p_both += br.probability
-            if a == 2 or b == 2:
-                p_double += br.probability
-            if a == 0 and br.bob_pattern is forbidden_pattern[op]:
-                p_wrong += br.probability
-        both_held = max(both_held, p_comp * p_both)
-        double = max(double, p_comp * p_double)
-        wrong_mode[op] = p_comp * p_wrong
+        table = enum.branches(op, Basis.COMPUTATIONAL)
+        p, a, b = table.probability, table.alice_clicks, table.bob_clicks
+        p_both = p[(a >= 1) & (b >= 1)].sum()
+        p_double = p[(a == 2) | (b == 2)].sum()
+        p_wrong = p[(a == 0) & (table.bob_pattern
+                                == forbidden_pattern[op].code)].sum()
+        both_held = max(both_held, float(p_comp * p_both))
+        double = max(double, float(p_comp * p_double))
+        wrong_mode[op] = float(p_comp * p_wrong)
 
-    alice_double = 0.0
-    bob_click = 0.0
-    for br in enum.branches(AliceOp.SWAP_ALL, Basis.COMPUTATIONAL):
-        if br.alice_pattern is ClickPattern.P11:
-            alice_double += br.probability
-        if sum_of(br.bob_pattern) >= 1:
-            bob_click += br.probability
+    swap_all = enum.branches(AliceOp.SWAP_ALL, Basis.COMPUTATIONAL)
+    alice_double = float(swap_all.probability[
+        swap_all.alice_pattern == ClickPattern.P11.code].sum())
+    bob_click = float(swap_all.probability[swap_all.bob_clicks >= 1].sum())
 
     deviation = (measurement_cross_check(attack, replace(config, channel_loss=1.0),
                                          enum) if cross_check else None)

@@ -1,0 +1,212 @@
+"""The stacked-array branch tables against a per-branch reference loop.
+
+``reference_branches`` walks one round branch by branch with
+:class:`FockVector` states and the public measurement functions: channel
+loss, Eve's forward pass, Alice's stage, Eve's backward pass, loss again,
+and Bob's threshold measurement, in nested loops.  The enumerator must give
+the same rows in the same order.
+"""
+import numpy as np
+import pytest
+
+from sqkdsim.adversary import (identity_attack, measure_resend_attack,
+                               probe_rotation_attack, random_attack,
+                               tagging_attack)
+from sqkdsim.alice import swapped_slots
+from sqkdsim.fock import (ContractViolation, FockVector, apply_creation,
+                          apply_truncating_unitary)
+from sqkdsim.measurement import (AliceOp, Basis, ClickPattern, Interpretation,
+                                 measure_pair, measure_slots,
+                                 threshold_measure)
+from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig,
+                              RoundEnumerator, Variant, _loss_maps)
+import sqkdsim.protocol as protocol
+
+PRUNE = 1e-24
+PAIR = 0
+
+
+def _loss(state: FockVector, q: float) -> list:
+    if q >= 1.0:
+        return [state]
+    out = []
+    for src, dst, amp in _loss_maps(state.system, q):
+        amps = np.zeros(state.system.dim, dtype=np.complex128)
+        amps[dst] = state.amplitudes[src] * amp
+        vec = FockVector(state.system, amps, state.leaked)
+        if vec.norm2 > PRUNE:
+            out.append(vec)
+    return out
+
+
+def _alice(state: FockVector, op: AliceOp, variant: Variant) -> list:
+    system = state.system
+    if op is AliceOp.CTRL:
+        return [(None, state)]
+    if variant is Variant.MIRROR:
+        rails = swapped_slots(system, op, PAIR)
+        return [(b.pattern, b.residual) for b in measure_slots(state, rails)]
+    stage = []
+    for b in measure_pair(state, PAIR):
+        res = b.residual
+        if b.pattern.mode0_click:
+            res = apply_creation(res, system.slot(PAIR, 0, 0))
+        if b.pattern.mode1_click:
+            res = apply_creation(res, system.slot(PAIR, 1, 0))
+        stage.append((b.pattern, res))
+    return stage
+
+
+def reference_branches(enum: RoundEnumerator, op: AliceOp, basis: Basis) -> list:
+    """(probability, alice pattern, bob pattern, residual) per branch."""
+    q = enum.config.channel_loss
+    out = []
+    for s1 in _loss(enum.initial, q):
+        s2 = apply_truncating_unitary(s1, enum.attack.u_forward)
+        for a_pat, s4 in _alice(s2, op, enum.config.variant):
+            s5 = apply_truncating_unitary(s4, enum.attack.v_backward)
+            for s6 in _loss(s5, q):
+                for bb in threshold_measure(s6, PAIR, basis):
+                    if bb.probability > PRUNE:
+                        out.append((bb.probability, a_pat, bb.pattern, bb.residual))
+    return out
+
+
+def reference_label(op: AliceOp, basis: Basis, a_pat, b_pat):
+    """(interpretation, alice bit, bob bit) by the protocol's sifting rules."""
+    sifted_basis = Basis.HADAMARD if op is AliceOp.CTRL else Basis.COMPUTATIONAL
+    if basis is not sifted_basis:
+        return None, None, None
+    if op is AliceOp.CTRL:
+        return {ClickPattern.P00: Interpretation.LOSS,
+                ClickPattern.P01: Interpretation.LEGAL}.get(
+                    b_pat, Interpretation.ERROR), None, None
+    if op is AliceOp.SWAP_ALL:
+        if b_pat is not ClickPattern.P00 or a_pat is ClickPattern.P11:
+            return Interpretation.ERROR, None, None
+        return (Interpretation.LOSS if a_pat is ClickPattern.P00
+                else Interpretation.LEGAL), None, None
+    if op is AliceOp.SIFT:
+        if ClickPattern.P11 in (a_pat, b_pat):
+            return Interpretation.ERROR, None, None
+        if ClickPattern.P00 in (a_pat, b_pat):
+            return Interpretation.LOSS, None, None
+        return (Interpretation.SHARED_BIT, int(a_pat is ClickPattern.P10),
+                int(b_pat is ClickPattern.P10))
+    a, b = a_pat.n_clicks, b_pat.n_clicks
+    if (a, b) == (0, 0):
+        return Interpretation.LOSS, None, None
+    if b == 2 or (a, b) == (1, 1):
+        return Interpretation.ERROR, None, None
+    if a == 1:
+        return Interpretation.NO_SHARED_BIT, None, None
+    return (Interpretation.SHARED_BIT, int(op is AliceOp.SWAP_01),
+            int(b_pat is ClickPattern.P10))
+
+
+def _attacks(n_max: int) -> list:
+    named = [identity_attack(n_max=n_max), tagging_attack(n_max=n_max),
+             measure_resend_attack("computational", n_max=n_max),
+             measure_resend_attack("hadamard", n_max=n_max),
+             probe_rotation_attack(6, probe_dim=3, n_max=n_max)]
+    return named + [random_attack(seed, probe_dim=seed % 8 + 1, strength=0.8,
+                                  n_max=n_max) for seed in range(30)]
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+@pytest.mark.parametrize("survival", [1.0, 0.9])
+def test_tables_match_reference_loop(n_max, survival):
+    worst = 0.0
+    for attack in _attacks(n_max):
+        for variant in Variant:
+            cfg = ProtocolConfig(variant=variant, tag_dim=attack.system.tag_dim,
+                                 n_max=n_max, channel_loss=survival)
+            enum = RoundEnumerator(cfg, attack)
+            pl = attack.system.probe_levels
+            for op in variant.operations:
+                for basis in Basis:
+                    table = enum.branches(op, basis)
+                    ref = reference_branches(enum, op, basis)
+                    where = (attack.name, variant, op, basis)
+                    assert len(table) == len(ref), where
+                    probs, a_pats, b_pats, residuals = zip(*ref)
+                    labels = [reference_label(op, basis, a, b)
+                              for a, b in zip(a_pats, b_pats)]
+                    expected = {
+                        "alice_pattern": [-1 if a is None else a.code for a in a_pats],
+                        "bob_pattern": [b.code for b in b_pats],
+                        "interpretation": [-1 if i is None else INTERPRETATIONS.index(i)
+                                           for i, _, _ in labels],
+                        "discarded": [i is None for i, _, _ in labels],
+                        "alice_bit": [-1 if a is None else a for _, a, _ in labels],
+                        "bob_bit": [-1 if b is None else b for _, _, b in labels],
+                    }
+                    for name, column in expected.items():
+                        assert getattr(table, name).tolist() == column, (where, name)
+                    probes = np.array([r.amplitudes[:pl] for r in residuals])
+                    worst = max(worst,
+                                np.abs(table.probability - probs).max(),
+                                np.abs(table.eve_probe
+                                       - probes / np.sqrt(probs)[:, None]).max(),
+                                np.abs(table.leaked
+                                       - [r.leaked for r in residuals]).max())
+    assert worst < 1e-12
+
+
+def test_leaked_weight_matches_reference():
+    """Weight a slightly lossy forward pass drops is recorded on every row."""
+    attack = random_attack(5, probe_dim=3, strength=0.8)
+    attack.u_forward = (1.0 - 1e-11) * attack.u_forward  # after validation
+    for variant in Variant:
+        enum = RoundEnumerator(ProtocolConfig(variant=variant, channel_loss=0.9),
+                               attack)
+        for op in variant.operations:
+            for basis in Basis:
+                leaked = [r.leaked for *_, r in reference_branches(enum, op, basis)]
+                assert min(leaked) > 1e-13
+                assert np.allclose(enum.branches(op, basis).leaked, leaked,
+                                   rtol=0, atol=1e-14)
+
+
+def test_probability_sum_check_fires():
+    attack = random_attack(4, probe_dim=2)
+    attack.u_forward = 0.9 * attack.u_forward  # after validation
+    enum = RoundEnumerator(ProtocolConfig(), attack)
+    with pytest.raises(ContractViolation, match="sum to"):
+        enum.branches(AliceOp.CTRL, Basis.HADAMARD)
+
+
+def test_vacuum_confinement_check_fires(monkeypatch):
+    """A measurement that leaves photons behind is caught per row."""
+    attack = random_attack(4, probe_dim=2)
+    pl = attack.system.probe_levels
+    plans = protocol._measure_plan
+
+    def leaky(system, ops):
+        (n_maps, src, dst, *rest), map_op, codes = plans(system, ops)
+        if ops == (None,):  # Bob keeps the residual in the one-photon sector
+            dst = dst + pl
+        return (n_maps, src, dst, *rest), map_op, codes
+
+    monkeypatch.setattr(protocol, "_measure_plan", leaky)
+    enum = RoundEnumerator(ProtocolConfig(), attack)
+    with pytest.raises(ContractViolation, match="confined to vacuum"):
+        enum.branches(AliceOp.SWAP_10, Basis.COMPUTATIONAL)
+
+
+def test_interpretation_guard_still_fires(monkeypatch):
+    """Alice's click sum 2 on a single-mode swap is a contract violation."""
+    plans = protocol._measure_plan
+
+    def double_clicks(system, ops):
+        plan, map_op, map_code = plans(system, ops)
+        if AliceOp.SWAP_10 in ops:
+            swap_10 = map_op == ops.index(AliceOp.SWAP_10)
+            map_code = np.where(swap_10 & (map_code > 0), ClickPattern.P11.code,
+                                map_code)
+        return plan, map_op, map_code
+
+    monkeypatch.setattr(protocol, "_measure_plan", double_clicks)
+    enum = RoundEnumerator(ProtocolConfig(), identity_attack())
+    with pytest.raises(ContractViolation, match="alice sum 2"):
+        enum.branches(AliceOp.SWAP_10, Basis.COMPUTATIONAL)

@@ -1,5 +1,9 @@
 """Command-line behavior: exit codes, determinism, file outputs."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -156,3 +160,13 @@ def test_legacy_run(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert "identification" in doc["analysis"]
     assert doc["stats"]["swap_all_error_rate"] is None
+
+
+def test_module_entry_point_runs_from_a_checkout():
+    """``python -m sqkdsim`` works with only ``src`` on the path."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    done = subprocess.run([sys.executable, "-m", "sqkdsim", "sweep", "--count", "2"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "attacks" in done.stdout and "counterexamples" in done.stdout

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from sqkdsim.fock import (ContractViolation, DensityOperator, FockVector,
-                          ModeSystem, annihilation_operator,
+                          ModeSystem, annihilation_operator, apply_creation,
                           apply_truncating_unitary, basis_vector,
                           creation_operator, hadamard_change, hadamard_matrix,
                           outer, partial_trace, plus_state, single_photon,
@@ -63,6 +63,40 @@ def test_creation_matrix_elements():
     src = ms.basis_index((0, 1))
     dst = ms.basis_index((0, 2))
     assert a_up[dst, src] == pytest.approx(np.sqrt(2))
+
+
+def _loop_creation(system, slot, amps):
+    """a-dagger on ``slot`` basis state by basis state: matrix, output, lost."""
+    mat = np.zeros((system.dim, system.dim), dtype=np.complex128)
+    lost = 0.0
+    for i in range(system.dim):
+        occ, probe = system.basis_state(i)
+        if sum(occ) + 1 > system.n_max:
+            lost += (occ[slot] + 1) * abs(amps[i]) ** 2
+            continue
+        raised = list(occ)
+        raised[slot] += 1
+        mat[system.basis_index(raised, probe), i] = np.sqrt(occ[slot] + 1)
+    return mat, mat @ amps, lost
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+def test_creation_matches_loop_reference_at_the_cap(n_max):
+    ms = ModeSystem(num_pairs=1, tag_dim=2, n_max=n_max, probe_dim=3)
+    rng = np.random.default_rng(SEED + n_max)
+    amps = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
+    for slot in range(ms.n_slots):
+        mat, out, lost = _loop_creation(ms, slot, amps)
+        assert np.array_equal(creation_operator(ms, slot), mat)
+        created = apply_creation(FockVector(ms, amps, leaked=0.25), slot)
+        assert np.allclose(created.amplitudes, out, atol=1e-12)
+        assert lost > 0.0  # the state has weight at the cap
+        assert created.leaked == pytest.approx(0.25 + lost, rel=1e-12)
+        total = np.vdot(amps, amps).real
+        number = sum(ms.basis_state(i)[0][slot] * abs(amps[i]) ** 2
+                     for i in range(ms.dim))
+        # |a-dagger psi|^2 = <n + 1>, split between kept and lost weight
+        assert created.norm2 + lost == pytest.approx(total + number, rel=1e-12)
 
 
 def test_single_photon_and_plus_state():

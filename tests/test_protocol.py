@@ -9,8 +9,9 @@ from sqkdsim.adversary import (identity_attack, measure_resend_attack,
                                tagging_attack)
 from sqkdsim.fock import ModeSystem
 from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
-from sqkdsim.protocol import (ProtocolConfig, RoundEnumerator, Variant,
-                              _loss_maps, _run_tables, eve_conditional_states,
+from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
+                              Variant, _loss_maps, _run_tables,
+                              eve_conditional_states,
                               exact_statistics, legacy_identification,
                               run_protocol, simulate_records)
 
@@ -48,7 +49,7 @@ def test_branch_probabilities_conserved(attack_name, attack):
     enum = RoundEnumerator(cfg, attack)
     for op in MIRROR_OPS:
         for basis in BASES:
-            total = sum(b.probability for b in enum.branches(op, basis))
+            total = enum.branches(op, basis).probability.sum()
             assert total == pytest.approx(1.0, abs=1e-9), (attack_name, op, basis)
 
 
@@ -57,45 +58,46 @@ def test_branch_probabilities_conserved_with_loss():
     enum = RoundEnumerator(cfg, identity_attack())
     for op in MIRROR_OPS:
         for basis in BASES:
-            total = sum(b.probability for b in enum.branches(op, basis))
+            total = enum.branches(op, basis).probability.sum()
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_identity_ctrl_branches():
     enum = RoundEnumerator(ProtocolConfig(), identity_attack())
-    branches = enum.branches(AliceOp.CTRL, Basis.HADAMARD)
-    assert len(branches) == 1
-    b = branches[0]
-    assert b.probability == pytest.approx(1.0)
-    assert b.bob_pattern is ClickPattern.P01
-    assert b.interpretation is Interpretation.LEGAL
+    table = enum.branches(AliceOp.CTRL, Basis.HADAMARD)
+    assert len(table) == 1
+    assert table.probability[0] == pytest.approx(1.0)
+    assert table.bob_pattern[0] == ClickPattern.P01.code
+    assert INTERPRETATIONS[table.interpretation[0]] is Interpretation.LEGAL
     # computational CTRL rounds are discarded at sifting
-    for b in enum.branches(AliceOp.CTRL, Basis.COMPUTATIONAL):
-        assert b.discarded and b.interpretation is None
+    comp = enum.branches(AliceOp.CTRL, Basis.COMPUTATIONAL)
+    assert comp.discarded.all() and (comp.interpretation == -1).all()
 
 
 def test_identity_swap_10_branches():
     enum = RoundEnumerator(ProtocolConfig(), identity_attack())
-    branches = enum.branches(AliceOp.SWAP_10, Basis.COMPUTATIONAL)
-    by_interp = {b.interpretation: b for b in branches}
+    table = enum.branches(AliceOp.SWAP_10, Basis.COMPUTATIONAL)
+    by_interp = {INTERPRETATIONS[c]: i
+                 for i, c in enumerate(table.interpretation.tolist())}
     shared = by_interp[Interpretation.SHARED_BIT]
-    assert shared.probability == pytest.approx(0.5)
-    assert shared.alice_pattern is ClickPattern.P00
-    assert shared.bob_pattern is ClickPattern.P01
-    assert (shared.alice_bit, shared.bob_bit) == (0, 0)
+    assert table.probability[shared] == pytest.approx(0.5)
+    assert table.alice_pattern[shared] == ClickPattern.P00.code
+    assert table.bob_pattern[shared] == ClickPattern.P01.code
+    assert (table.alice_bit[shared], table.bob_bit[shared]) == (0, 0)
     kept = by_interp[Interpretation.NO_SHARED_BIT]
-    assert kept.probability == pytest.approx(0.5)
-    assert kept.alice_pattern is ClickPattern.P10
-    assert kept.bob_pattern is ClickPattern.P00
+    assert table.probability[kept] == pytest.approx(0.5)
+    assert table.alice_pattern[kept] == ClickPattern.P10.code
+    assert table.bob_pattern[kept] == ClickPattern.P00.code
 
 
 def test_identity_swap_all_branches():
     enum = RoundEnumerator(ProtocolConfig(), identity_attack())
-    branches = enum.branches(AliceOp.SWAP_ALL, Basis.COMPUTATIONAL)
-    assert {b.interpretation for b in branches} == {Interpretation.LEGAL}
-    assert sum(b.probability for b in branches) == pytest.approx(1.0)
-    assert {b.alice_pattern for b in branches} == \
-        {ClickPattern.P01, ClickPattern.P10}
+    table = enum.branches(AliceOp.SWAP_ALL, Basis.COMPUTATIONAL)
+    assert set(table.interpretation.tolist()) == \
+        {INTERPRETATIONS.index(Interpretation.LEGAL)}
+    assert table.probability.sum() == pytest.approx(1.0)
+    assert set(table.alice_pattern.tolist()) == \
+        {ClickPattern.P01.code, ClickPattern.P10.code}
 
 
 def test_loss_probability_closed_form():
@@ -103,9 +105,9 @@ def test_loss_probability_closed_form():
     for q in (1.0, 0.8, 0.5):
         cfg = ProtocolConfig(channel_loss=q)
         enum = RoundEnumerator(cfg, identity_attack())
-        p_loss = sum(b.probability
-                     for b in enum.branches(AliceOp.CTRL, Basis.HADAMARD)
-                     if b.interpretation is Interpretation.LOSS)
+        table = enum.branches(AliceOp.CTRL, Basis.HADAMARD)
+        p_loss = table.probability[
+            table.interpretation == INTERPRETATIONS.index(Interpretation.LOSS)].sum()
         assert p_loss == pytest.approx(1.0 - q * q, abs=1e-12)
 
 
@@ -157,9 +159,8 @@ def test_eve_probe_vectors_are_normalized():
     enum = RoundEnumerator(ProtocolConfig(), measure_resend_attack("computational"))
     for op in MIRROR_OPS:
         for basis in BASES:
-            for b in enum.branches(op, basis):
-                assert np.vdot(b.eve_probe, b.eve_probe).real == \
-                    pytest.approx(1.0, abs=1e-9)
+            probe = enum.branches(op, basis).eve_probe
+            assert np.abs(np.sum(np.abs(probe) ** 2, axis=1) - 1.0).max() < 1e-9
 
 
 def test_simulation_is_reproducible():
@@ -341,7 +342,7 @@ def test_sampler_matches_per_round_reference():
         k = min(int(np.searchsorted(op_cum, u_op, side="right")), len(ops) - 1)
         had = bool(u_basis < cfg.bob_hadamard_prob)
         table = enum.branches(ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL)
-        cum = np.cumsum([b.probability for b in table])
+        cum = np.cumsum(table.probability)
         j = int(np.searchsorted(cum, u_branch * cum[-1], side="right"))
         expected.append(starts[k, had] + min(j, len(table) - 1))
     assert np.array_equal(simulate_records(cfg, attack, enum), expected)
@@ -351,6 +352,6 @@ def test_simulator_draws_every_operation():
     cfg = ProtocolConfig(n_rounds=400, rng_seed=2)
     enum = RoundEnumerator(cfg, identity_attack())
     op_of = [cfg.variant.operations[k] for k, _, table in _run_tables(cfg, enum)
-             for _ in table]
+             for _ in range(len(table))]
     seen = {op_of[i] for i in simulate_records(cfg, identity_attack(), enum)}
     assert seen == set(MIRROR_OPS)
