@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.linalg import expm
 
 from .fock import ModeSystem, hadamard_matrix, pair_mode_transform
 
@@ -54,6 +53,8 @@ PROBE_SAW_CTRL = 2
 
 def attack_space(tag_dim: int = 1, n_max: int = 2, probe_dim: int = 1) -> ModeSystem:
     """The one-pair-plus-probe system an attack is defined over."""
+    if probe_dim < 1:
+        raise ValueError("probe_dim must be at least 1")
     return ModeSystem(num_pairs=1, tag_dim=tag_dim, n_max=n_max, probe_dim=probe_dim)
 
 
@@ -264,6 +265,7 @@ def random_attack(seed: int, probe_dim: int = 4, strength: float = 0.3,
                   n_max: int = 2) -> Attack:
     """Seeded random unitaries U = exp(i * strength * H) with H drawn GUE-like.
 
+    U is W diag(exp(i * strength * w)) W^H from the eigendecomposition of H.
     strength 0 gives exactly the identity attack; strength about 1 scrambles
     the transmitted pair and the probe thoroughly.  Tagless by construction
     (a generic Hermitian generator would superpose tag sectors).
@@ -276,8 +278,10 @@ def random_attack(seed: int, probe_dim: int = 4, strength: float = 0.3,
     def random_unitary() -> np.ndarray:
         a = rng.standard_normal((system.dim, system.dim)) \
             + 1j * rng.standard_normal((system.dim, system.dim))
-        h = (a + a.conj().T) / 2.0
-        return np.eye(system.dim) if strength == 0.0 else expm(1j * strength * h)
+        if strength == 0.0:
+            return np.eye(system.dim)
+        w, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+        return (vecs * np.exp(1j * strength * w)) @ vecs.conj().T
 
     u_forward = random_unitary()
     v_backward = random_unitary()

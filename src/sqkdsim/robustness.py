@@ -414,6 +414,10 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
     trivial and roomy probes alike.  Seeds derive from ``master_seed``
     alone, making reports reproducible.
     """
+    if max_probe_dim < 1:
+        raise ValueError("max_probe_dim must be at least 1")
+    if count < 0:
+        raise ValueError("count must be non-negative")
     seeds = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint32)
     config = ProtocolConfig(variant=Variant.MIRROR, n_max=n_max)
     records = []

@@ -126,6 +126,33 @@ def test_random_attack_rejects_bad_strength():
         random_attack(0, strength=1.5)
 
 
+@pytest.mark.parametrize("probe_dim", [0, -1])
+def test_builders_reject_empty_probe(probe_dim):
+    with pytest.raises(ValueError, match="probe_dim"):
+        random_attack(0, probe_dim=probe_dim)
+    with pytest.raises(ValueError, match="probe_dim"):
+        probe_rotation_attack(0, probe_dim=probe_dim)
+
+
+@pytest.mark.parametrize("strength", [1e-8, 1e-3, 0.3, 1.0])
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_random_attack_matches_expm_oracle(n_max, strength):
+    """The eigendecomposition route equals scipy's expm on the same draw."""
+    from scipy.linalg import expm
+
+    for probe_dim in range(1, 9):
+        seed = 1000 * n_max + probe_dim
+        attack = random_attack(seed, probe_dim=probe_dim, strength=strength,
+                               n_max=n_max)
+        d = attack.system.dim
+        rng = np.random.default_rng(seed)
+        for mat in (attack.u_forward, attack.v_backward):
+            a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+            h = (a + a.conj().T) / 2.0
+            assert np.abs(mat - expm(1j * strength * h)).max() <= 1e-12
+            assert np.abs(mat.conj().T @ mat - np.eye(d)).max() <= 1e-13
+
+
 def test_tagging_attack_marks_and_cleans():
     attack = tagging_attack()
     ms = attack.system

@@ -170,3 +170,32 @@ def test_module_entry_point_runs_from_a_checkout():
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 0, done.stderr
     assert "attacks" in done.stdout and "counterexamples" in done.stdout
+
+
+@pytest.mark.parametrize("args", [
+    ["sweep", "--count", "2", "--max-probe-dim", "0"],
+    ["sweep", "--count", "2", "--max-probe-dim", "-1"],
+    ["sweep", "--count", "-1"],
+    ["run", "--rounds", "10", "--attack", "random:1:0"],
+])
+def test_bad_probe_sizes_and_counts_fail_cleanly(args, capsys):
+    assert main(args) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def test_commands_do_not_import_scipy(tmp_path):
+    """numpy is the only run-time dependency: no command imports scipy."""
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ, PYTHONPATH=str(src))
+    script = (
+        "import sys, sqkdsim, sqkdsim.cli\n"
+        "assert sqkdsim.cli.main(['sweep', '--count', '1']) == 0\n"
+        "assert sqkdsim.cli.main(['run', '--rounds', '1', '--loss', '0.9']) == 0\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                          text=True, env=env, timeout=120, cwd=tmp_path)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip().splitlines()[-1] == "[]"
