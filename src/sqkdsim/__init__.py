@@ -11,16 +11,14 @@ from .adversary import (Attack, attack_from_document, attack_to_document,
                         identity_attack, load_attack, measure_resend_attack,
                         probe_rotation_attack, random_attack, save_attack,
                         tagging_attack)
-from .alice import (ALICE_PAIR, TRANSMIT_PAIR, alice_measure, apply_alice_op,
-                    apply_ctrl, apply_swap_01, apply_swap_10, apply_swap_all)
+from .alice import ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   basis_vector, hadamard_change, partial_trace, plus_state,
-                   single_photon, tensor, trace_distance, vacuum)
+                   basis_vector, hadamard_change, plus_state, single_photon,
+                   tensor, trace_distance, vacuum)
 from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
                           MeasurementBranch, interpret_ctrl,
                           interpret_legacy_sift, interpret_swap_all,
-                          interpret_swap_x, measure_pair, pattern_distribution,
-                          shared_bit, threshold_measure)
+                          interpret_swap_x, measure_pair, shared_bit)
 from .protocol import (EveConditionals, ExactStatistics, ProtocolConfig,
                        RoundEnumerator, RunStats, SiftCtrlIdentification,
                        Variant, eve_conditional_states, exact_statistics,
@@ -37,12 +35,10 @@ __all__ = [
     # state space
     "ContractViolation", "ModeSystem", "FockVector", "DensityOperator",
     "vacuum", "basis_vector", "single_photon", "plus_state", "tensor",
-    "hadamard_change", "partial_trace", "trace_distance",
+    "hadamard_change", "trace_distance",
     # parties
     "ALICE_PAIR", "TRANSMIT_PAIR", "AliceOp", "Basis", "ClickPattern",
-    "Interpretation", "MeasurementBranch", "alice_measure", "apply_alice_op",
-    "apply_ctrl", "apply_swap_10", "apply_swap_01", "apply_swap_all",
-    "measure_pair", "threshold_measure", "pattern_distribution",
+    "Interpretation", "MeasurementBranch", "apply_alice_op", "measure_pair",
     "interpret_ctrl", "interpret_swap_x", "interpret_swap_all",
     "interpret_legacy_sift", "shared_bit",
     # adversary

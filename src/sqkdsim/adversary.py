@@ -22,7 +22,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .fock import ModeSystem, hadamard_matrix, pair_mode_transform
+from .fock import ModeSystem, hadamard_matrix
 
 __all__ = [
     "Attack",
@@ -31,7 +31,6 @@ __all__ = [
     "probe_unitary",
     "tag_swap_unitary",
     "number_sector_phases",
-    "mode_mixer",
     "identity_attack",
     "tagging_attack",
     "measure_resend_attack",
@@ -153,11 +152,6 @@ def number_sector_phases(system: ModeSystem, phases: Sequence[float]) -> np.ndar
     diag = np.array([np.exp(1j * phases[sum(system.basis_state(i)[0])])
                      for i in range(system.dim)])
     return np.diag(diag)
-
-
-def mode_mixer(system: ModeSystem, u2: np.ndarray, pair: int = 0) -> np.ndarray:
-    """Passive two-mode mixing of a pair (beam splitter, phase plate, ...)."""
-    return pair_mode_transform(system, pair, u2)
 
 
 # -- named attacks ------------------------------------------------------------
@@ -355,21 +349,29 @@ def attack_to_document(attack: Attack) -> dict:
 
 
 def attack_from_document(doc: dict) -> Attack:
-    if doc.get("kind") != _DOC_KIND:
-        raise ValueError("not an attack document")
-    system = attack_space(int(doc["tag_dim"]), int(doc["n_max"]), int(doc["probe_dim"]))
-    declared = doc.get("basis_order")
-    if declared is not None:
-        if len(declared) != system.dim:
-            raise ValueError("declared basis does not match the reconstructed space")
-        for i, entry in enumerate(declared):
-            occ, probe = system.basis_state(i)
-            if tuple(entry["occupation"]) != occ or int(entry["probe"]) != probe:
-                raise ValueError(f"basis order mismatch at index {i}")
-    probe = np.array([complex(re, im) for re, im in doc["initial_probe"]])
-    return Attack(str(doc.get("name", "imported")), system,
-                  _pairs_to_matrix(doc["u_forward"]),
-                  _pairs_to_matrix(doc["v_backward"]),
+    """Rebuild an attack; a malformed document raises ValueError."""
+    try:
+        if doc.get("kind") != _DOC_KIND:
+            raise ValueError("not an attack document")
+        system = attack_space(int(doc["tag_dim"]), int(doc["n_max"]),
+                              int(doc["probe_dim"]))
+        declared = doc.get("basis_order")
+        if declared is not None:
+            if len(declared) != system.dim:
+                raise ValueError("declared basis does not match the reconstructed space")
+            for i, entry in enumerate(declared):
+                occ, probe = system.basis_state(i)
+                if tuple(entry["occupation"]) != occ or int(entry["probe"]) != probe:
+                    raise ValueError(f"basis order mismatch at index {i}")
+        probe = np.array([complex(re, im) for re, im in doc["initial_probe"]])
+        u_forward = _pairs_to_matrix(doc["u_forward"])
+        v_backward = _pairs_to_matrix(doc["v_backward"])
+    except (AttributeError, KeyError, TypeError) as exc:
+        raise ValueError(
+            "malformed attack document: expected a JSON object with tag_dim, "
+            "n_max, probe_dim, and [re, im] pairs in initial_probe, u_forward "
+            f"and v_backward ({type(exc).__name__}: {exc})") from exc
+    return Attack(str(doc.get("name", "imported")), system, u_forward, v_backward,
                   probe, bool(doc.get("photon_preserving", False)))
 
 

@@ -6,12 +6,12 @@ transmitted modes with her local, initially empty pair (SWAP-10 swaps the
 mode-1 rail, SWAP-01 the mode-0 rail, SWAP-ALL both), after which she
 threshold-measures whatever she captured.
 
-This module is the two-pair specification.  On joint systems pair 0 is
-Alice's storage and pair 1 the transmitted pair; tags ride along with their
-photons, so every swap is an exact permutation of the truncated basis.
-Rounds skip the storage pair and threshold-measure the swapped rails
-(:func:`swapped_slots`) of the transmitted pair directly; the permutations
-serve as the oracle of :func:`sqkdsim.robustness.measurement_cross_check`.
+Rounds never build her storage pair: they threshold-measure the rails each
+operation swaps out (:func:`swapped_slots`) of the transmitted pair.  The
+rest is the two-pair specification of the swaps, the oracle of
+:func:`sqkdsim.robustness.measurement_cross_check`: on joint systems pair 0
+is Alice's storage and pair 1 the transmitted pair, and tags ride along
+with their photons, so every swap is an exact permutation of the basis.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from functools import lru_cache
 import numpy as np
 
 from .fock import ContractViolation, FockVector, ModeSystem
-from .measurement import AliceOp, MeasurementBranch, measure_pair
+from .measurement import AliceOp
 
 __all__ = [
     "ALICE_PAIR",
@@ -31,11 +31,6 @@ __all__ = [
     "swap_index_map",
     "swap_matrix",
     "apply_alice_op",
-    "apply_ctrl",
-    "apply_swap_10",
-    "apply_swap_01",
-    "apply_swap_all",
-    "alice_measure",
 ]
 
 ALICE_PAIR = 0
@@ -82,14 +77,14 @@ def swap_matrix(system: ModeSystem, op: AliceOp) -> np.ndarray:
     return mat
 
 
-def _require_empty_storage(state: FockVector, atol: float = 1e-9) -> None:
+def _require_empty_storage(state: FockVector) -> None:
     system = state.system
     stray = 0.0
     for i in np.flatnonzero(np.abs(state.amplitudes) > 1e-15):
         occ, _ = system.basis_state(int(i))
         if any(occ[s] for s in system.pair_slots(ALICE_PAIR)):
             stray += abs(state.amplitudes[i]) ** 2
-    if stray > atol:
+    if stray > 1e-9:
         raise ContractViolation(
             f"Alice's storage pair holds weight {stray:.3e} before her operation")
 
@@ -103,31 +98,3 @@ def apply_alice_op(state: FockVector, op: AliceOp) -> FockVector:
     out = np.empty_like(state.amplitudes)
     out[image] = state.amplitudes
     return FockVector(state.system, out, state.leaked)
-
-
-def apply_ctrl(state: FockVector) -> FockVector:
-    return apply_alice_op(state, AliceOp.CTRL)
-
-
-def apply_swap_10(state: FockVector) -> FockVector:
-    return apply_alice_op(state, AliceOp.SWAP_10)
-
-
-def apply_swap_01(state: FockVector) -> FockVector:
-    return apply_alice_op(state, AliceOp.SWAP_01)
-
-
-def apply_swap_all(state: FockVector) -> FockVector:
-    return apply_alice_op(state, AliceOp.SWAP_ALL)
-
-
-def alice_measure(state: FockVector) -> list[MeasurementBranch]:
-    """Threshold-measure Alice's storage pair (computational basis, destructive).
-
-    Returns sub-normalized branches, one per exact captured configuration;
-    residuals have her pair reset to vacuum and leave the transmitted pair
-    and any probe untouched.
-    """
-    if state.system.num_pairs < 2:
-        raise ValueError("no storage pair present")
-    return measure_pair(state, ALICE_PAIR)

@@ -284,6 +284,8 @@ def cmd_lemma(args) -> int:
             "claim_consistent": claim_ok,
         })
     else:
+        if args.random < 0 or args.probe_dim < 1:
+            raise ValueError("--random must be at least 0 and --probe-dim at least 1")
         rng = np.random.default_rng(args.seed)
         for i in range(args.random):
             spec_input = random_lemma_input(rng, probe_dim=args.probe_dim,

@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, sqrt
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -40,21 +40,14 @@ __all__ = [
     "single_photon",
     "plus_state",
     "creation_operator",
-    "annihilation_operator",
     "apply_creation",
-    "apply_matrix",
     "apply_truncating_unitary",
     "pair_mode_transform",
     "hadamard_matrix",
     "hadamard_change",
     "tensor",
-    "outer",
-    "partial_trace",
     "trace_distance",
 ]
-
-ATOL_UNITARY = 1e-12
-
 
 class ContractViolation(RuntimeError):
     """An internal simulator invariant failed; indicates a bug, not bad data."""
@@ -133,18 +126,12 @@ class ModeSystem:
 
     # -- occupation helpers -------------------------------------------------
 
-    def pair_occupation(self, occ: Sequence[int], pair: int) -> tuple[int, ...]:
-        return tuple(occ[s] for s in self.pair_slots(pair))
-
     def cleared(self, occ: Sequence[int], pair: int) -> tuple[int, ...]:
         """Copy of ``occ`` with every slot of ``pair`` emptied."""
         out = list(occ)
         for s in self.pair_slots(pair):
             out[s] = 0
         return tuple(out)
-
-    def mode_count(self, occ: Sequence[int], pair: int, mode: int) -> int:
-        return sum(occ[s] for s in self.mode_slots(pair, mode))
 
     def require_same_layout(self, other: "ModeSystem") -> None:
         if self.tag_dim != other.tag_dim or self.n_max != other.n_max:
@@ -206,26 +193,9 @@ class FockVector:
             raise ValueError("cannot normalize a (numerically) zero vector")
         return FockVector(self.system, self.amplitudes / n, self.leaked)
 
-    def __add__(self, other: "FockVector") -> "FockVector":
-        if self.system != other.system:
-            raise ValueError("cannot add vectors over different mode systems")
-        return FockVector(self.system, self.amplitudes + other.amplitudes,
-                          self.leaked + other.leaked)
-
-    def __sub__(self, other: "FockVector") -> "FockVector":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar: complex) -> "FockVector":
-        return FockVector(self.system, self.amplitudes * scalar,
-                          self.leaked * abs(scalar) ** 2)
-
-    __rmul__ = __mul__
-
 
 def vacuum(system: ModeSystem, probe: int = 0) -> FockVector:
-    amps = np.zeros(system.dim, dtype=np.complex128)
-    amps[system.basis_index((0,) * system.n_slots, probe)] = 1.0
-    return FockVector(system, amps)
+    return basis_vector(system, (0,) * system.n_slots, probe)
 
 
 def basis_vector(system: ModeSystem, occ: Sequence[int], probe: int = 0) -> FockVector:
@@ -285,15 +255,6 @@ def creation_operator(system: ModeSystem, slot: int) -> np.ndarray:
     mat[dst, src] = amp
     mat.setflags(write=False)
     return mat
-
-
-def annihilation_operator(system: ModeSystem, slot: int) -> np.ndarray:
-    return creation_operator(system, slot).conj().T
-
-
-def apply_matrix(state: FockVector, matrix: np.ndarray) -> FockVector:
-    """Apply a matrix with no truncation bookkeeping (caller's responsibility)."""
-    return FockVector(state.system, matrix @ state.amplitudes, state.leaked)
 
 
 def apply_truncating_unitary(state: FockVector, matrix: np.ndarray) -> FockVector:
@@ -428,8 +389,8 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def validate(self, atol: float = 1e-10, unit_trace: bool = True) -> None:
-        """Check Hermiticity, positivity, and (optionally) unit trace."""
+    def validate(self, atol: float = 1e-10) -> None:
+        """Check Hermiticity, positivity, and unit trace."""
         adjoint = self.matrix.conj().T
         # np.allclose(matrix, adjoint, atol=atol), spelled out (it is slow)
         if not (np.abs(self.matrix - adjoint) <= atol + 1e-5 * np.abs(adjoint)).all():
@@ -437,55 +398,8 @@ class DensityOperator:
         eigs = np.linalg.eigvalsh(self.matrix)
         if eigs.min() < -atol:
             raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
-        if unit_trace and abs(self.trace - 1.0) > atol:
+        if abs(self.trace - 1.0) > atol:
             raise ValueError(f"density matrix trace {self.trace} != 1")
-
-    def normalized(self) -> "DensityOperator":
-        tr = self.trace
-        if tr < 1e-15:
-            raise ValueError("cannot normalize a zero-trace operator")
-        return DensityOperator(self.system, self.matrix / tr)
-
-
-def outer(state: FockVector) -> DensityOperator:
-    return DensityOperator(state.system, np.outer(state.amplitudes,
-                                                  state.amplitudes.conj()))
-
-
-def partial_trace(rho: DensityOperator, keep_pairs: Iterable[int],
-                  keep_probe: bool = True) -> DensityOperator:
-    """Trace out all pairs not listed in ``keep_pairs`` (and the probe unless kept).
-
-    The kept pairs are renumbered 0..k-1 in the order given.
-    """
-    ms = rho.system
-    keep = tuple(keep_pairs)
-    if len(set(keep)) != len(keep) or any(not 0 <= p < ms.num_pairs for p in keep):
-        raise ValueError(f"bad pair selection {keep}")
-    if keep_probe and not ms.probe_dim and keep == tuple(range(ms.num_pairs)):
-        return rho
-    reduced = ModeSystem(len(keep), ms.tag_dim, ms.n_max,
-                         ms.probe_dim if keep_probe else 0)
-    drop = [p for p in range(ms.num_pairs) if p not in keep]
-
-    kept_index = np.empty(ms.dim, dtype=np.intp)
-    traced_key: list[tuple] = []
-    for i in range(ms.dim):
-        occ, probe = ms.basis_state(i)
-        kept_occ = sum((ms.pair_occupation(occ, p) for p in keep), ())
-        kept_index[i] = reduced.basis_index(kept_occ, probe if keep_probe else 0)
-        dropped_occ = sum((ms.pair_occupation(occ, p) for p in drop), ())
-        traced_key.append((dropped_occ, 0 if keep_probe else probe))
-
-    groups: dict[tuple, list[int]] = {}
-    for i, key in enumerate(traced_key):
-        groups.setdefault(key, []).append(i)
-
-    out = np.zeros((reduced.dim, reduced.dim), dtype=np.complex128)
-    for idxs in groups.values():
-        sel = np.asarray(idxs, dtype=np.intp)
-        out[np.ix_(kept_index[sel], kept_index[sel])] += rho.matrix[np.ix_(sel, sel)]
-    return DensityOperator(reduced, out)
 
 
 def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:

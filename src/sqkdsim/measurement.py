@@ -8,11 +8,12 @@ read as (minus, plus) clicks, so "01" is the plus detector alone.
 
 Although only the click pattern is announced, the detector physically
 absorbs the photons, which destroys coherence between configurations that
-differ in photon number or tag.  Measurement results are therefore returned
-at per-configuration granularity: one branch per exact occupation of the
-measured modes (a pair, or one rail of it), each carrying its sub-normalized
-residual state.  Grouping branches by pattern recovers the announced
-statistics.
+differ in photon number or tag.  A measurement has one branch per exact
+occupation of the measured modes (a pair, or one rail of it), with those
+modes emptied in its sub-normalized residual.  Rounds apply these groups
+(``_branch_tables``) as index maps in :mod:`sqkdsim.protocol`;
+:func:`measure_slots` and :func:`measure_pair` are the per-state reference.
+The outcome interpretation tables follow.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import ContractViolation, FockVector, ModeSystem, hadamard_matrix
+from .fock import ContractViolation, FockVector, ModeSystem
 
 __all__ = [
     "Basis",
@@ -33,8 +34,6 @@ __all__ = [
     "MeasurementBranch",
     "measure_pair",
     "measure_slots",
-    "threshold_measure",
-    "pattern_distribution",
     "sum_of",
     "interpret_ctrl",
     "interpret_swap_x",
@@ -124,8 +123,8 @@ class MeasurementBranch:
     probability: float
     residual: FockVector
 
-    def normalized_residual(self) -> FockVector:
-        return self.residual.normalized()
+
+PRUNE = 1e-24  # branch weights at most this are numerical dust, not outcomes
 
 
 @lru_cache(maxsize=None)
@@ -151,22 +150,21 @@ def _branch_tables(system: ModeSystem, slots: tuple[int, ...]):
     return tuple(out)
 
 
-def measure_slots(state: FockVector, slots: tuple[int, ...],
-                  prune: float = 1e-24) -> list[MeasurementBranch]:
+def measure_slots(state: FockVector, slots: tuple[int, ...]) -> list[MeasurementBranch]:
     """Destructive threshold measurement of the modes in ``slots``.
 
     One branch per exact occupation of ``slots`` (counts in slot order)
-    with nonzero weight.  Each slot clicks as the mode it belongs to, so a
-    pair's mode-1 rail alone yields "00" or "10".  Branch probabilities sum
-    to the squared norm of ``state``, so feeding a sub-normalized state
-    through keeps joint probabilities exact.
+    with weight above :data:`PRUNE`.  Each slot clicks as the mode it
+    belongs to, so a pair's mode-1 rail alone yields "00" or "10".  Branch
+    probabilities sum to the squared norm of ``state``, so feeding a
+    sub-normalized state through keeps joint probabilities exact.
     """
     system = state.system
     amps = state.amplitudes
     branches = []
     for key, pattern, sel, dst in _branch_tables(system, tuple(slots)):
         weight = float(np.vdot(amps[sel], amps[sel]).real)
-        if weight <= prune:
+        if weight <= PRUNE:
             continue
         res = np.zeros(system.dim, dtype=np.complex128)
         res[dst] = amps[sel]
@@ -175,32 +173,9 @@ def measure_slots(state: FockVector, slots: tuple[int, ...],
     return branches
 
 
-def measure_pair(state: FockVector, pair: int,
-                 prune: float = 1e-24) -> list[MeasurementBranch]:
+def measure_pair(state: FockVector, pair: int) -> list[MeasurementBranch]:
     """:func:`measure_slots` on every slot of ``pair`` (computational basis)."""
-    return measure_slots(state, state.system.pair_slots(pair), prune)
-
-
-def threshold_measure(state: FockVector, pair: int,
-                      basis: Basis = Basis.COMPUTATIONAL) -> list[MeasurementBranch]:
-    """Measure ``pair`` with threshold detectors in the given basis.
-
-    For the Hadamard basis the pair is rotated first, so patterns read as
-    (minus, plus) clicks.  The residuals have the measured pair emptied and
-    are valid continuation states for the unmeasured factors.
-    """
-    if basis is Basis.HADAMARD:
-        state = FockVector(state.system,
-                           hadamard_matrix(state.system, pair) @ state.amplitudes,
-                           state.leaked)
-    return measure_pair(state, pair)
-
-
-def pattern_distribution(branches: list[MeasurementBranch]) -> dict[ClickPattern, float]:
-    out: dict[ClickPattern, float] = {}
-    for b in branches:
-        out[b.pattern] = out.get(b.pattern, 0.0) + b.probability
-    return out
+    return measure_slots(state, state.system.pair_slots(pair))
 
 
 # -- interpretation tables ----------------------------------------------------

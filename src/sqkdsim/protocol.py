@@ -46,7 +46,7 @@ from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
                    _occupations, creation_operator,
                    hadamard_matrix, plus_state, trace_distance)
-from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
+from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           _branch_tables, interpret_ctrl, interpret_legacy_sift,
                           interpret_swap_all, interpret_swap_x, shared_bit,
                           sum_of)
@@ -69,7 +69,6 @@ __all__ = [
     "legacy_identification",
 ]
 
-_PRUNE = 1e-24  # branch weights below this are numerical dust, not outcomes
 _PAIR = 0  # the transmitted pair, the only pair of an attack's space
 _PROB_ATOL = 1e-9
 
@@ -156,6 +155,12 @@ class ProtocolConfig:
         }
 
 
+def _default_config(attack: Attack, variant: Variant) -> ProtocolConfig:
+    """Default run parameters on the attack's tag levels and photon cap."""
+    return ProtocolConfig(variant=variant, tag_dim=attack.system.tag_dim,
+                          n_max=attack.system.n_max)
+
+
 PATTERNS = tuple(ClickPattern)  # PATTERNS[p.code] is p
 INTERPRETATIONS = tuple(Interpretation)
 _CLICKS = np.array([0] + [p.n_clicks for p in PATTERNS])  # by pattern code + 1
@@ -238,7 +243,7 @@ def _split(rows: np.ndarray, plan: tuple):
     """Push every row through every map of a split plan.
 
     Output rows are ordered by (input row, map), the order of a nested loop
-    over rows and then maps; rows of weight at most ``_PRUNE`` are dust and
+    over rows and then maps; rows of weight at most ``PRUNE`` are dust and
     dropped.  Returns the rows, their weights, and the input row and map
     each came from.
     """
@@ -249,7 +254,7 @@ def _split(rows: np.ndarray, plan: tuple):
         moved *= amp
     flat = moved.view(np.float64)  # (re, im) pairs
     weight = np.add.reduceat(flat * flat, 2 * starts, axis=1)  # (row, map)
-    keep = np.flatnonzero((weight > _PRUNE) | keep_map)
+    keep = np.flatnonzero((weight > PRUNE) | keep_map)
     out = np.zeros((n, n_maps * dim), dtype=np.complex128)
     out[:, dst] = moved
     parent, which = np.divmod(keep, n_maps)
@@ -738,8 +743,7 @@ def eve_conditional_states(attack: Attack,
                            config: Optional[ProtocolConfig] = None,
                            enumerator: Optional[RoundEnumerator] = None) -> EveConditionals:
     if config is None:
-        config = ProtocolConfig(variant=Variant.MIRROR, tag_dim=attack.system.tag_dim,
-                                n_max=attack.system.n_max)
+        config = _default_config(attack, Variant.MIRROR)
     if config.variant is not Variant.MIRROR:
         raise ValueError("conditional key-bit states are a mirror-variant analysis")
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
@@ -749,8 +753,7 @@ def eve_conditional_states(attack: Attack,
     total = w10 + w01
     weights = {AliceOp.SWAP_10: 0.5, AliceOp.SWAP_01: 0.5} if total == 0 else \
         {AliceOp.SWAP_10: w10 / total, AliceOp.SWAP_01: w01 / total}
-    rho = {0: np.zeros((pl, pl), dtype=np.complex128),
-           1: np.zeros((pl, pl), dtype=np.complex128)}
+    rho = {b: np.zeros((pl, pl), dtype=np.complex128) for b in (0, 1)}
     for op, w in weights.items():
         table = enum.branches(op, Basis.COMPUTATIONAL)
         shared = table.interpretation == _SHARED
@@ -758,8 +761,7 @@ def eve_conditional_states(attack: Attack,
             rho[b] += _probe_mixture(table, w, shared & (table.bob_bit == b))
     p_bit = {b: float(np.trace(m).real) for b, m in rho.items()}
     p_shared = p_bit[0] + p_bit[1]
-    probe_space = ModeSystem(num_pairs=0, tag_dim=1, n_max=0,
-                             probe_dim=attack.system.probe_dim)
+    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     states = {}
     for b in (0, 1):
         if p_bit[b] > _PROBE_MASS_TOL:
@@ -785,15 +787,13 @@ def legacy_identification(attack: Attack,
                           config: Optional[ProtocolConfig] = None,
                           enumerator: Optional[RoundEnumerator] = None) -> SiftCtrlIdentification:
     if config is None:
-        config = ProtocolConfig(variant=Variant.LEGACY, tag_dim=attack.system.tag_dim,
-                                n_max=attack.system.n_max)
+        config = _default_config(attack, Variant.LEGACY)
     if config.variant is not Variant.LEGACY:
         raise ValueError("SIFT/CTRL identification is a legacy-variant analysis")
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
     pl = enum.system.probe_levels
     p_had = config.bob_hadamard_prob
-    probe_space = ModeSystem(num_pairs=0, tag_dim=1, n_max=0,
-                             probe_dim=attack.system.probe_dim)
+    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     rho = {}
     for op in (AliceOp.CTRL, AliceOp.SIFT):
         mat = np.zeros((pl, pl), dtype=np.complex128)

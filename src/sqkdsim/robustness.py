@@ -20,9 +20,9 @@ from .adversary import Attack, random_attack
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
                    hadamard_change, tensor, vacuum)
-from .measurement import AliceOp, Basis, ClickPattern, measure_slots
-from .protocol import ProtocolConfig, RoundEnumerator, Variant, \
-    eve_conditional_states
+from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
+from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _default_config,
+                       _measure_plan, _split, eve_conditional_states)
 
 __all__ = [
     "ConditionReport",
@@ -88,9 +88,7 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
                      enumerator: Optional[RoundEnumerator] = None) -> ConditionReport:
     """Evaluate the seven detection conditions for a mirror-variant attack."""
     if config is None:
-        config = ProtocolConfig(variant=Variant.MIRROR,
-                                tag_dim=attack.system.tag_dim,
-                                n_max=attack.system.n_max)
+        config = _default_config(attack, Variant.MIRROR)
     if config.variant is not Variant.MIRROR:
         raise ValueError("detection conditions are defined for the mirror variant")
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
@@ -143,14 +141,16 @@ def measurement_cross_check(attack: Attack,
                             enumerator: Optional[RoundEnumerator] = None) -> float:
     """Check Alice's one-pair rail measurement against the two-pair spec.
 
-    Rounds measure the swapped rails of the transmitted pair directly.  The
-    spec route places the forward-pass state next to an empty storage pair,
-    applies the SWAP permutation, and decomposes the result with explicit
-    index masks, one per storage-pair occupation.  Each projection must
-    match a rail-measurement branch: same click pattern, same probability,
-    and the same residual once placed next to the emptied storage.  Returns
-    the largest absolute disagreement found (0.0 means both routes agree to
-    machine precision, infinity that their branch sets differ).
+    Rounds measure the swapped rails of the transmitted pair directly; the
+    checked route splits the forward-pass state with the enumerator's own
+    plan for each SWAP, the one its rounds run.  The spec route places that
+    state next to an empty storage pair, applies the SWAP permutation, and
+    decomposes the result with explicit index masks, one per storage-pair
+    occupation.  Each projection must match a branch of the split: same
+    click pattern, same probability, and the same residual once placed next
+    to the emptied storage.  Returns the largest absolute disagreement
+    found (0.0 means both routes agree to machine precision, infinity that
+    their branch sets differ).
 
     The routes are compared on the lossless forward-pass state, so the
     config must be lossless.  Loss is a separate Kraus stage that Alice's
@@ -158,9 +158,7 @@ def measurement_cross_check(attack: Attack,
     lossy config through its lossless copy.
     """
     if config is None:
-        config = ProtocolConfig(variant=Variant.MIRROR,
-                                tag_dim=attack.system.tag_dim,
-                                n_max=attack.system.n_max)
+        config = _default_config(attack, Variant.MIRROR)
     if config.channel_loss < 1.0:
         raise ValueError("cross check assumes a lossless channel")
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
@@ -181,23 +179,27 @@ def measurement_cross_check(attack: Attack,
                 cleared[s] = 0
             vec = groups.setdefault(a_occ, np.zeros(system.dim, dtype=np.complex128))
             vec[system.basis_index(cleared, probe)] += swapped.amplitudes[i]
-        # Storage pair 0 of the joint space uses the slot numbers of the
-        # transmitted pair 0 of the attack space, so rail counts embed as is.
+        # The round's split, map k per rail occupation k; the joint storage
+        # pair 0 has the attack pair's slot numbers, so rail counts embed.
         rails = swapped_slots(forward.system, op, 0)
+        keys = [key for key, *_ in _branch_tables(forward.system, rails)]
+        plan, _, codes = _measure_plan(forward.system, (op,))
+        rows, probs, _, which = _split(forward.amplitudes[None, :], plan)
         branches = {}
-        for b in measure_slots(forward, rails):
-            counts = dict(zip(rails, b.occupation))
-            branches[tuple(counts.get(s, 0) for s in alice_slots)] = b
+        for row, prob, k in zip(rows, probs, which):
+            counts = dict(zip(rails, keys[k]))
+            a_occ = tuple(counts.get(s, 0) for s in alice_slots)
+            branches[a_occ] = (codes[k], prob, row)
         if set(branches) != {occ for occ, v in groups.items()
-                             if float(np.vdot(v, v).real) > 1e-24}:
+                             if float(np.vdot(v, v).real) > PRUNE}:
             return float("inf")
-        for a_occ, b in branches.items():
+        for a_occ, (code, prob, row) in branches.items():
             mode1 = sum(a_occ[s] for s in system.mode_slots(ALICE_PAIR, 1))
-            if b.pattern is not ClickPattern.from_clicks(mode1 > 0, sum(a_occ) > mode1):
+            if code != ClickPattern.from_clicks(mode1 > 0, sum(a_occ) > mode1).code:
                 return float("inf")
             vec = groups[a_occ]
-            embedded = tensor(storage, b.residual).amplitudes
-            worst = max(worst, abs(b.probability - float(np.vdot(vec, vec).real)))
+            embedded = tensor(storage, FockVector(forward.system, row)).amplitudes
+            worst = max(worst, abs(prob - float(np.vdot(vec, vec).real)))
             worst = max(worst, float(np.abs(embedded - vec).max()))
     return worst
 
@@ -254,19 +256,13 @@ def lemma_state(spec_input: LemmaInput) -> FockVector:
         base = system.basis_index(occ)
         amps[base:base + pd] += vec
 
-    slot0, slot1 = system.slot(0, 0, 0), system.slot(0, 1, 0)
-    for m, vec in spec_input.f.items():
-        if not 1 <= m <= spec_input.n_max:
-            raise ValueError(f"photon number {m} out of range")
-        occ = [0, 0]
-        occ[slot1] = m
-        deposit(occ, vec)
-    for m, vec in spec_input.g.items():
-        if not 1 <= m <= spec_input.n_max:
-            raise ValueError(f"photon number {m} out of range")
-        occ = [0, 0]
-        occ[slot0] = m
-        deposit(occ, vec)
+    for mode, side in ((1, spec_input.f), (0, spec_input.g)):
+        for m, vec in side.items():
+            if not 1 <= m <= spec_input.n_max:
+                raise ValueError(f"photon number {m} out of range")
+            occ = [0, 0]
+            occ[system.slot(0, mode, 0)] = m
+            deposit(occ, vec)
     deposit([0, 0], spec_input.h)
     return FockVector(system, amps)
 
@@ -292,7 +288,7 @@ def verify_lemma1(spec_input: LemmaInput, zero_tol: float = 1e-9,
         occ, _ = system.basis_state(int(i))
         if occ[slot1] > 0:
             p_minus += abs(rotated.amplitudes[i]) ** 2
-    p_minus /= norm2
+    p_minus = float(p_minus / norm2)  # plain float, so verdicts are plain bools
 
     pd = spec_input.probe_dim
     f1 = np.asarray(spec_input.f.get(1, np.zeros(pd)), dtype=np.complex128)

@@ -7,12 +7,12 @@ from sqkdsim.adversary import (Attack, PROBE_IDLE, PROBE_SAW_CTRL,
                                attack_space,
                                attack_to_document, basis_permutation,
                                identity_attack, load_attack,
-                               measure_resend_attack, mode_mixer,
+                               measure_resend_attack,
                                number_sector_phases, probe_rotation_attack,
                                probe_unitary, random_attack, save_attack,
                                tag_swap_unitary, tagging_attack)
-from sqkdsim.fock import (FockVector, apply_truncating_unitary, plus_state,
-                          vacuum)
+from sqkdsim.fock import (FockVector, apply_truncating_unitary,
+                          pair_mode_transform, plus_state, vacuum)
 
 SEED = 99
 
@@ -47,7 +47,7 @@ def test_attack_rejects_unnormalized_probe():
 def test_photon_preserving_flag_is_checked():
     ms = attack_space(n_max=2)
     # a beam-splitter-like mixer moves photons between modes but keeps the count
-    mixer = mode_mixer(ms, np.array([[0, 1], [1, 0]], dtype=complex))
+    mixer = pair_mode_transform(ms, 0, np.array([[0, 1], [1, 0]], dtype=complex))
     Attack("swap-modes", ms, mixer, np.eye(ms.dim), np.array([1.0]),
            photon_preserving=True)
     # an operator feeding the vacuum from a photon state is not count-preserving
@@ -67,7 +67,7 @@ def test_builders_produce_unitaries():
         number_sector_phases(ms, [0.0, 0.3, 1.1]),
         probe_unitary(ms, np.linalg.qr(rng.standard_normal((3, 3))
                                        + 1j * rng.standard_normal((3, 3)))[0]),
-        mode_mixer(ms, np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
+        pair_mode_transform(ms, 0, np.array([[1, 1], [1, -1]]) / np.sqrt(2)),
     ]
     for mat in mats:
         assert np.max(np.abs(mat @ mat.conj().T - np.eye(ms.dim))) < 1e-10

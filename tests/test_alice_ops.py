@@ -2,13 +2,11 @@
 import numpy as np
 import pytest
 
-from sqkdsim.alice import (ALICE_PAIR, TRANSMIT_PAIR, alice_measure,
-                           apply_alice_op, apply_ctrl, apply_swap_01,
-                           apply_swap_10, apply_swap_all, swap_index_map,
-                           swap_matrix)
+from sqkdsim.alice import (ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op,
+                           swap_index_map, swap_matrix)
 from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
                           plus_state, single_photon, vacuum)
-from sqkdsim.measurement import AliceOp, ClickPattern
+from sqkdsim.measurement import AliceOp, ClickPattern, measure_pair
 
 ATOL = 1e-12
 
@@ -66,14 +64,14 @@ def test_swap_all_is_composition_of_single_swaps():
 def test_ctrl_leaves_state_untouched():
     ms = ModeSystem(num_pairs=2, tag_dim=1, n_max=2)
     state = plus_state(ms, TRANSMIT_PAIR)
-    out = apply_ctrl(state)
+    out = apply_alice_op(state, AliceOp.CTRL)
     assert np.array_equal(out.amplitudes, state.amplitudes)
 
 
 def test_swap_10_moves_only_mode_1():
     ms = ModeSystem(num_pairs=2, tag_dim=1, n_max=2)
     state = plus_state(ms, TRANSMIT_PAIR)
-    out = apply_swap_10(state)
+    out = apply_alice_op(state, AliceOp.SWAP_10)
     # mode-1 component moved into storage, mode-0 component stayed
     assert out.amplitude((0, 1, 0, 0)) == pytest.approx(1 / np.sqrt(2))
     assert out.amplitude((0, 0, 1, 0)) == pytest.approx(1 / np.sqrt(2))
@@ -82,17 +80,17 @@ def test_swap_10_moves_only_mode_1():
 def test_swap_01_moves_only_mode_0():
     ms = ModeSystem(num_pairs=2, tag_dim=1, n_max=2)
     state = plus_state(ms, TRANSMIT_PAIR)
-    out = apply_swap_01(state)
+    out = apply_alice_op(state, AliceOp.SWAP_01)
     assert out.amplitude((1, 0, 0, 0)) == pytest.approx(1 / np.sqrt(2))
     assert out.amplitude((0, 0, 0, 1)) == pytest.approx(1 / np.sqrt(2))
 
 
 def test_swap_all_takes_everything():
     ms = ModeSystem(num_pairs=2, tag_dim=1, n_max=2)
-    out = apply_swap_all(plus_state(ms, TRANSMIT_PAIR))
+    out = apply_alice_op(plus_state(ms, TRANSMIT_PAIR), AliceOp.SWAP_ALL)
     assert out.amplitude((1, 0, 0, 0)) == pytest.approx(1 / np.sqrt(2))
     assert out.amplitude((0, 1, 0, 0)) == pytest.approx(1 / np.sqrt(2))
-    dist = {b.pattern: b.probability for b in alice_measure(out)}
+    dist = {b.pattern: b.probability for b in measure_pair(out, ALICE_PAIR)}
     assert dist[ClickPattern.P01] == pytest.approx(0.5)
     assert dist[ClickPattern.P10] == pytest.approx(0.5)
 
@@ -126,14 +124,14 @@ def test_storage_tolerance_allows_numerical_dust():
     ms = ModeSystem(num_pairs=2, tag_dim=1, n_max=2)
     amps = np.array(plus_state(ms, TRANSMIT_PAIR).amplitudes)
     amps[ms.basis_index((1, 0, 0, 0))] = 1e-8  # mass 1e-16, below threshold
-    out = apply_swap_10(FockVector(ms, amps))
+    out = apply_alice_op(FockVector(ms, amps), AliceOp.SWAP_10)
     assert out is not None
 
 
 def test_alice_measure_reads_storage_pair():
     ms = ModeSystem(num_pairs=2, tag_dim=1, n_max=2)
-    state = apply_swap_all(plus_state(ms, TRANSMIT_PAIR))
-    branches = alice_measure(state)
+    state = apply_alice_op(plus_state(ms, TRANSMIT_PAIR), AliceOp.SWAP_ALL)
+    branches = measure_pair(state, ALICE_PAIR)
     assert sum(b.probability for b in branches) == pytest.approx(1.0)
     for b in branches:
         # storage cleared after the measurement
@@ -148,4 +146,4 @@ def test_swap_needs_two_pairs():
     with pytest.raises(ValueError):
         swap_index_map(ms, AliceOp.SWAP_10)
     with pytest.raises(ValueError):
-        apply_swap_10(vacuum(ms))
+        apply_alice_op(vacuum(ms), AliceOp.SWAP_10)

@@ -14,16 +14,30 @@ from sqkdsim.adversary import (identity_attack, measure_resend_attack,
                                tagging_attack)
 from sqkdsim.alice import swapped_slots
 from sqkdsim.fock import (ContractViolation, FockVector, apply_creation,
-                          apply_truncating_unitary)
+                          apply_truncating_unitary, hadamard_matrix)
 from sqkdsim.measurement import (AliceOp, Basis, ClickPattern, Interpretation,
-                                 measure_pair, measure_slots,
-                                 threshold_measure)
+                                 measure_pair, measure_slots)
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig,
                               RoundEnumerator, Variant, _loss_maps)
 import sqkdsim.protocol as protocol
 
 PRUNE = 1e-24
 PAIR = 0
+
+
+def threshold_measure(state: FockVector, pair: int,
+                      basis: Basis = Basis.COMPUTATIONAL) -> list:
+    """Measure ``pair`` with threshold detectors in the given basis.
+
+    For the Hadamard basis the pair is rotated first, so patterns read as
+    (minus, plus) clicks.  The residuals have the measured pair emptied and
+    are valid continuation states for the unmeasured factors.
+    """
+    if basis is Basis.HADAMARD:
+        state = FockVector(state.system,
+                           hadamard_matrix(state.system, pair) @ state.amplitudes,
+                           state.leaked)
+    return measure_pair(state, pair)
 
 
 def _loss(state: FockVector, q: float) -> list:

@@ -7,9 +7,10 @@ from pathlib import Path
 
 import pytest
 
-from sqkdsim.adversary import (probe_rotation_attack, random_attack,
+from sqkdsim.adversary import (attack_to_document, identity_attack,
+                               probe_rotation_attack, random_attack,
                                save_attack)
-from sqkdsim.cli import main
+from sqkdsim.cli import EXIT_USAGE, main
 
 
 def test_run_identity_succeeds(capsys):
@@ -88,7 +89,7 @@ def test_tag_dim_conflict_fails(capsys):
 def test_missing_subcommand_is_usage_error(capsys):
     with pytest.raises(SystemExit) as exc:
         main([])
-    assert exc.value.code == 2
+    assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
 
 
@@ -106,6 +107,14 @@ def test_sweep_writes_csv(tmp_path, capsys):
 def test_lemma_random_inputs(capsys):
     assert main(["lemma", "--random", "25", "--seed", "3"]) == 0
     capsys.readouterr()
+
+
+def test_lemma_perturbed_random_inputs_report_cleanly(capsys):
+    """A perturbed input fails the premise; its verdicts still serialize."""
+    assert main(["lemma", "--random", "5", "--delta", "0.01",
+                 "--format", "structured"]) == 0
+    results = json.loads(capsys.readouterr().out)["results"]
+    assert all(r["implication_holds"] and r["p_minus"] > 1e-9 for r in results)
 
 
 def test_lemma_fixture_consistent(tmp_path, capsys):
@@ -177,11 +186,31 @@ def test_module_entry_point_runs_from_a_checkout():
     ["sweep", "--count", "2", "--max-probe-dim", "-1"],
     ["sweep", "--count", "-1"],
     ["run", "--rounds", "10", "--attack", "random:1:0"],
+    ["lemma", "--random", "-3"],
+    ["lemma", "--random", "2", "--probe-dim", "-1"],
 ])
 def test_bad_probe_sizes_and_counts_fail_cleanly(args, capsys):
     assert main(args) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:")
+    assert "Traceback" not in err
+
+
+def _malformed_attack_documents():
+    missing = attack_to_document(identity_attack())
+    del missing["u_forward"]
+    flat_probe = dict(attack_to_document(identity_attack()), initial_probe=[1, 0])
+    return {"missing": missing, "flat_probe": flat_probe, "list": [missing]}
+
+
+@pytest.mark.parametrize("name", ["missing", "flat_probe", "list"])
+def test_malformed_attack_fixture_fails_cleanly(name, tmp_path, capsys):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(_malformed_attack_documents()[name]))
+    assert main(["run", "--rounds", "10", "--attack", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:")
+    assert "malformed attack document" in err
     assert "Traceback" not in err
 
 

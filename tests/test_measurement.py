@@ -3,17 +3,25 @@ import numpy as np
 import pytest
 
 from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
-                          basis_vector, plus_state, single_photon)
-from sqkdsim.measurement import (AliceOp, Basis, ClickPattern, Interpretation,
+                          basis_vector, hadamard_change, plus_state,
+                          single_photon)
+from sqkdsim.measurement import (AliceOp, ClickPattern, Interpretation,
                                  interpret_ctrl, interpret_legacy_sift,
                                  interpret_swap_all, interpret_swap_x,
-                                 measure_pair, pattern_distribution,
-                                 shared_bit, sum_of, threshold_measure)
+                                 measure_pair, shared_bit, sum_of)
 
 SEED = 424242
 
 PATTERNS = (ClickPattern.P00, ClickPattern.P01, ClickPattern.P10,
             ClickPattern.P11)
+
+
+def pattern_distribution(branches):
+    """Probability per click pattern, summed over occupation branches."""
+    out = {}
+    for b in branches:
+        out[b.pattern] = out.get(b.pattern, 0.0) + b.probability
+    return out
 
 
 def test_click_pattern_geometry():
@@ -62,11 +70,11 @@ def test_threshold_detector_ignores_tags():
 def test_hadamard_basis_measurement_of_plus():
     ms = ModeSystem(num_pairs=1, tag_dim=1, n_max=2)
     dist = pattern_distribution(
-        threshold_measure(plus_state(ms, 0), 0, Basis.HADAMARD))
+        measure_pair(hadamard_change(plus_state(ms, 0), 0), 0))
     assert dist[ClickPattern.P01] == pytest.approx(1.0)
     # a computational basis state splits evenly in the rotated basis
     dist = pattern_distribution(
-        threshold_measure(basis_vector(ms, (1, 0)), 0, Basis.HADAMARD))
+        measure_pair(hadamard_change(basis_vector(ms, (1, 0)), 0), 0))
     assert dist[ClickPattern.P01] == pytest.approx(0.5)
     assert dist[ClickPattern.P10] == pytest.approx(0.5)
 
@@ -78,8 +86,8 @@ def test_branch_probabilities_sum_to_norm():
         amps = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
         state = FockVector(ms, amps)
         for pair in (0, 1):
-            for basis in (Basis.COMPUTATIONAL, Basis.HADAMARD):
-                branches = threshold_measure(state, pair, basis)
+            for measured in (state, hadamard_change(state, pair)):
+                branches = measure_pair(measured, pair)
                 total = sum(b.probability for b in branches)
                 assert total == pytest.approx(state.norm2, rel=1e-12)
 

@@ -10,6 +10,7 @@ from sqkdsim.protocol import ProtocolConfig, Variant, exact_statistics
 from sqkdsim.robustness import (LemmaInput, check_conditions, lemma_state,
                                 measurement_cross_check, random_lemma_input,
                                 robustness_sweep, verify_lemma1)
+import sqkdsim.robustness as robustness
 
 SEED = 31337
 
@@ -80,6 +81,24 @@ def test_cross_check_agrees_with_measurement_branches():
     for attack in (identity_attack(), tagging_attack(), tagging_attack(n_max=3),
                    random_attack(9, probe_dim=2, strength=0.8), *randoms):
         assert measurement_cross_check(attack) < 1e-12, attack.name
+
+
+def test_cross_check_reads_the_rounds_measurement_plan(monkeypatch):
+    """Two swapped destinations in a SWAP map of the rounds' split plan
+    misplace a residual, and the cross check reports it."""
+    plans = robustness._measure_plan
+
+    def corrupted(system, ops):
+        (n_maps, src, dst, *rest), map_op, codes = plans(system, ops)
+        if ops == (AliceOp.SWAP_10,):
+            dst = dst.copy()
+            dst[[0, 1]] = dst[[1, 0]]
+        return (n_maps, src, dst, *rest), map_op, codes
+
+    attack = random_attack(9, probe_dim=2, strength=0.8)
+    assert measurement_cross_check(attack) < 1e-12
+    monkeypatch.setattr(robustness, "_measure_plan", corrupted)
+    assert measurement_cross_check(attack) > 1e-12
 
 
 def test_cross_check_requires_lossless_channel():
