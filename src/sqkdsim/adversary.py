@@ -131,14 +131,14 @@ def probe_unitary(system: ModeSystem, u_probe: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(n_occ), u_probe)
 
 
-def tag_swap_unitary(system: ModeSystem, tag_a: int = 0, tag_b: int = 1) -> np.ndarray:
-    """Exchange two tag values on every photon (a relabeling, hence unitary)."""
+def tag_swap_unitary(system: ModeSystem) -> np.ndarray:
+    """Exchange tags 0 and 1 on every photon (a relabeling, hence unitary)."""
 
     def image(occ: tuple[int, ...], probe: int):
         out = list(occ)
         for pair in range(system.num_pairs):
             for mode in (0, 1):
-                sa, sb = system.slot(pair, mode, tag_a), system.slot(pair, mode, tag_b)
+                sa, sb = system.slot(pair, mode, 0), system.slot(pair, mode, 1)
                 out[sa], out[sb] = out[sb], out[sa]
         return out, probe
 

@@ -47,6 +47,8 @@ ATTACK_CHOICES = ("identity", "tagging", "measure-resend-computational",
 
 def build_attack(spec: str, tag_dim: int | None, n_max: int) -> Attack:
     """Resolve an attack spec string; tag_dim None lets the attack decide."""
+    if tag_dim is not None and tag_dim < 1:
+        raise ValueError("--tag-dim must be at least 1")
     if spec == "identity":
         return identity_attack(tag_dim=tag_dim or 1, n_max=n_max)
     if spec == "tagging":

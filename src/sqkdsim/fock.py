@@ -275,8 +275,6 @@ def apply_creation(state: FockVector, slot: int) -> FockVector:
 
 # -- linear mode transforms -------------------------------------------------
 
-_TRANSFORM_CACHE: dict[tuple, np.ndarray] = {}
-
 
 def pair_mode_transform(system: ModeSystem, pair: int, u: np.ndarray) -> np.ndarray:
     """Second-quantized matrix of a 2x2 mode mixing applied to ``pair``.
@@ -290,11 +288,6 @@ def pair_mode_transform(system: ModeSystem, pair: int, u: np.ndarray) -> np.ndar
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise ValueError("mode transform needs a 2x2 matrix")
-    key = (system, pair, u.tobytes())
-    cached = _TRANSFORM_CACHE.get(key)
-    if cached is not None:
-        return cached
-
     dim = system.dim
     # Transformed creation operators, one per (mode, tag) of the pair.
     dmat = {}
@@ -317,13 +310,13 @@ def pair_mode_transform(system: ModeSystem, pair: int, u: np.ndarray) -> np.ndar
                 denom *= factorial(m)
         out[:, i] = col / sqrt(denom)
     out.setflags(write=False)
-    _TRANSFORM_CACHE[key] = out
     return out
 
 
 _HADAMARD_2X2 = np.array([[1.0, 1.0], [1.0, -1.0]]) / sqrt(2.0)
 
 
+@lru_cache(maxsize=None)
 def hadamard_matrix(system: ModeSystem, pair: int) -> np.ndarray:
     """Dual-rail Hadamard basis change on ``pair``.
 
@@ -389,8 +382,9 @@ class DensityOperator:
     def trace(self) -> float:
         return float(np.trace(self.matrix).real)
 
-    def validate(self, atol: float = 1e-10) -> None:
-        """Check Hermiticity, positivity, and unit trace."""
+    def validate(self) -> None:
+        """Check Hermiticity, positivity, and unit trace to 1e-10."""
+        atol = 1e-10
         adjoint = self.matrix.conj().T
         # np.allclose(matrix, adjoint, atol=atol), spelled out (it is slow)
         if not (np.abs(self.matrix - adjoint) <= atol + 1e-5 * np.abs(adjoint)).all():

@@ -34,7 +34,6 @@ __all__ = [
     "MeasurementBranch",
     "measure_pair",
     "measure_slots",
-    "sum_of",
     "interpret_ctrl",
     "interpret_swap_x",
     "interpret_swap_all",
@@ -71,6 +70,7 @@ class ClickPattern(enum.Enum):
 
     @property
     def n_clicks(self) -> int:
+        """Number of detectors that fired; the value the parties announce."""
         return int(self.mode1_click) + int(self.mode0_click)
 
     @staticmethod
@@ -79,11 +79,6 @@ class ClickPattern(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-def sum_of(pattern: ClickPattern) -> int:
-    """Number of detectors that fired; the value the parties announce."""
-    return pattern.n_clicks
 
 
 class AliceOp(enum.Enum):

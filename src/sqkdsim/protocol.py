@@ -10,20 +10,20 @@ discarded during sifting.
 Every round is first expanded into its exact branch distribution: channel
 loss, Eve's two passes, Alice's detection, and Bob's detection all happen by
 dense linear algebra, so branch probabilities are exact.  One pass builds
-every table of a variant: a 2-D stack of sub-normalized states, one row per
-branch so far, goes through each stage at once (loss and measurements as
-cached index maps that split every row, Eve's unitaries and Bob's Hadamard
-as one matrix product each), with every operation of Alice and both of
-Bob's bases side by side.  Rows come out in the order of the nested loop
-loss, Alice's outcome, loss, Bob's outcome, and each (operation, basis)
-table is a :class:`BranchTable` of NumPy columns.  Sampling a run then just
-draws rounds from that distribution, and the same columns feed the exact
-analyses (error probabilities, Eve's conditional states) as masks, counts
-and matrix products.
+the whole variant: a 2-D stack of sub-normalized states, one row per branch
+so far, goes through each stage at once (loss and measurements as cached
+index maps that split every row, Eve's unitaries and Bob's Hadamard as one
+matrix product each), with every operation of Alice and both of Bob's bases
+side by side.  The result is one flat :class:`BranchTable` of NumPy
+columns.  Its ``table_id`` column numbers the (operation, basis) blocks of
+rows; within a block, rows keep the order of the nested loop loss, Alice's
+outcome, loss, Bob's outcome.
 A sampled run is one vectorized pass: row i of a counter-based Philox
 stream keyed by the seed picks round i's operation, basis and branch, the
-round is stored as an index into the run's flat branch table, and the
-aggregates are counts over those indices.
+round is stored as a row index into that table, and the aggregates are
+counts over those indices.  The exact analyses (error probabilities, Eve's
+conditional states) read the same columns as masks, counts and matrix
+products.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -34,9 +34,9 @@ her storage measurement is a threshold measurement of the swapped rails.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from functools import lru_cache
-from math import comb, sqrt
+from dataclasses import dataclass, fields, is_dataclass
+from functools import cached_property, lru_cache
+from math import comb, isfinite, sqrt
 from typing import Optional
 
 import numpy as np
@@ -48,8 +48,7 @@ from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
                    hadamard_matrix, plus_state, trace_distance)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           _branch_tables, interpret_ctrl, interpret_legacy_sift,
-                          interpret_swap_all, interpret_swap_x, shared_bit,
-                          sum_of)
+                          interpret_swap_all, interpret_swap_x, shared_bit)
 
 __all__ = [
     "Variant",
@@ -136,23 +135,27 @@ class ProtocolConfig:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.tag_dim < 1 or self.n_max < 1:
             raise ValueError("tag_dim and n_max must be at least 1")
+        for f in fields(self):
+            v = getattr(self, f.name)
+            if f.name.endswith("_error_threshold") and not (isfinite(v) and v >= 0):
+                raise ValueError(f"{f.name} must be finite and non-negative, got {v}")
 
     def to_document(self) -> dict:
-        return {
-            "variant": self.variant.value,
-            "n_rounds": self.n_rounds,
-            "rng_seed": self.rng_seed,
-            "tag_dim": self.tag_dim,
-            "n_max": self.n_max,
-            "channel_loss": self.channel_loss,
-            "bob_hadamard_prob": self.bob_hadamard_prob,
-            "alice_op_probs": {op.value: p for op, p in self.alice_op_probs.items()},
-            "test_fraction": self.test_fraction,
-            "ctrl_error_threshold": self.ctrl_error_threshold,
-            "swap_x_error_threshold": self.swap_x_error_threshold,
-            "swap_all_error_threshold": self.swap_all_error_threshold,
-            "raw_key_error_threshold": self.raw_key_error_threshold,
-        }
+        return _document(self)
+
+
+def _document(value):
+    """JSON-ready form of a report: a dataclass maps its field names to
+    their values, an enum becomes its value, containers convert elementwise."""
+    if is_dataclass(value):
+        return {f.name: _document(getattr(value, f.name)) for f in fields(value)}
+    if isinstance(value, enum.Enum):
+        return value.value
+    if isinstance(value, dict):
+        return {_document(k): _document(v) for k, v in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [_document(v) for v in value]
+    return value
 
 
 def _default_config(attack: Attack, variant: Variant) -> ProtocolConfig:
@@ -171,10 +174,16 @@ _N_CELLS = (len(PATTERNS) + 1) * len(PATTERNS)  # (Alice code + 1, Bob code)
 
 @dataclass(frozen=True, eq=False)
 class BranchTable:
-    """Exact outcomes of a round for one (operation, basis), one row each.
+    """Exact outcomes of a round, one row each.
 
-    Every field is a read-only column.  ``alice_pattern`` and
-    ``bob_pattern`` hold :attr:`ClickPattern.code` values, indices into
+    Every field is a read-only column.  ``table_id`` numbers the
+    (operation, basis) of a row in :func:`_table_keys` order: with n
+    operations in the variant, id k < n is operation k in the computational
+    basis and id n + k the same operation in the Hadamard basis.  An
+    enumerator's :attr:`~RoundEnumerator.table` holds every row of the
+    variant sorted by ``table_id``; :meth:`~RoundEnumerator.branches` is one
+    block of it.  ``alice_pattern`` and ``bob_pattern`` hold
+    :attr:`ClickPattern.code` values, indices into
     :data:`PATTERNS` (the mode-1 click is bit 1, the mode-0 click bit 0);
     ``alice_pattern`` is -1 where Alice measured nothing (CTRL).
     ``interpretation`` indexes :data:`INTERPRETATIONS` and is -1 exactly
@@ -193,6 +202,7 @@ class BranchTable:
     bob_bit: np.ndarray
     eve_probe: np.ndarray
     leaked: np.ndarray
+    table_id: np.ndarray
 
     def __len__(self) -> int:
         return len(self.probability)
@@ -302,7 +312,7 @@ def _classify(op: AliceOp, basis: Basis, a_pat: Optional[ClickPattern],
     elif op in (AliceOp.SWAP_10, AliceOp.SWAP_01):
         if basis is Basis.HADAMARD:
             return None, True, None, None
-        interp = interpret_swap_x(sum_of(a_pat), sum_of(b_pat))
+        interp = interpret_swap_x(a_pat.n_clicks, b_pat.n_clicks)
         if interp is Interpretation.SHARED_BIT:
             a_bit, b_bit = shared_bit(op, b_pat)
     elif op is AliceOp.SWAP_ALL:
@@ -321,8 +331,9 @@ def _classify(op: AliceOp, basis: Basis, a_pat: Optional[ClickPattern],
     return interp, False, a_bit, b_bit
 
 
+@lru_cache(maxsize=None)
 def _table_keys(variant: Variant) -> tuple[tuple[AliceOp, Basis], ...]:
-    """The (operation, basis) of each table of a variant, in stack order."""
+    """The (operation, basis) of each ``table_id`` of a variant."""
     return tuple((op, basis) for basis in Basis for op in variant.operations)
 
 
@@ -349,13 +360,14 @@ def _cell_lookup(variant: Variant, cells: tuple[int, ...]) -> np.ndarray:
 
 
 class RoundEnumerator:
-    """Exact branch distributions of a round, one table per (operation, basis).
+    """Exact branch distribution of a round for every (operation, basis).
 
     ``system`` is the attack's one-pair-plus-probe space for both variants.
-    The first call to :meth:`branches` builds the tables of every operation
-    of the variant and both of Bob's bases in one pass over a stack of
+    The first use of :attr:`table` builds every branch of every operation
+    of the variant in both of Bob's bases in one pass over a stack of
     sub-normalized states, one row per branch so far: each stage maps or
-    splits every row at once, and the rows of one table stay contiguous.
+    splits every row at once, and the rows of one (operation, basis) stay
+    contiguous.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -370,7 +382,6 @@ class RoundEnumerator:
         # Bob's plus photon (tag 0) next to Eve's initial probe state.
         plus = plus_state(asys, _PAIR, 0, 0).amplitudes[::asys.probe_levels]
         self.initial = FockVector(asys, np.outer(plus, attack.initial_probe).ravel())
-        self._tables: Optional[dict[tuple[AliceOp, Basis], BranchTable]] = None
 
     def _loss(self, rows: np.ndarray):
         """Kraus branches of per-photon loss on the transmitted pair.
@@ -386,7 +397,9 @@ class RoundEnumerator:
                                                       _loss_maps(self.system, q)))
         return rows, parent
 
-    def _enumerate(self) -> dict[tuple[AliceOp, Basis], BranchTable]:
+    @cached_property
+    def table(self) -> BranchTable:
+        """Every branch of the variant, rows sorted by ``table_id``."""
         system, variant = self.system, self.config.variant
         ops = variant.operations
         # Forward pass: loss, then Eve's forward unitary.
@@ -440,19 +453,19 @@ class RoundEnumerator:
         present = tuple(np.flatnonzero(np.bincount(cells)).tolist())
         interp, disc, a_bit, b_bit = _cell_lookup(variant, present)[cells].T
         columns = (prob, a_code, b_code, interp, disc.astype(bool), a_bit, b_bit,
-                   probe / np.sqrt(mass)[:, None], leaked)
+                   probe / np.sqrt(mass)[:, None], leaked, table_id)
         for column in columns:
             column.setflags(write=False)
-        bounds = np.searchsorted(table_id, np.arange(len(keys) + 1)).tolist()
-        return {key: BranchTable(*(c[bounds[t]:bounds[t + 1]] for c in columns))
-                for t, key in enumerate(keys)}
+        return BranchTable(*columns)
 
     def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
-        if op not in self.config.variant.operations:
+        """The rows of :attr:`table` for one (operation, basis)."""
+        keys = _table_keys(self.config.variant)
+        if (op, basis) not in keys:
             raise ValueError(f"operation {op} not defined for {self.config.variant}")
-        if self._tables is None:
-            self._tables = self._enumerate()
-        return self._tables[op, basis]
+        t = keys.index((op, basis))
+        rows = slice(*self.table.table_id.searchsorted((t, t + 1)))
+        return BranchTable(*(column[rows] for column in vars(self.table).values()))
 
 
 @lru_cache(maxsize=None)
@@ -493,29 +506,16 @@ def _loss_maps(system: ModeSystem, survival: float):
     return tuple(maps)
 
 
-def _run_tables(config: ProtocolConfig, enum: RoundEnumerator):
-    """The tables a run draws from, in flat-index order.
-
-    One ``(operation index, Hadamard basis?, branches)`` per operation of
-    the variant and each basis Bob picks with nonzero probability.
-    """
-    p_had = config.bob_hadamard_prob
-    return [(k, basis is Basis.HADAMARD, enum.branches(op, basis))
-            for k, op in enumerate(config.variant.operations)
-            for basis, w in ((Basis.HADAMARD, p_had),
-                             (Basis.COMPUTATIONAL, 1.0 - p_had))
-            if w > 0.0]
-
-
 def simulate_records(config: ProtocolConfig, attack: Attack,
                      enumerator: Optional[RoundEnumerator] = None) -> np.ndarray:
-    """Flat branch index of every round of a run, deterministic in the seed.
+    """Row of the enumerator's :attr:`~RoundEnumerator.table` drawn for
+    every round of a run, deterministic in the seed.
 
     Round i reads row i of ``Generator(Philox(key=rng_seed)).random((n_rounds,
-    3))``: Alice's operation, Bob's basis and the branch within that table.
-    A counter-based stream puts every row at a fixed position, so the first
-    n rounds of a longer run are exactly the rounds of a run of n.  Indices
-    count through the tables of :func:`_run_tables` back to back.
+    3))``: Alice's operation, Bob's basis and the branch within the block of
+    that (operation, basis).  A counter-based stream puts every row at a
+    fixed position, so the first n rounds of a longer run are exactly the
+    rounds of a run of n.
     """
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
     draws = np.random.Generator(np.random.Philox(key=config.rng_seed)).random(
@@ -524,16 +524,15 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
     op_cum = np.cumsum([config.alice_op_probs.get(op, 0.0) for op in ops])
     op_index = np.minimum(np.searchsorted(op_cum, draws[:, 0], side="right"),
                           len(ops) - 1)
-    hadamard = draws[:, 1] < config.bob_hadamard_prob
-    flat = np.empty(config.n_rounds, dtype=np.intp)
-    start = 0
-    for k, had, table in _run_tables(config, enum):
-        rows = (op_index == k) & (hadamard == had)
-        cum = np.cumsum(table.probability)
-        pick = np.searchsorted(cum, draws[rows, 2] * cum[-1], side="right")
-        flat[rows] = start + np.minimum(pick, len(table) - 1)
-        start += len(table)
-    return flat
+    table_id = op_index + len(ops) * (draws[:, 1] < config.bob_hadamard_prob)
+    bounds = np.searchsorted(enum.table.table_id, np.arange(2 * len(ops) + 1)).tolist()
+    picked = np.empty(config.n_rounds, dtype=np.intp)
+    for t in range(2 * len(ops)):
+        rounds = table_id == t
+        cum = np.cumsum(enum.table.probability[bounds[t]:bounds[t + 1]])
+        pick = np.searchsorted(cum, draws[rounds, 2] * cum[-1], side="right")
+        picked[rounds] = bounds[t] + np.minimum(pick, len(cum) - 1)
+    return picked
 
 
 @dataclass
@@ -564,22 +563,7 @@ class RunStats:
     abort_reasons: tuple[str, ...]
 
     def to_document(self) -> dict:
-        return {
-            "n_rounds": self.n_rounds,
-            "counts": {op: dict(sorted(v.items())) for op, v in sorted(self.counts.items())},
-            "ctrl_error_rate": self.ctrl_error_rate,
-            "swap_x_error_rate": self.swap_x_error_rate,
-            "swap_all_error_rate": self.swap_all_error_rate,
-            "raw_key_error_rate": self.raw_key_error_rate,
-            "sifted_key_rounds": self.sifted_key_rounds,
-            "shared_bit_rounds": self.shared_bit_rounds,
-            "shared_bit_fraction": self.shared_bit_fraction,
-            "test_sample_size": self.test_sample_size,
-            "raw_key_alice": self.raw_key_alice,
-            "raw_key_bob": self.raw_key_bob,
-            "aborted": self.aborted,
-            "abort_reasons": list(self.abort_reasons),
-        }
+        return _document(self)
 
 
 def _error_rate(counts: dict, ops) -> Optional[float]:
@@ -594,15 +578,11 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     """Sample a full run: rounds, sifting, error estimation, abort decision."""
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
     ops = config.variant.operations
-    tables = _run_tables(config, enum)
-
-    def column(name):
-        return np.concatenate([getattr(t, name) for _, _, t in tables])
-
-    op_index = np.concatenate([np.full(len(t), k) for k, _, t in tables])
+    table = enum.table
     rounds = simulate_records(config, attack, enum)
     # Rounds per (operation, outcome label), then per-operation tallies.
-    per_cell = np.bincount((op_index * len(_LABELS) + column("labels"))[rounds],
+    op_index = table.table_id % len(ops)
+    per_cell = np.bincount((op_index * len(_LABELS) + table.labels)[rounds],
                            minlength=len(ops) * len(_LABELS))
     counts: dict[str, dict[str, int]] = {}
     for cell in np.flatnonzero(per_cell).tolist():
@@ -620,10 +600,9 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
                      if config.variant is Variant.MIRROR else None)
 
     # Shared bits in round order.
-    is_shared = column("interpretation") == _SHARED
-    shared = rounds[is_shared[rounds]]
-    alice_bits = column("alice_bit")[shared].astype(np.uint8)
-    bob_bits = column("bob_bit")[shared].astype(np.uint8)
+    shared = rounds[table.interpretation[rounds] == _SHARED]
+    alice_bits = table.alice_bit[shared].astype(np.uint8)
+    bob_bits = table.bob_bit[shared].astype(np.uint8)
 
     # Step 6: reveal a random subset of the shared bits to estimate the
     # raw-key error rate; revealed positions are dropped from the keys.
@@ -687,29 +666,28 @@ class ExactStatistics:
 def exact_statistics(config: ProtocolConfig, attack: Attack,
                      enumerator: Optional[RoundEnumerator] = None) -> ExactStatistics:
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
+    ops = config.variant.operations
+    table = enum.table
+    hadamard, op_index = np.divmod(table.table_id, len(ops))
     p_had = config.bob_hadamard_prob
-    outcome: dict[AliceOp, dict[str, float]] = {}
-    errors: dict[AliceOp, float] = {}
-    p_shared = 0.0
-    p_mismatch = 0.0
-    for op in config.variant.operations:
-        dist: dict[str, float] = {}
-        for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
-            if w == 0.0:
-                continue
-            table = enum.branches(op, basis)
-            labels = table.labels
-            present = np.bincount(labels, minlength=len(_LABELS))
-            mass = np.bincount(labels, weights=w * table.probability,
-                               minlength=len(_LABELS))
-            for code in np.flatnonzero(present).tolist():
-                dist[_LABELS[code]] = dist.get(_LABELS[code], 0.0) + float(mass[code])
-            shared = table.interpretation == _SHARED
-            weight = w * table.probability * config.alice_op_probs.get(op, 0.0)
-            p_shared += float(weight[shared].sum())
-            p_mismatch += float(weight[shared & (table.alice_bit != table.bob_bit)].sum())
-        outcome[op] = dist
-        errors[op] = dist.get(Interpretation.ERROR.value, 0.0)
+    basis_weight = np.where(hadamard, p_had, 1.0 - p_had)
+    mass = basis_weight * table.probability
+    # Outcomes per (operation, label); a basis Bob never picks adds none,
+    # not even at zero weight.
+    live = basis_weight > 0.0
+    cells = (op_index * len(_LABELS) + table.labels)[live]
+    n_cells = len(ops) * len(_LABELS)
+    per_cell = np.bincount(cells, weights=mass[live], minlength=n_cells)
+    outcome: dict[AliceOp, dict[str, float]] = {op: {} for op in ops}
+    for cell in np.flatnonzero(np.bincount(cells, minlength=n_cells)).tolist():
+        k, label = divmod(cell, len(_LABELS))
+        outcome[ops[k]][_LABELS[label]] = float(per_cell[cell])
+    errors = {op: dist.get(Interpretation.ERROR.value, 0.0)
+              for op, dist in outcome.items()}
+    weight = mass * np.array([config.alice_op_probs.get(op, 0.0) for op in ops])[op_index]
+    shared = table.interpretation == _SHARED
+    p_shared = float(weight[shared].sum())
+    p_mismatch = float(weight[shared & (table.alice_bit != table.bob_bit)].sum())
     return ExactStatistics(outcome, errors,
                            p_mismatch / p_shared if p_shared > 0 else None)
 
@@ -766,7 +744,7 @@ def eve_conditional_states(attack: Attack,
     for b in (0, 1):
         if p_bit[b] > _PROBE_MASS_TOL:
             op_density = DensityOperator(probe_space, rho[b] / p_bit[b])
-            op_density.validate(atol=1e-10)
+            op_density.validate()
             states[b] = op_density
     dist = (trace_distance(states[0], states[1])
             if 0 in states and 1 in states else None)
@@ -802,7 +780,7 @@ def legacy_identification(attack: Attack,
                 continue
             mat += _probe_mixture(enum.branches(op, basis), w)
         density = DensityOperator(probe_space, mat)
-        density.validate(atol=1e-10)
+        density.validate()
         rho[op] = density
     dist = trace_distance(rho[AliceOp.CTRL], rho[AliceOp.SIFT])
     return SiftCtrlIdentification(rho[AliceOp.CTRL], rho[AliceOp.SIFT],

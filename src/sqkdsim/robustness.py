@@ -11,7 +11,7 @@ learn nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import astuple, dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
@@ -22,7 +22,7 @@ from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
                    hadamard_change, tensor, vacuum)
 from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
 from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _default_config,
-                       _measure_plan, _split, eve_conditional_states)
+                       _document, _measure_plan, _split, eve_conditional_states)
 
 __all__ = [
     "ConditionReport",
@@ -68,18 +68,9 @@ class ConditionReport:
                    self.swap_all_alice_double, self.swap_all_bob_click)
 
     def to_document(self) -> dict:
-        doc = {
-            "ctrl_minus": self.ctrl_minus,
-            "swap_x_both_held": self.swap_x_both_held,
-            "swap_x_double": self.swap_x_double,
-            "swap_10_wrong_mode": self.swap_10_wrong_mode,
-            "swap_01_wrong_mode": self.swap_01_wrong_mode,
-            "swap_all_alice_double": self.swap_all_alice_double,
-            "swap_all_bob_click": self.swap_all_bob_click,
-            "max_violation": self.max_violation,
-        }
-        if self.cross_check_deviation is not None:
-            doc["cross_check_deviation"] = self.cross_check_deviation
+        doc = dict(_document(self), max_violation=self.max_violation)
+        if self.cross_check_deviation is None:
+            del doc["cross_check_deviation"]
         return doc
 
 
@@ -368,36 +359,18 @@ class SweepReport:
         return max(quiet, default=0.0)
 
     def to_document(self) -> dict:
-        return {
-            "master_seed": self.master_seed,
-            "strength": self.strength,
-            "eps_error": self.eps_error,
-            "eps_info": self.eps_info,
-            "n_attacks": len(self.records),
-            "n_counterexamples": self.n_counterexamples,
-            "worst_quiet_distance": self.worst_quiet_distance,
-            "records": [{
-                "index": r.index,
-                "seed": r.seed,
-                "probe_dim": r.probe_dim,
-                "max_violation": r.max_violation,
-                "p_shared": r.p_shared,
-                "trace_distance": r.trace_distance,
-                "counterexample": r.counterexample,
-            } for r in self.records],
-        }
+        return dict(_document(self), n_attacks=len(self.records),
+                    n_counterexamples=self.n_counterexamples,
+                    worst_quiet_distance=self.worst_quiet_distance)
 
-    CSV_HEADER = ("index", "seed", "probe_dim", "max_violation", "p_shared",
-                  "trace_distance", "counterexample")
+    CSV_HEADER = tuple(f.name for f in fields(SweepRecord))
 
     def to_csv_rows(self) -> list:
-        rows = [list(self.CSV_HEADER)]
-        for r in self.records:
-            rows.append([r.index, r.seed, r.probe_dim, repr(r.max_violation),
-                         repr(r.p_shared),
-                         "" if r.trace_distance is None else repr(r.trace_distance),
-                         int(r.counterexample)])
-        return rows
+        """One row per record, fields in :data:`CSV_HEADER` order; None is an
+        empty cell and a flag is 0 or 1."""
+        return [list(self.CSV_HEADER)] + [
+            ["" if v is None else int(v) if isinstance(v, bool) else v
+             for v in astuple(r)] for r in self.records]
 
 
 def robustness_sweep(master_seed: int = 0, count: int = 100,
@@ -414,6 +387,8 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
         raise ValueError("max_probe_dim must be at least 1")
     if count < 0:
         raise ValueError("count must be non-negative")
+    if not all(np.isfinite(eps) and eps >= 0 for eps in (eps_error, eps_info)):
+        raise ValueError("eps_error and eps_info must be finite and non-negative")
     seeds = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint32)
     config = ProtocolConfig(variant=Variant.MIRROR, n_max=n_max)
     records = []

@@ -188,6 +188,13 @@ def test_module_entry_point_runs_from_a_checkout():
     ["run", "--rounds", "10", "--attack", "random:1:0"],
     ["lemma", "--random", "-3"],
     ["lemma", "--random", "2", "--probe-dim", "-1"],
+    ["run", "--rounds", "10", "--tag-dim", "0"],
+    ["run", "--rounds", "10", "--attack", "measure-resend-computational",
+     "--error-threshold", "nan"],
+    ["run", "--rounds", "10", "--error-threshold", "-0.1"],
+    ["run", "--rounds", "10", "--error-threshold", "inf"],
+    ["sweep", "--count", "2", "--eps-error", "nan"],
+    ["sweep", "--count", "2", "--eps-info", "-1"],
 ])
 def test_bad_probe_sizes_and_counts_fail_cleanly(args, capsys):
     assert main(args) == 1

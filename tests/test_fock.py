@@ -215,7 +215,7 @@ def test_density_operator_validation():
     ms = ModeSystem(num_pairs=1, tag_dim=1, n_max=1)
     plus = plus_state(ms, 0).amplitudes
     rho = DensityOperator(ms, np.outer(plus, plus.conj()))
-    rho.validate(atol=1e-10)
+    rho.validate()
     bad = DensityOperator(ms, np.diag([1.0, -0.2, 0.2]))
     with pytest.raises(ValueError):
         bad.validate()

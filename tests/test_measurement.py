@@ -8,7 +8,7 @@ from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
 from sqkdsim.measurement import (AliceOp, ClickPattern, Interpretation,
                                  interpret_ctrl, interpret_legacy_sift,
                                  interpret_swap_all, interpret_swap_x,
-                                 measure_pair, shared_bit, sum_of)
+                                 measure_pair, shared_bit)
 
 SEED = 424242
 
@@ -31,7 +31,7 @@ def test_click_pattern_geometry():
     assert ClickPattern.from_clicks(True, True) is ClickPattern.P11
     assert ClickPattern.P01.mode0_click and not ClickPattern.P01.mode1_click
     assert ClickPattern.P10.mode1_click and not ClickPattern.P10.mode0_click
-    assert [sum_of(p) for p in PATTERNS] == [0, 1, 1, 2]
+    assert [p.n_clicks for p in PATTERNS] == [0, 1, 1, 2]
 
 
 def test_measure_plus_state_branches():

@@ -10,7 +10,7 @@ from sqkdsim.adversary import (identity_attack, measure_resend_attack,
 from sqkdsim.fock import ModeSystem
 from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
-                              Variant, _loss_maps, _run_tables,
+                              Variant, _loss_maps,
                               eve_conditional_states,
                               exact_statistics, legacy_identification,
                               run_protocol, simulate_records)
@@ -323,7 +323,12 @@ def test_attack_config_shape_mismatch_is_rejected():
 
 
 def test_sampler_matches_per_round_reference():
-    """The vectorized draw equals a scalar loop over the same stream rows."""
+    """The vectorized draw equals a scalar loop over the same stream rows.
+
+    The loop picks branch j of the drawn (operation, basis) table; the
+    sampler must return that branch's row of the enumerator's flat table,
+    whose blocks run computational then Hadamard, each in operation order.
+    """
     cfg = ProtocolConfig(n_rounds=2000, rng_seed=6, channel_loss=0.8,
                          bob_hadamard_prob=0.8,
                          alice_op_probs={"CTRL": 0.1, "SWAP-10": 0.5,
@@ -332,26 +337,29 @@ def test_sampler_matches_per_round_reference():
     enum = RoundEnumerator(cfg, attack)
     ops = cfg.variant.operations
     op_cum = np.cumsum([cfg.alice_op_probs[op] for op in ops])
-    starts, start = {}, 0
-    for k, had, table in _run_tables(cfg, enum):
-        starts[k, had] = start
-        start += len(table)
-    expected = []
+    block = {key: t for t, key in enumerate((op, b) for b in BASES for op in ops)}
+    expected, branches = [], []
     draws = np.random.Generator(np.random.Philox(key=6)).random((2000, 3))
     for u_op, u_basis, u_branch in draws:
         k = min(int(np.searchsorted(op_cum, u_op, side="right")), len(ops) - 1)
         had = bool(u_basis < cfg.bob_hadamard_prob)
-        table = enum.branches(ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL)
+        key = (ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL)
+        table = enum.branches(*key)
         cum = np.cumsum(table.probability)
-        j = int(np.searchsorted(cum, u_branch * cum[-1], side="right"))
-        expected.append(starts[k, had] + min(j, len(table) - 1))
-    assert np.array_equal(simulate_records(cfg, attack, enum), expected)
+        j = min(int(np.searchsorted(cum, u_branch * cum[-1], side="right")),
+                len(table) - 1)
+        expected.append(np.searchsorted(enum.table.table_id, block[key]) + j)
+        branches.append((table.probability[j], table.eve_probe[j]))
+    rows = simulate_records(cfg, attack, enum)
+    assert np.array_equal(rows, expected)
+    for row, (p, probe) in zip(rows, branches):
+        assert enum.table.probability[row] == p
+        assert np.array_equal(enum.table.eve_probe[row], probe)
 
 
 def test_simulator_draws_every_operation():
     cfg = ProtocolConfig(n_rounds=400, rng_seed=2)
     enum = RoundEnumerator(cfg, identity_attack())
-    op_of = [cfg.variant.operations[k] for k, _, table in _run_tables(cfg, enum)
-             for _ in range(len(table))]
-    seen = {op_of[i] for i in simulate_records(cfg, identity_attack(), enum)}
+    rows = simulate_records(cfg, identity_attack(), enum)
+    seen = {MIRROR_OPS[t % len(MIRROR_OPS)] for t in enum.table.table_id[rows]}
     assert seen == set(MIRROR_OPS)
