@@ -93,8 +93,7 @@ class Attack:
         if abs(np.linalg.norm(self.initial_probe) - 1.0) > UNITARY_ATOL:
             raise ValueError("initial_probe must be a unit vector")
         if self.photon_preserving:
-            number = np.array([sum(self.system.basis_state(i)[0]) for i in range(d)],
-                              dtype=float)
+            number = self.system.basis_table[0].sum(axis=1)
             for label, mat in (("u_forward", self.u_forward),
                                ("v_backward", self.v_backward)):
                 comm = np.abs(mat * (number[None, :] - number[:, None])).max()
@@ -131,27 +130,26 @@ def probe_unitary(system: ModeSystem, u_probe: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(n_occ), u_probe)
 
 
+def _swap_tags(system: ModeSystem, occ: Sequence[int]) -> tuple[int, ...]:
+    """``occ`` with the counts of tags 0 and 1 exchanged in every mode."""
+    out = list(occ)
+    for pair in range(system.num_pairs):
+        for mode in (0, 1):
+            sa, sb = system.slot(pair, mode, 0), system.slot(pair, mode, 1)
+            out[sa], out[sb] = out[sb], out[sa]
+    return tuple(out)
+
+
 def tag_swap_unitary(system: ModeSystem) -> np.ndarray:
     """Exchange tags 0 and 1 on every photon (a relabeling, hence unitary)."""
-
-    def image(occ: tuple[int, ...], probe: int):
-        out = list(occ)
-        for pair in range(system.num_pairs):
-            for mode in (0, 1):
-                sa, sb = system.slot(pair, mode, 0), system.slot(pair, mode, 1)
-                out[sa], out[sb] = out[sb], out[sa]
-        return out, probe
-
-    return basis_permutation(system, image)
+    return basis_permutation(system, lambda occ, probe: (_swap_tags(system, occ), probe))
 
 
 def number_sector_phases(system: ModeSystem, phases: Sequence[float]) -> np.ndarray:
     """Diagonal phase per total photon number; needs one phase per 0..n_max."""
     if len(phases) != system.n_max + 1:
         raise ValueError(f"need {system.n_max + 1} phases")
-    diag = np.array([np.exp(1j * phases[sum(system.basis_state(i)[0])])
-                     for i in range(system.dim)])
-    return np.diag(diag)
+    return np.diag(np.exp(1j * np.asarray(phases))[system.basis_table[0].sum(axis=1)])
 
 
 # -- named attacks ------------------------------------------------------------
@@ -190,21 +188,14 @@ def tagging_attack(n_max: int = 2) -> Attack:
     u_forward = tag_swap_unitary(system)
 
     def v_image(occ: tuple[int, ...], probe: int):
-        def swapped(o):
-            out = list(o)
-            for mode in (0, 1):
-                s0, s1 = system.slot(0, mode, 0), system.slot(0, mode, 1)
-                out[s0], out[s1] = out[s1], out[s0]
-            return tuple(out)
-
         if _pure_tag(system, occ, 0):
             if probe == PROBE_IDLE:
                 return occ, PROBE_SAW_SIFT
             if probe == PROBE_SAW_SIFT:
                 return occ, PROBE_IDLE
-            return swapped(occ), PROBE_IDLE
+            return _swap_tags(system, occ), PROBE_IDLE
         if _pure_tag(system, occ, 1) and probe == PROBE_IDLE:
-            return swapped(occ), PROBE_SAW_CTRL
+            return _swap_tags(system, occ), PROBE_SAW_CTRL
         return occ, probe
 
     v_backward = basis_permutation(system, v_image)
@@ -318,13 +309,25 @@ def probe_rotation_attack(seed: int, probe_dim: int = 4, tag_dim: int = 1,
 _DOC_KIND = "sqkdsim-attack"
 
 
-def _matrix_to_pairs(mat: np.ndarray) -> list:
-    return [[[float(z.real), float(z.imag)] for z in row] for row in mat]
+def _to_pairs(values: np.ndarray) -> list:
+    """A complex array as nested lists of [re, im] pairs."""
+    return np.stack([values.real, values.imag], axis=-1).tolist()
 
 
-def _pairs_to_matrix(rows: list) -> np.ndarray:
-    return np.array([[complex(re, im) for re, im in row] for row in rows],
-                    dtype=np.complex128)
+def _from_pairs(data, ndim: int) -> np.ndarray:
+    """The complex array of rank ``ndim`` that :func:`_to_pairs` wrote;
+    anything else (strings, booleans and nulls too) is a ValueError."""
+    pairs = np.array(data)
+    if (pairs.dtype.kind not in "iuf" or pairs.shape[ndim:] != (2,)
+            or not np.isfinite(pairs).all()):
+        raise ValueError(f"expected finite [re, im] pairs nested {ndim} deep")
+    return pairs.astype(np.float64).view(np.complex128)[..., 0]
+
+
+def _basis_order(system: ModeSystem) -> list:
+    """The basis layout as an attack document states it, index by index."""
+    return [{"occupation": list(occ), "probe": probe}
+            for occ, probe in map(system.basis_state, range(system.dim))]
 
 
 def attack_to_document(attack: Attack) -> dict:
@@ -337,14 +340,10 @@ def attack_to_document(attack: Attack) -> dict:
         "n_max": system.n_max,
         "probe_dim": system.probe_dim,
         "photon_preserving": attack.photon_preserving,
-        "basis_order": [
-            {"occupation": list(system.basis_state(i)[0]),
-             "probe": system.basis_state(i)[1]}
-            for i in range(system.dim)
-        ],
-        "initial_probe": [[float(z.real), float(z.imag)] for z in attack.initial_probe],
-        "u_forward": _matrix_to_pairs(attack.u_forward),
-        "v_backward": _matrix_to_pairs(attack.v_backward),
+        "basis_order": _basis_order(system),
+        "initial_probe": _to_pairs(attack.initial_probe),
+        "u_forward": _to_pairs(attack.u_forward),
+        "v_backward": _to_pairs(attack.v_backward),
     }
 
 
@@ -356,17 +355,12 @@ def attack_from_document(doc: dict) -> Attack:
         system = attack_space(int(doc["tag_dim"]), int(doc["n_max"]),
                               int(doc["probe_dim"]))
         declared = doc.get("basis_order")
-        if declared is not None:
-            if len(declared) != system.dim:
-                raise ValueError("declared basis does not match the reconstructed space")
-            for i, entry in enumerate(declared):
-                occ, probe = system.basis_state(i)
-                if tuple(entry["occupation"]) != occ or int(entry["probe"]) != probe:
-                    raise ValueError(f"basis order mismatch at index {i}")
-        probe = np.array([complex(re, im) for re, im in doc["initial_probe"]])
-        u_forward = _pairs_to_matrix(doc["u_forward"])
-        v_backward = _pairs_to_matrix(doc["v_backward"])
-    except (AttributeError, KeyError, TypeError) as exc:
+        if declared is not None and declared != _basis_order(system):
+            raise ValueError("declared basis order does not match the reconstructed space")
+        probe = _from_pairs(doc["initial_probe"], 1)
+        u_forward = _from_pairs(doc["u_forward"], 2)
+        v_backward = _from_pairs(doc["v_backward"], 2)
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             "malformed attack document: expected a JSON object with tag_dim, "
             "n_max, probe_dim, and [re, im] pairs in initial_probe, u_forward "

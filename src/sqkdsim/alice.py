@@ -56,15 +56,12 @@ def swap_index_map(system: ModeSystem, op: AliceOp) -> np.ndarray:
     """Basis permutation of ``op``: entry i holds the image index of state i."""
     if system.num_pairs < 2:
         raise ValueError("mirror operations need Alice's pair and the transmitted pair")
-    exchanges = list(zip(swapped_slots(system, op, ALICE_PAIR),
-                         swapped_slots(system, op, TRANSMIT_PAIR)))
-    image = np.empty(system.dim, dtype=np.intp)
-    for i in range(system.dim):
-        occ, probe = system.basis_state(i)
-        moved = list(occ)
-        for a, b in exchanges:
-            moved[a], moved[b] = moved[b], moved[a]
-        image[i] = system.basis_index(moved, probe)
+    alice = swapped_slots(system, op, ALICE_PAIR)
+    sent = swapped_slots(system, op, TRANSMIT_PAIR)
+    occs, probes = system.basis_table
+    moved = occs.copy()
+    moved[:, alice + sent] = occs[:, sent + alice]
+    image = system.index_of(moved, probes)
     image.setflags(write=False)
     return image
 
@@ -79,11 +76,8 @@ def swap_matrix(system: ModeSystem, op: AliceOp) -> np.ndarray:
 
 def _require_empty_storage(state: FockVector) -> None:
     system = state.system
-    stray = 0.0
-    for i in np.flatnonzero(np.abs(state.amplitudes) > 1e-15):
-        occ, _ = system.basis_state(int(i))
-        if any(occ[s] for s in system.pair_slots(ALICE_PAIR)):
-            stray += abs(state.amplitudes[i]) ** 2
+    stored = system.basis_table[0][:, system.pair_slots(ALICE_PAIR)].any(axis=1)
+    stray = float(np.vdot(state.amplitudes[stored], state.amplitudes[stored]).real)
     if stray > 1e-9:
         raise ContractViolation(
             f"Alice's storage pair holds weight {stray:.3e} before her operation")

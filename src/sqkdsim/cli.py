@@ -19,11 +19,13 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import asdict
+from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .adversary import (Attack, identity_attack, load_attack,
+from .adversary import (Attack, _from_pairs, identity_attack, load_attack,
                         measure_resend_attack, random_attack, tagging_attack)
 from .fock import ContractViolation
 from .protocol import (ProtocolConfig, RoundEnumerator, Variant,
@@ -248,19 +250,15 @@ def cmd_sweep(args) -> int:
     return EXIT_CLAIM_FAILED if report.n_counterexamples else EXIT_OK
 
 
-def _parse_complex_vector(data) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in data], dtype=np.complex128)
-
-
 def _load_lemma_fixture(path: str) -> tuple[LemmaInput, bool]:
     doc = json.loads(Path(path).read_text())
     try:
-        f = {int(m): _parse_complex_vector(v) for m, v in doc.get("f", {}).items()}
-        g = {int(m): _parse_complex_vector(v) for m, v in doc.get("g", {}).items()}
-        h = _parse_complex_vector(doc["h"])
+        f = {int(m): _from_pairs(v, 1) for m, v in doc.get("f", {}).items()}
+        g = {int(m): _from_pairs(v, 1) for m, v in doc.get("g", {}).items()}
+        h = _from_pairs(doc["h"], 1)
         n_max = int(doc.get("n_max", 2))
         claims_zero = bool(doc.get("claims_p_minus_zero", False))
-    except (AttributeError, KeyError, TypeError) as exc:
+    except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"malformed lemma fixture {path}: f and g must map photon number "
             f"to a probe vector of [re, im] pairs, h is required ({exc})"
@@ -269,6 +267,11 @@ def _load_lemma_fixture(path: str) -> tuple[LemmaInput, bool]:
 
 
 def cmd_lemma(args) -> int:
+    tols = (args.delta, args.zero_tol, args.conclusion_tol)
+    if (not all(isfinite(t) and t >= 0 for t in tols)
+            or args.conclusion_tol < 2 * args.zero_tol):
+        raise ValueError("--delta, --zero-tol and --conclusion-tol must be finite and "
+                         "non-negative, and --conclusion-tol at least twice --zero-tol")
     results = []
     failures = 0
     if args.fixture:
@@ -277,14 +280,8 @@ def cmd_lemma(args) -> int:
                                 conclusion_tol=args.conclusion_tol)
         claim_ok = (not claims_zero) or verdict.p_minus <= args.zero_tol
         failures += (not verdict.implication_holds) + (not claim_ok)
-        results.append({
-            "source": args.fixture,
-            "p_minus": verdict.p_minus,
-            "deviation": verdict.deviation,
-            "conclusion_holds": verdict.conclusion_holds,
-            "implication_holds": verdict.implication_holds,
-            "claim_consistent": claim_ok,
-        })
+        results.append(dict(asdict(verdict), source=args.fixture,
+                            claim_consistent=claim_ok))
     else:
         if args.random < 0 or args.probe_dim < 1:
             raise ValueError("--random must be at least 0 and --probe-dim at least 1")
@@ -296,13 +293,7 @@ def cmd_lemma(args) -> int:
                                     conclusion_tol=args.conclusion_tol)
             if not verdict.implication_holds:
                 failures += 1
-            results.append({
-                "source": f"random[{i}]",
-                "p_minus": verdict.p_minus,
-                "deviation": verdict.deviation,
-                "conclusion_holds": verdict.conclusion_holds,
-                "implication_holds": verdict.implication_holds,
-            })
+            results.append(dict(asdict(verdict), source=f"random[{i}]"))
     doc = {
         "manifest": {
             "command": "lemma",

@@ -9,6 +9,13 @@ all occupation configurations with at most ``n_max`` photons in total, so
 every operation reduces to ordinary complex matrix algebra and probabilities
 come out exact to machine precision.
 
+Basis layout: occupations are ordered by (photon count, tuple), so the
+vacuum comes first, and each occupation is followed by every probe level,
+so probe levels run fastest.  :attr:`ModeSystem.basis_table` holds the
+occupation row and probe level of every basis index, and
+:meth:`ModeSystem.index_of` maps occupation rows and probe levels back to
+basis indices; other modules use the layout only through these two.
+
 Conventions used throughout the package:
 
 * ``slot(pair, mode, tag)`` flattens to ``(pair * 2 + mode) * tag_dim + tag``
@@ -109,51 +116,63 @@ class ModeSystem:
         """All occupation tuples with total count <= n_max, vacuum first."""
         return _occupations(self.n_slots, self.n_max)
 
-    def occupation_index(self, occ: Sequence[int]) -> int:
-        try:
-            return _occupation_ranks(self.n_slots, self.n_max)[tuple(occ)]
-        except KeyError:
-            raise ValueError(f"occupation {tuple(occ)} not in truncated basis") from None
+    @property
+    def basis_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """Read-only ``(occupations, probes)``: row i of ``occupations`` and
+        entry i of ``probes`` are the occupation and probe level of index i."""
+        return _basis_table(self)[:2]
+
+    def index_of(self, occupations, probes=0) -> np.ndarray:
+        """Basis indices of occupation rows (last axis one count per slot)
+        at probe levels ``probes``, broadcast against the leading axes."""
+        occs = np.asarray(occupations, dtype=np.intp)
+        probes = np.asarray(probes, dtype=np.intp)
+        if occs.shape[-1:] != (self.n_slots,):
+            raise ValueError(f"occupations need {self.n_slots} counts, got {occs.shape}")
+        total = occs.sum(axis=-1)
+        if ((occs < 0).any() or (total > self.n_max).any() or (occs != occupations).any()
+                or (probes < 0).any() or (probes >= self.probe_levels).any()):
+            raise ValueError(f"state outside the truncated basis of {self}")
+        rank = _basis_table(self)[2].searchsorted(_rank_key(occs, total, self.n_max))
+        return rank * self.probe_levels + probes
 
     def basis_index(self, occ: Sequence[int], probe: int = 0) -> int:
-        if not (0 <= probe < self.probe_levels):
-            raise ValueError(f"probe index {probe} out of range")
-        return self.occupation_index(occ) * self.probe_levels + probe
+        return int(self.index_of(occ, probe))
 
     def basis_state(self, index: int) -> tuple[tuple[int, ...], int]:
-        rank, probe = divmod(index, self.probe_levels)
-        return self.occupations()[rank], probe
-
-    # -- occupation helpers -------------------------------------------------
-
-    def cleared(self, occ: Sequence[int], pair: int) -> tuple[int, ...]:
-        """Copy of ``occ`` with every slot of ``pair`` emptied."""
-        out = list(occ)
-        for s in self.pair_slots(pair):
-            out[s] = 0
-        return tuple(out)
-
-    def require_same_layout(self, other: "ModeSystem") -> None:
-        if self.tag_dim != other.tag_dim or self.n_max != other.n_max:
-            raise ValueError(f"incompatible mode systems {self} vs {other}")
+        occs, probes = self.basis_table
+        return tuple(occs[index].tolist()), int(probes[index])
 
 
 @lru_cache(maxsize=None)
 def _occupations(n_slots: int, n_max: int) -> tuple[tuple[int, ...], ...]:
-    def gen(k: int, budget: int):
-        if k == 0:
-            yield ()
-            return
-        for c in range(budget + 1):
-            for rest in gen(k - 1, budget - c):
-                yield (c,) + rest
+    if n_slots == 0:
+        return ((),)
+    occs = [(c,) + rest for c in range(n_max + 1)
+            for rest in _occupations(n_slots - 1, n_max - c)]
+    return tuple(sorted(occs, key=lambda o: (sum(o), o)))
 
-    return tuple(sorted(gen(n_slots, n_max), key=lambda o: (sum(o), o)))
+
+def _rank_key(occs: np.ndarray, total: np.ndarray, n_max: int) -> np.ndarray:
+    """Integers increasing with (photon count, tuple): the counts read as
+    base-(n_max + 1) digits, behind the photon count as the leading digit;
+    Python ints wherever int64 could overflow, so every key is exact."""
+    base, width = n_max + 1, occs.shape[-1] + 1
+    dtype = np.int64 if base ** width <= 2 ** 63 else object
+    digits = base ** np.arange(width - 1, -1, -1).astype(dtype)
+    return np.concatenate([total[..., None], occs], axis=-1).astype(dtype) @ digits
 
 
 @lru_cache(maxsize=None)
-def _occupation_ranks(n_slots: int, n_max: int) -> dict[tuple[int, ...], int]:
-    return {occ: i for i, occ in enumerate(_occupations(n_slots, n_max))}
+def _basis_table(system: ModeSystem):
+    """Occupation rows and probe levels of the basis, and the rank keys."""
+    occs = np.array(system.occupations(), dtype=np.intp)
+    keys = _rank_key(occs, occs.sum(axis=1), system.n_max)
+    table = (np.repeat(occs, system.probe_levels, axis=0),
+             np.tile(np.arange(system.probe_levels), len(occs)), keys)
+    for column in table:
+        column.setflags(write=False)
+    return table
 
 
 @dataclass(frozen=True, eq=False)
@@ -231,20 +250,13 @@ def _creation_arrays(system: ModeSystem, slot: int):
     """
     if not (0 <= slot < system.n_slots):
         raise ValueError(f"slot {slot} out of range")
-    occs = np.array(system.occupations(), dtype=np.intp).reshape(-1, system.n_slots)
+    occs, probes = system.basis_table
     n = occs[:, slot]
     below = occs.sum(axis=1) < system.n_max
     raised = occs[below]
     raised[:, slot] += 1
-    ranks = _occupation_ranks(system.n_slots, system.n_max)
-    dst = np.array([ranks[tuple(occ)] for occ in raised.tolist()], dtype=np.intp)
-    pl = system.probe_levels
-    probes = np.arange(pl)
-    src = (np.flatnonzero(below)[:, None] * pl + probes).ravel()
-    dst = (dst[:, None] * pl + probes).ravel()
-    amp = np.repeat(np.sqrt(n[below] + 1.0), pl)
-    cap = np.repeat(np.where(below, 0.0, n + 1.0), pl)
-    return src, dst, amp, cap
+    return (np.flatnonzero(below), system.index_of(raised, probes[below]),
+            np.sqrt(n[below] + 1.0), np.where(below, 0.0, n + 1.0))
 
 
 @lru_cache(maxsize=None)
@@ -288,27 +300,25 @@ def pair_mode_transform(system: ModeSystem, pair: int, u: np.ndarray) -> np.ndar
     u = np.asarray(u, dtype=np.complex128)
     if u.shape != (2, 2):
         raise ValueError("mode transform needs a 2x2 matrix")
-    dim = system.dim
-    # Transformed creation operators, one per (mode, tag) of the pair.
-    dmat = {}
-    for t in range(system.tag_dim):
-        a0 = creation_operator(system, system.slot(pair, 0, t))
-        a1 = creation_operator(system, system.slot(pair, 1, t))
-        dmat[(0, t)] = u[0, 0] * a0 + u[1, 0] * a1
-        dmat[(1, t)] = u[0, 1] * a0 + u[1, 1] * a1
-
-    out = np.zeros((dim, dim), dtype=np.complex128)
-    for i in range(dim):
-        occ, probe = system.basis_state(i)
-        col = basis_vector(system, system.cleared(occ, pair), probe).amplitudes.copy()
-        denom = 1.0
-        for mode in (0, 1):
-            for t in range(system.tag_dim):
-                m = occ[system.slot(pair, mode, t)]
-                for _ in range(m):
-                    col = dmat[(mode, t)] @ col
-                denom *= factorial(m)
-        out[:, i] = col / sqrt(denom)
+    occs, probes = system.basis_table
+    slots = system.pair_slots(pair)  # (mode, tag) order
+    # Column i starts as state i with the pair emptied, then gains the
+    # pair's photons one transformed creation operator at a time, by
+    # matrix-vector products: a matrix product would round differently.
+    emptied = occs.copy()
+    emptied[:, slots] = 0
+    cols = np.zeros((system.dim, system.dim, 1), dtype=np.complex128)
+    cols[np.arange(system.dim), system.index_of(emptied, probes)] = 1.0
+    for t, slot in enumerate(slots):
+        mode, tag = divmod(t, system.tag_dim)
+        raise_mode = (u[0, mode] * creation_operator(system, system.slot(pair, 0, tag))
+                      + u[1, mode] * creation_operator(system, system.slot(pair, 1, tag)))
+        for count in range(1, system.n_max + 1):
+            sel = occs[:, slot] >= count
+            cols[sel] = raise_mode @ cols[sel]
+    factorials = np.array([factorial(m) for m in range(system.n_max + 1)], dtype=float)
+    out = np.ascontiguousarray(cols[:, :, 0].T) / np.sqrt(
+        factorials[occs[:, slots]].prod(axis=1))
     out.setflags(write=False)
     return out
 
@@ -342,7 +352,8 @@ def tensor(a: FockVector, b: FockVector) -> FockVector:
     accounted in ``leaked``.
     """
     ma, mb = a.system, b.system
-    ma.require_same_layout(mb)
+    if ma.tag_dim != mb.tag_dim or ma.n_max != mb.n_max:
+        raise ValueError(f"incompatible mode systems {ma} vs {mb}")
     if ma.probe_dim and mb.probe_dim:
         raise ValueError("cannot tensor two systems that both carry a probe")
     joint = ModeSystem(ma.num_pairs + mb.num_pairs, ma.tag_dim, ma.n_max,

@@ -126,22 +126,17 @@ PRUNE = 1e-24  # branch weights at most this are numerical dust, not outcomes
 def _branch_tables(system: ModeSystem, slots: tuple[int, ...]):
     """Per-occupation groupings of the basis over ``slots``, plus index remaps
     to the same configuration with those slots emptied."""
-    groups: dict[tuple[int, ...], list[int]] = {}
-    cleared: dict[int, int] = {}
-    for i in range(system.dim):
-        occ, probe = system.basis_state(i)
-        groups.setdefault(tuple(occ[s] for s in slots), []).append(i)
-        emptied = list(occ)
-        for s in slots:
-            emptied[s] = 0
-        cleared[i] = system.basis_index(emptied, probe)
+    occs, probes = system.basis_table
+    emptied = occs.copy()
+    emptied[:, slots] = 0
+    cleared = system.index_of(emptied, probes)
+    keys, group = np.unique(occs[:, slots], axis=0, return_inverse=True)
     out = []
-    for key, idxs in sorted(groups.items()):
-        sel = np.asarray(idxs, dtype=np.intp)
-        dst = np.asarray([cleared[i] for i in idxs], dtype=np.intp)
+    for k, key in enumerate(map(tuple, keys.tolist())):
+        sel = np.flatnonzero(group == k)
         mode1 = sum(n for n, s in zip(key, slots) if s // system.tag_dim % 2)
         pattern = ClickPattern.from_clicks(mode1 > 0, sum(key) > mode1)
-        out.append((key, pattern, sel, dst))
+        out.append((key, pattern, sel, cleared[sel]))
     return tuple(out)
 
 

@@ -44,8 +44,7 @@ import numpy as np
 from .adversary import Attack
 from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   _occupations, creation_operator,
-                   hadamard_matrix, plus_state, trace_distance)
+                   _occupations, creation_operator, hadamard_matrix, trace_distance)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           _branch_tables, interpret_ctrl, interpret_legacy_sift,
                           interpret_swap_all, interpret_swap_x, shared_bit)
@@ -380,8 +379,11 @@ class RoundEnumerator:
         self.attack = attack
         self.system = asys
         # Bob's plus photon (tag 0) next to Eve's initial probe state.
-        plus = plus_state(asys, _PAIR, 0, 0).amplitudes[::asys.probe_levels]
-        self.initial = FockVector(asys, np.outer(plus, attack.initial_probe).ravel())
+        occs, probes = asys.basis_table
+        one_photon = occs.sum(axis=1) == 1
+        plus = one_photon & (occs[:, asys.slot(_PAIR, 0)] + occs[:, asys.slot(_PAIR, 1)] == 1)
+        self.initial = FockVector(asys, np.where(plus, 1 / sqrt(2.0), 0.0)
+                                  * attack.initial_probe[probes])
 
     def _loss(self, rows: np.ndarray):
         """Kraus branches of per-photon loss on the transmitted pair.
@@ -442,7 +444,7 @@ class RoundEnumerator:
             op, basis = keys[t]
             raise ContractViolation(
                 f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
-        probe = rows[:, :system.probe_levels]  # vacuum occupation ranks first
+        probe = rows.compress(system.basis_table[0].sum(axis=1) == 0, axis=1)  # vacuum
         mass = _norm2(probe)
         if np.any(np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)):
             raise ContractViolation("post-measurement state not confined to vacuum")
@@ -480,29 +482,22 @@ def _loss_maps(system: ModeSystem, survival: float):
     """
     slots = system.pair_slots(_PAIR)
     q = survival
-    probes = np.arange(system.probe_levels)
+    occs, probes = system.basis_table
+    # factor[n, l]: weight of losing l of n photons, as Python floats so the
+    # products below round exactly as a scalar loop would.
+    factor = np.array([[comb(n, l) * q ** (n - l) * (1.0 - q) ** l if l <= n else 0.0
+                        for l in range(system.n_max + 1)]
+                       for n in range(system.n_max + 1)])
     maps = []
     for lost in _occupations(len(slots), system.n_max):
-        src, dst, amp = [], [], []
-        for rank, occ in enumerate(system.occupations()):
-            counts = [occ[s] for s in slots]
-            if any(l > n for n, l in zip(counts, lost)):
-                continue
-            coeff = 1.0
-            for n, l in zip(counts, lost):
-                coeff *= comb(n, l) * q ** (n - l) * (1.0 - q) ** l
-            if coeff == 0.0:
-                continue
-            survived = list(occ)
-            for s, l in zip(slots, lost):
-                survived[s] -= l
-            src.append(rank)
-            dst.append(system.occupation_index(survived))
-            amp.append(sqrt(coeff))
-        if src:
-            maps.append(((np.asarray(src)[:, None] * len(probes) + probes).ravel(),
-                         (np.asarray(dst)[:, None] * len(probes) + probes).ravel(),
-                         np.repeat(amp, len(probes))))
+        coeff = np.ones(system.dim)
+        for s, l in zip(slots, lost):
+            coeff = coeff * factor[occs[:, s], l]
+        src = np.flatnonzero(coeff != 0.0)
+        if len(src):
+            survived = occs[src]
+            survived[:, slots] -= lost
+            maps.append((src, system.index_of(survived, probes[src]), np.sqrt(coeff[src])))
     return tuple(maps)
 
 

@@ -244,8 +244,7 @@ def lemma_state(spec_input: LemmaInput) -> FockVector:
         vec = np.asarray(vec, dtype=np.complex128)
         if vec.shape != (pd,):
             raise ValueError("probe vectors must share one dimension")
-        base = system.basis_index(occ)
-        amps[base:base + pd] += vec
+        amps[system.index_of(occ, np.arange(pd))] += vec
 
     for mode, side in ((1, spec_input.f), (0, spec_input.g)):
         for m, vec in side.items():
@@ -273,13 +272,11 @@ def verify_lemma1(spec_input: LemmaInput, zero_tol: float = 1e-9,
         raise ValueError("lemma input is the zero vector")
     rotated = hadamard_change(state, 0)
     system = state.system
-    slot1 = system.slot(0, 1, 0)  # minus mode after the basis change
-    p_minus = 0.0
-    for i in np.flatnonzero(np.abs(rotated.amplitudes) > 0):
-        occ, _ = system.basis_state(int(i))
-        if occ[slot1] > 0:
-            p_minus += abs(rotated.amplitudes[i]) ** 2
-    p_minus = float(p_minus / norm2)  # plain float, so verdicts are plain bools
+    minus = system.basis_table[0][:, system.slot(0, 1, 0)] > 0  # after the change
+    amps = rotated.amplitudes[minus]
+    # hypot rounds as scalar abs() does; cumsum adds in index order, np.sum pairwise
+    weights = np.hypot(amps.real, amps.imag) ** 2
+    p_minus = float(np.cumsum(np.append(0.0, weights))[-1] / norm2)
 
     pd = spec_input.probe_dim
     f1 = np.asarray(spec_input.f.get(1, np.zeros(pd)), dtype=np.complex128)

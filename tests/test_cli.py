@@ -195,6 +195,12 @@ def test_module_entry_point_runs_from_a_checkout():
     ["run", "--rounds", "10", "--error-threshold", "inf"],
     ["sweep", "--count", "2", "--eps-error", "nan"],
     ["sweep", "--count", "2", "--eps-info", "-1"],
+    ["lemma", "--random", "3", "--delta", "nan"],
+    ["lemma", "--random", "3", "--delta", "-1"],
+    ["lemma", "--random", "3", "--zero-tol", "-1", "--delta", "0.5"],
+    ["lemma", "--random", "3", "--conclusion-tol", "nan"],
+    ["lemma", "--random", "3", "--conclusion-tol", "-1"],
+    ["lemma", "--random", "3", "--zero-tol", "1e-3", "--delta", "0.01"],
 ])
 def test_bad_probe_sizes_and_counts_fail_cleanly(args, capsys):
     assert main(args) == 1
@@ -207,10 +213,19 @@ def _malformed_attack_documents():
     missing = attack_to_document(identity_attack())
     del missing["u_forward"]
     flat_probe = dict(attack_to_document(identity_attack()), initial_probe=[1, 0])
-    return {"missing": missing, "flat_probe": flat_probe, "list": [missing]}
+    null_pair = dict(attack_to_document(identity_attack()), initial_probe=[[None, 0]])
+    string_pair = dict(attack_to_document(identity_attack()), initial_probe=[["1", "0"]])
+    ragged = attack_to_document(identity_attack())
+    ragged["u_forward"][0][0] = [1.0, 0.0, 0.0]
+    reordered = attack_to_document(identity_attack())
+    reordered["basis_order"].reverse()
+    return {"missing": missing, "flat_probe": flat_probe, "list": [missing],
+            "null_pair": null_pair, "string_pair": string_pair, "ragged": ragged,
+            "reordered": reordered}
 
 
-@pytest.mark.parametrize("name", ["missing", "flat_probe", "list"])
+@pytest.mark.parametrize("name", ["missing", "flat_probe", "list", "null_pair",
+                                  "string_pair", "ragged", "reordered"])
 def test_malformed_attack_fixture_fails_cleanly(name, tmp_path, capsys):
     path = tmp_path / f"{name}.json"
     path.write_text(json.dumps(_malformed_attack_documents()[name]))
@@ -229,6 +244,10 @@ def test_commands_do_not_import_scipy(tmp_path):
         "import sys, sqkdsim, sqkdsim.cli\n"
         "assert sqkdsim.cli.main(['sweep', '--count', '1']) == 0\n"
         "assert sqkdsim.cli.main(['run', '--rounds', '1', '--loss', '0.9']) == 0\n"
+        "assert sqkdsim.cli.main(['run', '--rounds', '1', '--variant', 'legacy']) == 0\n"
+        "assert sqkdsim.cli.main(['run', '--rounds', '1', '--cross-check']) == 0\n"
+        "assert sqkdsim.cli.main(['lemma', '--random', '1']) == 0\n"
+        "assert sqkdsim.cli.main(['attack-demo']) == 0\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
     )
     done = subprocess.run([sys.executable, "-c", script], capture_output=True,

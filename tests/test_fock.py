@@ -1,4 +1,6 @@
 """Truncated Fock space: layout, ladders, basis changes, density tools."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -42,6 +44,48 @@ def test_basis_index_round_trip():
     for index in range(ms.dim):
         occ, probe = ms.basis_state(index)
         assert ms.basis_index(occ, probe) == index
+
+
+@pytest.mark.parametrize("num_pairs", [0, 1, 2])
+@pytest.mark.parametrize("tag_dim", [1, 2])
+@pytest.mark.parametrize("probe_dim", [0, 3])
+def test_basis_table_and_lookup_match_definition(num_pairs, tag_dim, probe_dim):
+    n_slots = num_pairs * 2 * tag_dim
+    for n_max in range(4 if n_slots <= 4 else 3):
+        ms = ModeSystem(num_pairs, tag_dim, n_max, probe_dim)
+        # The layout restated: occupations with at most n_max photons sorted
+        # by (photon count, tuple), each followed by every probe level.
+        occs = sorted((o for o in itertools.product(range(n_max + 1), repeat=n_slots)
+                       if sum(o) <= n_max), key=lambda o: (sum(o), o))
+        expected = [(o, p) for o in occs for p in range(max(probe_dim, 1))]
+        table, probes = ms.basis_table
+        assert table.shape == (ms.dim, n_slots) and probes.shape == (ms.dim,)
+        assert list(zip(map(tuple, table.tolist()), probes.tolist())) == expected
+        assert ms.index_of(table, probes).tolist() == list(range(ms.dim))
+        assert not table.flags.writeable and not probes.flags.writeable
+
+
+@pytest.mark.parametrize("num_pairs, tag_dim", [(2, 10), (1, 20), (1, 40)])
+def test_lookup_is_exact_on_many_slots(num_pairs, tag_dim):
+    # 3 ** 41 and more: base-3 rank keys no longer fit in 64 bits.
+    ms = ModeSystem(num_pairs, tag_dim, n_max=2, probe_dim=2)
+    table, probes = ms.basis_table
+    assert ms.index_of(table, probes).tolist() == list(range(ms.dim))
+
+
+@pytest.mark.parametrize("occ, probe", [
+    ((-1, 1), 0),        # negative count
+    ((0.5, 1), 0),       # fractional count
+    ((2, 1), 0),         # over the photon budget
+    ((0, 1, 0, 0), 0),   # row of the wrong length
+    ((0,), 0),
+    ((0, 1), 3),         # probe level out of range
+    ((0, 1), -1),
+    ([(0, 1), (3, 0)], 0),  # one bad row in a batch
+])
+def test_lookup_rejects_states_outside_the_basis(occ, probe):
+    with pytest.raises(ValueError):
+        ModeSystem(num_pairs=1, n_max=2, probe_dim=3).index_of(occ, probe)
 
 
 def test_ladder_operators_are_adjoint():

@@ -24,6 +24,13 @@ COMMANDS = {
                       "--rounds", "2000"],
     "sweep": ["sweep", "--count", "8"],
     "attack_demo": ["attack-demo"],
+    # Above n_max 2, where loss maps take binomial weights of two or more
+    # photons per slot and the basis holds more than one photon-number shell.
+    "run_legacy_n4": ["run", "--variant", "legacy", "--attack", "random:3:2:1.0",
+                      "--n-max", "4", "--loss", "0.8", "--rounds", "2000"],
+    "run_tagging_n3": ["run", "--attack", "tagging", "--n-max", "3", "--loss", "0.6",
+                       "--cross-check"],
+    "sweep_n3": ["sweep", "--count", "8", "--n-max", "3", "--strength", "0.8"],
 }
 
 
