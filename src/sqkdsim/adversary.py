@@ -82,23 +82,21 @@ class Attack:
         if self.system.probe_dim < 1:
             raise ValueError("attacks need a probe factor (probe_dim >= 1)")
         d = self.system.dim
+        number = self.system.basis_table[0].sum(axis=1)
+        # Every check reads "not defect <= tol", so NaN and inf fail too.
         for label, mat in (("u_forward", self.u_forward), ("v_backward", self.v_backward)):
             if mat.shape != (d, d):
                 raise ValueError(f"{label} must be {d}x{d} for {self.system}")
+            if self.photon_preserving and not (
+                    np.abs(mat * (number[None, :] - number[:, None])).max() <= UNITARY_ATOL):
+                raise ValueError(f"{label} declared photon-preserving but is not")
             defect = np.abs(mat.conj().T @ mat - np.eye(d)).max()
-            if defect > UNITARY_ATOL:
+            if not defect <= UNITARY_ATOL:
                 raise ValueError(f"{label} is not unitary (defect {defect:.3e})")
         if self.initial_probe.shape != (self.system.probe_dim,):
             raise ValueError("initial_probe has the wrong dimension")
-        if abs(np.linalg.norm(self.initial_probe) - 1.0) > UNITARY_ATOL:
+        if not abs(np.linalg.norm(self.initial_probe) - 1.0) <= UNITARY_ATOL:
             raise ValueError("initial_probe must be a unit vector")
-        if self.photon_preserving:
-            number = self.system.basis_table[0].sum(axis=1)
-            for label, mat in (("u_forward", self.u_forward),
-                               ("v_backward", self.v_backward)):
-                comm = np.abs(mat * (number[None, :] - number[:, None])).max()
-                if comm > UNITARY_ATOL:
-                    raise ValueError(f"{label} declared photon-preserving but is not")
 
 
 # -- builders -----------------------------------------------------------------

@@ -24,7 +24,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .fock import ContractViolation, FockVector, ModeSystem
+from .fock import ContractViolation, FockVector, ModeSystem, _rank_key
 
 __all__ = [
     "Basis",
@@ -130,9 +130,10 @@ def _branch_tables(system: ModeSystem, slots: tuple[int, ...]):
     emptied = occs.copy()
     emptied[:, slots] = 0
     cleared = system.index_of(emptied, probes)
-    keys, group = np.unique(occs[:, slots], axis=0, return_inverse=True)
+    code = _rank_key(occs[:, slots], np.zeros_like(probes), system.n_max)  # sorts as the tuples
+    _, first, group = np.unique(code, return_index=True, return_inverse=True)
     out = []
-    for k, key in enumerate(map(tuple, keys.tolist())):
+    for k, key in enumerate(map(tuple, occs[first][:, slots].tolist())):
         sel = np.flatnonzero(group == k)
         mode1 = sum(n for n, s in zip(key, slots) if s // system.tag_dim % 2)
         pattern = ClickPattern.from_clicks(mode1 > 0, sum(key) > mode1)

@@ -510,24 +510,40 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
     3))``: Alice's operation, Bob's basis and the branch within the block of
     that (operation, basis).  A counter-based stream puts every row at a
     fixed position, so the first n rounds of a longer run are exactly the
-    rounds of a run of n.
+    rounds of a run of n.  An exact search finds the branch, equal to
+    per-block ``np.searchsorted(side="right")`` (:func:`_search_blocks`).
     """
     enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
     draws = np.random.Generator(np.random.Philox(key=config.rng_seed)).random(
         (config.n_rounds, 3))
     ops = config.variant.operations
-    op_cum = np.cumsum([config.alice_op_probs.get(op, 0.0) for op in ops])
-    op_index = np.minimum(np.searchsorted(op_cum, draws[:, 0], side="right"),
-                          len(ops) - 1)
-    table_id = op_index + len(ops) * (draws[:, 1] < config.bob_hadamard_prob)
-    bounds = np.searchsorted(enum.table.table_id, np.arange(2 * len(ops) + 1)).tolist()
-    picked = np.empty(config.n_rounds, dtype=np.intp)
-    for t in range(2 * len(ops)):
-        rounds = table_id == t
-        cum = np.cumsum(enum.table.probability[bounds[t]:bounds[t + 1]])
-        pick = np.searchsorted(cum, draws[rounds, 2] * cum[-1], side="right")
-        picked[rounds] = bounds[t] + np.minimum(pick, len(cum) - 1)
-    return picked
+    table_id = (draws[:, 1] < config.bob_hadamard_prob) * len(ops)
+    for weight in np.cumsum([config.alice_op_probs.get(op, 0.0) for op in ops])[:-1]:
+        table_id += draws[:, 0] >= weight
+    u_branch = draws[:, 2].copy()
+    del draws
+    return _search_blocks(enum.table.probability, enum.table.table_id, table_id, u_branch)
+
+
+def _search_blocks(probability: np.ndarray, table_id: np.ndarray,
+                   block: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """Row ``start + min(searchsorted(cum, u * cum[-1], side="right"), size - 1)``
+    of each draw's block of rows (sharing a sorted ``table_id``; ``cum`` is its
+    ``np.cumsum``), by one branchless binary search over all blocks' cumsums
+    padded with their totals to a power-of-two width; exact whenever the
+    probabilities are finite and non-negative.  ``u`` is overwritten by the keys."""
+    bounds = table_id.searchsorted(np.arange(table_id[-1] + 2))
+    sizes = np.diff(bounds)[:, None]
+    col = np.arange(1 << int(sizes.max()).bit_length())  # width > every size
+    cum = np.zeros((len(sizes), len(col)))
+    cum[table_id, np.arange(len(table_id)) - bounds[table_id]] = probability
+    cum = np.cumsum(cum, axis=1)  # the same sums as each block's own cumsum
+    u *= cum[:, -1].take(block)
+    flat, pos, step = cum.ravel(), block * len(col), len(col) // 2
+    while step:  # take, compare, add; no step reads past column width - 2
+        pos += (flat[step - 1:].take(pos, mode="clip") <= u) * step
+        step //= 2
+    return (bounds[:-1, None] + np.minimum(col, sizes - 1)).ravel().take(pos)
 
 
 @dataclass
@@ -575,10 +591,10 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     ops = config.variant.operations
     table = enum.table
     rounds = simulate_records(config, attack, enum)
-    # Rounds per (operation, outcome label), then per-operation tallies.
-    op_index = table.table_id % len(ops)
-    per_cell = np.bincount((op_index * len(_LABELS) + table.labels)[rounds],
-                           minlength=len(ops) * len(_LABELS))
+    # Rounds per row, per (operation, outcome label), then per operation.
+    row_cell = table.table_id % len(ops) * len(_LABELS) + table.labels
+    per_cell = np.bincount(row_cell, weights=np.bincount(rounds, minlength=len(table)),
+                           minlength=len(ops) * len(_LABELS)).astype(np.intp)
     counts: dict[str, dict[str, int]] = {}
     for cell in np.flatnonzero(per_cell).tolist():
         k, label = divmod(cell, len(_LABELS))

@@ -44,6 +44,38 @@ def test_attack_rejects_unnormalized_probe():
                np.array([1.0, 1.0]))
 
 
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_attack_rejects_non_finite_unitary(bad):
+    ms = attack_space(1, 2, 2)
+    u = np.eye(ms.dim, dtype=complex)
+    u[0, 0] = bad
+    with pytest.raises(ValueError, match="u_forward is not unitary"):
+        Attack("x", ms, u, np.eye(ms.dim), [1, 0])
+    with pytest.raises(ValueError, match="v_backward is not unitary"):
+        Attack("x", ms, np.eye(ms.dim), u, [1, 0])
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_attack_rejects_non_finite_probe(bad):
+    ms = attack_space(1, 2, 2)
+    with pytest.raises(ValueError, match="unit vector"):
+        Attack("x", ms, np.eye(ms.dim), np.eye(ms.dim), [bad, 0])
+
+
+@pytest.mark.filterwarnings("ignore:invalid value:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_photon_preserving_check_rejects_non_finite(bad):
+    """A non-finite entry fails the photon-number check, which runs first,
+    wherever it sits: between or within photon-number sectors."""
+    ms = attack_space(1, 2, 2)
+    for entry in ((0, 0), (0, ms.dim - 1)):
+        u = np.eye(ms.dim, dtype=complex)
+        u[entry] = bad
+        with pytest.raises(ValueError, match="declared photon-preserving"):
+            Attack("x", ms, u, np.eye(ms.dim), [1, 0], photon_preserving=True)
+
+
 def test_photon_preserving_flag_is_checked():
     ms = attack_space(n_max=2)
     # a beam-splitter-like mixer moves photons between modes but keeps the count

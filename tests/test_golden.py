@@ -31,6 +31,11 @@ COMMANDS = {
     "run_tagging_n3": ["run", "--attack", "tagging", "--n-max", "3", "--loss", "0.6",
                        "--cross-check"],
     "sweep_n3": ["sweep", "--count", "8", "--n-max", "3", "--strength", "0.8"],
+    # A long sampled run: every (operation, basis) block is drawn thousands
+    # of times, so each round's row pick is pinned at scale.
+    "run_mirror_n3_long": ["run", "--attack", "random:5:8:0.8", "--n-max", "3",
+                           "--loss", "0.5", "--hadamard-prob", "0.3",
+                           "--rounds", "50000"],
 }
 
 

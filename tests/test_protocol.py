@@ -10,7 +10,7 @@ from sqkdsim.adversary import (identity_attack, measure_resend_attack,
 from sqkdsim.fock import ModeSystem
 from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
-                              Variant, _loss_maps,
+                              Variant, _loss_maps, _search_blocks,
                               eve_conditional_states,
                               exact_statistics, legacy_identification,
                               run_protocol, simulate_records)
@@ -322,39 +322,107 @@ def test_attack_config_shape_mismatch_is_rejected():
         RoundEnumerator(ProtocolConfig(tag_dim=2), identity_attack(tag_dim=1))
 
 
-def test_sampler_matches_per_round_reference():
-    """The vectorized draw equals a scalar loop over the same stream rows.
+def _per_round_reference(cfg, enum):
+    """Rows a scalar loop over the run's stream rows picks, and the
+    (probability, Eve's probe) of each picked branch.
 
-    The loop picks branch j of the drawn (operation, basis) table; the
-    sampler must return that branch's row of the enumerator's flat table,
-    whose blocks run computational then Hadamard, each in operation order.
+    The loop picks branch j of the drawn (operation, basis) table with
+    ``np.searchsorted``; its row in the enumerator's flat table is j past
+    the start of that block, the blocks running computational then
+    Hadamard, each in operation order.
     """
+    ops = cfg.variant.operations
+    op_cum = np.cumsum([cfg.alice_op_probs[op] for op in ops])
+    block = {key: t for t, key in enumerate((op, b) for b in BASES for op in ops)}
+    tables = {key: enum.branches(*key) for key in block}
+    expected, branches = [], []
+    draws = np.random.Generator(np.random.Philox(key=cfg.rng_seed)).random(
+        (cfg.n_rounds, 3))
+    for u_op, u_basis, u_branch in draws:
+        k = min(int(np.searchsorted(op_cum, u_op, side="right")), len(ops) - 1)
+        had = bool(u_basis < cfg.bob_hadamard_prob)
+        key = (ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL)
+        table = tables[key]
+        cum = np.cumsum(table.probability)
+        j = min(int(np.searchsorted(cum, u_branch * cum[-1], side="right")),
+                len(table) - 1)
+        expected.append(np.searchsorted(enum.table.table_id, block[key]) + j)
+        branches.append((table.probability[j], table.eve_probe[j]))
+    return expected, branches
+
+
+def test_sampler_matches_per_round_reference():
+    """The vectorized draw equals a scalar loop over the same stream rows."""
     cfg = ProtocolConfig(n_rounds=2000, rng_seed=6, channel_loss=0.8,
                          bob_hadamard_prob=0.8,
                          alice_op_probs={"CTRL": 0.1, "SWAP-10": 0.5,
                                          "SWAP-01": 0.0, "SWAP-ALL": 0.4})
     attack = random_attack(3, probe_dim=2, strength=0.7)
     enum = RoundEnumerator(cfg, attack)
-    ops = cfg.variant.operations
-    op_cum = np.cumsum([cfg.alice_op_probs[op] for op in ops])
-    block = {key: t for t, key in enumerate((op, b) for b in BASES for op in ops)}
-    expected, branches = [], []
-    draws = np.random.Generator(np.random.Philox(key=6)).random((2000, 3))
-    for u_op, u_basis, u_branch in draws:
-        k = min(int(np.searchsorted(op_cum, u_op, side="right")), len(ops) - 1)
-        had = bool(u_basis < cfg.bob_hadamard_prob)
-        key = (ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL)
-        table = enum.branches(*key)
-        cum = np.cumsum(table.probability)
-        j = min(int(np.searchsorted(cum, u_branch * cum[-1], side="right")),
-                len(table) - 1)
-        expected.append(np.searchsorted(enum.table.table_id, block[key]) + j)
-        branches.append((table.probability[j], table.eve_probe[j]))
+    expected, branches = _per_round_reference(cfg, enum)
     rows = simulate_records(cfg, attack, enum)
     assert np.array_equal(rows, expected)
     for row, (p, probe) in zip(rows, branches):
         assert enum.table.probability[row] == p
         assert np.array_equal(enum.table.eve_probe[row], probe)
+
+
+@pytest.mark.parametrize("variant, n_max, probe_dim, loss, hadamard, op_probs", [
+    ("legacy", 2, 2, 0.5, 0.5, None),
+    ("legacy", 4, 1, 0.5, 1.0, {"CTRL": 0.3, "SIFT": 0.7}),
+    ("legacy", 3, 8, 0.9, 0.0, None),
+    ("mirror", 3, 1, 0.5, 0.0, None),
+    ("mirror", 4, 8, 0.5, 1.0, None),
+    ("mirror", 3, 8, 1.0, 0.3, {"CTRL": 0.0, "SWAP-10": 0.2,
+                                "SWAP-01": 0.3, "SWAP-ALL": 0.5}),
+])
+def test_sampler_matches_per_round_reference_across_configs(
+        variant, n_max, probe_dim, loss, hadamard, op_probs):
+    """The same oracle on both variants, cutoffs above 2, heavy loss, one
+    basis only, and the smallest and largest probes."""
+    cfg = ProtocolConfig(variant=variant, n_max=n_max, n_rounds=1500,
+                         rng_seed=n_max + probe_dim, channel_loss=loss,
+                         bob_hadamard_prob=hadamard, alice_op_probs=op_probs)
+    attack = random_attack(probe_dim, probe_dim=probe_dim, strength=0.9, n_max=n_max)
+    enum = RoundEnumerator(cfg, attack)
+    expected, _ = _per_round_reference(cfg, enum)
+    assert np.array_equal(simulate_records(cfg, attack, enum), expected)
+
+
+@pytest.mark.parametrize("sizes", [
+    (1,), (1, 8, 7, 8), (16, 15, 1, 2), (15, 7, 3, 1), (4, 32, 31, 5)])
+def test_search_blocks_matches_searchsorted(sizes):
+    """The branchless search equals per-block ``searchsorted(side="right")``
+    clamped to the block's last row, on keys that sit exactly on cumulative
+    values, at 0.0 and at the block total, over zero-probability plateaus,
+    one-row blocks and blocks of 2^k and 2^k - 1 rows."""
+    rng = np.random.default_rng(len(sizes) + sum(sizes))
+    probability, block, u, expected, on_values = [], [], [], [], 0
+    start = 0
+    for t, size in enumerate(sizes):
+        # Sixteenths keep every cumsum, ratio and key exact; odd blocks
+        # have arbitrary weights.  Zeros make plateaus, leading and trailing.
+        p = rng.integers(0, 3, size) / 16.0 if t % 2 == 0 else rng.random(size)
+        p[rng.random(size) < 0.4] = 0.0
+        cum = np.cumsum(p)
+        draws = [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0)] + list(rng.random(8))
+        if cum[-1] > 0:
+            ratios = cum / cum[-1]
+            draws += [*ratios, *np.nextafter(ratios, 0.0), *np.nextafter(ratios, 1.0)]
+        draws = np.clip(draws, 0.0, 1.0)
+        for x in draws:
+            j = np.searchsorted(cum, x * cum[-1], side="right")
+            expected.append(start + min(j, size - 1))
+            on_values += bool(np.any(cum == x * cum[-1]))
+        block += [t] * len(draws)
+        u += list(draws)
+        probability.append(p)
+        start += size
+    table_id = np.repeat(np.arange(len(sizes)), sizes)
+    rows = _search_blocks(np.concatenate(probability), table_id, np.array(block),
+                          np.array(u))
+    assert np.array_equal(rows, expected)
+    assert on_values > 2 * len(sizes)  # keys really do sit on cumulative values
 
 
 def test_simulator_draws_every_operation():
