@@ -11,6 +11,9 @@ with identical manifests produce byte-identical files.
 
 Exit codes: 0 success, 1 operational failure, 2 usage error, 3 protocol run
 aborted, 4 a checked claim failed (counterexample found, lemma violated).
+
+:func:`main` may be called repeatedly in one process (tests, benchmark loops,
+library use); it builds its argument parser once, on the first call.
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import csv
 import json
 import sys
 from dataclasses import asdict
+from functools import lru_cache
 from math import isfinite
 from pathlib import Path
 
@@ -367,6 +371,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
                         default="table", help="stdout format")
 
 
+@lru_cache(maxsize=None)
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="sqkdsim",

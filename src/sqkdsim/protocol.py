@@ -14,10 +14,11 @@ the whole variant: a 2-D stack of sub-normalized states, one row per branch
 so far, goes through each stage at once (loss and measurements as cached
 index maps that split every row, Eve's unitaries and Bob's Hadamard as one
 matrix product each), with every operation of Alice and both of Bob's bases
-side by side.  The result is one flat :class:`BranchTable` of NumPy
-columns.  Its ``table_id`` column numbers the (operation, basis) blocks of
-rows; within a block, rows keep the order of the nested loop loss, Alice's
-outcome, loss, Bob's outcome.
+side by side.  Bob's measurement empties the pair, so his split writes only
+Eve's probe columns, the vacuum ⊗ probe states.  The result is one flat
+:class:`BranchTable` of NumPy columns.  Its ``table_id`` column numbers the
+(operation, basis) blocks of rows; within a block, rows keep the order of
+the nested loop loss, Alice's outcome, loss, Bob's outcome.
 A sampled run is one vectorized pass: row i of a counter-based Philox
 stream keyed by the seed picks round i's operation, basis and branch, the
 round is stored as a row index into that table, and the aggregates are
@@ -114,16 +115,18 @@ class ProtocolConfig:
         if self.alice_op_probs is None:
             self.alice_op_probs = {op: 1.0 / len(ops) for op in ops}
         else:
+            # Both checks read "not defect <= tol", so NaN and inf fail too.
             probs = {}
             for op, p in self.alice_op_probs.items():
                 op = AliceOp(op) if not isinstance(op, AliceOp) else op
                 if op not in ops:
                     raise ValueError(f"{op} is not played in variant {self.variant.value}")
-                if p < 0:
-                    raise ValueError("operation probabilities must be non-negative")
+                if not -p <= 0.0:
+                    raise ValueError(
+                        f"operation probabilities must be non-negative, got {p}")
                 probs[op] = float(p)
             total = sum(probs.values())
-            if abs(total - 1.0) > 1e-9:
+            if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"operation probabilities sum to {total}, not 1")
             self.alice_op_probs = probs
         if self.n_rounds < 0:
@@ -233,19 +236,20 @@ def _evolve(rows: np.ndarray, leaked: np.ndarray, matrix: np.ndarray):
     return out, leaked + np.maximum(_norm2(rows) - _norm2(out), 0.0)
 
 
-def _split_plan(dim: int, maps, keep=()) -> tuple:
+def _split_plan(width: int, maps, keep=()) -> tuple:
     """Index maps ``(src, dst, amp)`` merged for :func:`_split`.
 
     Map k reads columns ``src`` of a row (a nonempty segment of the merged
-    ``src`` starting at ``starts[k]``) and writes columns ``k * dim + dst``
-    of one wide row.  ``amp`` is None for maps that only move amplitudes.
+    ``src`` starting at ``starts[k]``) and writes columns ``k * width + dst``
+    of one wide row, so each output row has ``width`` columns, the plan's
+    last element.  ``amp`` is None for maps that only move amplitudes.
     Maps listed in ``keep`` are never pruned.
     """
     starts = np.cumsum([0] + [len(m[0]) for m in maps[:-1]])
     return (len(maps), np.concatenate([m[0] for m in maps]),
-            np.concatenate([k * dim + m[1] for k, m in enumerate(maps)]),
+            np.concatenate([k * width + m[1] for k, m in enumerate(maps)]),
             None if maps[0][2] is None else np.concatenate([m[2] for m in maps]),
-            starts, np.isin(np.arange(len(maps)), keep))
+            starts, np.isin(np.arange(len(maps)), keep), width)
 
 
 def _split(rows: np.ndarray, plan: tuple):
@@ -256,18 +260,18 @@ def _split(rows: np.ndarray, plan: tuple):
     dropped.  Returns the rows, their weights, and the input row and map
     each came from.
     """
-    n_maps, src, dst, amp, starts, keep_map = plan
-    n, dim = rows.shape
+    n_maps, src, dst, amp, starts, keep_map, width = plan
+    n = len(rows)
     moved = rows.take(src, axis=1)
     if amp is not None:
         moved *= amp
     flat = moved.view(np.float64)  # (re, im) pairs
     weight = np.add.reduceat(flat * flat, 2 * starts, axis=1)  # (row, map)
     keep = np.flatnonzero((weight > PRUNE) | keep_map)
-    out = np.zeros((n, n_maps * dim), dtype=np.complex128)
+    out = np.zeros((n, n_maps * width), dtype=np.complex128)
     out[:, dst] = moved
     parent, which = np.divmod(keep, n_maps)
-    return out.reshape(n * n_maps, dim)[keep], weight.ravel()[keep], parent, which
+    return out.reshape(n * n_maps, width)[keep], weight.ravel()[keep], parent, which
 
 
 @lru_cache(maxsize=None)
@@ -277,8 +281,11 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
     CTRL passes the state on untouched (and unpruned); a mirror SWAP
     measures the rails it swaps out; SIFT, and Bob (``None``), measure the
     whole pair.  A measurement has one map per exact occupation of the
-    measured slots, which it empties.  Returns the plan and, per map, the
-    index of its operation in ``ops`` and its pattern code (-1 for CTRL).
+    measured slots, which it empties.  Bob's plan writes only Eve's probe
+    columns: it empties the attack's one pair, so every map lands on the
+    vacuum ⊗ probe indices ``0 … probe_levels - 1``.  Returns the plan and,
+    per map, the index of its operation in ``ops`` and its pattern code (-1
+    for CTRL).
     """
     maps, op_index, codes = [], [], []
     for k, op in enumerate(ops):
@@ -295,7 +302,8 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
             op_index.append(k)
             codes.append(-1 if pattern is None else pattern.code)
     ctrl = [m for m, code in enumerate(codes) if code < 0]
-    return (_split_plan(system.dim, maps, keep=ctrl), np.array(op_index),
+    width = system.probe_levels if ops == (None,) else system.dim
+    return (_split_plan(width, maps, keep=ctrl), np.array(op_index),
             np.array(codes))
 
 
@@ -395,8 +403,7 @@ class RoundEnumerator:
         q = self.config.channel_loss
         if q >= 1.0:
             return rows, np.arange(len(rows))
-        rows, _, parent, _ = _split(rows, _split_plan(self.system.dim,
-                                                      _loss_maps(self.system, q)))
+        rows, _, parent, _ = _split(rows, _loss_plan(self.system, q))
         return rows, parent
 
     @cached_property
@@ -433,8 +440,17 @@ class RoundEnumerator:
         table_id = np.concatenate([op_index, op_index + len(ops)])[parent]
         leaked = np.concatenate([leaked, leaked])[parent]
         a_code = np.concatenate([a_code, a_code])[parent]
+        # Bob empties the pair, so his split writes only Eve's probe columns:
+        # map k fills block k of a row.  A destination outside its own block
+        # would land in another branch's row, so the plan is checked before
+        # the scatter, and each row's mass (two sources on one column would
+        # lose some) after it.
         plan, _, map_code = _measure_plan(system, (None,))
-        rows, prob, parent, which = _split(rows, plan)
+        n_maps, src, dst, _, starts, _, width = plan
+        if np.any(dst // width != np.repeat(np.arange(n_maps),
+                                            np.diff(starts, append=len(src)))):
+            raise ContractViolation("post-measurement state not confined to vacuum")
+        probe, prob, parent, which = _split(rows, plan)
         table_id, leaked, a_code = table_id[parent], leaked[parent], a_code[parent]
         b_code = map_code[which]
 
@@ -444,7 +460,6 @@ class RoundEnumerator:
             op, basis = keys[t]
             raise ContractViolation(
                 f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
-        probe = rows.compress(system.basis_table[0].sum(axis=1) == 0, axis=1)  # vacuum
         mass = _norm2(probe)
         if np.any(np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)):
             raise ContractViolation("post-measurement state not confined to vacuum")
@@ -499,6 +514,12 @@ def _loss_maps(system: ModeSystem, survival: float):
             survived[:, slots] -= lost
             maps.append((src, system.index_of(survived, probes[src]), np.sqrt(coeff[src])))
     return tuple(maps)
+
+
+@lru_cache(maxsize=None)
+def _loss_plan(system: ModeSystem, survival: float) -> tuple:
+    """:func:`_loss_maps` merged into one split plan."""
+    return _split_plan(system.dim, _loss_maps(system, survival))
 
 
 def simulate_records(config: ProtocolConfig, attack: Attack,

@@ -13,8 +13,9 @@ from sqkdsim.adversary import (identity_attack, measure_resend_attack,
                                probe_rotation_attack, random_attack,
                                tagging_attack)
 from sqkdsim.alice import swapped_slots
-from sqkdsim.fock import (ContractViolation, FockVector, apply_creation,
-                          apply_truncating_unitary, hadamard_matrix)
+from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
+                          apply_creation, apply_truncating_unitary,
+                          hadamard_matrix)
 from sqkdsim.measurement import (AliceOp, Basis, ClickPattern, Interpretation,
                                  measure_pair, measure_slots)
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig,
@@ -206,6 +207,22 @@ def test_vacuum_confinement_check_fires(monkeypatch):
     enum = RoundEnumerator(ProtocolConfig(), attack)
     with pytest.raises(ContractViolation, match="confined to vacuum"):
         enum.branches(AliceOp.SWAP_10, Basis.COMPUTATIONAL)
+
+
+def test_bobs_plan_writes_each_map_into_its_own_probe_block():
+    """Bob empties the pair, so his split is only Eve's probe wide: map k
+    writes the vacuum ⊗ probe indices of block k, at the source's probe
+    level."""
+    for tag_dim in (1, 2):
+        for n_max in (2, 3, 4):
+            for probe_dim in (1, 8):
+                system = ModeSystem(1, tag_dim, n_max, probe_dim)
+                plan, _, _ = protocol._measure_plan(system, (None,))
+                n_maps, src, dst, _, starts, _, width = plan
+                assert width == plan[-1] == system.probe_levels
+                owner = np.repeat(np.arange(n_maps), np.diff(starts, append=len(src)))
+                assert np.array_equal(dst // width, owner)
+                assert np.array_equal(dst % width, system.basis_table[1][src])
 
 
 def test_interpretation_guard_still_fires(monkeypatch):

@@ -10,7 +10,7 @@ import pytest
 from sqkdsim.adversary import (attack_to_document, identity_attack,
                                probe_rotation_attack, random_attack,
                                save_attack)
-from sqkdsim.cli import EXIT_USAGE, main
+from sqkdsim.cli import EXIT_USAGE, build_parser, main
 
 
 def test_run_identity_succeeds(capsys):
@@ -91,6 +91,27 @@ def test_missing_subcommand_is_usage_error(capsys):
         main([])
     assert exc.value.code == EXIT_USAGE
     capsys.readouterr()
+
+
+def test_repeated_calls_share_one_parser_and_no_options(tmp_path, capsys):
+    """``main`` builds its parser once; a call's options, or a usage error,
+    never reach a later call."""
+    args = ["run", "--attack", "random:11:4", "--rounds", "500", "--seed", "7",
+            "--error-threshold", "1", "--format", "structured", "--out"]
+
+    def report(name):
+        assert main(args + [str(tmp_path / name)]) == 0
+        return capsys.readouterr().out, (tmp_path / name).read_bytes()
+
+    first = report("first.json")
+    assert main(["run", "--loss", "0.5", "--hadamard-prob", "0.3",
+                 "--out", str(tmp_path / "lossy.json")]) == 0
+    with pytest.raises(SystemExit) as exc:
+        main(["run", "--loss", "lossless"])
+    assert exc.value.code == EXIT_USAGE
+    capsys.readouterr()
+    assert report("again.json") == first
+    assert build_parser() is build_parser()
 
 
 def test_sweep_writes_csv(tmp_path, capsys):

@@ -6,7 +6,13 @@ Regenerate them only with a change that announces a report change::
 
     PYTHONPATH=src python3 -c "from sqkdsim.cli import main; \\
         main([...ARGS..., '--format', 'structured', '--out', 'tests/golden/NAME.json'])"
+
+with ``OPENBLAS_NUM_THREADS=1`` in the environment for the reports of
+``ONE_BLAS_THREAD``.
 """
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +20,7 @@ import pytest
 from sqkdsim.cli import main
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+SRC = GOLDEN.parent.parent / "src"
 
 COMMANDS = {
     "run_mirror": ["run", "--attack", "random:11:4", "--loss", "0.9",
@@ -38,13 +45,39 @@ COMMANDS = {
                            "--rounds", "50000"],
 }
 
+# Attack unitaries of dimension 120 and more (n_max 4 with an 8-level probe)
+# differ in their last bits with OpenBLAS's thread count, so these reports
+# are pinned for one BLAS thread, in a fresh interpreter started with it.
+ONE_BLAS_THREAD = {
+    # The benchmark's sweep-n4 shape: Bob's probe-wide split at n_max 4.
+    "sweep_n4": ["sweep", "--n-max", "4", "--count", "8", "--seed", "3",
+                 "--max-probe-dim", "8"],
+}
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
+
 
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_bytes_match_golden(name, tmp_path, capsys):
     base = tmp_path / f"{name}.json"
     main(COMMANDS[name] + ["--format", "structured", "--out", str(base)])
+    assert_golden(name, capsys.readouterr().out.encode(), base)
+
+
+@pytest.mark.parametrize("name", sorted(ONE_BLAS_THREAD))
+def test_report_bytes_match_golden_on_one_blas_thread(name, tmp_path):
+    base = tmp_path / f"{name}.json"
+    env = dict(os.environ, PYTHONPATH=str(SRC), **dict.fromkeys(THREAD_VARS, "1"))
+    done = subprocess.run([sys.executable, "-m", "sqkdsim", *ONE_BLAS_THREAD[name],
+                           "--format", "structured", "--out", str(base)],
+                          capture_output=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert_golden(name, done.stdout, base)
+
+
+def assert_golden(name, stdout: bytes, base: Path) -> None:
+    """Stdout and the ``--out`` files equal the golden files of ``name``."""
     expected = (GOLDEN / f"{name}.json").read_bytes()
-    assert capsys.readouterr().out.encode() == expected
+    assert stdout == expected
     assert base.read_bytes() == expected
     golden_csv = GOLDEN / f"{name}.csv"
     assert base.with_suffix(".csv").exists() == golden_csv.exists()

@@ -32,6 +32,12 @@ def test_config_validation():
                        alice_op_probs={AliceOp.SWAP_10: 1.0})
 
 
+@pytest.mark.parametrize("weight", [math.nan, math.inf])
+def test_config_rejects_non_finite_op_weights(weight):
+    with pytest.raises(ValueError):
+        ProtocolConfig(n_rounds=1000, alice_op_probs={"CTRL": weight, "SWAP-10": 1.0})
+
+
 def test_config_accepts_string_op_keys():
     cfg = ProtocolConfig(alice_op_probs={"CTRL": 0.4, "SWAP-10": 0.3,
                                          "SWAP-01": 0.3})
