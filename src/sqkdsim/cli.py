@@ -7,7 +7,9 @@ fixture or random inputs, and ``attack-demo`` contrasts the tagging attack
 against the legacy and mirror variants.
 
 Output is deterministic: no timestamps, sorted keys, floats via repr.  Runs
-with identical manifests produce byte-identical files.
+with identical manifests produce byte-identical files at one BLAS thread
+count, not across counts: ``sweep --n-max 4 --count 8 --seed 3
+--max-probe-dim 8`` differs between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
 
 Exit codes: 0 success, 1 operational failure, 2 usage error, 3 protocol run
 aborted, 4 a checked claim failed (counterexample found, lemma violated).
@@ -147,10 +149,8 @@ def cmd_run(args) -> int:
         channel_loss=args.loss,
         bob_hadamard_prob=args.hadamard_prob,
         test_fraction=args.test_fraction,
-        ctrl_error_threshold=args.error_threshold,
-        swap_x_error_threshold=args.error_threshold,
-        swap_all_error_threshold=args.error_threshold,
-        raw_key_error_threshold=args.error_threshold,
+        **{f"{rate}_error_threshold": args.error_threshold
+           for rate in ("ctrl", "swap_x", "swap_all", "raw_key")},
     )
     enum = RoundEnumerator(config, attack)
     stats = run_protocol(config, attack, enum)
@@ -210,37 +210,26 @@ def cmd_run(args) -> int:
         ("raw key length", len(stats.raw_key_alice)),
         ("aborted", stats.aborted),
     ])]
-    if config.variant is Variant.MIRROR:
-        tables.append(("detection conditions",
-                       list(analysis["conditions"].items())))
-        tables.append(("eavesdropper",
-                       list(analysis["eavesdropper"].items())))
-    else:
-        tables.append(("identification",
-                       list(analysis["identification"].items())))
+    # Every analysis but the exact error probabilities is a table of its own.
+    tables += [("detection conditions" if name == "conditions" else name,
+                list(rows.items())) for name, rows in analysis.items()
+               if name != "exact_error_probs"]
     _emit(args, doc, tables)
     for reason in stats.abort_reasons:
         print(f"abort: {reason}", file=sys.stderr)
     return EXIT_ABORTED if stats.aborted else EXIT_OK
 
 
+def _options(args) -> dict:
+    return {k: v for k, v in vars(args).items()
+            if k not in ("command", "func", "out", "format")}
+
+
 def cmd_sweep(args) -> int:
-    report = robustness_sweep(master_seed=args.seed, count=args.count,
-                              strength=args.strength,
-                              max_probe_dim=args.max_probe_dim,
-                              n_max=args.n_max, eps_error=args.eps_error,
-                              eps_info=args.eps_info)
+    options = _options(args)
+    report = robustness_sweep(**options)
     doc = {
-        "manifest": {
-            "command": "sweep",
-            "master_seed": args.seed,
-            "count": args.count,
-            "strength": args.strength,
-            "max_probe_dim": args.max_probe_dim,
-            "n_max": args.n_max,
-            "eps_error": args.eps_error,
-            "eps_info": args.eps_info,
-        },
+        "manifest": {"command": args.command, **options},
         "report": report.to_document(),
     }
     _write_outputs(args.out, doc, report.to_csv_rows())
@@ -299,16 +288,7 @@ def cmd_lemma(args) -> int:
                 failures += 1
             results.append(dict(asdict(verdict), source=f"random[{i}]"))
     doc = {
-        "manifest": {
-            "command": "lemma",
-            "fixture": args.fixture,
-            "random": args.random,
-            "delta": args.delta,
-            "probe_dim": args.probe_dim,
-            "seed": args.seed,
-            "zero_tol": args.zero_tol,
-            "conclusion_tol": args.conclusion_tol,
-        },
+        "manifest": {"command": args.command, **_options(args)},
         "results": results,
         "failures": failures,
     }
@@ -323,15 +303,14 @@ def cmd_lemma(args) -> int:
 
 def cmd_attack_demo(args) -> int:
     attack = tagging_attack(n_max=args.n_max)
-    legacy = RoundEnumerator(ProtocolConfig(variant=Variant.LEGACY, tag_dim=2,
-                                            n_max=args.n_max), attack)
-    mirror = RoundEnumerator(ProtocolConfig(tag_dim=2, n_max=args.n_max), attack)
+    mirror, legacy = (RoundEnumerator(ProtocolConfig(v, tag_dim=2, n_max=args.n_max), attack)
+                      for v in (Variant.MIRROR, Variant.LEGACY))
     ident = legacy_identification(attack, legacy.config, legacy)
     legacy_stats = exact_statistics(legacy.config, attack, legacy)
     report = check_conditions(attack, mirror.config, enumerator=mirror)
     conditionals = eve_conditional_states(attack, mirror.config, mirror)
     doc = {
-        "manifest": {"command": "attack-demo", "n_max": args.n_max},
+        "manifest": {"command": args.command, **_options(args)},
         "legacy": {
             "identification_accuracy": ident.accuracy,
             "trace_distance": ident.trace_distance,
@@ -404,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_sweep = sub.add_parser("sweep", help="search random attacks for "
                                            "undetected leakage")
-    p_sweep.add_argument("--seed", type=int, default=0)
+    p_sweep.add_argument("--seed", dest="master_seed", metavar="SEED", type=int,
+                         default=0)
     p_sweep.add_argument("--count", type=int, default=100)
     p_sweep.add_argument("--strength", type=float, default=0.3)
     p_sweep.add_argument("--max-probe-dim", type=int, default=8)

@@ -24,7 +24,8 @@ stream keyed by the seed picks round i's operation, basis and branch, the
 round is stored as a row index into that table, and the aggregates are
 counts over those indices.  The exact analyses (error probabilities, Eve's
 conditional states) read the same columns as masks, counts and matrix
-products.
+products.  Every analysis reads its config and attack from one enumerator:
+one passed in must hold the config and attack it is passed with.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -160,12 +161,6 @@ def _document(value):
     return value
 
 
-def _default_config(attack: Attack, variant: Variant) -> ProtocolConfig:
-    """Default run parameters on the attack's tag levels and photon cap."""
-    return ProtocolConfig(variant=variant, tag_dim=attack.system.tag_dim,
-                          n_max=attack.system.n_max)
-
-
 PATTERNS = tuple(ClickPattern)  # PATTERNS[p.code] is p
 INTERPRETATIONS = tuple(Interpretation)
 _CLICKS = np.array([0] + [p.n_clicks for p in PATTERNS])  # by pattern code + 1
@@ -199,7 +194,6 @@ class BranchTable:
     alice_pattern: np.ndarray
     bob_pattern: np.ndarray
     interpretation: np.ndarray
-    discarded: np.ndarray
     alice_bit: np.ndarray
     bob_bit: np.ndarray
     eve_probe: np.ndarray
@@ -217,6 +211,10 @@ class BranchTable:
     @property
     def bob_clicks(self) -> np.ndarray:
         return _CLICKS[self.bob_pattern + 1]
+
+    @property
+    def discarded(self) -> np.ndarray:
+        return self.interpretation < 0
 
     @property
     def labels(self) -> np.ndarray:
@@ -310,32 +308,22 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
 def _classify(op: AliceOp, basis: Basis, a_pat: Optional[ClickPattern],
               b_pat: ClickPattern):
     """Sifting and interpretation of one (Alice pattern, Bob pattern) cell:
-    (interpretation, discarded, Alice's bit, Bob's bit)."""
-    interp, a_bit, b_bit = None, None, None
+    (interpretation, Alice's bit, Bob's bit), all None where sifting
+    discards.  Sifting keeps Bob's Hadamard basis for CTRL and his
+    computational basis for every other operation."""
+    if (basis is Basis.HADAMARD) is not (op is AliceOp.CTRL):
+        return None, None, None
     if op is AliceOp.CTRL:
-        if basis is Basis.COMPUTATIONAL:
-            return None, True, None, None
-        interp = interpret_ctrl(b_pat)
-    elif op in (AliceOp.SWAP_10, AliceOp.SWAP_01):
-        if basis is Basis.HADAMARD:
-            return None, True, None, None
-        interp = interpret_swap_x(a_pat.n_clicks, b_pat.n_clicks)
-        if interp is Interpretation.SHARED_BIT:
-            a_bit, b_bit = shared_bit(op, b_pat)
-    elif op is AliceOp.SWAP_ALL:
-        if basis is Basis.HADAMARD:
-            return None, True, None, None
-        interp = interpret_swap_all(a_pat, b_pat)
-    elif op is AliceOp.SIFT:
-        if basis is Basis.HADAMARD:
-            return None, True, None, None
+        return interpret_ctrl(b_pat), None, None
+    if op is AliceOp.SWAP_ALL:
+        return interpret_swap_all(a_pat, b_pat), None, None
+    if op is AliceOp.SIFT:
         interp = interpret_legacy_sift(a_pat, b_pat)
-        if interp is Interpretation.SHARED_BIT:
-            a_bit = 1 if a_pat is ClickPattern.P10 else 0
-            b_bit = 1 if b_pat is ClickPattern.P10 else 0
-    else:
-        raise ValueError(f"unhandled operation {op}")
-    return interp, False, a_bit, b_bit
+        bits = int(a_pat is ClickPattern.P10), int(b_pat is ClickPattern.P10)
+    else:  # a single-mode swap
+        interp = interpret_swap_x(a_pat.n_clicks, b_pat.n_clicks)
+        bits = shared_bit(op, b_pat) if interp is Interpretation.SHARED_BIT else None
+    return (interp, *bits) if interp is Interpretation.SHARED_BIT else (interp, None, None)
 
 
 @lru_cache(maxsize=None)
@@ -349,19 +337,18 @@ def _cell_lookup(variant: Variant, cells: tuple[int, ...]) -> np.ndarray:
     """:func:`_classify` of the given cells of a variant's stack.
 
     Cell ``table * _N_CELLS + (alice code + 1) * 4 + bob code``; its row
-    holds the interpretation index, discard flag and bits, with -1 standing
-    for None.  Cached per set of cells that occur, which random attacks
-    mostly share.
+    holds the interpretation index and bits, with -1 standing for None.
+    Cached per set of cells that occur, which random attacks mostly share.
     """
     keys = _table_keys(variant)
-    lookup = np.zeros((len(keys) * _N_CELLS, 4), dtype=np.int8)
+    lookup = np.zeros((len(keys) * _N_CELLS, 3), dtype=np.int8)
     for cell in cells:
         table, local = divmod(cell, _N_CELLS)
         a_index, b_index = divmod(local, len(PATTERNS))
-        interp, disc, a_bit, b_bit = _classify(
+        interp, a_bit, b_bit = _classify(
             *keys[table], PATTERNS[a_index - 1] if a_index else None,
             PATTERNS[b_index])
-        lookup[cell] = (-1 if interp is None else INTERPRETATIONS.index(interp), disc,
+        lookup[cell] = (-1 if interp is None else INTERPRETATIONS.index(interp),
                         -1 if a_bit is None else a_bit, -1 if b_bit is None else b_bit)
     return lookup
 
@@ -464,12 +451,11 @@ class RoundEnumerator:
         if np.any(np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)):
             raise ContractViolation("post-measurement state not confined to vacuum")
 
-        # Interpretation, discard flag and bits per (table, Alice pattern,
-        # Bob pattern) cell.
+        # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
         cells = table_id * _N_CELLS + (a_code + 1) * len(PATTERNS) + b_code
         present = tuple(np.flatnonzero(np.bincount(cells)).tolist())
-        interp, disc, a_bit, b_bit = _cell_lookup(variant, present)[cells].T
-        columns = (prob, a_code, b_code, interp, disc.astype(bool), a_bit, b_bit,
+        interp, a_bit, b_bit = _cell_lookup(variant, present)[cells].T
+        columns = (prob, a_code, b_code, interp, a_bit, b_bit,
                    probe / np.sqrt(mass)[:, None], leaked, table_id)
         for column in columns:
             column.setflags(write=False)
@@ -522,10 +508,34 @@ def _loss_plan(system: ModeSystem, survival: float) -> tuple:
     return _split_plan(system.dim, _loss_maps(system, survival))
 
 
+def _enumerator(attack: Attack, config: Optional[ProtocolConfig],
+                enumerator: Optional[RoundEnumerator],
+                variant: Optional[Variant] = None) -> RoundEnumerator:
+    """The enumerator an analysis reads: ``enumerator``, which must hold an
+    equal config and the same attack (that object, or equal matrices and
+    probe on its space), else a new one.  Config None is the default of
+    ``variant`` (mirror if None); a named ``variant`` rejects the other."""
+    if config is None:
+        config = ProtocolConfig(variant=variant or Variant.MIRROR,
+                                tag_dim=attack.system.tag_dim, n_max=attack.system.n_max)
+    if variant not in (None, config.variant):
+        raise ValueError(f"this analysis is defined for the {variant.value} variant")
+    if enumerator is None:
+        return RoundEnumerator(config, attack)
+    held = enumerator.attack
+    if enumerator.config != config or held is not attack and not (
+            held.system == attack.system and all(
+                np.array_equal(getattr(held, name), getattr(attack, name))
+                for name in ("u_forward", "v_backward", "initial_probe"))):
+        raise ValueError("the enumerator was built for another config or attack")
+    return enumerator
+
+
 def simulate_records(config: ProtocolConfig, attack: Attack,
                      enumerator: Optional[RoundEnumerator] = None) -> np.ndarray:
     """Row of the enumerator's :attr:`~RoundEnumerator.table` drawn for
-    every round of a run, deterministic in the seed.
+    every round of a run, deterministic in the seed.  A given enumerator
+    must hold ``config`` and ``attack``.
 
     Round i reads row i of ``Generator(Philox(key=rng_seed)).random((n_rounds,
     3))``: Alice's operation, Bob's basis and the branch within the block of
@@ -534,7 +544,7 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
     rounds of a run of n.  An exact search finds the branch, equal to
     per-block ``np.searchsorted(side="right")`` (:func:`_search_blocks`).
     """
-    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
+    enum = _enumerator(attack, config, enumerator)
     draws = np.random.Generator(np.random.Philox(key=config.rng_seed)).random(
         (config.n_rounds, 3))
     ops = config.variant.operations
@@ -607,11 +617,12 @@ def _error_rate(counts: dict, ops) -> Optional[float]:
 
 def run_protocol(config: ProtocolConfig, attack: Attack,
                  enumerator: Optional[RoundEnumerator] = None) -> RunStats:
-    """Sample a full run: rounds, sifting, error estimation, abort decision."""
-    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
+    """Sample a full run: rounds, sifting, error estimation, abort decision.
+    A given enumerator must hold ``config`` and ``attack``."""
+    enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
     table = enum.table
-    rounds = simulate_records(config, attack, enum)
+    rounds = simulate_records(config, enum.attack, enum)
     # Rounds per row, per (operation, outcome label), then per operation.
     row_cell = table.table_id % len(ops) * len(_LABELS) + table.labels
     per_cell = np.bincount(row_cell, weights=np.bincount(rounds, minlength=len(table)),
@@ -628,8 +639,7 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
 
     ctrl_rate = _error_rate(counts, (AliceOp.CTRL,))
     swap_x_rate = _error_rate(counts, key_ops)
-    swap_all_rate = (_error_rate(counts, (AliceOp.SWAP_ALL,))
-                     if config.variant is Variant.MIRROR else None)
+    swap_all_rate = _error_rate(counts, (AliceOp.SWAP_ALL,))  # None without such rounds
 
     # Shared bits in round order.
     shared = rounds[table.interpretation[rounds] == _SHARED]
@@ -697,7 +707,9 @@ class ExactStatistics:
 
 def exact_statistics(config: ProtocolConfig, attack: Attack,
                      enumerator: Optional[RoundEnumerator] = None) -> ExactStatistics:
-    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
+    """Exact outcome probabilities per operation of the config's variant.
+    A given enumerator must hold ``config`` and ``attack``."""
+    enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
     table = enum.table
     hadamard, op_index = np.divmod(table.table_id, len(ops))
@@ -752,14 +764,12 @@ class EveConditionals:
 def eve_conditional_states(attack: Attack,
                            config: Optional[ProtocolConfig] = None,
                            enumerator: Optional[RoundEnumerator] = None) -> EveConditionals:
-    if config is None:
-        config = _default_config(attack, Variant.MIRROR)
-    if config.variant is not Variant.MIRROR:
-        raise ValueError("conditional key-bit states are a mirror-variant analysis")
-    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
+    """Eve's probe states per key bit on a mirror config (default if None).
+    A given enumerator must hold that config and ``attack``."""
+    enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
     pl = enum.system.probe_levels
-    w10 = config.alice_op_probs.get(AliceOp.SWAP_10, 0.0)
-    w01 = config.alice_op_probs.get(AliceOp.SWAP_01, 0.0)
+    w10 = enum.config.alice_op_probs.get(AliceOp.SWAP_10, 0.0)
+    w01 = enum.config.alice_op_probs.get(AliceOp.SWAP_01, 0.0)
     total = w10 + w01
     weights = {AliceOp.SWAP_10: 0.5, AliceOp.SWAP_01: 0.5} if total == 0 else \
         {AliceOp.SWAP_10: w10 / total, AliceOp.SWAP_01: w01 / total}
@@ -796,13 +806,11 @@ class SiftCtrlIdentification:
 def legacy_identification(attack: Attack,
                           config: Optional[ProtocolConfig] = None,
                           enumerator: Optional[RoundEnumerator] = None) -> SiftCtrlIdentification:
-    if config is None:
-        config = _default_config(attack, Variant.LEGACY)
-    if config.variant is not Variant.LEGACY:
-        raise ValueError("SIFT/CTRL identification is a legacy-variant analysis")
-    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
+    """Eve's SIFT/CTRL distinction on a legacy config (default if None).
+    A given enumerator must hold that config and ``attack``."""
+    enum = _enumerator(attack, config, enumerator, Variant.LEGACY)
     pl = enum.system.probe_levels
-    p_had = config.bob_hadamard_prob
+    p_had = enum.config.bob_hadamard_prob
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     rho = {}
     for op in (AliceOp.CTRL, AliceOp.SIFT):

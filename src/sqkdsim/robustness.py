@@ -11,7 +11,7 @@ learn nothing.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields, replace
+from dataclasses import astuple, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -21,8 +21,8 @@ from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
                    hadamard_change, tensor, vacuum)
 from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
-from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _default_config,
-                       _document, _measure_plan, _split, eve_conditional_states)
+from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _document,
+                       _enumerator, _measure_plan, _split, eve_conditional_states)
 
 __all__ = [
     "ConditionReport",
@@ -63,9 +63,8 @@ class ConditionReport:
 
     @property
     def max_violation(self) -> float:
-        return max(self.ctrl_minus, self.swap_x_both_held, self.swap_x_double,
-                   self.swap_10_wrong_mode, self.swap_01_wrong_mode,
-                   self.swap_all_alice_double, self.swap_all_bob_click)
+        return max(getattr(self, f.name) for f in fields(self)
+                   if f.name != "cross_check_deviation")
 
     def to_document(self) -> dict:
         doc = dict(_document(self), max_violation=self.max_violation)
@@ -77,21 +76,17 @@ class ConditionReport:
 def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
                      cross_check: bool = False,
                      enumerator: Optional[RoundEnumerator] = None) -> ConditionReport:
-    """Evaluate the seven detection conditions for a mirror-variant attack."""
-    if config is None:
-        config = _default_config(attack, Variant.MIRROR)
-    if config.variant is not Variant.MIRROR:
-        raise ValueError("detection conditions are defined for the mirror variant")
-    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
-    p_had = config.bob_hadamard_prob
+    """The seven detection conditions on a mirror config (default if None).
+    A given enumerator must hold that config and ``attack``."""
+    enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
+    p_had = enum.config.bob_hadamard_prob
     p_comp = 1.0 - p_had
 
     ctrl = enum.branches(AliceOp.CTRL, Basis.HADAMARD)
     minus = ctrl.bob_pattern >= ClickPattern.P10.code  # 10 and 11: mode-1 bit set
     ctrl_minus = p_had * float(ctrl.probability[minus].sum())
 
-    both_held = 0.0
-    double = 0.0
+    both_held = double = 0.0
     wrong_mode = {AliceOp.SWAP_10: 0.0, AliceOp.SWAP_01: 0.0}
     # The swapped-out mode is the only one Bob may legitimately click in;
     # its opposite showing up alone means the photon dodged Alice's swap.
@@ -113,8 +108,6 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
         swap_all.alice_pattern == ClickPattern.P11.code].sum())
     bob_click = float(swap_all.probability[swap_all.bob_clicks >= 1].sum())
 
-    deviation = (measurement_cross_check(attack, replace(config, channel_loss=1.0),
-                                         enum) if cross_check else None)
     return ConditionReport(
         ctrl_minus=ctrl_minus,
         swap_x_both_held=both_held,
@@ -123,7 +116,7 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
         swap_01_wrong_mode=wrong_mode[AliceOp.SWAP_01],
         swap_all_alice_double=alice_double,
         swap_all_bob_click=p_comp * bob_click,
-        cross_check_deviation=deviation,
+        cross_check_deviation=_cross_check(enum) if cross_check else None,
     )
 
 
@@ -144,16 +137,18 @@ def measurement_cross_check(attack: Attack,
     their branch sets differ).
 
     The routes are compared on the lossless forward-pass state, so the
-    config must be lossless.  Loss is a separate Kraus stage that Alice's
-    measurement does not depend on, so :func:`check_conditions` checks a
-    lossy config through its lossless copy.
+    mirror config (the default one if None) must be lossless.  A given
+    enumerator must hold that config and ``attack``.
     """
-    if config is None:
-        config = _default_config(attack, Variant.MIRROR)
-    if config.channel_loss < 1.0:
+    enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
+    if enum.config.channel_loss < 1.0:
         raise ValueError("cross check assumes a lossless channel")
-    enum = enumerator if enumerator is not None else RoundEnumerator(config, attack)
-    forward = apply_truncating_unitary(enum.initial, attack.u_forward)
+    return _cross_check(enum)
+
+
+def _cross_check(enum: RoundEnumerator) -> float:
+    """:func:`measurement_cross_check` on an enumerator of any loss."""
+    forward = apply_truncating_unitary(enum.initial, enum.attack.u_forward)
     storage = vacuum(ModeSystem(1, forward.system.tag_dim, forward.system.n_max))
     joint = tensor(storage, forward)
     system = joint.system

@@ -225,6 +225,27 @@ def test_bobs_plan_writes_each_map_into_its_own_probe_block():
                 assert np.array_equal(dst % width, system.basis_table[1][src])
 
 
+def test_classify_matches_reference_on_every_cell():
+    """Sifting and interpretation of every cell, reachable by an attack or
+    not: each variant, (operation, basis), Alice pattern (None for CTRL) and
+    Bob pattern.  Alice's click sum 2 on a single-mode swap, a cell no
+    physical round reaches, is a contract violation where it is sifted in."""
+    single_mode = (AliceOp.SWAP_10, AliceOp.SWAP_01)
+    for variant in Variant:
+        for op in variant.operations:
+            for basis in Basis:
+                for a_pat in [None] if op is AliceOp.CTRL else list(ClickPattern):
+                    for b_pat in ClickPattern:
+                        cell = (op, basis, a_pat, b_pat)
+                        if (op in single_mode and basis is Basis.COMPUTATIONAL
+                                and a_pat.n_clicks == 2):
+                            with pytest.raises(ContractViolation, match="alice sum 2"):
+                                protocol._classify(*cell)
+                        else:
+                            assert (protocol._classify(*cell)
+                                    == reference_label(*cell)), (variant, cell)
+
+
 def test_interpretation_guard_still_fires(monkeypatch):
     """Alice's click sum 2 on a single-mode swap is a contract violation."""
     plans = protocol._measure_plan

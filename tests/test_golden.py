@@ -43,6 +43,9 @@ COMMANDS = {
     "run_mirror_n3_long": ["run", "--attack", "random:5:8:0.8", "--n-max", "3",
                            "--loss", "0.5", "--hadamard-prob", "0.3",
                            "--rounds", "50000"],
+    # The return-state lemma over random attacks, manifest included.
+    "lemma": ["lemma", "--random", "20", "--delta", "0.01", "--probe-dim", "5",
+              "--seed", "4"],
 }
 
 # Attack unitaries of dimension 120 and more (n_max 4 with an 8-level probe)

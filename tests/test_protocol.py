@@ -1,5 +1,6 @@
 """Round enumeration, sampling, sifting, and the exact analyses."""
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
                               eve_conditional_states,
                               exact_statistics, legacy_identification,
                               run_protocol, simulate_records)
+from sqkdsim.robustness import check_conditions, measurement_cross_check
 
 MIRROR_OPS = (AliceOp.CTRL, AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL)
 BASES = (Basis.COMPUTATIONAL, Basis.HADAMARD)
@@ -321,6 +323,49 @@ def test_variant_mismatch_is_rejected():
                                ProtocolConfig(variant=Variant.LEGACY))
     with pytest.raises(ValueError):
         legacy_identification(identity_attack(), ProtocolConfig())
+
+
+def test_enumerator_must_hold_the_given_config_and_attack():
+    """An analysis given an enumerator of another config or attack raises
+    instead of reporting that enumerator's numbers under its own inputs."""
+    attack = random_attack(3, probe_dim=2)
+    cfg, legacy_cfg = ProtocolConfig(), ProtocolConfig(variant=Variant.LEGACY)
+    mirror, legacy = RoundEnumerator(cfg, attack), RoundEnumerator(legacy_cfg, attack)
+    lossy = RoundEnumerator(ProtocolConfig(channel_loss=0.5), attack)
+    skewed = {AliceOp.CTRL: 0.4, AliceOp.SWAP_10: 0.3, AliceOp.SWAP_01: 0.2,
+              AliceOp.SWAP_ALL: 0.1}
+    with pytest.raises(ValueError):
+        exact_statistics(legacy_cfg, attack, mirror)
+    with pytest.raises(ValueError):
+        check_conditions(attack, ProtocolConfig(), enumerator=lossy)
+    with pytest.raises(ValueError):
+        eve_conditional_states(attack, ProtocolConfig(alice_op_probs=skewed), mirror)
+    with pytest.raises(ValueError):
+        run_protocol(ProtocolConfig(rng_seed=1), attack, mirror)
+    with pytest.raises(ValueError):  # SWAP rails are a mirror-variant measurement
+        measurement_cross_check(attack, legacy_cfg, legacy)
+
+    # Another attack on the same space: other unitaries, or only another
+    # initial probe state.
+    others = (random_attack(4, probe_dim=2),
+              replace(attack, initial_probe=attack.initial_probe[::-1]))
+    for other in others:
+        for analysis in (lambda: simulate_records(cfg, other, mirror),
+                         lambda: run_protocol(cfg, other, mirror),
+                         lambda: exact_statistics(cfg, other, mirror),
+                         lambda: eve_conditional_states(other, cfg, mirror),
+                         lambda: check_conditions(other, cfg, enumerator=mirror),
+                         lambda: measurement_cross_check(other, cfg, mirror),
+                         lambda: legacy_identification(other, legacy_cfg, legacy)):
+            with pytest.raises(ValueError):
+                analysis()
+
+    # An equal attack built twice is the same attack.
+    twin = random_attack(3, probe_dim=2)
+    assert twin is not attack
+    assert exact_statistics(cfg, twin, mirror) == exact_statistics(cfg, attack)
+    assert (check_conditions(twin, cfg, enumerator=mirror)
+            == check_conditions(attack, cfg))
 
 
 def test_attack_config_shape_mismatch_is_rejected():
