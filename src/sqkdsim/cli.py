@@ -191,10 +191,9 @@ def cmd_run(args) -> int:
         "stats": stats.to_document(),
         "analysis": analysis,
     }
-    csv_rows = [["operation", "outcome", "count"]]
-    for op, per_op in sorted(stats.counts.items()):
-        for label, n in sorted(per_op.items()):
-            csv_rows.append([op, label, n])
+    csv_rows = [["operation", "outcome", "count"]] + [
+        [op, label, n] for op, per_op in sorted(stats.counts.items())
+        for label, n in sorted(per_op.items())]
     _write_outputs(args.out, doc, csv_rows)
 
     tables = [("run", [
@@ -284,8 +283,7 @@ def cmd_lemma(args) -> int:
                                             delta=args.delta)
             verdict = verify_lemma1(spec_input, zero_tol=args.zero_tol,
                                     conclusion_tol=args.conclusion_tol)
-            if not verdict.implication_holds:
-                failures += 1
+            failures += not verdict.implication_holds
             results.append(dict(asdict(verdict), source=f"random[{i}]"))
     doc = {
         "manifest": {"command": args.command, **_options(args)},

@@ -22,10 +22,10 @@ the nested loop loss, Alice's outcome, loss, Bob's outcome.
 A sampled run is one vectorized pass: row i of a counter-based Philox
 stream keyed by the seed picks round i's operation, basis and branch, the
 round is stored as a row index into that table, and the aggregates are
-counts over those indices.  The exact analyses (error probabilities, Eve's
-conditional states) read the same columns as masks, counts and matrix
-products.  Every analysis reads its config and attack from one enumerator:
-one passed in must hold the config and attack it is passed with.
+counts over those indices.  The exact analyses read block slices of the
+same columns as masks, counts and matrix products.  Every analysis reads
+its config and attack from one enumerator: one passed in must hold the
+config and attack it is passed with.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -187,7 +187,7 @@ class BranchTable:
     where sifting discards.  Bits are -1 unless the row is a SharedBit.
     Row i of ``eve_probe`` is Eve's normalized probe state after branch i;
     ``leaked`` is the weight the photon cap dropped along its path (each
-    branch of a split inherits it whole).
+    branch of a split inherits it whole).  Derived columns are computed once.
     """
 
     probability: np.ndarray
@@ -203,14 +203,18 @@ class BranchTable:
     def __len__(self) -> int:
         return len(self.probability)
 
-    @property
+    @cached_property
     def alice_clicks(self) -> np.ndarray:
         """Detectors Alice fired per row (the announced sum; 0 for CTRL)."""
         return _CLICKS[self.alice_pattern + 1]
 
-    @property
+    @cached_property
     def bob_clicks(self) -> np.ndarray:
         return _CLICKS[self.bob_pattern + 1]
+
+    @cached_property
+    def shared(self) -> np.ndarray:
+        return self.interpretation == _SHARED
 
     @property
     def discarded(self) -> np.ndarray:
@@ -361,7 +365,8 @@ class RoundEnumerator:
     of the variant in both of Bob's bases in one pass over a stack of
     sub-normalized states, one row per branch so far: each stage maps or
     splits every row at once, and the rows of one (operation, basis) stay
-    contiguous.
+    contiguous.  :attr:`blocks` finds the row range of each once per table,
+    and the analyses read the table's columns through those slices.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -373,12 +378,8 @@ class RoundEnumerator:
         self.config = config
         self.attack = attack
         self.system = asys
-        # Bob's plus photon (tag 0) next to Eve's initial probe state.
-        occs, probes = asys.basis_table
-        one_photon = occs.sum(axis=1) == 1
-        plus = one_photon & (occs[:, asys.slot(_PAIR, 0)] + occs[:, asys.slot(_PAIR, 1)] == 1)
-        self.initial = FockVector(asys, np.where(plus, 1 / sqrt(2.0), 0.0)
-                                  * attack.initial_probe[probes])
+        plus, probes = _launch(asys)  # next to Eve's initial probe state
+        self.initial = FockVector(asys, plus * attack.initial_probe[probes])
 
     def _loss(self, rows: np.ndarray):
         """Kraus branches of per-photon loss on the transmitted pair.
@@ -433,9 +434,8 @@ class RoundEnumerator:
         # the scatter, and each row's mass (two sources on one column would
         # lose some) after it.
         plan, _, map_code = _measure_plan(system, (None,))
-        n_maps, src, dst, _, starts, _, width = plan
-        if np.any(dst // width != np.repeat(np.arange(n_maps),
-                                            np.diff(starts, append=len(src)))):
+        _, src, dst, _, starts, _, width = plan
+        if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
             raise ContractViolation("post-measurement state not confined to vacuum")
         probe, prob, parent, which = _split(rows, plan)
         table_id, leaked, a_code = table_id[parent], leaked[parent], a_code[parent]
@@ -448,7 +448,7 @@ class RoundEnumerator:
             raise ContractViolation(
                 f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
         mass = _norm2(probe)
-        if np.any(np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)):
+        if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
             raise ContractViolation("post-measurement state not confined to vacuum")
 
         # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
@@ -461,14 +461,30 @@ class RoundEnumerator:
             column.setflags(write=False)
         return BranchTable(*columns)
 
-    def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
-        """The rows of :attr:`table` for one (operation, basis)."""
+    @cached_property
+    def blocks(self) -> dict:
+        """The row range (a slice of :attr:`table`) of each (operation, basis)."""
         keys = _table_keys(self.config.variant)
-        if (op, basis) not in keys:
+        bounds = self.table.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
+        return {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
+
+    def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
+        """The rows of :attr:`table` for one (operation, basis) as a table of
+        column views.  The analyses slice only the columns they read."""
+        if (op, basis) not in _table_keys(self.config.variant):
             raise ValueError(f"operation {op} not defined for {self.config.variant}")
-        t = keys.index((op, basis))
-        rows = slice(*self.table.table_id.searchsorted((t, t + 1)))
-        return BranchTable(*(column[rows] for column in vars(self.table).values()))
+        rows = self.blocks[op, basis]
+        return BranchTable(*(getattr(self.table, f.name)[rows] for f in fields(BranchTable)))
+
+
+@lru_cache(maxsize=None)
+def _launch(system: ModeSystem) -> tuple[np.ndarray, np.ndarray]:
+    """Bob's plus photon (tag 0) per basis index, and the index's probe level."""
+    occs, probes = system.basis_table
+    on_tag0 = occs[:, system.slot(_PAIR, 0)] + occs[:, system.slot(_PAIR, 1)] == 1
+    amplitude = np.where((occs.sum(axis=1) == 1) & on_tag0, 1 / sqrt(2.0), 0.0)
+    amplitude.setflags(write=False)  # shared by every enumerator on the space
+    return amplitude, probes
 
 
 @lru_cache(maxsize=None)
@@ -642,7 +658,7 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     swap_all_rate = _error_rate(counts, (AliceOp.SWAP_ALL,))  # None without such rounds
 
     # Shared bits in round order.
-    shared = rounds[table.interpretation[rounds] == _SHARED]
+    shared = rounds[table.shared[rounds]]
     alice_bits = table.alice_bit[shared].astype(np.uint8)
     bob_bits = table.bob_bit[shared].astype(np.uint8)
 
@@ -729,9 +745,8 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
     errors = {op: dist.get(Interpretation.ERROR.value, 0.0)
               for op, dist in outcome.items()}
     weight = mass * np.array([config.alice_op_probs.get(op, 0.0) for op in ops])[op_index]
-    shared = table.interpretation == _SHARED
-    p_shared = float(weight[shared].sum())
-    p_mismatch = float(weight[shared & (table.alice_bit != table.bob_bit)].sum())
+    p_shared = float(weight[table.shared].sum())
+    p_mismatch = float(weight[table.shared & (table.alice_bit != table.bob_bit)].sum())
     return ExactStatistics(outcome, errors,
                            p_mismatch / p_shared if p_shared > 0 else None)
 
@@ -739,11 +754,11 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
 _PROBE_MASS_TOL = 1e-15
 
 
-def _probe_mixture(table: BranchTable, w: float, rows=slice(None)) -> np.ndarray:
-    """``w`` times the sum of p psi psi^dagger over the selected rows of a
-    table, as one product: (w p psi)^T conj(psi)."""
-    probe = table.eve_probe[rows]
-    return ((w * table.probability[rows])[:, None] * probe).T @ probe.conj()
+def _probe_mixture(table: BranchTable, w: float, rows: slice, mask=slice(None)) -> np.ndarray:
+    """``w`` times the sum of p psi psi^dagger over the ``mask``ed rows of
+    one block of a table, as one product: (w p psi)^T conj(psi)."""
+    probe = table.eve_probe[rows][mask]
+    return ((w * table.probability[rows][mask])[:, None] * probe).T @ probe.conj()
 
 
 @dataclass(frozen=True)
@@ -751,8 +766,9 @@ class EveConditionals:
     """Eve's exact probe states on SharedBit rounds, keyed by Bob's key bit.
 
     ``p_shared`` is the SharedBit probability conditioned on Alice playing a
-    single-mode swap and Bob measuring computationally.  ``trace_distance``
-    is None when one of the two bit values never occurs.
+    single-mode swap (SWAP-10 and SWAP-01 weighted as in the config, or
+    equally if it plays neither) and Bob measuring computationally.
+    ``trace_distance`` is None when one of the two bit values never occurs.
     """
 
     p_shared: float
@@ -764,10 +780,11 @@ class EveConditionals:
 def eve_conditional_states(attack: Attack,
                            config: Optional[ProtocolConfig] = None,
                            enumerator: Optional[RoundEnumerator] = None) -> EveConditionals:
-    """Eve's probe states per key bit on a mirror config (default if None).
-    A given enumerator must hold that config and ``attack``."""
+    """Eve's probe states per key bit on a mirror config (default if None),
+    mixing SWAP-10 and SWAP-01 rounds by their config weights, or equally if
+    it plays neither.  A given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    pl = enum.system.probe_levels
+    pl, table = enum.system.probe_levels, enum.table
     w10 = enum.config.alice_op_probs.get(AliceOp.SWAP_10, 0.0)
     w01 = enum.config.alice_op_probs.get(AliceOp.SWAP_01, 0.0)
     total = w10 + w01
@@ -775,21 +792,18 @@ def eve_conditional_states(attack: Attack,
         {AliceOp.SWAP_10: w10 / total, AliceOp.SWAP_01: w01 / total}
     rho = {b: np.zeros((pl, pl), dtype=np.complex128) for b in (0, 1)}
     for op, w in weights.items():
-        table = enum.branches(op, Basis.COMPUTATIONAL)
-        shared = table.interpretation == _SHARED
+        rows = enum.blocks[op, Basis.COMPUTATIONAL]
+        shared, bob_bit = table.shared[rows], table.bob_bit[rows]
         for b in (0, 1):
-            rho[b] += _probe_mixture(table, w, shared & (table.bob_bit == b))
-    p_bit = {b: float(np.trace(m).real) for b, m in rho.items()}
+            rho[b] += _probe_mixture(table, w, rows, shared & (bob_bit == b))
+    p_bit = {b: float(m.trace().real) for b, m in rho.items()}
     p_shared = p_bit[0] + p_bit[1]
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
-    states = {}
-    for b in (0, 1):
-        if p_bit[b] > _PROBE_MASS_TOL:
-            op_density = DensityOperator(probe_space, rho[b] / p_bit[b])
-            op_density.validate()
-            states[b] = op_density
-    dist = (trace_distance(states[0], states[1])
-            if 0 in states and 1 in states else None)
+    states = {b: DensityOperator(probe_space, rho[b] / p_bit[b])
+              for b in (0, 1) if p_bit[b] > _PROBE_MASS_TOL}
+    for density in states.values():
+        density.validate()
+    dist = trace_distance(states[0], states[1]) if len(states) == 2 else None
     return EveConditionals(p_shared, p_bit, states, dist)
 
 
@@ -816,12 +830,10 @@ def legacy_identification(attack: Attack,
     for op in (AliceOp.CTRL, AliceOp.SIFT):
         mat = np.zeros((pl, pl), dtype=np.complex128)
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
-            if w == 0.0:
-                continue
-            mat += _probe_mixture(enum.branches(op, basis), w)
-        density = DensityOperator(probe_space, mat)
-        density.validate()
-        rho[op] = density
+            if w != 0.0:
+                mat += _probe_mixture(enum.table, w, enum.blocks[op, basis])
+        rho[op] = DensityOperator(probe_space, mat)
+        rho[op].validate()
     dist = trace_distance(rho[AliceOp.CTRL], rho[AliceOp.SIFT])
     return SiftCtrlIdentification(rho[AliceOp.CTRL], rho[AliceOp.SIFT],
                                   dist, 0.5 * (1.0 + dist))

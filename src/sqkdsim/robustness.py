@@ -11,7 +11,7 @@ learn nothing.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, fields
+from dataclasses import dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -82,31 +82,28 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
     p_had = enum.config.bob_hadamard_prob
     p_comp = 1.0 - p_had
 
-    ctrl = enum.branches(AliceOp.CTRL, Basis.HADAMARD)
-    minus = ctrl.bob_pattern >= ClickPattern.P10.code  # 10 and 11: mode-1 bit set
-    ctrl_minus = p_had * float(ctrl.probability[minus].sum())
+    table, blocks = enum.table, enum.blocks
+    ctrl = blocks[AliceOp.CTRL, Basis.HADAMARD]
+    minus = table.bob_pattern[ctrl] >= ClickPattern.P10.code  # 10 and 11: mode-1 bit set
+    ctrl_minus = p_had * float(table.probability[ctrl][minus].sum())
 
     both_held = double = 0.0
-    wrong_mode = {AliceOp.SWAP_10: 0.0, AliceOp.SWAP_01: 0.0}
+    wrong_mode = {}
     # The swapped-out mode is the only one Bob may legitimately click in;
     # its opposite showing up alone means the photon dodged Alice's swap.
-    forbidden_pattern = {AliceOp.SWAP_10: ClickPattern.P10,
-                         AliceOp.SWAP_01: ClickPattern.P01}
-    for op in (AliceOp.SWAP_10, AliceOp.SWAP_01):
-        table = enum.branches(op, Basis.COMPUTATIONAL)
-        p, a, b = table.probability, table.alice_clicks, table.bob_clicks
-        p_both = p[(a >= 1) & (b >= 1)].sum()
-        p_double = p[(a == 2) | (b == 2)].sum()
-        p_wrong = p[(a == 0) & (table.bob_pattern
-                                == forbidden_pattern[op].code)].sum()
-        both_held = max(both_held, float(p_comp * p_both))
-        double = max(double, float(p_comp * p_double))
-        wrong_mode[op] = float(p_comp * p_wrong)
+    for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
+                          (AliceOp.SWAP_01, ClickPattern.P01)):
+        block = blocks[op, Basis.COMPUTATIONAL]
+        p, a, b = (c[block] for c in (table.probability, table.alice_clicks, table.bob_clicks))
+        both_held = max(both_held, float(p_comp * p[(a >= 1) & (b >= 1)].sum()))
+        double = max(double, float(p_comp * p[(a == 2) | (b == 2)].sum()))
+        wrong = (a == 0) & (table.bob_pattern[block] == forbidden.code)
+        wrong_mode[op] = float(p_comp * p[wrong].sum())
 
-    swap_all = enum.branches(AliceOp.SWAP_ALL, Basis.COMPUTATIONAL)
-    alice_double = float(swap_all.probability[
-        swap_all.alice_pattern == ClickPattern.P11.code].sum())
-    bob_click = float(swap_all.probability[swap_all.bob_clicks >= 1].sum())
+    swap_all = blocks[AliceOp.SWAP_ALL, Basis.COMPUTATIONAL]
+    p = table.probability[swap_all]
+    alice_double = float(p[table.alice_pattern[swap_all] == ClickPattern.P11.code].sum())
+    bob_click = float(p[table.bob_clicks[swap_all] >= 1].sum())
 
     return ConditionReport(
         ctrl_minus=ctrl_minus,
@@ -362,7 +359,7 @@ class SweepReport:
         empty cell and a flag is 0 or 1."""
         return [list(self.CSV_HEADER)] + [
             ["" if v is None else int(v) if isinstance(v, bool) else v
-             for v in astuple(r)] for r in self.records]
+             for v in (getattr(r, name) for name in self.CSV_HEADER)] for r in self.records]
 
 
 def robustness_sweep(master_seed: int = 0, count: int = 100,
@@ -387,8 +384,7 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
     for i in range(count):
         probe_dim = (i % max_probe_dim) + 1
         seed = int(seeds[i])
-        attack = random_attack(seed, probe_dim=probe_dim, strength=strength,
-                               n_max=n_max)
+        attack = random_attack(seed, probe_dim=probe_dim, strength=strength, n_max=n_max)
         enum = RoundEnumerator(config, attack)
         report = check_conditions(attack, config, enumerator=enum)
         conditionals = eve_conditional_states(attack, config, enumerator=enum)
@@ -396,13 +392,8 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
         quiet = report.max_violation < eps_error
         informative = dist is not None and dist > eps_info
         records.append(SweepRecord(
-            index=i,
-            seed=seed,
-            probe_dim=probe_dim,
-            max_violation=report.max_violation,
-            p_shared=conditionals.p_shared,
-            trace_distance=dist,
-            counterexample=quiet and informative,
-        ))
+            index=i, seed=seed, probe_dim=probe_dim, max_violation=report.max_violation,
+            p_shared=conditionals.p_shared, trace_distance=dist,
+            counterexample=quiet and informative))
     return SweepReport(master_seed, strength, eps_error, eps_info,
                        tuple(records))

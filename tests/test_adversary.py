@@ -185,6 +185,35 @@ def test_random_attack_matches_expm_oracle(n_max, strength):
             assert np.abs(mat.conj().T @ mat - np.eye(d)).max() <= 1e-13
 
 
+def _sequential_random_unitaries(seed, probe_dim, strength, n_max):
+    """random_attack's documented recipe, one generator at a time: U's two
+    normal blocks, then V's, one ``eigh`` and one product per generator."""
+    d = attack_space(tag_dim=1, n_max=n_max, probe_dim=probe_dim).dim
+    rng = np.random.default_rng(seed)
+    out = []
+    for _ in range(2):
+        a = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        if strength == 0.0:
+            out.append(np.eye(d))
+            continue
+        w, vecs = np.linalg.eigh((a + a.conj().T) / 2.0)
+        out.append((vecs * np.exp(1j * strength * w)) @ vecs.conj().T)
+    return out
+
+
+@pytest.mark.parametrize("strength", [0.0, 1e-3, 0.3, 1.0])
+@pytest.mark.parametrize("n_max", [2, 3, 4])
+def test_random_attack_equals_sequential_recipe_bit_for_bit(n_max, strength):
+    """The stacked eigh and product give exactly the per-generator bits."""
+    for probe_dim in range(1, 9):
+        seed = 7919 * n_max + probe_dim
+        attack = random_attack(seed, probe_dim=probe_dim, strength=strength,
+                               n_max=n_max)
+        u, v = _sequential_random_unitaries(seed, probe_dim, strength, n_max)
+        assert np.array_equal(attack.u_forward, u)
+        assert np.array_equal(attack.v_backward, v)
+
+
 def test_tagging_attack_marks_and_cleans():
     attack = tagging_attack()
     ms = attack.system

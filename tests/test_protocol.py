@@ -301,6 +301,21 @@ def test_quiet_probe_rotation_learns_nothing():
     assert cond.trace_distance == pytest.approx(0.0, abs=1e-10)
 
 
+def test_eve_conditionals_fall_back_to_equal_swap_weights():
+    """A config that plays neither single-mode swap mixes SWAP-10 and
+    SWAP-01 equally, which is what the default config's equal weights do."""
+    attack = random_attack(17, probe_dim=3)
+    no_swaps = ProtocolConfig(alice_op_probs={AliceOp.CTRL: 0.5, AliceOp.SWAP_ALL: 0.5})
+    fallback = eve_conditional_states(attack, no_swaps)
+    default = eve_conditional_states(attack, ProtocolConfig())
+    assert fallback.p_shared == default.p_shared
+    assert fallback.p_bit == default.p_bit
+    assert fallback.trace_distance == default.trace_distance
+    assert fallback.states.keys() == default.states.keys() == {0, 1}
+    for b in (0, 1):
+        assert np.array_equal(fallback.states[b].matrix, default.states[b].matrix)
+
+
 def test_legacy_identity_run_shares_bits():
     cfg = ProtocolConfig(variant=Variant.LEGACY, n_rounds=2000, rng_seed=3)
     stats = run_protocol(cfg, identity_attack())
