@@ -228,13 +228,14 @@ class BranchTable:
 
 def _norm2(rows: np.ndarray) -> np.ndarray:
     flat = rows.view(np.float64)  # (re, im) pairs
-    return np.einsum("ij,ij->i", flat, flat)
+    return np.einsum("...j,...j->...", flat, flat)
 
 
-def _evolve(rows: np.ndarray, leaked: np.ndarray, matrix: np.ndarray):
-    """Apply a matrix unitary up to truncation to every row; lost norm is
-    recorded per row as in :func:`~sqkdsim.fock.apply_truncating_unitary`."""
-    out = rows @ matrix.T
+def _evolve(rows: np.ndarray, leaked: np.ndarray, matrices: np.ndarray):
+    """Apply each attack's matrix unitary up to truncation to its rows, one
+    product per slice of the stack; lost norm is recorded per row as in
+    :func:`~sqkdsim.fock.apply_truncating_unitary`."""
+    out = rows @ matrices.transpose(0, 2, 1)
     return out, leaked + np.maximum(_norm2(rows) - _norm2(out), 0.0)
 
 
@@ -254,26 +255,35 @@ def _split_plan(width: int, maps, keep=()) -> tuple:
             starts, np.isin(np.arange(len(maps)), keep), width)
 
 
+class _PrunedApart(Exception):
+    """The attacks of a stack prune different rows."""
+
+
 def _split(rows: np.ndarray, plan: tuple):
-    """Push every row through every map of a split plan.
+    """Push every row of an (attack, row, column) stack through every map
+    of a split plan.
 
     Output rows are ordered by (input row, map), the order of a nested loop
     over rows and then maps; rows of weight at most ``PRUNE`` are dust and
-    dropped.  Returns the rows, their weights, and the input row and map
-    each came from.
+    dropped, the same for every attack (else :class:`_PrunedApart`).
+    Returns the rows and weights per attack, and each row's input row and map.
     """
     n_maps, src, dst, amp, starts, keep_map, width = plan
-    n = len(rows)
-    moved = rows.take(src, axis=1)
+    k, n = rows.shape[:2]
+    moved = rows.take(src, axis=2)
     if amp is not None:
         moved *= amp
     flat = moved.view(np.float64)  # (re, im) pairs
-    weight = np.add.reduceat(flat * flat, 2 * starts, axis=1)  # (row, map)
-    keep = np.flatnonzero((weight > PRUNE) | keep_map)
-    out = np.zeros((n, n_maps * width), dtype=np.complex128)
-    out[:, dst] = moved
+    weight = np.add.reduceat(flat * flat, 2 * starts, axis=2)  # (attack, row, map)
+    live = (weight > PRUNE) | keep_map
+    if k > 1 and (live != live[0]).any():
+        raise _PrunedApart
+    keep = np.flatnonzero(live[0])
+    out = np.zeros((k, n, n_maps * width), dtype=np.complex128)
+    out[..., dst] = moved
     parent, which = np.divmod(keep, n_maps)
-    return out.reshape(n * n_maps, width)[keep], weight.ravel()[keep], parent, which
+    return (out.reshape(k, n * n_maps, width).take(keep, axis=1),
+            weight.reshape(k, -1).take(keep, axis=1), parent, which)
 
 
 @lru_cache(maxsize=None)
@@ -365,8 +375,10 @@ class RoundEnumerator:
     of the variant in both of Bob's bases in one pass over a stack of
     sub-normalized states, one row per branch so far: each stage maps or
     splits every row at once, and the rows of one (operation, basis) stay
-    contiguous.  :attr:`blocks` finds the row range of each once per table,
-    and the analyses read the table's columns through those slices.
+    contiguous.  That pass is :func:`_branch_stack` of a one-attack stack,
+    the code a sweep runs on many attacks of one space at once.  :attr:`blocks`
+    finds the row range of each once per table, and the analyses read the
+    table's columns through those slices.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -378,95 +390,28 @@ class RoundEnumerator:
         self.config = config
         self.attack = attack
         self.system = asys
-        plus, probes = _launch(asys)  # next to Eve's initial probe state
-        self.initial = FockVector(asys, plus * attack.initial_probe[probes])
 
-    def _loss(self, rows: np.ndarray):
-        """Kraus branches of per-photon loss on the transmitted pair.
+    @cached_property
+    def initial(self) -> FockVector:
+        """Bob's plus photon next to Eve's initial probe state."""
+        plus, probes = _launch(self.system)
+        return FockVector(self.system, plus * self.attack.initial_probe[probes])
 
-        Each branch fixes how many photons vanished from each slot; the
-        environment keeps that record, so branches do not interfere.
-        Returns the rows and the input row each came from.
-        """
-        q = self.config.channel_loss
-        if q >= 1.0:
-            return rows, np.arange(len(rows))
-        rows, _, parent, _ = _split(rows, _loss_plan(self.system, q))
-        return rows, parent
+    @cached_property
+    def _stack(self) -> BranchTable:
+        return _branch_stack(self.config, (self.attack,))
 
     @cached_property
     def table(self) -> BranchTable:
         """Every branch of the variant, rows sorted by ``table_id``."""
-        system, variant = self.system, self.config.variant
-        ops = variant.operations
-        # Forward pass: loss, then Eve's forward unitary.
-        rows, _ = self._loss(self.initial.amplitudes[None, :])
-        rows, leaked = _evolve(rows, np.zeros(len(rows)), self.attack.u_forward)
-
-        # Alice, every operation at once; rows are then sorted by operation
-        # (stably, so each operation keeps its nested-loop order).
-        plan, map_op, map_code = _measure_plan(system, ops)
-        rows, _, parent, which = _split(rows, plan)
-        order = np.argsort(map_op[which], kind="stable")
-        rows, parent, which = rows[order], parent[order], which[order]
-        op_index, a_code, leaked = map_op[which], map_code[which], leaked[parent]
-        if variant is Variant.LEGACY:
-            # SIFT resends one fresh photon per clicked mode, tag reset to 0.
-            # Nothing meets the photon cap: the measured pair is empty, and a
-            # double click needs room for two photons.
-            for mode in (0, 1):
-                clicked = (a_code >= 0) & ((a_code >> mode) & 1 == 1)  # bit m: mode m
-                rows[clicked] = rows[clicked] @ creation_operator(
-                    system, system.slot(_PAIR, mode, 0)).T
-
-        # Backward pass, then Bob in each basis: the stack is doubled, the
-        # computational copy first, so rows group by (basis, operation).
-        rows, leaked = _evolve(rows, leaked, self.attack.v_backward)
-        rows, parent = self._loss(rows)
-        rows = np.concatenate([rows, rows @ hadamard_matrix(system, _PAIR).T])
-        parent = np.concatenate([parent, parent + len(op_index)])
-        table_id = np.concatenate([op_index, op_index + len(ops)])[parent]
-        leaked = np.concatenate([leaked, leaked])[parent]
-        a_code = np.concatenate([a_code, a_code])[parent]
-        # Bob empties the pair, so his split writes only Eve's probe columns:
-        # map k fills block k of a row.  A destination outside its own block
-        # would land in another branch's row, so the plan is checked before
-        # the scatter, and each row's mass (two sources on one column would
-        # lose some) after it.
-        plan, _, map_code = _measure_plan(system, (None,))
-        _, src, dst, _, starts, _, width = plan
-        if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
-            raise ContractViolation("post-measurement state not confined to vacuum")
-        probe, prob, parent, which = _split(rows, plan)
-        table_id, leaked, a_code = table_id[parent], leaked[parent], a_code[parent]
-        b_code = map_code[which]
-
-        keys = _table_keys(variant)
-        totals = np.bincount(table_id, weights=prob, minlength=len(keys))
-        for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL).tolist():
-            op, basis = keys[t]
-            raise ContractViolation(
-                f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
-        mass = _norm2(probe)
-        if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
-            raise ContractViolation("post-measurement state not confined to vacuum")
-
-        # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
-        cells = table_id * _N_CELLS + (a_code + 1) * len(PATTERNS) + b_code
-        present = tuple(np.flatnonzero(np.bincount(cells)).tolist())
-        interp, a_bit, b_bit = _cell_lookup(variant, present)[cells].T
-        columns = (prob, a_code, b_code, interp, a_bit, b_bit,
-                   probe / np.sqrt(mass)[:, None], leaked, table_id)
-        for column in columns:
-            column.setflags(write=False)
-        return BranchTable(*columns)
+        stack = self._stack
+        return BranchTable(*(getattr(stack, name)[0] if name in _PER_ATTACK
+                             else getattr(stack, name) for name in _COLUMNS))
 
     @cached_property
     def blocks(self) -> dict:
         """The row range (a slice of :attr:`table`) of each (operation, basis)."""
-        keys = _table_keys(self.config.variant)
-        bounds = self.table.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
-        return {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
+        return _blocks(self.config.variant, self.table.table_id)
 
     def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
         """The rows of :attr:`table` for one (operation, basis) as a table of
@@ -474,7 +419,105 @@ class RoundEnumerator:
         if (op, basis) not in _table_keys(self.config.variant):
             raise ValueError(f"operation {op} not defined for {self.config.variant}")
         rows = self.blocks[op, basis]
-        return BranchTable(*(getattr(self.table, f.name)[rows] for f in fields(BranchTable)))
+        return BranchTable(*(getattr(self.table, name)[rows] for name in _COLUMNS))
+
+
+_COLUMNS = tuple(f.name for f in fields(BranchTable))
+_PER_ATTACK = ("probability", "eve_probe", "leaked")  # the other columns are shared
+
+
+def _blocks(variant: Variant, table_id: np.ndarray) -> dict:
+    """The row range of each (operation, basis) in a sorted ``table_id``."""
+    keys = _table_keys(variant)
+    bounds = table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
+    return {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
+
+
+def _branch_stack(config: ProtocolConfig, attacks) -> BranchTable:
+    """Every branch of the variant for attacks on one space, rows sorted by
+    ``table_id``; the ``_PER_ATTACK`` columns have a leading attack axis.
+    Each product is one per slice, so an attack's columns have the bits of
+    its own one-attack stack, and every check runs for every attack."""
+    system, variant, survival = attacks[0].system, config.variant, config.channel_loss
+    ops = variant.operations
+
+    def loss(rows: np.ndarray):
+        """Per-photon loss (:func:`_loss_maps`): the rows, and each one's input row."""
+        if survival >= 1.0:
+            return rows, np.arange(rows.shape[1])
+        rows, _, parent, _ = _split(rows, _loss_plan(system, survival))
+        return rows, parent
+
+    plus, probes = _launch(system)
+    rows = _stacked([plus * a.initial_probe[probes] for a in attacks])[:, None]
+    # Forward pass: loss, then Eve's forward unitary.
+    rows, _ = loss(rows)
+    rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]),
+                           _stacked([a.u_forward for a in attacks]))
+
+    # Alice, every operation at once; rows are then sorted by operation
+    # (stably, so each operation keeps its nested-loop order).
+    plan, map_op, map_code = _measure_plan(system, ops)
+    rows, _, parent, which = _split(rows, plan)
+    order = np.argsort(map_op[which], kind="stable")
+    rows, parent, which = rows.take(order, axis=1), parent[order], which[order]
+    op_index, a_code, leaked = map_op[which], map_code[which], leaked.take(parent, axis=1)
+    if variant is Variant.LEGACY:
+        # SIFT resends one fresh photon per clicked mode, tag reset to 0.
+        # Nothing meets the photon cap: the measured pair is empty, and a
+        # double click needs room for two photons.
+        for mode in (0, 1):
+            clicked = (a_code >= 0) & ((a_code >> mode) & 1 == 1)  # bit m: mode m
+            rows[:, clicked] = rows[:, clicked] @ creation_operator(
+                system, system.slot(_PAIR, mode, 0)).T
+
+    # Backward pass, then Bob in each basis: the stack is doubled, the
+    # computational copy first, so rows group by (basis, operation).
+    rows, leaked = _evolve(rows, leaked, _stacked([a.v_backward for a in attacks]))
+    rows, parent = loss(rows)
+    rows = np.concatenate([rows, rows @ hadamard_matrix(system, _PAIR).T], axis=1)
+    parent = np.concatenate([parent, parent + len(op_index)])
+    table_id = np.concatenate([op_index, op_index + len(ops)])[parent]
+    leaked = np.concatenate([leaked, leaked], axis=1).take(parent, axis=1)
+    a_code = np.concatenate([a_code, a_code])[parent]
+    # Bob empties the pair, so his split writes only Eve's probe columns:
+    # map k fills block k of a row.  A destination outside its own block
+    # would land in another branch's row, so the plan is checked before
+    # the scatter, and each row's mass (two sources on one column would
+    # lose some) after it.
+    plan, _, map_code = _measure_plan(system, (None,))
+    _, src, dst, _, starts, _, width = plan
+    if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
+        raise ContractViolation("post-measurement state not confined to vacuum")
+    probe, prob, parent, which = _split(rows, plan)
+    table_id, leaked, a_code = table_id[parent], leaked.take(parent, axis=1), a_code[parent]
+    b_code = map_code[which]
+
+    keys = _table_keys(variant)
+    for p in prob:
+        totals = np.bincount(table_id, weights=p, minlength=len(keys))
+        for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL).tolist():
+            op, basis = keys[t]
+            raise ContractViolation(
+                f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
+    mass = _norm2(probe)
+    if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
+        raise ContractViolation("post-measurement state not confined to vacuum")
+
+    # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
+    cells = table_id * _N_CELLS + (a_code + 1) * len(PATTERNS) + b_code
+    present = tuple(np.flatnonzero(np.bincount(cells)).tolist())
+    interp, a_bit, b_bit = _cell_lookup(variant, present)[cells].T
+    columns = (prob, a_code, b_code, interp, a_bit, b_bit,
+               probe / np.sqrt(mass)[..., None], leaked, table_id)
+    for column in columns:
+        column.setflags(write=False)
+    return BranchTable(*columns)
+
+
+def _stacked(arrays: list) -> np.ndarray:
+    """One array per attack as a stack; a lone array is not copied."""
+    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 @lru_cache(maxsize=None)
@@ -754,11 +797,14 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
 _PROBE_MASS_TOL = 1e-15
 
 
-def _probe_mixture(table: BranchTable, w: float, rows: slice, mask=slice(None)) -> np.ndarray:
-    """``w`` times the sum of p psi psi^dagger over the ``mask``ed rows of
-    one block of a table, as one product: (w p psi)^T conj(psi)."""
-    probe = table.eve_probe[rows][mask]
-    return ((w * table.probability[rows][mask])[:, None] * probe).T @ probe.conj()
+def _probe_mixture(stack: BranchTable, w: float, rows: slice, mask=None) -> np.ndarray:
+    """``w`` times the sum of p psi psi^dagger over the ``mask``ed rows (all
+    if None) of one block of a stacked table, per attack: one product per
+    slice, (w p psi)^T conj(psi)."""
+    p, probe = stack.probability[:, rows], stack.eve_probe[:, rows]
+    if mask is not None:
+        p, probe = p.compress(mask, axis=1), probe.compress(mask, axis=1)
+    return ((w * p)[..., None] * probe).transpose(0, 2, 1) @ probe.conj()
 
 
 @dataclass(frozen=True)
@@ -782,29 +828,39 @@ def eve_conditional_states(attack: Attack,
                            enumerator: Optional[RoundEnumerator] = None) -> EveConditionals:
     """Eve's probe states per key bit on a mirror config (default if None),
     mixing SWAP-10 and SWAP-01 rounds by their config weights, or equally if
-    it plays neither.  A given enumerator must hold that config and ``attack``."""
+    it plays neither, by the core a sweep runs on a stack of attacks.  A
+    given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    pl, table = enum.system.probe_levels, enum.table
-    w10 = enum.config.alice_op_probs.get(AliceOp.SWAP_10, 0.0)
-    w01 = enum.config.alice_op_probs.get(AliceOp.SWAP_01, 0.0)
+    return _eve_conditionals(enum.config, enum._stack, enum.blocks, enum.system)[0]
+
+
+def _eve_conditionals(config: ProtocolConfig, stack: BranchTable, blocks: dict,
+                      system: ModeSystem) -> list[EveConditionals]:
+    """:func:`eve_conditional_states` of each attack of a stacked table on
+    ``system``, its states each validated, from stacked probe mixtures."""
+    w10 = config.alice_op_probs.get(AliceOp.SWAP_10, 0.0)
+    w01 = config.alice_op_probs.get(AliceOp.SWAP_01, 0.0)
     total = w10 + w01
     weights = {AliceOp.SWAP_10: 0.5, AliceOp.SWAP_01: 0.5} if total == 0 else \
         {AliceOp.SWAP_10: w10 / total, AliceOp.SWAP_01: w01 / total}
-    rho = {b: np.zeros((pl, pl), dtype=np.complex128) for b in (0, 1)}
+    pl = system.probe_levels
+    rho = np.zeros((2, len(stack.probability), pl, pl), dtype=np.complex128)  # (bit, attack)
     for op, w in weights.items():
-        rows = enum.blocks[op, Basis.COMPUTATIONAL]
-        shared, bob_bit = table.shared[rows], table.bob_bit[rows]
+        rows = blocks[op, Basis.COMPUTATIONAL]
+        shared, bob_bit = stack.shared[rows], stack.bob_bit[rows]
         for b in (0, 1):
-            rho[b] += _probe_mixture(table, w, rows, shared & (bob_bit == b))
-    p_bit = {b: float(m.trace().real) for b, m in rho.items()}
-    p_shared = p_bit[0] + p_bit[1]
-    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
-    states = {b: DensityOperator(probe_space, rho[b] / p_bit[b])
-              for b in (0, 1) if p_bit[b] > _PROBE_MASS_TOL}
-    for density in states.values():
-        density.validate()
-    dist = trace_distance(states[0], states[1]) if len(states) == 2 else None
-    return EveConditionals(p_shared, p_bit, states, dist)
+            rho[b] += _probe_mixture(stack, w, rows, shared & (bob_bit == b))
+    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=system.probe_dim)
+    found = []
+    for mixtures in rho.swapaxes(0, 1):
+        p_bit = {b: float(m.trace().real) for b, m in enumerate(mixtures)}
+        states = {b: DensityOperator(probe_space, mixtures[b] / p_bit[b])
+                  for b in (0, 1) if p_bit[b] > _PROBE_MASS_TOL}
+        for density in states.values():
+            density.validate()
+        dist = trace_distance(states[0], states[1]) if len(states) == 2 else None
+        found.append(EveConditionals(p_bit[0] + p_bit[1], p_bit, states, dist))
+    return found
 
 
 @dataclass(frozen=True)
@@ -831,7 +887,7 @@ def legacy_identification(attack: Attack,
         mat = np.zeros((pl, pl), dtype=np.complex128)
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
             if w != 0.0:
-                mat += _probe_mixture(enum.table, w, enum.blocks[op, basis])
+                mat += _probe_mixture(enum._stack, w, enum.blocks[op, basis])[0]
         rho[op] = DensityOperator(probe_space, mat)
         rho[op].validate()
     dist = trace_distance(rho[AliceOp.CTRL], rho[AliceOp.SIFT])

@@ -11,18 +11,19 @@ learn nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields
+from dataclasses import dataclass, fields, replace
 from typing import Optional
 
 import numpy as np
 
-from .adversary import Attack, random_attack
+from .adversary import Attack, attack_space, random_attack
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
                    hadamard_change, tensor, vacuum)
 from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
-from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _document,
-                       _enumerator, _measure_plan, _split, eve_conditional_states)
+from .protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant, _PrunedApart,
+                       _blocks, _branch_stack, _document, _enumerator, _eve_conditionals,
+                       _measure_plan, _split)
 
 __all__ = [
     "ConditionReport",
@@ -76,45 +77,38 @@ class ConditionReport:
 def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
                      cross_check: bool = False,
                      enumerator: Optional[RoundEnumerator] = None) -> ConditionReport:
-    """The seven detection conditions on a mirror config (default if None).
-    A given enumerator must hold that config and ``attack``."""
+    """The seven detection conditions on a mirror config (default if None),
+    by the core a sweep runs on a stack of attacks.  A given enumerator
+    must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    p_had = enum.config.bob_hadamard_prob
+    report = _conditions(enum.config, enum._stack, enum.blocks)[0]
+    return replace(report, cross_check_deviation=_cross_check(enum)) if cross_check else report
+
+
+def _conditions(config: ProtocolConfig, stack: BranchTable, blocks: dict) -> list:
+    """:func:`check_conditions` of each attack of a stacked table: every
+    mask is found once, and each sum is a 1-D masked sum of one attack's row."""
+    p_had = config.bob_hadamard_prob
     p_comp = 1.0 - p_had
-
-    table, blocks = enum.table, enum.blocks
     ctrl = blocks[AliceOp.CTRL, Basis.HADAMARD]
-    minus = table.bob_pattern[ctrl] >= ClickPattern.P10.code  # 10 and 11: mode-1 bit set
-    ctrl_minus = p_had * float(table.probability[ctrl][minus].sum())
-
-    both_held = double = 0.0
-    wrong_mode = {}
+    # (scale, block, mask) per sum; Bob's 10 and 11 set the mode-1 (minus) bit.
+    terms = [(p_had, ctrl, stack.bob_pattern[ctrl] >= ClickPattern.P10.code)]
     # The swapped-out mode is the only one Bob may legitimately click in;
     # its opposite showing up alone means the photon dodged Alice's swap.
     for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
                           (AliceOp.SWAP_01, ClickPattern.P01)):
         block = blocks[op, Basis.COMPUTATIONAL]
-        p, a, b = (c[block] for c in (table.probability, table.alice_clicks, table.bob_clicks))
-        both_held = max(both_held, float(p_comp * p[(a >= 1) & (b >= 1)].sum()))
-        double = max(double, float(p_comp * p[(a == 2) | (b == 2)].sum()))
-        wrong = (a == 0) & (table.bob_pattern[block] == forbidden.code)
-        wrong_mode[op] = float(p_comp * p[wrong].sum())
-
+        a, b = stack.alice_clicks[block], stack.bob_clicks[block]
+        terms += [(p_comp, block, (a >= 1) & (b >= 1)), (p_comp, block, (a == 2) | (b == 2)),
+                  (p_comp, block, (a == 0) & (stack.bob_pattern[block] == forbidden.code))]
     swap_all = blocks[AliceOp.SWAP_ALL, Basis.COMPUTATIONAL]
-    p = table.probability[swap_all]
-    alice_double = float(p[table.alice_pattern[swap_all] == ClickPattern.P11.code].sum())
-    bob_click = float(p[table.bob_clicks[swap_all] >= 1].sum())
-
-    return ConditionReport(
-        ctrl_minus=ctrl_minus,
-        swap_x_both_held=both_held,
-        swap_x_double=double,
-        swap_10_wrong_mode=wrong_mode[AliceOp.SWAP_10],
-        swap_01_wrong_mode=wrong_mode[AliceOp.SWAP_01],
-        swap_all_alice_double=alice_double,
-        swap_all_bob_click=p_comp * bob_click,
-        cross_check_deviation=_cross_check(enum) if cross_check else None,
-    )
+    terms += [(1.0, swap_all, stack.alice_pattern[swap_all] == ClickPattern.P11.code),
+              (p_comp, swap_all, stack.bob_clicks[swap_all] >= 1)]
+    # np.add.reduce of a 1-D row is what its .sum() calls, less the wrapper.
+    sums = ([scale * float(np.add.reduce(row[block][mask])) for scale, block, mask in terms]
+            for row in stack.probability)
+    return [ConditionReport(s[0], max(0.0, s[1], s[4]), max(0.0, s[2], s[5]), s[3], *s[6:])
+            for s in sums]
 
 
 def measurement_cross_check(attack: Attack,
@@ -167,9 +161,9 @@ def _cross_check(enum: RoundEnumerator) -> float:
         rails = swapped_slots(forward.system, op, 0)
         keys = [key for key, *_ in _branch_tables(forward.system, rails)]
         plan, _, codes = _measure_plan(forward.system, (op,))
-        rows, probs, _, which = _split(forward.amplitudes[None, :], plan)
+        rows, probs, _, which = _split(forward.amplitudes[None, None], plan)
         branches = {}
-        for row, prob, k in zip(rows, probs, which):
+        for row, prob, k in zip(rows[0], probs[0], which):
             counts = dict(zip(rails, keys[k]))
             a_occ = tuple(counts.get(s, 0) for s in alice_slots)
             branches[a_occ] = (codes[k], prob, row)
@@ -362,6 +356,21 @@ class SweepReport:
              for v in (getattr(r, name) for name in self.CSV_HEADER)] for r in self.records]
 
 
+_STACK_BUDGET = 1 << 14  # attacks per stack times dim**2: 256 KiB per stacked unitary
+
+
+def _evaluate(config: ProtocolConfig, attacks: list) -> list:
+    """(ConditionReport, EveConditionals) of each attack on one space, from
+    one stacked table, or one at a time if the attacks prune apart."""
+    try:
+        stack = _branch_stack(config, attacks)
+    except _PrunedApart:
+        return [pair for attack in attacks for pair in _evaluate(config, [attack])]
+    blocks = _blocks(config.variant, stack.table_id)
+    return list(zip(_conditions(config, stack, blocks),
+                    _eve_conditionals(config, stack, blocks, attacks[0].system)))
+
+
 def robustness_sweep(master_seed: int = 0, count: int = 100,
                      strength: float = 0.3, max_probe_dim: int = 8,
                      n_max: int = 2, eps_error: float = 1e-9,
@@ -370,30 +379,32 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
 
     Probe dimensions cycle through 1..max_probe_dim so the sweep covers
     trivial and roomy probes alike.  Seeds derive from ``master_seed``
-    alone, making reports reproducible.
+    alone, making reports reproducible.  The attacks of one probe size are
+    evaluated in stacks of bounded size, and each record has the bits of
+    its attack evaluated alone, so no record depends on the stacking.
     """
     if max_probe_dim < 1:
         raise ValueError("max_probe_dim must be at least 1")
     if count < 0:
         raise ValueError("count must be non-negative")
+    if not 0.0 <= strength <= 1.0:  # NaN fails too
+        raise ValueError("strength must lie in [0, 1]")
     if not all(np.isfinite(eps) and eps >= 0 for eps in (eps_error, eps_info)):
         raise ValueError("eps_error and eps_info must be finite and non-negative")
     seeds = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint32)
     config = ProtocolConfig(variant=Variant.MIRROR, n_max=n_max)
-    records = []
-    for i in range(count):
-        probe_dim = (i % max_probe_dim) + 1
-        seed = int(seeds[i])
-        attack = random_attack(seed, probe_dim=probe_dim, strength=strength, n_max=n_max)
-        enum = RoundEnumerator(config, attack)
-        report = check_conditions(attack, config, enumerator=enum)
-        conditionals = eve_conditional_states(attack, config, enumerator=enum)
-        dist = conditionals.trace_distance
-        quiet = report.max_violation < eps_error
-        informative = dist is not None and dist > eps_info
-        records.append(SweepRecord(
-            index=i, seed=seed, probe_dim=probe_dim, max_violation=report.max_violation,
-            p_shared=conditionals.p_shared, trace_distance=dist,
-            counterexample=quiet and informative))
+    records = [None] * count
+    for probe_dim in range(1, min(count, max_probe_dim) + 1):
+        group = range(probe_dim - 1, count, max_probe_dim)
+        size = max(1, _STACK_BUDGET // attack_space(n_max=n_max, probe_dim=probe_dim).dim ** 2)
+        for start in range(0, len(group), size):
+            chunk = group[start:start + size]
+            attacks = [random_attack(int(seeds[i]), probe_dim=probe_dim, strength=strength,
+                                     n_max=n_max) for i in chunk]
+            for i, (report, conditionals) in zip(chunk, _evaluate(config, attacks)):
+                dist, worst = conditionals.trace_distance, report.max_violation
+                informative = dist is not None and dist > eps_info
+                records[i] = SweepRecord(i, int(seeds[i]), probe_dim, worst, conditionals.p_shared,
+                                         dist, worst < eps_error and informative)
     return SweepReport(master_seed, strength, eps_error, eps_info,
                        tuple(records))

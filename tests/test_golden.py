@@ -46,6 +46,10 @@ COMMANDS = {
     # The return-state lemma over random attacks, manifest included.
     "lemma": ["lemma", "--random", "20", "--delta", "0.01", "--probe-dim", "5",
               "--seed", "4"],
+    # Sweeps with more attacks than probe sizes, so attacks share a stack.
+    "sweep_stacked": ["sweep", "--count", "40", "--seed", "9"],
+    "sweep_n3_stacked": ["sweep", "--count", "24", "--n-max", "3", "--strength", "0.8",
+                         "--seed", "2"],
 }
 
 # Attack unitaries of dimension 120 and more (n_max 4 with an 8-level probe)
