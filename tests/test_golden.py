@@ -50,6 +50,10 @@ COMMANDS = {
     "sweep_stacked": ["sweep", "--count", "40", "--seed", "9"],
     "sweep_n3_stacked": ["sweep", "--count", "24", "--n-max", "3", "--strength", "0.8",
                          "--seed", "2"],
+    # Identity attacks in stacks of three, and stacks of eight that the
+    # stack budget splits 7 + 1 at probe size 8.
+    "sweep_identity": ["sweep", "--count", "24", "--strength", "0", "--seed", "4"],
+    "sweep_wide": ["sweep", "--count", "64", "--seed", "5"],
 }
 
 # Attack unitaries of dimension 120 and more (n_max 4 with an 8-level probe)
