@@ -9,8 +9,7 @@ mirror variant robust where its SIFT-based ancestor was not.
 
 from .adversary import (Attack, attack_from_document, attack_to_document,
                         identity_attack, load_attack, measure_resend_attack,
-                        probe_rotation_attack, random_attack, save_attack,
-                        tagging_attack)
+                        random_attack, save_attack, tagging_attack)
 from .alice import ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
                    basis_vector, hadamard_change, plus_state, single_photon,
@@ -43,7 +42,7 @@ __all__ = [
     "interpret_legacy_sift", "shared_bit",
     # adversary
     "Attack", "identity_attack", "tagging_attack", "measure_resend_attack",
-    "random_attack", "probe_rotation_attack", "attack_to_document",
+    "random_attack", "attack_to_document",
     "attack_from_document", "save_attack", "load_attack",
     # protocol
     "Variant", "ProtocolConfig", "RoundEnumerator", "RunStats", "run_protocol",

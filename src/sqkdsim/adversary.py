@@ -35,7 +35,6 @@ __all__ = [
     "tagging_attack",
     "measure_resend_attack",
     "random_attack",
-    "probe_rotation_attack",
     "save_attack",
     "load_attack",
     "attack_to_document",
@@ -90,15 +89,31 @@ class Attack:
             if self.photon_preserving and not (
                     np.abs(mat * (number[None, :] - number[:, None])).max() <= UNITARY_ATOL):
                 raise ValueError(f"{label} declared photon-preserving but is not")
-            gram = mat.conj().T @ mat
-            gram.flat[::d + 1] -= 1.0  # the Gram matrix minus the identity
-            defect = np.abs(gram).max()
-            if not defect <= UNITARY_ATOL:
-                raise ValueError(f"{label} is not unitary (defect {defect:.3e})")
-        if self.initial_probe.shape != (self.system.probe_dim,):
-            raise ValueError("initial_probe has the wrong dimension")
-        if not abs(np.linalg.norm(self.initial_probe) - 1.0) <= UNITARY_ATOL:
-            raise ValueError("initial_probe must be a unit vector")
+            _check_unitary(mat[None], (label,))
+        _check_probes(self.system, self.initial_probe[None])
+
+
+def _check_unitary(mats: np.ndarray, labels=("u_forward", "v_backward")) -> None:
+    """:meth:`Attack.validate`'s unitarity check on an (attack, matrix, d, d)
+    stack whose matrices are named by ``labels``, raising for the first
+    failing matrix in attack order."""
+    d = mats.shape[-1]
+    gram = (np.conjugate(mats).swapaxes(-1, -2) @ mats).reshape(-1, d * d)
+    gram[:, ::d + 1] -= 1.0  # each Gram matrix minus the identity
+    unitary = np.abs(gram).max(axis=1) <= UNITARY_ATOL
+    if not unitary.all():
+        k = unitary.argmin()
+        raise ValueError(f"{labels[k % len(labels)]} is not unitary "
+                         f"(defect {np.abs(gram[k]).max():.3e})")
+
+
+def _check_probes(system: ModeSystem, probes: np.ndarray) -> None:
+    """:meth:`Attack.validate`'s initial-probe checks on an (attack, level) stack."""
+    if probes.shape[1:] != (system.probe_dim,):
+        raise ValueError("initial_probe has the wrong dimension")
+    if not (np.abs(np.linalg.norm(probes.view(np.float64), axis=-1) - 1.0)
+            <= UNITARY_ATOL).all():
+        raise ValueError("initial_probe must be a unit vector")
 
 
 # -- builders -----------------------------------------------------------------
@@ -255,60 +270,46 @@ def random_attack(seed: int, probe_dim: int = 4, strength: float = 0.3,
     the transmitted pair and the probe thoroughly.  Tagless by construction
     (a generic Hermitian generator would superpose tag sectors).
     ``default_rng(seed)`` draws U's real and imaginary normal blocks A, B,
-    then V's, and H = (G + G^H) / 2 with G = A + iB.  One stacked ``eigh``
-    and product give the same bits per slice as one call per generator.
+    then V's, and H = (G + G^H) / 2 with G = A + iB.  This is the one-seed
+    case of :func:`_random_attacks`, which a sweep runs on a chunk of
+    seeds: every step is per slice, so a seed's U and V have the same bits
+    in a stack of any size.
     """
+    system = attack_space(tag_dim=1, n_max=n_max, probe_dim=probe_dim)
+    (unitaries,), (probe,) = _random_attacks((seed,), system, strength)
+    return Attack(f"random-{seed}", system, *unitaries, probe)
+
+
+def _random_attacks(seeds: Sequence[int], system: ModeSystem,
+                    strength: float) -> tuple[np.ndarray, np.ndarray]:
+    """:func:`random_attack`'s (seed, U/V, d, d) unitaries and (seed, level)
+    initial probes for a chunk of seeds on ``system``, unchecked: each
+    seed's normals fill its slice of one buffer, then one Hermitian build,
+    one ``eigh`` over every generator and one product.  Strength 0 gives a
+    read-only broadcast identity."""
     if not 0.0 <= strength <= 1.0:
         raise ValueError("strength must lie in [0, 1]")
-    system = attack_space(tag_dim=1, n_max=n_max, probe_dim=probe_dim)
-    d = system.dim
+    k, d = len(seeds), system.dim
     if strength == 0.0:
-        u_forward = v_backward = np.eye(d)
+        unitaries = np.broadcast_to(np.eye(d, dtype=np.complex128), (k, 2, d, d))
     else:
         # Peak memory: steps run in place where they round the same, stacks freed once used.
-        draws = np.random.default_rng(seed).standard_normal((2, 2, d, d))
-        h = 1j * draws[:, 1]
-        h += draws[:, 0]  # G = A + iB
+        draws = np.empty((k, 2, 2, d, d))
+        for slot, seed in zip(draws, seeds):
+            np.random.default_rng(seed).standard_normal(out=slot)  # the same stream
+        h = 1j * draws[:, :, 1]
+        h += draws[:, :, 0]  # G = A + iB
         del draws
-        h += h.conj().swapaxes(1, 2)
+        h += h.conj().swapaxes(-1, -2)
         h /= 2.0
         w, vecs = np.linalg.eigh(h)
         del h
-        phased = vecs * np.exp(1j * strength * w)[:, None, :]
-        u_forward, v_backward = phased @ np.conjugate(vecs, out=vecs).swapaxes(1, 2)
+        phased = vecs * np.exp(1j * strength * w)[..., None, :]
+        unitaries = phased @ np.conjugate(vecs, out=vecs).swapaxes(-1, -2)
         del phased, vecs
-    probe = np.zeros(probe_dim)
-    probe[0] = 1.0
-    return Attack(f"random-{seed}", system, u_forward, v_backward, probe)
-
-
-def probe_rotation_attack(seed: int, probe_dim: int = 4, tag_dim: int = 1,
-                          n_max: int = 2) -> Attack:
-    """Eve only stirs her own probe (plus photon-number-sector phases).
-
-    Such an attack commutes with everything the parties can observe, so it
-    causes no errors and, by the protocol's robustness, gains no key
-    information.  Useful as a non-trivial member of the zero-violation
-    family in tests and sweeps.
-    """
-    system = attack_space(tag_dim=tag_dim, n_max=n_max, probe_dim=probe_dim)
-    rng = np.random.default_rng(seed)
-
-    def haar_probe() -> np.ndarray:
-        a = rng.standard_normal((probe_dim, probe_dim)) \
-            + 1j * rng.standard_normal((probe_dim, probe_dim))
-        q, r = np.linalg.qr(a)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
-    def dressed() -> np.ndarray:
-        phases = rng.uniform(0.0, 2 * np.pi, size=n_max + 1)
-        return number_sector_phases(system, phases) @ probe_unitary(system, haar_probe())
-
-    u_forward, v_backward = dressed(), dressed()
-    probe = np.zeros(probe_dim)
-    probe[0] = 1.0
-    return Attack(f"probe-rotation-{seed}", system, u_forward, v_backward, probe,
-                  photon_preserving=True)
+    probes = np.zeros((k, system.probe_dim), dtype=np.complex128)
+    probes[:, 0] = 1.0
+    return unitaries, probes
 
 
 # -- fixture import/export ----------------------------------------------------

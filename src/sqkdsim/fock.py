@@ -395,16 +395,26 @@ class DensityOperator:
 
     def validate(self) -> None:
         """Check Hermiticity, positivity, and unit trace to 1e-10."""
-        atol = 1e-10
-        adjoint = self.matrix.conj().T
-        # np.allclose(matrix, adjoint, atol=atol), spelled out (it is slow)
-        if not (np.abs(self.matrix - adjoint) <= atol + 1e-5 * np.abs(adjoint)).all():
-            raise ValueError("density matrix is not Hermitian")
-        eigs = np.linalg.eigvalsh(self.matrix)
-        if eigs.min() < -atol:
-            raise ValueError(f"density matrix has negative eigenvalue {eigs.min():.3e}")
-        if abs(self.trace - 1.0) > atol:
-            raise ValueError(f"density matrix trace {self.trace} != 1")
+        _check_densities(self.matrix[None])
+
+
+def _check_densities(mats: np.ndarray) -> None:
+    """:meth:`DensityOperator.validate` on a stack of matrices, one stacked
+    call per check, raising for the first failing matrix of the stack."""
+    atol = 1e-10
+    adjoint = np.conjugate(mats).swapaxes(-1, -2)
+    # np.allclose(matrix, adjoint, atol=atol) per matrix, spelled out (it is slow)
+    close = np.abs(mats - adjoint) <= atol + 1e-5 * np.abs(adjoint)
+    if not close.all():
+        raise ValueError("density matrix is not Hermitian")
+    lowest = np.linalg.eigvalsh(mats)[..., 0]  # ascending
+    failed = lowest < -atol
+    if failed.any():
+        raise ValueError(f"density matrix has negative eigenvalue {lowest[failed][0]:.3e}")
+    traces = np.trace(mats, axis1=-2, axis2=-1).real
+    failed = np.abs(traces - 1.0) > atol
+    if failed.any():
+        raise ValueError(f"density matrix trace {traces[failed][0]} != 1")
 
 
 def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
@@ -413,5 +423,9 @@ def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndar
     bm = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
     if am.shape != bm.shape:
         raise ValueError("trace distance needs operators of equal dimension")
-    eigs = np.linalg.eigvalsh(am - bm)
-    return float(0.5 * np.abs(eigs).sum())
+    return float(_trace_distances(am, bm))
+
+
+def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """:func:`trace_distance` of each pair of matrices of two stacks."""
+    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)

@@ -46,7 +46,8 @@ import numpy as np
 from .adversary import Attack
 from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   _occupations, creation_operator, hadamard_matrix, trace_distance)
+                   _check_densities, _occupations, _trace_distances, creation_operator,
+                   hadamard_matrix, trace_distance)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           _branch_tables, interpret_ctrl, interpret_legacy_sift,
                           interpret_swap_all, interpret_swap_x, shared_bit)
@@ -399,7 +400,9 @@ class RoundEnumerator:
 
     @cached_property
     def _stack(self) -> BranchTable:
-        return _branch_stack(self.config, (self.attack,))
+        attack = self.attack
+        return _branch_stack(self.config, self.system, attack.u_forward[None],
+                             attack.v_backward[None], attack.initial_probe[None])
 
     @cached_property
     def table(self) -> BranchTable:
@@ -433,12 +436,16 @@ def _blocks(variant: Variant, table_id: np.ndarray) -> dict:
     return {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
 
 
-def _branch_stack(config: ProtocolConfig, attacks) -> BranchTable:
-    """Every branch of the variant for attacks on one space, rows sorted by
-    ``table_id``; the ``_PER_ATTACK`` columns have a leading attack axis.
-    Each product is one per slice, so an attack's columns have the bits of
-    its own one-attack stack, and every check runs for every attack."""
-    system, variant, survival = attacks[0].system, config.variant, config.channel_loss
+def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndarray,
+                  v_backward: np.ndarray, probes: np.ndarray) -> BranchTable:
+    """Every branch of the variant for a stack of attacks on ``system``, given
+    as (attack, d, d) unitaries and (attack, level) initial probes; rows are
+    sorted by ``table_id`` and the ``_PER_ATTACK`` columns have a leading
+    attack axis.  Each product is one per slice, so an attack's columns have
+    the bits of its own one-attack stack, and every check runs for every
+    attack, raising for the first that fails.  A sweep passes a chunk's raw
+    matrices, and :class:`RoundEnumerator` one-slice views of its attack's."""
+    variant, survival = config.variant, config.channel_loss
     ops = variant.operations
 
     def loss(rows: np.ndarray):
@@ -448,12 +455,11 @@ def _branch_stack(config: ProtocolConfig, attacks) -> BranchTable:
         rows, _, parent, _ = _split(rows, _loss_plan(system, survival))
         return rows, parent
 
-    plus, probes = _launch(system)
-    rows = _stacked([plus * a.initial_probe[probes] for a in attacks])[:, None]
+    plus, levels = _launch(system)
+    rows = (plus * probes.take(levels, axis=1))[:, None]
     # Forward pass: loss, then Eve's forward unitary.
     rows, _ = loss(rows)
-    rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]),
-                           _stacked([a.u_forward for a in attacks]))
+    rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]), u_forward)
 
     # Alice, every operation at once; rows are then sorted by operation
     # (stably, so each operation keeps its nested-loop order).
@@ -473,7 +479,7 @@ def _branch_stack(config: ProtocolConfig, attacks) -> BranchTable:
 
     # Backward pass, then Bob in each basis: the stack is doubled, the
     # computational copy first, so rows group by (basis, operation).
-    rows, leaked = _evolve(rows, leaked, _stacked([a.v_backward for a in attacks]))
+    rows, leaked = _evolve(rows, leaked, v_backward)
     rows, parent = loss(rows)
     rows = np.concatenate([rows, rows @ hadamard_matrix(system, _PAIR).T], axis=1)
     parent = np.concatenate([parent, parent + len(op_index)])
@@ -493,13 +499,14 @@ def _branch_stack(config: ProtocolConfig, attacks) -> BranchTable:
     table_id, leaked, a_code = table_id[parent], leaked.take(parent, axis=1), a_code[parent]
     b_code = map_code[which]
 
+    # Each block's sum per attack, in row order as a 1-D bincount adds.
     keys = _table_keys(variant)
-    for p in prob:
-        totals = np.bincount(table_id, weights=p, minlength=len(keys))
-        for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL).tolist():
-            op, basis = keys[t]
-            raise ContractViolation(
-                f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
+    cell = (np.arange(len(prob))[:, None] * len(keys) + table_id).ravel()
+    totals = np.bincount(cell, weights=prob.ravel(), minlength=len(prob) * len(keys))
+    for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL)[:1].tolist():
+        op, basis = keys[t % len(keys)]
+        raise ContractViolation(
+            f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
     mass = _norm2(probe)
     if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
         raise ContractViolation("post-measurement state not confined to vacuum")
@@ -513,11 +520,6 @@ def _branch_stack(config: ProtocolConfig, attacks) -> BranchTable:
     for column in columns:
         column.setflags(write=False)
     return BranchTable(*columns)
-
-
-def _stacked(arrays: list) -> np.ndarray:
-    """One array per attack as a stack; a lone array is not copied."""
-    return arrays[0][None] if len(arrays) == 1 else np.array(arrays)
 
 
 @lru_cache(maxsize=None)
@@ -837,29 +839,33 @@ def eve_conditional_states(attack: Attack,
 def _eve_conditionals(config: ProtocolConfig, stack: BranchTable, blocks: dict,
                       system: ModeSystem) -> list[EveConditionals]:
     """:func:`eve_conditional_states` of each attack of a stacked table on
-    ``system``, its states each validated, from stacked probe mixtures."""
+    ``system``, from stacked probe mixtures: every state is normalised,
+    checked and paired for its trace distance with one stacked call each."""
     w10 = config.alice_op_probs.get(AliceOp.SWAP_10, 0.0)
     w01 = config.alice_op_probs.get(AliceOp.SWAP_01, 0.0)
     total = w10 + w01
     weights = {AliceOp.SWAP_10: 0.5, AliceOp.SWAP_01: 0.5} if total == 0 else \
         {AliceOp.SWAP_10: w10 / total, AliceOp.SWAP_01: w01 / total}
     pl = system.probe_levels
-    rho = np.zeros((2, len(stack.probability), pl, pl), dtype=np.complex128)  # (bit, attack)
+    rho = np.zeros((len(stack.probability), 2, pl, pl), dtype=np.complex128)  # (attack, bit)
     for op, w in weights.items():
         rows = blocks[op, Basis.COMPUTATIONAL]
         shared, bob_bit = stack.shared[rows], stack.bob_bit[rows]
         for b in (0, 1):
-            rho[b] += _probe_mixture(stack, w, rows, shared & (bob_bit == b))
+            rho[:, b] += _probe_mixture(stack, w, rows, shared & (bob_bit == b))
+    p_bit = np.trace(rho, axis1=-2, axis2=-1).real
+    present = p_bit > _PROBE_MASS_TOL
+    rho /= np.where(present, p_bit, 1.0)[..., None, None]  # an absent state stays unused
+    _check_densities(rho[present])
+    both = present.all(axis=1)
+    dist = iter(_trace_distances(rho[both, 0], rho[both, 1]).tolist())
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=system.probe_dim)
     found = []
-    for mixtures in rho.swapaxes(0, 1):
-        p_bit = {b: float(m.trace().real) for b, m in enumerate(mixtures)}
-        states = {b: DensityOperator(probe_space, mixtures[b] / p_bit[b])
-                  for b in (0, 1) if p_bit[b] > _PROBE_MASS_TOL}
-        for density in states.values():
-            density.validate()
-        dist = trace_distance(states[0], states[1]) if len(states) == 2 else None
-        found.append(EveConditionals(p_bit[0] + p_bit[1], p_bit, states, dist))
+    for states, (p0, p1), has in zip(rho, p_bit.tolist(), present.tolist()):
+        found.append(EveConditionals(
+            p0 + p1, {0: p0, 1: p1},
+            {b: DensityOperator(probe_space, states[b]) for b in (0, 1) if has[b]},
+            next(dist) if all(has) else None))
     return found
 
 

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .adversary import Attack, attack_space, random_attack
+from .adversary import Attack, _check_probes, _check_unitary, _random_attacks, attack_space
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
                    hadamard_change, tensor, vacuum)
@@ -87,7 +87,7 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
 
 def _conditions(config: ProtocolConfig, stack: BranchTable, blocks: dict) -> list:
     """:func:`check_conditions` of each attack of a stacked table: every
-    mask is found once, and each sum is a 1-D masked sum of one attack's row."""
+    mask is found once, and each condition is one masked row sum per stack."""
     p_had = config.bob_hadamard_prob
     p_comp = 1.0 - p_had
     ctrl = blocks[AliceOp.CTRL, Basis.HADAMARD]
@@ -104,11 +104,15 @@ def _conditions(config: ProtocolConfig, stack: BranchTable, blocks: dict) -> lis
     swap_all = blocks[AliceOp.SWAP_ALL, Basis.COMPUTATIONAL]
     terms += [(1.0, swap_all, stack.alice_pattern[swap_all] == ClickPattern.P11.code),
               (p_comp, swap_all, stack.bob_clicks[swap_all] >= 1)]
-    # np.add.reduce of a 1-D row is what its .sum() calls, less the wrapper.
-    sums = ([scale * float(np.add.reduce(row[block][mask])) for scale, block, mask in terms]
-            for row in stack.probability)
+    # Each sum reads the masked rows of every attack at once: ``compress``
+    # makes a C-ordered (attack, row) stack, whose rows sum as their 1-D
+    # .sum() does.
+    p = stack.probability
+    sums = np.array([np.add.reduce(p[:, block].compress(mask, axis=1), axis=1)
+                     for _, block, mask in terms])
+    sums *= np.array([scale for scale, _, _ in terms])[:, None]
     return [ConditionReport(s[0], max(0.0, s[1], s[4]), max(0.0, s[2], s[5]), s[3], *s[6:])
-            for s in sums]
+            for s in sums.T.tolist()]
 
 
 def measurement_cross_check(attack: Attack,
@@ -359,16 +363,19 @@ class SweepReport:
 _STACK_BUDGET = 1 << 14  # attacks per stack times dim**2: 256 KiB per stacked unitary
 
 
-def _evaluate(config: ProtocolConfig, attacks: list) -> list:
-    """(ConditionReport, EveConditionals) of each attack on one space, from
-    one stacked table, or one at a time if the attacks prune apart."""
+def _evaluate(config: ProtocolConfig, system: ModeSystem, unitaries: np.ndarray,
+              probes: np.ndarray) -> list:
+    """(ConditionReport, EveConditionals) of each attack of an (attack, U/V,
+    d, d) stack on ``system``, from one stacked table, or one at a time if
+    the attacks prune apart."""
     try:
-        stack = _branch_stack(config, attacks)
+        stack = _branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)
     except _PrunedApart:
-        return [pair for attack in attacks for pair in _evaluate(config, [attack])]
+        return [pair for k in range(len(probes))
+                for pair in _evaluate(config, system, unitaries[k:k + 1], probes[k:k + 1])]
     blocks = _blocks(config.variant, stack.table_id)
     return list(zip(_conditions(config, stack, blocks),
-                    _eve_conditionals(config, stack, blocks, attacks[0].system)))
+                    _eve_conditionals(config, stack, blocks, system)))
 
 
 def robustness_sweep(master_seed: int = 0, count: int = 100,
@@ -379,9 +386,14 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
 
     Probe dimensions cycle through 1..max_probe_dim so the sweep covers
     trivial and roomy probes alike.  Seeds derive from ``master_seed``
-    alone, making reports reproducible.  The attacks of one probe size are
-    evaluated in stacks of bounded size, and each record has the bits of
-    its attack evaluated alone, so no record depends on the stacking.
+    alone, making reports reproducible.  The attacks of one probe size go
+    in chunks of bounded size from seeds to records as one stack of raw
+    matrices: :func:`~sqkdsim.adversary.random_attack`'s builder makes
+    the chunk's unitaries, :class:`~sqkdsim.adversary.Attack`'s checks run
+    on the whole stack, and one table build, one condition core and one
+    Eve core evaluate it, with no ``Attack`` per seed.  Every step is per slice
+    or per row, so each record has the bits of its attack evaluated alone
+    and no record depends on the stacking.
     """
     if max_probe_dim < 1:
         raise ValueError("max_probe_dim must be at least 1")
@@ -395,16 +407,20 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
     config = ProtocolConfig(variant=Variant.MIRROR, n_max=n_max)
     records = [None] * count
     for probe_dim in range(1, min(count, max_probe_dim) + 1):
+        system = attack_space(n_max=n_max, probe_dim=probe_dim)
         group = range(probe_dim - 1, count, max_probe_dim)
-        size = max(1, _STACK_BUDGET // attack_space(n_max=n_max, probe_dim=probe_dim).dim ** 2)
+        size = max(1, _STACK_BUDGET // system.dim ** 2)
         for start in range(0, len(group), size):
             chunk = group[start:start + size]
-            attacks = [random_attack(int(seeds[i]), probe_dim=probe_dim, strength=strength,
-                                     n_max=n_max) for i in chunk]
-            for i, (report, conditionals) in zip(chunk, _evaluate(config, attacks)):
+            unitaries, probes = _random_attacks(seeds[chunk].tolist(), system, strength)
+            _check_unitary(unitaries)  # Attack's checks, as no Attack is built
+            _check_probes(system, probes)
+            for i, (report, conditionals) in zip(
+                    chunk, _evaluate(config, system, unitaries, probes)):
                 dist, worst = conditionals.trace_distance, report.max_violation
                 informative = dist is not None and dist > eps_info
                 records[i] = SweepRecord(i, int(seeds[i]), probe_dim, worst, conditionals.p_shared,
                                          dist, worst < eps_error and informative)
+            del unitaries
     return SweepReport(master_seed, strength, eps_error, eps_info,
                        tuple(records))

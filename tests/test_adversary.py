@@ -8,11 +8,13 @@ from sqkdsim.adversary import (Attack, PROBE_IDLE, PROBE_SAW_CTRL,
                                attack_to_document, basis_permutation,
                                identity_attack, load_attack,
                                measure_resend_attack,
-                               number_sector_phases, probe_rotation_attack,
+                               number_sector_phases,
                                probe_unitary, random_attack, save_attack,
                                tag_swap_unitary, tagging_attack)
 from sqkdsim.fock import (FockVector, apply_truncating_unitary,
                           pair_mode_transform, plus_state, vacuum)
+
+from extra_attacks import probe_rotation_attack
 
 SEED = 99
 

@@ -9,8 +9,7 @@ the same rows in the same order.
 import numpy as np
 import pytest
 
-from sqkdsim.adversary import (identity_attack, measure_resend_attack,
-                               probe_rotation_attack, random_attack,
+from sqkdsim.adversary import (identity_attack, measure_resend_attack, random_attack,
                                tagging_attack)
 from sqkdsim.alice import swapped_slots
 from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
@@ -21,6 +20,8 @@ from sqkdsim.measurement import (AliceOp, Basis, ClickPattern, Interpretation,
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig,
                               RoundEnumerator, Variant, _loss_maps)
 import sqkdsim.protocol as protocol
+
+from extra_attacks import probe_rotation_attack
 
 PRUNE = 1e-24
 PAIR = 0

@@ -7,10 +7,11 @@ from pathlib import Path
 
 import pytest
 
-from sqkdsim.adversary import (attack_to_document, identity_attack,
-                               probe_rotation_attack, random_attack,
+from sqkdsim.adversary import (attack_to_document, identity_attack, random_attack,
                                save_attack)
 from sqkdsim.cli import EXIT_USAGE, build_parser, main
+
+from extra_attacks import probe_rotation_attack
 
 
 def test_run_identity_succeeds(capsys):

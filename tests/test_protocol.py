@@ -5,8 +5,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from sqkdsim.adversary import (identity_attack, measure_resend_attack,
-                               probe_rotation_attack, random_attack,
+from sqkdsim.adversary import (identity_attack, measure_resend_attack, random_attack,
                                tagging_attack)
 from sqkdsim.fock import ModeSystem
 from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
@@ -16,6 +15,8 @@ from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
                               exact_statistics, legacy_identification,
                               run_protocol, simulate_records)
 from sqkdsim.robustness import check_conditions, measurement_cross_check
+
+from extra_attacks import probe_rotation_attack
 
 MIRROR_OPS = (AliceOp.CTRL, AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL)
 BASES = (Basis.COMPUTATIONAL, Basis.HADAMARD)

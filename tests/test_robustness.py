@@ -2,8 +2,7 @@
 import numpy as np
 import pytest
 
-from sqkdsim.adversary import (identity_attack, measure_resend_attack,
-                               probe_rotation_attack, random_attack,
+from sqkdsim.adversary import (identity_attack, measure_resend_attack, random_attack,
                                tagging_attack)
 from sqkdsim.measurement import AliceOp
 from sqkdsim.protocol import ProtocolConfig, Variant, exact_statistics
@@ -11,6 +10,8 @@ from sqkdsim.robustness import (LemmaInput, check_conditions, lemma_state,
                                 measurement_cross_check, random_lemma_input,
                                 robustness_sweep, verify_lemma1)
 import sqkdsim.robustness as robustness
+
+from extra_attacks import probe_rotation_attack
 
 SEED = 31337
 
