@@ -15,9 +15,8 @@ from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
                    basis_vector, hadamard_change, plus_state, single_photon,
                    tensor, trace_distance, vacuum)
 from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
-                          MeasurementBranch, interpret_ctrl,
-                          interpret_legacy_sift, interpret_swap_all,
-                          interpret_swap_x, measure_pair, shared_bit)
+                          interpret_ctrl, interpret_legacy_sift, interpret_swap_all,
+                          interpret_swap_x, shared_bit)
 from .protocol import (EveConditionals, ExactStatistics, ProtocolConfig,
                        RoundEnumerator, RunStats, SiftCtrlIdentification,
                        Variant, eve_conditional_states, exact_statistics,
@@ -37,7 +36,7 @@ __all__ = [
     "hadamard_change", "trace_distance",
     # parties
     "ALICE_PAIR", "TRANSMIT_PAIR", "AliceOp", "Basis", "ClickPattern",
-    "Interpretation", "MeasurementBranch", "apply_alice_op", "measure_pair",
+    "Interpretation", "apply_alice_op",
     "interpret_ctrl", "interpret_swap_x", "interpret_swap_all",
     "interpret_legacy_sift", "shared_bit",
     # adversary

@@ -398,16 +398,23 @@ class DensityOperator:
         _check_densities(self.matrix[None])
 
 
-def _check_densities(mats: np.ndarray) -> None:
+def _check_densities(mats: np.ndarray, differences: np.ndarray | None = None) -> np.ndarray:
     """:meth:`DensityOperator.validate` on a stack of matrices, one stacked
-    call per check, raising for the first failing matrix of the stack."""
+    call per check, raising for the first failing matrix of the stack.
+
+    Given a stack of Hermitian ``differences`` (a - b), returns half the
+    trace norm of each, the trace distance of each pair, from the same
+    ``eigvalsh`` call as the positivity check.
+    """
     atol = 1e-10
     adjoint = np.conjugate(mats).swapaxes(-1, -2)
     # np.allclose(matrix, adjoint, atol=atol) per matrix, spelled out (it is slow)
     close = np.abs(mats - adjoint) <= atol + 1e-5 * np.abs(adjoint)
     if not close.all():
         raise ValueError("density matrix is not Hermitian")
-    lowest = np.linalg.eigvalsh(mats)[..., 0]  # ascending
+    values = np.linalg.eigvalsh(
+        mats if differences is None else np.concatenate([mats, differences]))
+    lowest = values[:len(mats), 0]  # ascending
     failed = lowest < -atol
     if failed.any():
         raise ValueError(f"density matrix has negative eigenvalue {lowest[failed][0]:.3e}")
@@ -415,6 +422,7 @@ def _check_densities(mats: np.ndarray) -> None:
     failed = np.abs(traces - 1.0) > atol
     if failed.any():
         raise ValueError(f"density matrix trace {traces[failed][0]} != 1")
+    return _half_trace_norms(values[len(mats):])
 
 
 def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
@@ -423,9 +431,9 @@ def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndar
     bm = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
     if am.shape != bm.shape:
         raise ValueError("trace distance needs operators of equal dimension")
-    return float(_trace_distances(am, bm))
+    return float(_half_trace_norms(np.linalg.eigvalsh(am - bm)))
 
 
-def _trace_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """:func:`trace_distance` of each pair of matrices of two stacks."""
-    return 0.5 * np.abs(np.linalg.eigvalsh(a - b)).sum(axis=-1)
+def _half_trace_norms(eigenvalues: np.ndarray) -> np.ndarray:
+    """Half the trace norm of each Hermitian matrix, from its eigenvalues."""
+    return 0.5 * np.abs(eigenvalues).sum(axis=-1)

@@ -11,29 +11,24 @@ absorbs the photons, which destroys coherence between configurations that
 differ in photon number or tag.  A measurement has one branch per exact
 occupation of the measured modes (a pair, or one rail of it), with those
 modes emptied in its sub-normalized residual.  Rounds apply these groups
-(``_branch_tables``) as index maps in :mod:`sqkdsim.protocol`;
-:func:`measure_slots` and :func:`measure_pair` are the per-state reference.
-The outcome interpretation tables follow.
+(``_branch_tables``) as index maps in :mod:`sqkdsim.protocol`.  The outcome
+interpretation tables follow.
 """
 
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 
-from .fock import ContractViolation, FockVector, ModeSystem, _rank_key
+from .fock import ContractViolation, ModeSystem, _rank_key
 
 __all__ = [
     "Basis",
     "ClickPattern",
     "AliceOp",
     "Interpretation",
-    "MeasurementBranch",
-    "measure_pair",
-    "measure_slots",
     "interpret_ctrl",
     "interpret_swap_x",
     "interpret_swap_all",
@@ -104,21 +99,6 @@ class Interpretation(enum.Enum):
     NO_SHARED_BIT = "NoSharedBit"
 
 
-@dataclass(frozen=True, eq=False)
-class MeasurementBranch:
-    """One exact-occupation outcome of a threshold measurement.
-
-    ``residual`` is sub-normalized (its squared norm equals ``probability``)
-    and has the measured slots reset to vacuum: the detector keeps the
-    photons.  Several branches may share a click pattern.
-    """
-
-    pattern: ClickPattern
-    occupation: tuple[int, ...]
-    probability: float
-    residual: FockVector
-
-
 PRUNE = 1e-24  # branch weights at most this are numerical dust, not outcomes
 
 
@@ -139,34 +119,6 @@ def _branch_tables(system: ModeSystem, slots: tuple[int, ...]):
         pattern = ClickPattern.from_clicks(mode1 > 0, sum(key) > mode1)
         out.append((key, pattern, sel, cleared[sel]))
     return tuple(out)
-
-
-def measure_slots(state: FockVector, slots: tuple[int, ...]) -> list[MeasurementBranch]:
-    """Destructive threshold measurement of the modes in ``slots``.
-
-    One branch per exact occupation of ``slots`` (counts in slot order)
-    with weight above :data:`PRUNE`.  Each slot clicks as the mode it
-    belongs to, so a pair's mode-1 rail alone yields "00" or "10".  Branch
-    probabilities sum to the squared norm of ``state``, so feeding a
-    sub-normalized state through keeps joint probabilities exact.
-    """
-    system = state.system
-    amps = state.amplitudes
-    branches = []
-    for key, pattern, sel, dst in _branch_tables(system, tuple(slots)):
-        weight = float(np.vdot(amps[sel], amps[sel]).real)
-        if weight <= PRUNE:
-            continue
-        res = np.zeros(system.dim, dtype=np.complex128)
-        res[dst] = amps[sel]
-        branches.append(MeasurementBranch(pattern, key, weight,
-                                          FockVector(system, res, state.leaked)))
-    return branches
-
-
-def measure_pair(state: FockVector, pair: int) -> list[MeasurementBranch]:
-    """:func:`measure_slots` on every slot of ``pair`` (computational basis)."""
-    return measure_slots(state, state.system.pair_slots(pair))
 
 
 # -- interpretation tables ----------------------------------------------------

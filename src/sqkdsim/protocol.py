@@ -18,7 +18,10 @@ side by side.  Bob's measurement empties the pair, so his split writes only
 Eve's probe columns, the vacuum ⊗ probe states.  The result is one flat
 :class:`BranchTable` of NumPy columns.  Its ``table_id`` column numbers the
 (operation, basis) blocks of rows; within a block, rows keep the order of
-the nested loop loss, Alice's outcome, loss, Bob's outcome.
+the nested loop loss, Alice's outcome, loss, Bob's outcome.  What the pass
+does not compute from the attack's matrices (gathers, kept rows, the
+structural columns, block ranges and the analyses' masks) is compiled once
+per space, variant, survival and set of live rows, and cached.
 A sampled run is one vectorized pass: row i of a counter-based Philox
 stream keyed by the seed picks round i's operation, basis and branch, the
 round is stored as a row index into that table, and the aggregates are
@@ -46,7 +49,7 @@ import numpy as np
 from .adversary import Attack
 from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   _check_densities, _occupations, _trace_distances, creation_operator,
+                   _check_densities, _occupations, creation_operator,
                    hadamard_matrix, trace_distance)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           _branch_tables, interpret_ctrl, interpret_legacy_sift,
@@ -260,31 +263,43 @@ class _PrunedApart(Exception):
     """The attacks of a stack prune different rows."""
 
 
-def _split(rows: np.ndarray, plan: tuple):
-    """Push every row of an (attack, row, column) stack through every map
-    of a split plan.
-
-    Output rows are ordered by (input row, map), the order of a nested loop
-    over rows and then maps; rows of weight at most ``PRUNE`` are dust and
-    dropped, the same for every attack (else :class:`_PrunedApart`).
-    Returns the rows and weights per attack, and each row's input row and map.
-    """
-    n_maps, src, dst, amp, starts, keep_map, width = plan
-    k, n = rows.shape[:2]
+def _weigh(rows: np.ndarray, plan: tuple):
+    """The moved columns of every row of an (attack, row, column) stack under
+    every map of a split plan, each (row, map)'s weight per attack, and the
+    live (row, map) mask: weights at most ``PRUNE`` are dust and dropped, the
+    same for every attack (else :class:`_PrunedApart`)."""
+    _, src, _, amp, starts, keep_map, _ = plan
     moved = rows.take(src, axis=2)
     if amp is not None:
         moved *= amp
     flat = moved.view(np.float64)  # (re, im) pairs
     weight = np.add.reduceat(flat * flat, 2 * starts, axis=2)  # (attack, row, map)
     live = (weight > PRUNE) | keep_map
-    if k > 1 and (live != live[0]).any():
+    if len(rows) > 1 and (live != live[0]).any():
         raise _PrunedApart
-    keep = np.flatnonzero(live[0])
+    return moved, weight, live[0]
+
+
+def _scatter(moved: np.ndarray, plan: tuple, keep: np.ndarray) -> np.ndarray:
+    """The output rows ``keep`` (flat (row, map) indices) of a split: map k
+    writes columns ``k * width + dst`` of one wide row, cut into rows of
+    ``width``, so rows are ordered as a nested loop over rows, then maps."""
+    n_maps, _, dst, _, _, _, width = plan
+    k, n = moved.shape[:2]
     out = np.zeros((k, n, n_maps * width), dtype=np.complex128)
     out[..., dst] = moved
-    parent, which = np.divmod(keep, n_maps)
-    return (out.reshape(k, n * n_maps, width).take(keep, axis=1),
-            weight.reshape(k, -1).take(keep, axis=1), parent, which)
+    return out.reshape(k, n * n_maps, width).take(keep, axis=1)
+
+
+def _split(rows: np.ndarray, plan: tuple):
+    """Push every row of a stack through every map of a split plan
+    (:func:`_weigh`, then :func:`_scatter` of the live rows).  Returns the
+    rows and weights per attack, and each row's input row and map."""
+    moved, weight, live = _weigh(rows, plan)
+    keep = np.flatnonzero(live)
+    parent, which = np.divmod(keep, plan[0])
+    return (_scatter(moved, plan, keep), weight.reshape(len(rows), -1).take(keep, axis=1),
+            parent, which)
 
 
 @lru_cache(maxsize=None)
@@ -377,9 +392,10 @@ class RoundEnumerator:
     sub-normalized states, one row per branch so far: each stage maps or
     splits every row at once, and the rows of one (operation, basis) stay
     contiguous.  That pass is :func:`_branch_stack` of a one-attack stack,
-    the code a sweep runs on many attacks of one space at once.  :attr:`blocks`
-    finds the row range of each once per table, and the analyses read the
-    table's columns through those slices.
+    the code a sweep runs on many attacks of one space at once, and its
+    cached :class:`_Layout` holds every index the table and the analyses
+    read: the structural columns, the row range of each block
+    (:attr:`blocks`) and the analyses' masks.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -399,7 +415,8 @@ class RoundEnumerator:
         return FockVector(self.system, plus * self.attack.initial_probe[probes])
 
     @cached_property
-    def _stack(self) -> BranchTable:
+    def _pass(self) -> tuple:
+        """The layout and one-attack stacked table of :func:`_branch_stack`."""
         attack = self.attack
         return _branch_stack(self.config, self.system, attack.u_forward[None],
                              attack.v_backward[None], attack.initial_probe[None])
@@ -407,14 +424,13 @@ class RoundEnumerator:
     @cached_property
     def table(self) -> BranchTable:
         """Every branch of the variant, rows sorted by ``table_id``."""
-        stack = self._stack
-        return BranchTable(*(getattr(stack, name)[0] if name in _PER_ATTACK
-                             else getattr(stack, name) for name in _COLUMNS))
+        layout, stack = self._pass
+        return layout.table(*(getattr(stack, name)[0] for name in _PER_ATTACK))
 
-    @cached_property
+    @property
     def blocks(self) -> dict:
         """The row range (a slice of :attr:`table`) of each (operation, basis)."""
-        return _blocks(self.config.variant, self.table.table_id)
+        return self._pass[0].blocks
 
     def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
         """The rows of :attr:`table` for one (operation, basis) as a table of
@@ -427,82 +443,182 @@ class RoundEnumerator:
 
 _COLUMNS = tuple(f.name for f in fields(BranchTable))
 _PER_ATTACK = ("probability", "eve_probe", "leaked")  # the other columns are shared
+_DERIVED = ("alice_clicks", "bob_clicks", "shared")  # BranchTable's cached columns
+
+_LAYOUT_BOUND = 64  # cached layouts; a sweep of 8 probe sizes keeps 16
+_layouts: dict = {}
 
 
-def _blocks(variant: Variant, table_id: np.ndarray) -> dict:
-    """The row range of each (operation, basis) in a sorted ``table_id``."""
-    keys = _table_keys(variant)
-    bounds = table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
-    return {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
+def _cached(key: tuple, build):
+    """The layout cached under ``key``, built on a miss; beyond
+    ``_LAYOUT_BOUND`` layouts the least recently used one is dropped."""
+    layout = _layouts.pop(key, None)
+    if layout is None:
+        layout = build()
+        while len(_layouts) >= _LAYOUT_BOUND:
+            del _layouts[next(iter(_layouts))]
+    _layouts[key] = layout
+    return layout
+
+
+class _AliceLayout:
+    """Index work of Alice's split for one live (row, map) mask of it: the
+    gather of her live output rows sorted stably by operation (so each
+    operation keeps its nested-loop order), each row's parent row, its
+    operation index and pattern code, and the rows whose pattern clicked
+    mode 0 and mode 1 (where SIFT resends a photon).  Holds the
+    ``_measure_plan`` result it was compiled from, whose id keys it."""
+
+    def __init__(self, measured: tuple, live: np.ndarray):
+        self.measured = measured
+        plan, map_op, map_code = measured
+        keep = np.flatnonzero(live)
+        parent, which = np.divmod(keep, plan[0])
+        order = np.argsort(map_op[which], kind="stable")
+        self.gather, self.parent, which = keep[order], parent[order], which[order]
+        self.op_index, self.a_code = map_op[which], map_code[which]
+
+    @cached_property
+    def clicked(self) -> list:
+        return [(self.a_code >= 0) & ((self.a_code >> mode) & 1 == 1)
+                for mode in (0, 1)]  # bit m: mode m
+
+
+class _Layout:
+    """Everything of a branch pass that does not depend on the matrices,
+    compiled once per (space, variant, survival, live mask of each split).
+
+    Holds Bob's kept rows (``keep``), each final row's index into the
+    leaked column after Eve's backward pass (``leaked_parent``), the
+    read-only structural columns of :class:`BranchTable` and its derived
+    columns, shared by every table of the layout, the row range of each
+    block and the flat (attack, block) cell of each row for the per-block
+    sum check.  :meth:`memo` keeps what an analysis derives from these,
+    such as its masks.  Compiling checks Bob's plan: a destination outside
+    its map's own block would land in another branch's row.
+    """
+
+    def __init__(self, system: ModeSystem, variant: Variant, alice: _AliceLayout,
+                 lossy: Optional[np.ndarray], measured: tuple, live: np.ndarray):
+        self.system, self.measured = system, measured  # the plan whose id keys it
+        plan, _, map_code = measured
+        _, src, dst, _, starts, _, width = plan
+        if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
+            raise ContractViolation("post-measurement state not confined to vacuum")
+        n_ops = len(variant.operations)
+        parent = (np.arange(len(alice.op_index)) if lossy is None
+                  else np.flatnonzero(lossy) // lossy.shape[1])
+        self.keep = np.flatnonzero(live)
+        bob_parent, which = np.divmod(self.keep, plan[0])
+        self.leaked_parent = np.concatenate([parent, parent])[bob_parent]
+        # The stack is doubled for Bob's bases, the computational copy first,
+        # so rows group by (basis, operation).
+        alice_row = np.concatenate([parent, parent + len(alice.op_index)])[bob_parent]
+        self.table_id = np.concatenate([alice.op_index, alice.op_index + n_ops])[alice_row]
+        self.alice_pattern = np.concatenate([alice.a_code, alice.a_code])[alice_row]
+        self.bob_pattern = map_code[which]
+        # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
+        cells = (self.table_id * _N_CELLS + (self.alice_pattern + 1) * len(PATTERNS)
+                 + self.bob_pattern)
+        present = tuple(np.flatnonzero(np.bincount(cells)).tolist())
+        self.interpretation, self.alice_bit, self.bob_bit = _cell_lookup(variant, present)[cells].T
+        self.alice_clicks = _CLICKS[self.alice_pattern + 1]
+        self.bob_clicks = _CLICKS[self.bob_pattern + 1]
+        self.shared = self.interpretation == _SHARED
+        for name in set(_COLUMNS + _DERIVED) - set(_PER_ATTACK):
+            getattr(self, name).setflags(write=False)
+        keys = _table_keys(variant)
+        bounds = self.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
+        self.blocks = {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
+        self._sum_cells, self._memo = {}, {}
+
+    def table(self, probability: np.ndarray, eve_probe: np.ndarray,
+              leaked: np.ndarray) -> BranchTable:
+        """A table of this layout from its ``_PER_ATTACK`` columns."""
+        table = BranchTable(probability, self.alice_pattern, self.bob_pattern,
+                            self.interpretation, self.alice_bit, self.bob_bit, eve_probe,
+                            leaked, self.table_id)
+        table.__dict__.update(alice_clicks=self.alice_clicks, bob_clicks=self.bob_clicks,
+                              shared=self.shared)  # its cached columns
+        return table
+
+    def sum_cells(self, n_attacks: int) -> np.ndarray:
+        """Each row's (attack, block) cell of a stack of ``n_attacks``, flat."""
+        cells = self._sum_cells.get(n_attacks)
+        if cells is None:
+            cells = (np.arange(n_attacks)[:, None] * len(self.blocks) + self.table_id).ravel()
+            self._sum_cells[n_attacks] = cells
+        return cells
+
+    def memo(self, build):
+        """``build(self)``, computed once per layout."""
+        value = self._memo.get(build)
+        if value is None:
+            value = self._memo[build] = build(self)
+        return value
 
 
 def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndarray,
-                  v_backward: np.ndarray, probes: np.ndarray) -> BranchTable:
+                  v_backward: np.ndarray, probes: np.ndarray) -> tuple:
     """Every branch of the variant for a stack of attacks on ``system``, given
-    as (attack, d, d) unitaries and (attack, level) initial probes; rows are
-    sorted by ``table_id`` and the ``_PER_ATTACK`` columns have a leading
-    attack axis.  Each product is one per slice, so an attack's columns have
-    the bits of its own one-attack stack, and every check runs for every
-    attack, raising for the first that fails.  A sweep passes a chunk's raw
-    matrices, and :class:`RoundEnumerator` one-slice views of its attack's."""
+    as (attack, d, d) unitaries and (attack, level) initial probes: the
+    pass's :class:`_Layout` and a table whose rows are sorted by
+    ``table_id`` and whose ``_PER_ATTACK`` columns have a leading attack
+    axis.  A call runs only the numeric kernels: the launch rows, each
+    split's weights and live mask (the masks select the cached layouts)
+    and its gather, Eve's products per slice and Bob's Hadamard, so an
+    attack's columns have the bits of its own one-attack stack; every
+    numeric check runs for every attack, raising for the first that
+    fails.  A sweep passes a chunk's raw matrices, and
+    :class:`RoundEnumerator` one-slice views of its attack's."""
     variant, survival = config.variant, config.channel_loss
-    ops = variant.operations
-
-    def loss(rows: np.ndarray):
-        """Per-photon loss (:func:`_loss_maps`): the rows, and each one's input row."""
-        if survival >= 1.0:
-            return rows, np.arange(rows.shape[1])
-        rows, _, parent, _ = _split(rows, _loss_plan(system, survival))
-        return rows, parent
-
     plus, levels = _launch(system)
     rows = (plus * probes.take(levels, axis=1))[:, None]
-    # Forward pass: loss, then Eve's forward unitary.
-    rows, _ = loss(rows)
+    # Forward pass: loss, then Eve's forward unitary.  This loss mask only
+    # fixes how many rows reach Alice, which the shape of her mask records.
+    if survival < 1.0:
+        rows = _split(rows, _loss_plan(system, survival))[0]
     rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]), u_forward)
 
-    # Alice, every operation at once; rows are then sorted by operation
-    # (stably, so each operation keeps its nested-loop order).
-    plan, map_op, map_code = _measure_plan(system, ops)
-    rows, _, parent, which = _split(rows, plan)
-    order = np.argsort(map_op[which], kind="stable")
-    rows, parent, which = rows.take(order, axis=1), parent[order], which[order]
-    op_index, a_code, leaked = map_op[which], map_code[which], leaked.take(parent, axis=1)
+    # Alice, every operation at once, gathered in operation order.
+    measured = _measure_plan(system, variant.operations)
+    moved, _, live = _weigh(rows, measured[0])
+    alice = _cached((id(measured), live.tobytes()), lambda: _AliceLayout(measured, live))
+    rows = _scatter(moved, measured[0], alice.gather)
+    leaked = leaked.take(alice.parent, axis=1)
     if variant is Variant.LEGACY:
         # SIFT resends one fresh photon per clicked mode, tag reset to 0.
         # Nothing meets the photon cap: the measured pair is empty, and a
         # double click needs room for two photons.
-        for mode in (0, 1):
-            clicked = (a_code >= 0) & ((a_code >> mode) & 1 == 1)  # bit m: mode m
+        for mode, clicked in enumerate(alice.clicked):
             rows[:, clicked] = rows[:, clicked] @ creation_operator(
                 system, system.slot(_PAIR, mode, 0)).T
 
-    # Backward pass, then Bob in each basis: the stack is doubled, the
-    # computational copy first, so rows group by (basis, operation).
+    # Backward pass, then Bob in each basis, the computational copy first.
     rows, leaked = _evolve(rows, leaked, v_backward)
-    rows, parent = loss(rows)
+    lossy = None
+    if survival < 1.0:
+        plan = _loss_plan(system, survival)
+        moved, _, lossy = _weigh(rows, plan)
+        rows = _scatter(moved, plan, np.flatnonzero(lossy))
     rows = np.concatenate([rows, rows @ hadamard_matrix(system, _PAIR).T], axis=1)
-    parent = np.concatenate([parent, parent + len(op_index)])
-    table_id = np.concatenate([op_index, op_index + len(ops)])[parent]
-    leaked = np.concatenate([leaked, leaked], axis=1).take(parent, axis=1)
-    a_code = np.concatenate([a_code, a_code])[parent]
     # Bob empties the pair, so his split writes only Eve's probe columns:
-    # map k fills block k of a row.  A destination outside its own block
-    # would land in another branch's row, so the plan is checked before
-    # the scatter, and each row's mass (two sources on one column would
-    # lose some) after it.
-    plan, _, map_code = _measure_plan(system, (None,))
-    _, src, dst, _, starts, _, width = plan
-    if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
-        raise ContractViolation("post-measurement state not confined to vacuum")
-    probe, prob, parent, which = _split(rows, plan)
-    table_id, leaked, a_code = table_id[parent], leaked.take(parent, axis=1), a_code[parent]
-    b_code = map_code[which]
+    # map k fills block k of a row.  Compiling the layout checks the plan
+    # before any scatter through it, and each row's mass (two sources on
+    # one column would lose some) is checked after it.
+    measured = _measure_plan(system, (None,))
+    moved, weight, live = _weigh(rows, measured[0])
+    layout = _cached((alice, survival, None if lossy is None else lossy.tobytes(),
+                      id(measured), live.tobytes()),
+                     lambda: _Layout(system, variant, alice, lossy, measured, live))
+    probe = _scatter(moved, measured[0], layout.keep)
+    prob = weight.reshape(len(rows), -1).take(layout.keep, axis=1)
+    leaked = leaked.take(layout.leaked_parent, axis=1)
 
     # Each block's sum per attack, in row order as a 1-D bincount adds.
     keys = _table_keys(variant)
-    cell = (np.arange(len(prob))[:, None] * len(keys) + table_id).ravel()
-    totals = np.bincount(cell, weights=prob.ravel(), minlength=len(prob) * len(keys))
+    totals = np.bincount(layout.sum_cells(len(prob)), weights=prob.ravel(),
+                         minlength=len(prob) * len(keys))
     for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL)[:1].tolist():
         op, basis = keys[t % len(keys)]
         raise ContractViolation(
@@ -510,16 +626,10 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     mass = _norm2(probe)
     if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
         raise ContractViolation("post-measurement state not confined to vacuum")
-
-    # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
-    cells = table_id * _N_CELLS + (a_code + 1) * len(PATTERNS) + b_code
-    present = tuple(np.flatnonzero(np.bincount(cells)).tolist())
-    interp, a_bit, b_bit = _cell_lookup(variant, present)[cells].T
-    columns = (prob, a_code, b_code, interp, a_bit, b_bit,
-               probe / np.sqrt(mass)[..., None], leaked, table_id)
+    columns = prob, probe / np.sqrt(mass)[..., None], leaked
     for column in columns:
         column.setflags(write=False)
-    return BranchTable(*columns)
+    return layout, layout.table(*columns)
 
 
 @lru_cache(maxsize=None)
@@ -833,33 +943,42 @@ def eve_conditional_states(attack: Attack,
     it plays neither, by the core a sweep runs on a stack of attacks.  A
     given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    return _eve_conditionals(enum.config, enum._stack, enum.blocks, enum.system)[0]
+    return _eve_conditionals(enum.config, *enum._pass)[0]
 
 
-def _eve_conditionals(config: ProtocolConfig, stack: BranchTable, blocks: dict,
-                      system: ModeSystem) -> list[EveConditionals]:
-    """:func:`eve_conditional_states` of each attack of a stacked table on
-    ``system``, from stacked probe mixtures: every state is normalised,
-    checked and paired for its trace distance with one stacked call each."""
+def _eve_rows(layout: _Layout) -> tuple:
+    """(operation, bit, block, row mask) of each of Eve's four mixtures: the
+    SharedBit rows of a single-mode swap, computational basis, by Bob's bit."""
+    found = []
+    for op in (AliceOp.SWAP_10, AliceOp.SWAP_01):
+        rows = layout.blocks[op, Basis.COMPUTATIONAL]
+        shared, bob_bit = layout.shared[rows], layout.bob_bit[rows]
+        found += [(op, b, rows, shared & (bob_bit == b)) for b in (0, 1)]
+    return tuple(found)
+
+
+def _eve_conditionals(config: ProtocolConfig, layout: _Layout,
+                      stack: BranchTable) -> list[EveConditionals]:
+    """:func:`eve_conditional_states` of each attack of a stacked table, from
+    stacked probe mixtures over the layout's row masks (found once per
+    layout): every state is normalised in one call, and one
+    :func:`~sqkdsim.fock._check_densities` call checks them all and takes
+    every trace distance from the same stacked ``eigvalsh``."""
     w10 = config.alice_op_probs.get(AliceOp.SWAP_10, 0.0)
     w01 = config.alice_op_probs.get(AliceOp.SWAP_01, 0.0)
     total = w10 + w01
     weights = {AliceOp.SWAP_10: 0.5, AliceOp.SWAP_01: 0.5} if total == 0 else \
         {AliceOp.SWAP_10: w10 / total, AliceOp.SWAP_01: w01 / total}
-    pl = system.probe_levels
+    pl = layout.system.probe_levels
     rho = np.zeros((len(stack.probability), 2, pl, pl), dtype=np.complex128)  # (attack, bit)
-    for op, w in weights.items():
-        rows = blocks[op, Basis.COMPUTATIONAL]
-        shared, bob_bit = stack.shared[rows], stack.bob_bit[rows]
-        for b in (0, 1):
-            rho[:, b] += _probe_mixture(stack, w, rows, shared & (bob_bit == b))
+    for op, b, rows, mask in layout.memo(_eve_rows):
+        rho[:, b] += _probe_mixture(stack, weights[op], rows, mask)
     p_bit = np.trace(rho, axis1=-2, axis2=-1).real
     present = p_bit > _PROBE_MASS_TOL
     rho /= np.where(present, p_bit, 1.0)[..., None, None]  # an absent state stays unused
-    _check_densities(rho[present])
     both = present.all(axis=1)
-    dist = iter(_trace_distances(rho[both, 0], rho[both, 1]).tolist())
-    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=system.probe_dim)
+    dist = iter(_check_densities(rho[present], rho[both, 0] - rho[both, 1]).tolist())
+    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=layout.system.probe_dim)
     found = []
     for states, (p0, p1), has in zip(rho, p_bit.tolist(), present.tolist()):
         found.append(EveConditionals(
@@ -885,6 +1004,7 @@ def legacy_identification(attack: Attack,
     """Eve's SIFT/CTRL distinction on a legacy config (default if None).
     A given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.LEGACY)
+    layout, stack = enum._pass
     pl = enum.system.probe_levels
     p_had = enum.config.bob_hadamard_prob
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
@@ -893,7 +1013,7 @@ def legacy_identification(attack: Attack,
         mat = np.zeros((pl, pl), dtype=np.complex128)
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
             if w != 0.0:
-                mat += _probe_mixture(enum._stack, w, enum.blocks[op, basis])[0]
+                mat += _probe_mixture(stack, w, layout.blocks[op, basis])[0]
         rho[op] = DensityOperator(probe_space, mat)
         rho[op].validate()
     dist = trace_distance(rho[AliceOp.CTRL], rho[AliceOp.SIFT])

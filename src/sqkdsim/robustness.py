@@ -21,8 +21,8 @@ from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
                    hadamard_change, tensor, vacuum)
 from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
-from .protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant, _PrunedApart,
-                       _blocks, _branch_stack, _document, _enumerator, _eve_conditionals,
+from .protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant, _Layout,
+                       _PrunedApart, _branch_stack, _document, _enumerator, _eve_conditionals,
                        _measure_plan, _split)
 
 __all__ = [
@@ -81,38 +81,47 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
     by the core a sweep runs on a stack of attacks.  A given enumerator
     must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    report = _conditions(enum.config, enum._stack, enum.blocks)[0]
+    report = _conditions(enum.config, *enum._pass)[0]
     return replace(report, cross_check_deviation=_cross_check(enum)) if cross_check else report
 
 
-def _conditions(config: ProtocolConfig, stack: BranchTable, blocks: dict) -> list:
-    """:func:`check_conditions` of each attack of a stacked table: every
-    mask is found once, and each condition is one masked row sum per stack."""
+def _conditions(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> list:
+    """:func:`check_conditions` of each attack of a stacked table: each
+    condition is one masked row sum per stack, over masks found once per
+    layout (:func:`_condition_terms`)."""
     p_had = config.bob_hadamard_prob
     p_comp = 1.0 - p_had
-    ctrl = blocks[AliceOp.CTRL, Basis.HADAMARD]
-    # (scale, block, mask) per sum; Bob's 10 and 11 set the mode-1 (minus) bit.
-    terms = [(p_had, ctrl, stack.bob_pattern[ctrl] >= ClickPattern.P10.code)]
-    # The swapped-out mode is the only one Bob may legitimately click in;
-    # its opposite showing up alone means the photon dodged Alice's swap.
-    for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
-                          (AliceOp.SWAP_01, ClickPattern.P01)):
-        block = blocks[op, Basis.COMPUTATIONAL]
-        a, b = stack.alice_clicks[block], stack.bob_clicks[block]
-        terms += [(p_comp, block, (a >= 1) & (b >= 1)), (p_comp, block, (a == 2) | (b == 2)),
-                  (p_comp, block, (a == 0) & (stack.bob_pattern[block] == forbidden.code))]
-    swap_all = blocks[AliceOp.SWAP_ALL, Basis.COMPUTATIONAL]
-    terms += [(1.0, swap_all, stack.alice_pattern[swap_all] == ClickPattern.P11.code),
-              (p_comp, swap_all, stack.bob_clicks[swap_all] >= 1)]
     # Each sum reads the masked rows of every attack at once: ``compress``
     # makes a C-ordered (attack, row) stack, whose rows sum as their 1-D
     # .sum() does.
     p = stack.probability
     sums = np.array([np.add.reduce(p[:, block].compress(mask, axis=1), axis=1)
-                     for _, block, mask in terms])
-    sums *= np.array([scale for scale, _, _ in terms])[:, None]
+                     for block, mask in layout.memo(_condition_terms)])
+    # Bob's basis probability per term: CTRL's Hadamard, the swaps' six
+    # computational, none for Alice's SWAP-ALL double, then Bob's.
+    sums *= np.array([p_had] + [p_comp] * 6 + [1.0, p_comp])[:, None]
     return [ConditionReport(s[0], max(0.0, s[1], s[4]), max(0.0, s[2], s[5]), s[3], *s[6:])
             for s in sums.T.tolist()]
+
+
+def _condition_terms(layout: _Layout) -> tuple:
+    """(block, row mask) of each of the nine sums of :func:`_conditions`."""
+    blocks = layout.blocks
+    ctrl = blocks[AliceOp.CTRL, Basis.HADAMARD]
+    # Bob's 10 and 11 set the mode-1 (minus) bit.
+    terms = [(ctrl, layout.bob_pattern[ctrl] >= ClickPattern.P10.code)]
+    # The swapped-out mode is the only one Bob may legitimately click in;
+    # its opposite showing up alone means the photon dodged Alice's swap.
+    for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
+                          (AliceOp.SWAP_01, ClickPattern.P01)):
+        block = blocks[op, Basis.COMPUTATIONAL]
+        a, b = layout.alice_clicks[block], layout.bob_clicks[block]
+        terms += [(block, (a >= 1) & (b >= 1)), (block, (a == 2) | (b == 2)),
+                  (block, (a == 0) & (layout.bob_pattern[block] == forbidden.code))]
+    swap_all = blocks[AliceOp.SWAP_ALL, Basis.COMPUTATIONAL]
+    terms += [(swap_all, layout.alice_pattern[swap_all] == ClickPattern.P11.code),
+              (swap_all, layout.bob_clicks[swap_all] >= 1)]
+    return tuple(terms)
 
 
 def measurement_cross_check(attack: Attack,
@@ -366,16 +375,16 @@ _STACK_BUDGET = 1 << 14  # attacks per stack times dim**2: 256 KiB per stacked u
 def _evaluate(config: ProtocolConfig, system: ModeSystem, unitaries: np.ndarray,
               probes: np.ndarray) -> list:
     """(ConditionReport, EveConditionals) of each attack of an (attack, U/V,
-    d, d) stack on ``system``, from one stacked table, or one at a time if
-    the attacks prune apart."""
+    d, d) stack on ``system``, from one stacked table and the cached layout
+    of its pass, whose masks both cores read, or one at a time if the
+    attacks prune apart."""
     try:
-        stack = _branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)
+        layout, stack = _branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)
     except _PrunedApart:
         return [pair for k in range(len(probes))
                 for pair in _evaluate(config, system, unitaries[k:k + 1], probes[k:k + 1])]
-    blocks = _blocks(config.variant, stack.table_id)
-    return list(zip(_conditions(config, stack, blocks),
-                    _eve_conditionals(config, stack, blocks, system)))
+    return list(zip(_conditions(config, layout, stack),
+                    _eve_conditionals(config, layout, stack)))
 
 
 def robustness_sweep(master_seed: int = 0, count: int = 100,

@@ -1,10 +1,11 @@
 """The stacked-array branch tables against a per-branch reference loop.
 
 ``reference_branches`` walks one round branch by branch with
-:class:`FockVector` states and the public measurement functions: channel
-loss, Eve's forward pass, Alice's stage, Eve's backward pass, loss again,
-and Bob's threshold measurement, in nested loops.  The enumerator must give
-the same rows in the same order.
+:class:`FockVector` states and the per-state reference measurement
+(``reference_measurement``): channel loss, Eve's forward pass, Alice's
+stage, Eve's backward pass, loss again, and Bob's threshold measurement,
+in nested loops.  The enumerator must give the same rows in the same
+order.
 """
 import numpy as np
 import pytest
@@ -15,13 +16,13 @@ from sqkdsim.alice import swapped_slots
 from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
                           apply_creation, apply_truncating_unitary,
                           hadamard_matrix)
-from sqkdsim.measurement import (AliceOp, Basis, ClickPattern, Interpretation,
-                                 measure_pair, measure_slots)
+from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig,
                               RoundEnumerator, Variant, _loss_maps)
 import sqkdsim.protocol as protocol
 
 from extra_attacks import probe_rotation_attack
+from reference_measurement import measure_pair, measure_slots
 
 PRUNE = 1e-24
 PAIR = 0

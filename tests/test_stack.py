@@ -37,8 +37,9 @@ def _raw(attacks):
 
 
 def _branch_stack(config, attacks):
+    """The stacked table of a list of attacks on one space."""
     system, unitaries, probes = _raw(attacks)
-    return protocol._branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)
+    return protocol._branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)[1]
 
 
 def _evaluate(config, attacks):
@@ -185,4 +186,33 @@ def test_density_check_of_a_stack_raises_the_validate_message(defect):
         DensityOperator(space, bad).validate()
     with pytest.raises(ValueError, match="density matrix") as stacked:
         _check_densities(np.array([good, bad, good]))
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("defect", ["adjoint", "negative", "trace"])
+def test_eve_state_check_of_a_sweep_stack_raises_the_validate_message(defect, monkeypatch):
+    """A defective state of the second attack, met where the sweep's Eve
+    core checks every state and takes every trace distance in one call."""
+    check = protocol._check_densities
+    seen = []
+
+    def corrupted(mats, differences=None):
+        mats = mats.copy()  # rows: (attack 0, bit 0), (attack 0, bit 1), (attack 1, bit 0), ...
+        if defect == "adjoint":
+            mats[2, 0, 1] += 1e-3
+        elif defect == "negative":
+            mats[2] += np.diag([-1.0, 1.0, 0.0, 0.0])  # still Hermitian with trace 1
+            assert np.linalg.eigvalsh(mats[2]).min() < -1e-10
+        else:
+            mats[2] *= 1.001
+        seen.append(mats[2])
+        return check(mats, differences)
+
+    monkeypatch.setattr(protocol, "_check_densities", corrupted)
+    message = {"adjoint": "not Hermitian", "negative": "negative eigenvalue",
+               "trace": "trace"}[defect]
+    with pytest.raises(ValueError, match=message) as stacked:
+        _evaluate(ProtocolConfig(), [random_attack(20 + k, probe_dim=4) for k in range(3)])
+    with pytest.raises(ValueError, match="density matrix") as alone:
+        DensityOperator(ModeSystem(num_pairs=0, n_max=0, probe_dim=4), seen[0]).validate()
     assert str(stacked.value) == str(alone.value)
