@@ -9,9 +9,8 @@ space every protocol round runs on: Alice's storage is empty whenever Eve
 acts, so the matrices apply as they are, through
 :func:`sqkdsim.fock.apply_truncating_unitary`.
 
-A small builder vocabulary (basis permutations, pair-mode mixers, probe
-unitaries, photon-number sector phases) composes the named attacks and is
-exported for constructing new ones.
+Two exported builders, basis permutations and the tag swap built from one,
+compose the named attacks and serve for constructing new ones.
 """
 
 from __future__ import annotations
@@ -28,9 +27,7 @@ __all__ = [
     "Attack",
     "attack_space",
     "basis_permutation",
-    "probe_unitary",
     "tag_swap_unitary",
-    "number_sector_phases",
     "identity_attack",
     "tagging_attack",
     "measure_resend_attack",
@@ -136,15 +133,6 @@ def basis_permutation(system: ModeSystem,
     return mat
 
 
-def probe_unitary(system: ModeSystem, u_probe: np.ndarray) -> np.ndarray:
-    """Act with ``u_probe`` on the probe factor alone."""
-    u_probe = np.asarray(u_probe, dtype=np.complex128)
-    if u_probe.shape != (system.probe_levels, system.probe_levels):
-        raise ValueError("probe unitary has the wrong dimension")
-    n_occ = len(system.occupations())
-    return np.kron(np.eye(n_occ), u_probe)
-
-
 def _swap_tags(system: ModeSystem, occ: Sequence[int]) -> tuple[int, ...]:
     """``occ`` with the counts of tags 0 and 1 exchanged in every mode."""
     out = list(occ)
@@ -158,13 +146,6 @@ def _swap_tags(system: ModeSystem, occ: Sequence[int]) -> tuple[int, ...]:
 def tag_swap_unitary(system: ModeSystem) -> np.ndarray:
     """Exchange tags 0 and 1 on every photon (a relabeling, hence unitary)."""
     return basis_permutation(system, lambda occ, probe: (_swap_tags(system, occ), probe))
-
-
-def number_sector_phases(system: ModeSystem, phases: Sequence[float]) -> np.ndarray:
-    """Diagonal phase per total photon number; needs one phase per 0..n_max."""
-    if len(phases) != system.n_max + 1:
-        raise ValueError(f"need {system.n_max + 1} phases")
-    return np.diag(np.exp(1j * np.asarray(phases))[system.basis_table[0].sum(axis=1)])
 
 
 # -- named attacks ------------------------------------------------------------

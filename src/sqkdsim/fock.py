@@ -44,10 +44,7 @@ __all__ = [
     "DensityOperator",
     "vacuum",
     "basis_vector",
-    "single_photon",
-    "plus_state",
     "creation_operator",
-    "apply_creation",
     "apply_truncating_unitary",
     "pair_mode_transform",
     "hadamard_matrix",
@@ -223,48 +220,23 @@ def basis_vector(system: ModeSystem, occ: Sequence[int], probe: int = 0) -> Fock
     return FockVector(system, amps)
 
 
-def single_photon(system: ModeSystem, pair: int, mode: int, tag: int = 0,
-                  probe: int = 0) -> FockVector:
-    occ = [0] * system.n_slots
-    occ[system.slot(pair, mode, tag)] = 1
-    return basis_vector(system, occ, probe)
-
-
-def plus_state(system: ModeSystem, pair: int, tag: int = 0, probe: int = 0) -> FockVector:
-    """One photon in the plus mode of ``pair``: (|0,1> + |1,0>)/sqrt(2)."""
-    v0 = single_photon(system, pair, 0, tag, probe)
-    v1 = single_photon(system, pair, 1, tag, probe)
-    return FockVector(system, (v0.amplitudes + v1.amplitudes) / sqrt(2.0))
-
-
 # -- ladder operators -------------------------------------------------------
 
 
 @lru_cache(maxsize=None)
-def _creation_arrays(system: ModeSystem, slot: int):
-    """a-dagger on ``slot`` as index arrays over the basis.
-
-    Returns ``(src, dst, amp, cap)``: basis state ``src`` below the photon
-    cap goes to ``dst`` with amplitude ``amp`` = sqrt(n + 1); ``cap[i]`` is
-    the weight n + 1 that state ``i`` loses if it sits at the cap (0 below).
-    """
+def creation_operator(system: ModeSystem, slot: int) -> np.ndarray:
+    """Dense matrix of a-dagger on ``slot``; weight above n_max is dropped:
+    a basis state below the photon cap, with n photons in ``slot``, goes to
+    its raised state with amplitude sqrt(n + 1)."""
     if not (0 <= slot < system.n_slots):
         raise ValueError(f"slot {slot} out of range")
     occs, probes = system.basis_table
-    n = occs[:, slot]
     below = occs.sum(axis=1) < system.n_max
     raised = occs[below]
     raised[:, slot] += 1
-    return (np.flatnonzero(below), system.index_of(raised, probes[below]),
-            np.sqrt(n[below] + 1.0), np.where(below, 0.0, n + 1.0))
-
-
-@lru_cache(maxsize=None)
-def creation_operator(system: ModeSystem, slot: int) -> np.ndarray:
-    """Dense matrix of a-dagger on ``slot``; weight above n_max is dropped."""
-    src, dst, amp, _ = _creation_arrays(system, slot)
+    dst = system.index_of(raised, probes[below])
     mat = np.zeros((system.dim, system.dim), dtype=np.complex128)
-    mat[dst, src] = amp
+    mat[dst, np.flatnonzero(below)] = np.sqrt(occs[below, slot] + 1.0)
     mat.setflags(write=False)
     return mat
 
@@ -274,15 +246,6 @@ def apply_truncating_unitary(state: FockVector, matrix: np.ndarray) -> FockVecto
     out = matrix @ state.amplitudes
     lost = state.norm2 - float(np.vdot(out, out).real)
     return FockVector(state.system, out, state.leaked + max(lost, 0.0))
-
-
-def apply_creation(state: FockVector, slot: int) -> FockVector:
-    """Add one photon in ``slot``, recording the weight lost at the cap."""
-    system = state.system
-    amps = state.amplitudes
-    out = creation_operator(system, slot) @ amps
-    lost = float(_creation_arrays(system, slot)[3] @ (amps.real ** 2 + amps.imag ** 2))
-    return FockVector(system, out, state.leaked + lost)
 
 
 # -- linear mode transforms -------------------------------------------------

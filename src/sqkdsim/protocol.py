@@ -41,7 +41,7 @@ from __future__ import annotations
 import enum
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
-from math import comb, isfinite, sqrt
+from math import comb, isfinite, isnan, sqrt
 from typing import Optional
 
 import numpy as np
@@ -943,7 +943,11 @@ def eve_conditional_states(attack: Attack,
     it plays neither, by the core a sweep runs on a stack of attacks.  A
     given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    return _eve_conditionals(enum.config, *enum._pass)[0]
+    p_bit, rho, dist = (column[0] for column in _eve_conditionals(enum.config, *enum._pass))
+    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
+    return EveConditionals(float(p_bit.sum()), dict(enumerate(p_bit.tolist())),
+                           {b: DensityOperator(probe_space, rho[b]) for b in (0, 1)
+                            if p_bit[b] > _PROBE_MASS_TOL}, None if isnan(dist) else float(dist))
 
 
 def _eve_rows(layout: _Layout) -> tuple:
@@ -957,35 +961,25 @@ def _eve_rows(layout: _Layout) -> tuple:
     return tuple(found)
 
 
-def _eve_conditionals(config: ProtocolConfig, layout: _Layout,
-                      stack: BranchTable) -> list[EveConditionals]:
-    """:func:`eve_conditional_states` of each attack of a stacked table, from
-    stacked probe mixtures over the layout's row masks (found once per
-    layout): every state is normalised in one call, and one
+def _eve_conditionals(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> tuple:
+    """(p_bit, rho, trace_distance) of a stacked table, arrays with a leading
+    attack axis, from stacked probe mixtures over the layout's row masks
+    (found once per layout): every state is normalised in one call, and one
     :func:`~sqkdsim.fock._check_densities` call checks them all and takes
-    every trace distance from the same stacked ``eigvalsh``."""
-    w10 = config.alice_op_probs.get(AliceOp.SWAP_10, 0.0)
-    w01 = config.alice_op_probs.get(AliceOp.SWAP_01, 0.0)
-    total = w10 + w01
-    weights = {AliceOp.SWAP_10: 0.5, AliceOp.SWAP_01: 0.5} if total == 0 else \
-        {AliceOp.SWAP_10: w10 / total, AliceOp.SWAP_01: w01 / total}
+    every trace distance, NaN if a bit is absent, from one ``eigvalsh``."""
+    w = {op: config.alice_op_probs.get(op, 0.0) for op in (AliceOp.SWAP_10, AliceOp.SWAP_01)}
+    total = sum(w.values())  # 0: Alice plays neither swap, so mix them equally
     pl = layout.system.probe_levels
     rho = np.zeros((len(stack.probability), 2, pl, pl), dtype=np.complex128)  # (attack, bit)
     for op, b, rows, mask in layout.memo(_eve_rows):
-        rho[:, b] += _probe_mixture(stack, weights[op], rows, mask)
+        rho[:, b] += _probe_mixture(stack, w[op] / total if total else 0.5, rows, mask)
     p_bit = np.trace(rho, axis1=-2, axis2=-1).real
     present = p_bit > _PROBE_MASS_TOL
     rho /= np.where(present, p_bit, 1.0)[..., None, None]  # an absent state stays unused
     both = present.all(axis=1)
-    dist = iter(_check_densities(rho[present], rho[both, 0] - rho[both, 1]).tolist())
-    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=layout.system.probe_dim)
-    found = []
-    for states, (p0, p1), has in zip(rho, p_bit.tolist(), present.tolist()):
-        found.append(EveConditionals(
-            p0 + p1, {0: p0, 1: p1},
-            {b: DensityOperator(probe_space, states[b]) for b in (0, 1) if has[b]},
-            next(dist) if all(has) else None))
-    return found
+    dist = np.full(len(rho), np.nan)
+    dist[both] = _check_densities(rho[present], rho[both, 0] - rho[both, 1])
+    return p_bit, rho, dist
 
 
 @dataclass(frozen=True)

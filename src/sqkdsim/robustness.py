@@ -11,8 +11,8 @@ learn nothing.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, fields, replace
-from typing import Optional
+from dataclasses import dataclass, fields
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -81,16 +81,15 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
     by the core a sweep runs on a stack of attacks.  A given enumerator
     must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    report = _conditions(enum.config, *enum._pass)[0]
-    return replace(report, cross_check_deviation=_cross_check(enum)) if cross_check else report
+    return ConditionReport(*_conditions(enum.config, *enum._pass)[0].tolist(),
+                           _cross_check(enum) if cross_check else None)
 
 
-def _conditions(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> list:
-    """:func:`check_conditions` of each attack of a stacked table: each
-    condition is one masked row sum per stack, over masks found once per
-    layout (:func:`_condition_terms`)."""
-    p_had = config.bob_hadamard_prob
-    p_comp = 1.0 - p_had
+def _conditions(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> np.ndarray:
+    """:func:`check_conditions` of each attack of a stacked table, as one
+    (attack, condition) array: each condition is one masked row sum per
+    stack, over masks found once per layout (:func:`_condition_terms`)."""
+    p_had, p_comp = config.bob_hadamard_prob, 1.0 - config.bob_hadamard_prob
     # Each sum reads the masked rows of every attack at once: ``compress``
     # makes a C-ordered (attack, row) stack, whose rows sum as their 1-D
     # .sum() does.
@@ -100,8 +99,8 @@ def _conditions(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> 
     # Bob's basis probability per term: CTRL's Hadamard, the swaps' six
     # computational, none for Alice's SWAP-ALL double, then Bob's.
     sums *= np.array([p_had] + [p_comp] * 6 + [1.0, p_comp])[:, None]
-    return [ConditionReport(s[0], max(0.0, s[1], s[4]), max(0.0, s[2], s[5]), s[3], *s[6:])
-            for s in sums.T.tolist()]
+    sums[1:3] = np.maximum(np.maximum(0.0, sums[1:3]), sums[4:6])
+    return sums[[0, 1, 2, 3, 6, 7, 8]].T
 
 
 def _condition_terms(layout: _Layout) -> tuple:
@@ -372,19 +371,25 @@ class SweepReport:
 _STACK_BUDGET = 1 << 14  # attacks per stack times dim**2: 256 KiB per stacked unitary
 
 
+class _Evaluation(NamedTuple):
+    """What :func:`_evaluate` finds for a stack of attacks, one row each."""
+    conditions: np.ndarray  # (attack, 7), in ConditionReport field order
+    p_bit: np.ndarray  # (attack, bit)
+    rho: np.ndarray  # (attack, bit, level, level); an absent bit's state is unused
+    trace_distance: np.ndarray  # (attack,); NaN where a bit never occurs
+
+
 def _evaluate(config: ProtocolConfig, system: ModeSystem, unitaries: np.ndarray,
-              probes: np.ndarray) -> list:
-    """(ConditionReport, EveConditionals) of each attack of an (attack, U/V,
-    d, d) stack on ``system``, from one stacked table and the cached layout
-    of its pass, whose masks both cores read, or one at a time if the
-    attacks prune apart."""
+              probes: np.ndarray) -> _Evaluation:
+    """The record of an (attack, U/V, d, d) stack on ``system``: both cores
+    on one stacked table, or one attack at a time, joined, if they prune apart."""
     try:
         layout, stack = _branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)
     except _PrunedApart:
-        return [pair for k in range(len(probes))
-                for pair in _evaluate(config, system, unitaries[k:k + 1], probes[k:k + 1])]
-    return list(zip(_conditions(config, layout, stack),
-                    _eve_conditionals(config, layout, stack)))
+        return _Evaluation(*map(np.concatenate, zip(*(
+            _evaluate(config, system, u[None], p[None]) for u, p in zip(unitaries, probes)))))
+    return _Evaluation(_conditions(config, layout, stack),
+                       *_eve_conditionals(config, layout, stack))
 
 
 def robustness_sweep(master_seed: int = 0, count: int = 100,
@@ -400,9 +405,9 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
     matrices: :func:`~sqkdsim.adversary.random_attack`'s builder makes
     the chunk's unitaries, :class:`~sqkdsim.adversary.Attack`'s checks run
     on the whole stack, and one table build, one condition core and one
-    Eve core evaluate it, with no ``Attack`` per seed.  Every step is per slice
-    or per row, so each record has the bits of its attack evaluated alone
-    and no record depends on the stacking.
+    Eve core evaluate it as one record of arrays, with no ``Attack`` or report
+    object per seed.  Every step is per slice or per row, so each record has
+    the bits of its attack evaluated alone and no record depends on stacking.
     """
     if max_probe_dim < 1:
         raise ValueError("max_probe_dim must be at least 1")
@@ -424,12 +429,13 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
             unitaries, probes = _random_attacks(seeds[chunk].tolist(), system, strength)
             _check_unitary(unitaries)  # Attack's checks, as no Attack is built
             _check_probes(system, probes)
-            for i, (report, conditionals) in zip(
-                    chunk, _evaluate(config, system, unitaries, probes)):
-                dist, worst = conditionals.trace_distance, report.max_violation
-                informative = dist is not None and dist > eps_info
-                records[i] = SweepRecord(i, int(seeds[i]), probe_dim, worst, conditionals.p_shared,
-                                         dist, worst < eps_error and informative)
+            found = _evaluate(config, system, unitaries, probes)
+            worst, dist = found.conditions.max(axis=1), found.trace_distance
+            flagged = (worst < eps_error) & (dist > eps_info)  # NaN is never informative
+            for i, w, p, d, flag in zip(chunk, worst.tolist(), found.p_bit.sum(axis=1).tolist(),
+                                        dist.tolist(), flagged.tolist()):
+                records[i] = SweepRecord(i, int(seeds[i]), probe_dim, w, p,
+                                         None if np.isnan(d) else d, flag)
             del unitaries
     return SweepReport(master_seed, strength, eps_error, eps_info,
                        tuple(records))

@@ -1,11 +1,30 @@
-"""Attacks built only for tests.
+"""Attacks, and the builders they compose, made only for tests.
 
 Import as ``from extra_attacks import probe_rotation_attack``; pytest puts
 this directory on ``sys.path`` for the test modules beside it.
 """
+from typing import Sequence
+
 import numpy as np
 
-from sqkdsim.adversary import Attack, attack_space, number_sector_phases, probe_unitary
+from sqkdsim.adversary import Attack, attack_space
+from sqkdsim.fock import ModeSystem
+
+
+def probe_unitary(system: ModeSystem, u_probe: np.ndarray) -> np.ndarray:
+    """Act with ``u_probe`` on the probe factor alone."""
+    u_probe = np.asarray(u_probe, dtype=np.complex128)
+    if u_probe.shape != (system.probe_levels, system.probe_levels):
+        raise ValueError("probe unitary has the wrong dimension")
+    n_occ = len(system.occupations())
+    return np.kron(np.eye(n_occ), u_probe)
+
+
+def number_sector_phases(system: ModeSystem, phases: Sequence[float]) -> np.ndarray:
+    """Diagonal phase per total photon number; needs one phase per 0..n_max."""
+    if len(phases) != system.n_max + 1:
+        raise ValueError(f"need {system.n_max + 1} phases")
+    return np.diag(np.exp(1j * np.asarray(phases))[system.basis_table[0].sum(axis=1)])
 
 
 def probe_rotation_attack(seed: int, probe_dim: int = 4, tag_dim: int = 1,

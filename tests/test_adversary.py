@@ -7,14 +7,12 @@ from sqkdsim.adversary import (Attack, PROBE_IDLE, PROBE_SAW_CTRL,
                                attack_space,
                                attack_to_document, basis_permutation,
                                identity_attack, load_attack,
-                               measure_resend_attack,
-                               number_sector_phases,
-                               probe_unitary, random_attack, save_attack,
+                               measure_resend_attack, random_attack, save_attack,
                                tag_swap_unitary, tagging_attack)
-from sqkdsim.fock import (FockVector, apply_truncating_unitary,
-                          pair_mode_transform, plus_state, vacuum)
+from sqkdsim.fock import FockVector, apply_truncating_unitary, pair_mode_transform, vacuum
 
-from extra_attacks import probe_rotation_attack
+from extra_attacks import number_sector_phases, probe_rotation_attack, probe_unitary
+from extra_states import plus_state
 
 SEED = 99
 

@@ -4,10 +4,10 @@ import pytest
 
 from sqkdsim.alice import (ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op,
                            swap_index_map, swap_matrix)
-from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
-                          plus_state, single_photon, vacuum)
+from sqkdsim.fock import ContractViolation, FockVector, ModeSystem, vacuum
 from sqkdsim.measurement import AliceOp, ClickPattern
 
+from extra_states import plus_state, single_photon
 from reference_measurement import measure_pair
 
 ATOL = 1e-12

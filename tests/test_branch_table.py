@@ -14,14 +14,14 @@ from sqkdsim.adversary import (identity_attack, measure_resend_attack, random_at
                                tagging_attack)
 from sqkdsim.alice import swapped_slots
 from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
-                          apply_creation, apply_truncating_unitary,
-                          hadamard_matrix)
+                          apply_truncating_unitary, hadamard_matrix)
 from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig,
                               RoundEnumerator, Variant, _loss_maps)
 import sqkdsim.protocol as protocol
 
 from extra_attacks import probe_rotation_attack
+from extra_states import apply_creation
 from reference_measurement import measure_pair, measure_slots
 
 PRUNE = 1e-24

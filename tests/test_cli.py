@@ -34,6 +34,13 @@ def test_run_structured_output_is_json(capsys):
     assert "stats" in doc and "analysis" in doc
 
 
+def test_run_without_survival_reports_no_trace_distance(capsys):
+    """No photon survives, so no key bit occurs and Eve has no states."""
+    assert main(["run", "--rounds", "20", "--loss", "0", "--format", "structured"]) == 0
+    eve = json.loads(capsys.readouterr().out)["analysis"]["eavesdropper"]
+    assert eve == {"p_shared": 0.0, "trace_distance": None}
+
+
 def test_identical_manifests_give_identical_bytes(tmp_path):
     """Same inputs, same bytes; a different seed changes them."""
     args = ["run", "--rounds", "120", "--seed", "42", "--attack", "identity"]

@@ -5,10 +5,11 @@ import numpy as np
 import pytest
 
 from sqkdsim.fock import (ContractViolation, DensityOperator, FockVector,
-                          ModeSystem, apply_creation, apply_truncating_unitary,
-                          basis_vector, creation_operator, hadamard_change,
-                          hadamard_matrix, plus_state, single_photon, tensor,
-                          trace_distance, vacuum)
+                          ModeSystem, apply_truncating_unitary, basis_vector,
+                          creation_operator, hadamard_change, hadamard_matrix,
+                          tensor, trace_distance, vacuum)
+
+from extra_states import apply_creation, plus_state, single_photon
 
 SEED = 20240811
 

@@ -3,12 +3,12 @@ import numpy as np
 import pytest
 
 from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
-                          basis_vector, hadamard_change, plus_state,
-                          single_photon)
+                          basis_vector, hadamard_change)
 from sqkdsim.measurement import (AliceOp, ClickPattern, Interpretation,
                                  interpret_ctrl, interpret_legacy_sift,
                                  interpret_swap_all, interpret_swap_x, shared_bit)
 
+from extra_states import plus_state, single_photon
 from reference_measurement import measure_pair
 
 SEED = 424242

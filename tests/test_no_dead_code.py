@@ -1,11 +1,13 @@
-"""Every name defined in the package is used somewhere.
+"""Every name defined in the package is used somewhere, and by the package.
 
 A top-level function, class or module constant of ``src/sqkdsim``, or a
 non-dunder method of a top-level class, must appear as a whole word in
 ``src/``, ``tests/`` or ``bench/`` outside its own definition line, outside
 every ``__all__`` list and outside ``sqkdsim/__init__.py``.  Re-exports
-alone do not count as use.  A plain-text scan with ``ast`` and regular
-expressions, so it needs no linter.
+alone do not count as use.  It must also appear so in ``src/`` alone, or
+be named in :data:`SRC_ORACLES`: a name only tests use belongs beside
+them.  A plain-text scan with ``ast`` and regular expressions, so it needs
+no linter.
 """
 import ast
 import re
@@ -13,6 +15,11 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 PACKAGE = ROOT / "src" / "sqkdsim"
+
+# Kept in the package though no other package code uses them: the two-pair
+# specification of Alice's swaps (acceptance criterion 3), the fixture
+# writer the README documents, and a documented exit code.
+SRC_ORACLES = ("alice.swap_matrix", "adversary.save_attack", "cli.EXIT_USAGE")
 
 
 def _is_dunder(name: str) -> bool:
@@ -48,9 +55,11 @@ def _searchable_lines(path: Path) -> list[str]:
     return lines
 
 
-def test_every_defined_name_is_used():
+def _unused(folders) -> list[str]:
+    """``module.name`` of every checked name that no file under ``folders``
+    uses outside its definition line."""
     corpus = {path: _searchable_lines(path)
-              for folder in ("src", "tests", "bench")
+              for folder in folders
               for path in sorted((ROOT / folder).rglob("*.py"))
               if path != PACKAGE / "__init__.py"
               and not any(p.startswith(".") for p in path.relative_to(ROOT).parts)}
@@ -65,4 +74,15 @@ def test_every_defined_name_is_used():
                        if not (path == module and number == line))
             if not used:
                 unused.append(f"{module.stem}.{name}")
+    return unused
+
+
+def test_every_defined_name_is_used():
+    unused = _unused(("src", "tests", "bench"))
     assert not unused, f"defined but never used: {unused}"
+
+
+def test_every_defined_name_is_used_by_the_package():
+    unused = _unused(("src",))
+    assert [n for n in unused if n not in SRC_ORACLES] == [], "used only outside src/"
+    assert [n for n in SRC_ORACLES if n not in unused] == [], "oracle now used in src/"

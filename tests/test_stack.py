@@ -15,6 +15,7 @@ from sqkdsim.adversary import (Attack, _check_unitary, _random_attacks, attack_s
                                identity_attack, random_attack)
 from sqkdsim.cli import main
 from sqkdsim.fock import ContractViolation, DensityOperator, ModeSystem, _check_densities
+from sqkdsim.measurement import AliceOp
 from sqkdsim.protocol import (BranchTable, ProtocolConfig, RoundEnumerator,
                               eve_conditional_states)
 from sqkdsim.robustness import ConditionReport, check_conditions, robustness_sweep
@@ -46,18 +47,22 @@ def _evaluate(config, attacks):
     return robustness._evaluate(config, *_raw(attacks))
 
 
-def _assert_pair_equal(got, attack, config):
-    """One stacked (ConditionReport, EveConditionals) equals the attack alone."""
-    report, conditionals = got
+def assert_row_equal(found, k, attack, config):
+    """Row ``k`` of a stacked evaluation record equals the attack alone:
+    every condition, the bit probabilities, each present state, and the
+    trace distance, NaN where the attack alone has None."""
     alone = check_conditions(attack, config)
     eve = eve_conditional_states(attack, config)
-    assert [getattr(report, f) for f in CONDITIONS] == [getattr(alone, f) for f in CONDITIONS]
-    assert conditionals.p_shared == eve.p_shared
-    assert conditionals.p_bit == eve.p_bit
-    assert conditionals.states.keys() == eve.states.keys()
+    assert found.conditions[k].tolist() == [getattr(alone, f) for f in CONDITIONS]
+    assert found.p_bit[k].tolist() == [eve.p_bit[0], eve.p_bit[1]]
+    assert found.p_bit[k].sum() == eve.p_shared
+    present = found.p_bit[k] > protocol._PROBE_MASS_TOL
+    assert set(np.flatnonzero(present).tolist()) == eve.states.keys()
     for b, state in eve.states.items():
-        assert np.array_equal(conditionals.states[b].matrix, state.matrix)
-    assert conditionals.trace_distance == eve.trace_distance
+        assert np.array_equal(found.rho[k, b], state.matrix)
+    dist = found.trace_distance[k].item()
+    assert (None if math.isnan(dist) else dist) == eve.trace_distance
+    assert math.isnan(dist) == (not present.all())
 
 
 @pytest.mark.parametrize("lossy", [False, True])
@@ -76,8 +81,9 @@ def test_stack_equals_one_attack_at_a_time(n_max, strength, lossy):
                 mine = column[k] if name in protocol._PER_ATTACK else column
                 assert mine.shape == getattr(alone, name).shape, name
                 assert (mine == getattr(alone, name)).all(), (name, probe_dim, k)
-        for got, attack in zip(_evaluate(config, attacks), attacks):
-            _assert_pair_equal(got, attack, config)
+        found = _evaluate(config, attacks)
+        for k, attack in enumerate(attacks):
+            assert_row_equal(found, k, attack, config)
 
 
 def test_stack_that_prunes_apart_runs_one_attack_at_a_time():
@@ -88,10 +94,44 @@ def test_stack_that_prunes_apart_runs_one_attack_at_a_time():
     assert attacks[0].system == attacks[1].system
     with pytest.raises(protocol._PrunedApart):
         _branch_stack(config, attacks)
-    evaluated = _evaluate(config, attacks)
-    assert len(evaluated) == 2
-    for got, attack in zip(evaluated, attacks):
-        _assert_pair_equal(got, attack, config)
+    found = _evaluate(config, attacks)
+    assert [len(column) for column in found] == [2] * 4
+    for k, attack in enumerate(attacks):
+        assert_row_equal(found, k, attack, config)
+
+
+@pytest.mark.parametrize("config, bits", [
+    (ProtocolConfig(alice_op_probs={AliceOp.SWAP_10: 1.0}), {0}),  # Bob's bit is always 0
+    (ProtocolConfig(channel_loss=0.0), set()),  # no photon comes back
+], ids=["swap-10-only", "no-survival"])
+def test_an_absent_bit_has_no_state_and_no_distance(config, bits):
+    attack = identity_attack(probe_dim=2)
+    eve = eve_conditional_states(attack, config)
+    assert eve.states.keys() == bits
+    assert eve.trace_distance is None
+    assert (eve.p_shared == 0.0) == (not bits)
+    found = _evaluate(config, [attack, attack])
+    assert np.isnan(found.trace_distance).all()
+    assert found.p_bit.tolist() == [[eve.p_bit[0], eve.p_bit[1]]] * 2
+    for k in range(2):
+        assert_row_equal(found, k, attack, config)
+
+
+def test_sweep_builds_no_report_objects(monkeypatch):
+    """The sweep reads the stacked record: it builds no condition report,
+    no Eve report and no density operator."""
+    expected = robustness_sweep(master_seed=5, count=16, max_probe_dim=8)
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("the sweep built a report object")
+
+    monkeypatch.setattr(protocol, "DensityOperator", forbidden)
+    monkeypatch.setattr(protocol, "EveConditionals", forbidden)
+    monkeypatch.setattr(robustness, "ConditionReport", forbidden)
+    with pytest.raises(AssertionError, match="report object"):
+        eve_conditional_states(identity_attack())  # the patches do bite
+    assert robustness_sweep(master_seed=5, count=16, max_probe_dim=8).records == \
+        expected.records
 
 
 def test_probability_sum_check_fires_for_a_later_attack_of_a_stack():
