@@ -9,15 +9,17 @@ space every protocol round runs on: Alice's storage is empty whenever Eve
 acts, so the matrices apply as they are, through
 :func:`sqkdsim.fock.apply_truncating_unitary`.
 
-Two exported builders, basis permutations and the tag swap built from one,
-compose the named attacks and serve for constructing new ones.
+Two exported builders compose the named attacks and serve for new ones:
+:func:`basis_permutation` takes the image of every basis index as
+basis-table arrays (occupation rows and probe levels), and
+:func:`tag_swap_unitary` exchanges the occupation columns of tags 0 and 1.
 """
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -116,36 +118,25 @@ def _check_probes(system: ModeSystem, probes: np.ndarray) -> None:
 # -- builders -----------------------------------------------------------------
 
 
-def basis_permutation(system: ModeSystem,
-                      image: Callable[[tuple[int, ...], int], tuple[Sequence[int], int]]
-                      ) -> np.ndarray:
-    """Unitary permutation matrix from a bijection on (occupation, probe) labels."""
-    seen = set()
+def basis_permutation(system: ModeSystem, occupations, probes) -> np.ndarray:
+    """Unitary permutation matrix taking each basis index i to the index of
+    occupation row i and probe level i of the image arrays."""
+    image = system.index_of(occupations, probes)
+    if image.shape != (system.dim,) or np.bincount(image, minlength=system.dim).max() > 1:
+        raise ValueError("image is not a bijection on the basis")
     mat = np.zeros((system.dim, system.dim), dtype=np.complex128)
-    for i in range(system.dim):
-        occ, probe = system.basis_state(i)
-        occ2, probe2 = image(occ, probe)
-        j = system.basis_index(occ2, probe2)
-        if j in seen:
-            raise ValueError("image function is not a bijection on the basis")
-        seen.add(j)
-        mat[j, i] = 1.0
+    mat[image, np.arange(system.dim)] = 1.0
     return mat
-
-
-def _swap_tags(system: ModeSystem, occ: Sequence[int]) -> tuple[int, ...]:
-    """``occ`` with the counts of tags 0 and 1 exchanged in every mode."""
-    out = list(occ)
-    for pair in range(system.num_pairs):
-        for mode in (0, 1):
-            sa, sb = system.slot(pair, mode, 0), system.slot(pair, mode, 1)
-            out[sa], out[sb] = out[sb], out[sa]
-    return tuple(out)
 
 
 def tag_swap_unitary(system: ModeSystem) -> np.ndarray:
     """Exchange tags 0 and 1 on every photon (a relabeling, hence unitary)."""
-    return basis_permutation(system, lambda occ, probe: (_swap_tags(system, occ), probe))
+    if system.tag_dim < 2:
+        raise ValueError("the tag swap needs tag_dim >= 2")
+    columns = np.arange(system.n_slots).reshape(-1, system.tag_dim)  # (pair, mode) by tag
+    columns[:, [0, 1]] = columns[:, [1, 0]]
+    occs, probes = system.basis_table
+    return basis_permutation(system, occs[:, columns.ravel()], probes)
 
 
 # -- named attacks ------------------------------------------------------------
@@ -155,17 +146,8 @@ def identity_attack(tag_dim: int = 1, n_max: int = 2, probe_dim: int = 1) -> Att
     """Eve does nothing; the reference point for every no-attack statistic."""
     system = attack_space(tag_dim, n_max, probe_dim)
     eye = np.eye(system.dim)
-    probe = np.zeros(probe_dim)
-    probe[0] = 1.0
-    return Attack("identity", system, eye, eye, probe, photon_preserving=True)
-
-
-def _pure_tag(system: ModeSystem, occ: Sequence[int], tag: int) -> bool:
-    total = sum(occ)
-    if total == 0:
-        return False
-    on_tag = sum(occ[system.slot(0, mode, tag)] for mode in (0, 1))
-    return on_tag == total
+    return Attack("identity", system, eye, eye, np.eye(probe_dim)[PROBE_IDLE],
+                  photon_preserving=True)
 
 
 def tagging_attack(n_max: int = 2) -> Attack:
@@ -182,22 +164,17 @@ def tagging_attack(n_max: int = 2) -> Attack:
     """
     system = attack_space(tag_dim=2, n_max=n_max, probe_dim=3)
     u_forward = tag_swap_unitary(system)
-
-    def v_image(occ: tuple[int, ...], probe: int):
-        if _pure_tag(system, occ, 0):
-            if probe == PROBE_IDLE:
-                return occ, PROBE_SAW_SIFT
-            if probe == PROBE_SAW_SIFT:
-                return occ, PROBE_IDLE
-            return _swap_tags(system, occ), PROBE_IDLE
-        if _pure_tag(system, occ, 1) and probe == PROBE_IDLE:
-            return _swap_tags(system, occ), PROBE_SAW_CTRL
-        return occ, probe
-
-    v_backward = basis_permutation(system, v_image)
-    probe = np.zeros(3)
-    probe[PROBE_IDLE] = 1.0
-    return Attack("tagging", system, u_forward, v_backward, probe,
+    occs, probes = system.basis_table
+    by_tag = occs.reshape(-1, 2, 2)  # (index, mode, tag)
+    on_tag = by_tag.sum(axis=1) > 0
+    sift, ctrl = (on_tag & ~on_tag[:, ::-1]).T  # light on tag 0 only, on tag 1 only
+    idle = probes == PROBE_IDLE
+    swap = sift & (probes == PROBE_SAW_CTRL) | ctrl & idle
+    v_backward = basis_permutation(
+        system, np.where(swap[:, None], by_tag[:, :, ::-1].reshape(occs.shape), occs),
+        np.select([sift & idle, sift, ctrl & idle],
+                  [PROBE_SAW_SIFT, PROBE_IDLE, PROBE_SAW_CTRL], probes))
+    return Attack("tagging", system, u_forward, v_backward, np.eye(3)[PROBE_IDLE],
                   photon_preserving=True)
 
 
@@ -214,32 +191,18 @@ def measure_resend_attack(basis: str = "computational", tag_dim: int = 1,
     if basis not in ("computational", "hadamard"):
         raise ValueError(f"unknown basis {basis!r}")
     system = attack_space(tag_dim=tag_dim, n_max=n_max, probe_dim=4)
-
-    def record_of(occ: tuple[int, ...]) -> int:
-        mode0 = sum(occ[system.slot(0, 0, t)] for t in range(tag_dim))
-        mode1 = sum(occ[system.slot(0, 1, t)] for t in range(tag_dim))
-        if mode1 and mode0:
-            return 3
-        return 2 if mode1 else 1
-
-    def image(occ: tuple[int, ...], probe: int):
-        if sum(occ) == 0:
-            return occ, probe
-        rec = record_of(occ)
-        if probe == PROBE_IDLE:
-            return occ, rec
-        if probe == rec:
-            return occ, PROBE_IDLE
-        return occ, probe
-
-    u_forward = basis_permutation(system, image)
+    occs, probes = system.basis_table
+    # The click class as a pattern code: 1 mode 0 only, 2 mode 1 only, 3 both;
+    # 0 (idle) for the vacuum, which the pointer therefore leaves alone.
+    clicks = occs.reshape(len(occs), 2, tag_dim).sum(axis=2) > 0
+    record = clicks[:, 0] + 2 * clicks[:, 1]
+    u_forward = basis_permutation(system, occs, np.select(
+        [probes == PROBE_IDLE, probes == record], [record, PROBE_IDLE], probes))
     if basis == "hadamard":
         had = hadamard_matrix(system, 0)
         u_forward = had @ u_forward @ had
-    probe = np.zeros(4)
-    probe[PROBE_IDLE] = 1.0
     return Attack(f"measure-resend-{basis}", system, u_forward,
-                  np.eye(system.dim), probe, photon_preserving=True)
+                  np.eye(system.dim), np.eye(4)[PROBE_IDLE], photon_preserving=True)
 
 
 def random_attack(seed: int, probe_dim: int = 4, strength: float = 0.3,
@@ -313,10 +276,19 @@ def _from_pairs(data, ndim: int) -> np.ndarray:
     return pairs.astype(np.float64).view(np.complex128)[..., 0]
 
 
+def _json_field(doc: dict, key: str, kind: type, default=None):
+    """``doc[key]`` (``default`` if absent), exactly a JSON ``kind``: no bool is an int."""
+    value = doc.get(key, default)
+    if type(value) is not kind:
+        raise ValueError(f"{key} must be a JSON {kind.__name__}, got {value!r}")
+    return value
+
+
 def _basis_order(system: ModeSystem) -> list:
     """The basis layout as an attack document states it, index by index."""
-    return [{"occupation": list(occ), "probe": probe}
-            for occ, probe in map(system.basis_state, range(system.dim))]
+    occs, probes = system.basis_table
+    return [{"occupation": occ, "probe": probe}
+            for occ, probe in zip(occs.tolist(), probes.tolist())]
 
 
 def attack_to_document(attack: Attack) -> dict:
@@ -341,8 +313,9 @@ def attack_from_document(doc: dict) -> Attack:
     try:
         if doc.get("kind") != _DOC_KIND:
             raise ValueError("not an attack document")
-        system = attack_space(int(doc["tag_dim"]), int(doc["n_max"]),
-                              int(doc["probe_dim"]))
+        system = attack_space(*(_json_field(doc, key, int)
+                                for key in ("tag_dim", "n_max", "probe_dim")))
+        photon_preserving = _json_field(doc, "photon_preserving", bool, False)
         declared = doc.get("basis_order")
         if declared is not None and declared != _basis_order(system):
             raise ValueError("declared basis order does not match the reconstructed space")
@@ -351,11 +324,11 @@ def attack_from_document(doc: dict) -> Attack:
         v_backward = _from_pairs(doc["v_backward"], 2)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(
-            "malformed attack document: expected a JSON object with tag_dim, "
-            "n_max, probe_dim, and [re, im] pairs in initial_probe, u_forward "
-            f"and v_backward ({type(exc).__name__}: {exc})") from exc
+            "malformed attack document: expected a JSON object with integer "
+            "tag_dim, n_max and probe_dim, and [re, im] pairs in initial_probe, "
+            f"u_forward and v_backward ({type(exc).__name__}: {exc})") from exc
     return Attack(str(doc.get("name", "imported")), system, u_forward, v_backward,
-                  probe, bool(doc.get("photon_preserving", False)))
+                  probe, photon_preserving)
 
 
 def save_attack(attack: Attack, path) -> None:

@@ -31,8 +31,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .adversary import (Attack, _from_pairs, identity_attack, load_attack,
-                        measure_resend_attack, random_attack, tagging_attack)
+from .adversary import (Attack, _from_pairs, _json_field, identity_attack,
+                        load_attack, measure_resend_attack, random_attack,
+                        tagging_attack)
 from .fock import ContractViolation
 from .protocol import (ProtocolConfig, RoundEnumerator, Variant,
                        eve_conditional_states, exact_statistics,
@@ -139,6 +140,8 @@ def _emit(args, doc: dict, tables: list) -> None:
 
 
 def cmd_run(args) -> int:
+    if args.cross_check and args.variant != Variant.MIRROR.value:
+        raise ValueError("--cross-check checks Alice's mirror swaps: it needs --variant mirror")
     attack = build_attack(args.attack, args.tag_dim, args.n_max)
     config = ProtocolConfig(
         variant=Variant(args.variant),
@@ -248,8 +251,8 @@ def _load_lemma_fixture(path: str) -> tuple[LemmaInput, bool]:
         f = {int(m): _from_pairs(v, 1) for m, v in doc.get("f", {}).items()}
         g = {int(m): _from_pairs(v, 1) for m, v in doc.get("g", {}).items()}
         h = _from_pairs(doc["h"], 1)
-        n_max = int(doc.get("n_max", 2))
-        claims_zero = bool(doc.get("claims_p_minus_zero", False))
+        n_max = _json_field(doc, "n_max", int, 2)
+        claims_zero = _json_field(doc, "claims_p_minus_zero", bool, False)
     except (AttributeError, KeyError, TypeError, ValueError) as exc:
         raise ValueError(
             f"malformed lemma fixture {path}: f and g must map photon number "
@@ -375,7 +378,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--error-threshold", type=float, default=0.05,
                        help="abort threshold applied to all error rates")
     p_run.add_argument("--cross-check", action="store_true",
-                       help="also re-derive measurement branches by projection")
+                       help="also re-derive measurement branches by projection "
+                            "(mirror variant only)")
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 

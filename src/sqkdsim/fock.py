@@ -136,10 +136,6 @@ class ModeSystem:
     def basis_index(self, occ: Sequence[int], probe: int = 0) -> int:
         return int(self.index_of(occ, probe))
 
-    def basis_state(self, index: int) -> tuple[tuple[int, ...], int]:
-        occs, probes = self.basis_table
-        return tuple(occs[index].tolist()), int(probes[index])
-
 
 @lru_cache(maxsize=None)
 def _occupations(n_slots: int, n_max: int) -> tuple[tuple[int, ...], ...]:
@@ -321,20 +317,24 @@ def tensor(a: FockVector, b: FockVector) -> FockVector:
         raise ValueError("cannot tensor two systems that both carry a probe")
     joint = ModeSystem(ma.num_pairs + mb.num_pairs, ma.tag_dim, ma.n_max,
                        ma.probe_dim or mb.probe_dim)
+    # Every pair of nonzero amplitudes, a's index major, multiplied in real
+    # arithmetic: numpy's array complex product may fuse what its scalar one rounds.
+    ia, ib = np.nonzero(np.outer(np.abs(a.amplitudes) > 0, np.abs(b.amplitudes) > 0))
+    za, zb = a.amplitudes[ia], b.amplitudes[ib]
+    amp = np.empty(len(ia), dtype=np.complex128)
+    amp.real = za.real * zb.real - za.imag * zb.imag
+    amp.imag = za.real * zb.imag + za.imag * zb.real
+    (occs_a, probes_a), (occs_b, probes_b) = ma.basis_table, mb.basis_table
+    occs = np.concatenate([occs_a[ia], occs_b[ib]], axis=1)
+    kept = occs.sum(axis=1) <= joint.n_max
     amps = np.zeros(joint.dim, dtype=np.complex128)
-    nz_a = np.flatnonzero(np.abs(a.amplitudes) > 0)
-    nz_b = np.flatnonzero(np.abs(b.amplitudes) > 0)
-    dropped = 0.0
-    for ia in nz_a:
-        occ_a, pa = ma.basis_state(int(ia))
-        for ib in nz_b:
-            occ_b, pb = mb.basis_state(int(ib))
-            amp = a.amplitudes[ia] * b.amplitudes[ib]
-            if sum(occ_a) + sum(occ_b) > joint.n_max:
-                dropped += abs(amp) ** 2
-                continue
-            probe = pa if ma.probe_dim else pb
-            amps[joint.basis_index(occ_a + occ_b, probe)] += amp
+    # Distinct pairs land on distinct indices; adding into zeros rather than
+    # assigning turns -0.0 parts into 0.0, as a scalar sum does.
+    amps[joint.index_of(occs[kept], probes_a[ia][kept] + probes_b[ib][kept])] += amp[kept]
+    # The dropped weights |amp| ** 2, rounded as scalar abs and ** round them
+    # (hypot, then libm pow), summed one at a time in pair order.
+    lost = np.add.accumulate(np.float_power(np.hypot(amp.real[~kept], amp.imag[~kept]), 2))
+    dropped = lost[-1] if lost.size else 0.0
     return FockVector(joint, amps, a.leaked + b.leaked + dropped)
 
 

@@ -155,19 +155,20 @@ def _cross_check(enum: RoundEnumerator) -> float:
     storage = vacuum(ModeSystem(1, forward.system.tag_dim, forward.system.n_max))
     joint = tensor(storage, forward)
     system = joint.system
-    alice_slots = system.pair_slots(ALICE_PAIR)
+    alice_slots = list(system.pair_slots(ALICE_PAIR))
+    occs, probes = system.basis_table
     worst = 0.0
     for op in (AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL):
         swapped = apply_alice_op(joint, op)
-        groups: dict[tuple[int, ...], np.ndarray] = {}
-        for i in np.flatnonzero(np.abs(swapped.amplitudes) > 0):
-            occ, probe = system.basis_state(int(i))
-            a_occ = tuple(occ[s] for s in alice_slots)
-            cleared = list(occ)
-            for s in alice_slots:
-                cleared[s] = 0
-            vec = groups.setdefault(a_occ, np.zeros(system.dim, dtype=np.complex128))
-            vec[system.basis_index(cleared, probe)] += swapped.amplitudes[i]
+        # One projection per occupation of Alice's pair, that pair emptied:
+        # each (occupation, emptied index) receives one amplitude.
+        nz = np.flatnonzero(np.abs(swapped.amplitudes) > 0)
+        cleared = occs[nz]
+        a_occs, group = np.unique(cleared[:, alice_slots], axis=0, return_inverse=True)
+        cleared[:, alice_slots] = 0
+        vecs = np.zeros((len(a_occs), system.dim), dtype=np.complex128)
+        vecs[group.ravel(), system.index_of(cleared, probes[nz])] += swapped.amplitudes[nz]
+        groups = dict(zip(map(tuple, a_occs.tolist()), vecs))
         # The round's split, map k per rail occupation k; the joint storage
         # pair 0 has the attack pair's slot numbers, so rail counts embed.
         rails = swapped_slots(forward.system, op, 0)

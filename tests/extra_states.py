@@ -10,6 +10,12 @@ import numpy as np
 from sqkdsim.fock import FockVector, ModeSystem, basis_vector, creation_operator
 
 
+def basis_state(system: ModeSystem, index: int) -> tuple[tuple[int, ...], int]:
+    """The occupation tuple and probe level of basis index ``index``."""
+    occs, probes = system.basis_table
+    return tuple(occs[index].tolist()), int(probes[index])
+
+
 def single_photon(system: ModeSystem, pair: int, mode: int, tag: int = 0,
                   probe: int = 0) -> FockVector:
     occ = [0] * system.n_slots

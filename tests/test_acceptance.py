@@ -27,6 +27,8 @@ from sqkdsim.robustness import (check_conditions, lemma_state,
                                 random_lemma_input, robustness_sweep,
                                 verify_lemma1)
 
+from extra_states import basis_state
+
 PATTERNS = (ClickPattern.P00, ClickPattern.P01, ClickPattern.P10,
             ClickPattern.P11)
 
@@ -121,7 +123,7 @@ def test_criterion_3_swap_operators():
                          AliceOp.SWAP_01: (0,), AliceOp.SWAP_ALL: (0, 1)}
         for op, mat in mats.items():
             for index in range(ms.dim):
-                occ, probe = ms.basis_state(index)
+                occ, probe = basis_state(ms, index)
                 out = list(occ)
                 for mode in swapped_modes[op]:
                     for tag in range(tag_dim):

@@ -9,10 +9,11 @@ from sqkdsim.adversary import (Attack, PROBE_IDLE, PROBE_SAW_CTRL,
                                identity_attack, load_attack,
                                measure_resend_attack, random_attack, save_attack,
                                tag_swap_unitary, tagging_attack)
-from sqkdsim.fock import FockVector, apply_truncating_unitary, pair_mode_transform, vacuum
+from sqkdsim.fock import (FockVector, ModeSystem, apply_truncating_unitary,
+                          pair_mode_transform, vacuum)
 
 from extra_attacks import number_sector_phases, probe_rotation_attack, probe_unitary
-from extra_states import plus_state
+from extra_states import basis_state, plus_state
 
 SEED = 99
 
@@ -107,12 +108,28 @@ def test_builders_produce_unitaries():
 
 def test_basis_permutation_requires_bijection():
     ms = attack_space(probe_dim=2)
+    occs, probes = ms.basis_table
+    assert np.array_equal(basis_permutation(ms, occs, probes), np.eye(ms.dim))
+    with pytest.raises(ValueError, match="bijection"):
+        basis_permutation(ms, occs, np.zeros_like(probes))  # every level to 0
+    with pytest.raises(ValueError, match="bijection"):
+        basis_permutation(ms, occs[1:], probes[1:])  # a basis state left out
 
-    def collapse(occ, probe):
-        return occ, 0
 
+def test_tag_swap_exchanges_tags_0_and_1_and_leaves_tag_2():
+    ms = ModeSystem(num_pairs=1, tag_dim=3, n_max=3, probe_dim=2)
+    swap = tag_swap_unitary(ms)
+    for index in range(ms.dim):
+        occ, probe = basis_state(ms, index)
+        image = list(occ)
+        for mode in (0, 1):
+            a, b = ms.slot(0, mode, 0), ms.slot(0, mode, 1)
+            image[a], image[b] = occ[b], occ[a]
+        expected = np.zeros(ms.dim)
+        expected[ms.basis_index(image, probe)] = 1.0
+        assert np.array_equal(swap[:, index], expected), occ
     with pytest.raises(ValueError):
-        basis_permutation(ms, collapse)
+        tag_swap_unitary(ModeSystem(num_pairs=1, tag_dim=1, n_max=2))
 
 
 def test_unitarity_when_storage_is_empty():
@@ -231,13 +248,13 @@ def test_tagging_attack_marks_and_cleans():
         pytest.approx(1 / np.sqrt(2))
     assert back.amplitude((0, 0, 1, 0), probe=PROBE_SAW_CTRL) == \
         pytest.approx(1 / np.sqrt(2))
-    probes = {ms.basis_state(int(i))[1]
+    probes = {basis_state(ms, int(i))[1]
               for i in np.flatnonzero(np.abs(back.amplitudes) > 1e-12)}
     assert probes == {PROBE_SAW_CTRL}
     # backward pass on an untagged photon: SIFT recorded
     fresh = plus_state(ms, 0, tag=0, probe=PROBE_IDLE)
     marked = FockVector(ms, attack.v_backward @ fresh.amplitudes)
-    nz = [ms.basis_state(int(i))[1]
+    nz = [basis_state(ms, int(i))[1]
           for i in np.flatnonzero(np.abs(marked.amplitudes) > 1e-12)]
     assert nz and all(p == PROBE_SAW_SIFT for p in nz)
 
@@ -259,6 +276,27 @@ def test_measure_resend_records_click_class():
     assert fwd.amplitude((1, 0), probe=1) == pytest.approx(1 / np.sqrt(2))
     assert fwd.amplitude((0, 1), probe=2) == pytest.approx(1 / np.sqrt(2))
     assert np.allclose(attack.v_backward, np.eye(ms.dim))
+
+
+def test_measure_resend_records_click_class_by_mode_over_tags():
+    """With two tags the pointer reads which modes hold photons, whatever
+    their tags: 1 mode 0 only, 2 mode 1 only, 3 both.  An idle pointer
+    takes the class, a pointer at the class goes idle, any other is kept."""
+    attack = measure_resend_attack("computational", tag_dim=2, n_max=3)
+    ms = attack.system
+    for index in range(ms.dim):
+        occ, probe = basis_state(ms, index)
+        mode0, mode1 = (sum(occ[s] for s in ms.mode_slots(0, mode)) for mode in (0, 1))
+        record = (mode0 > 0) + 2 * (mode1 > 0)
+        image = (record if probe == PROBE_IDLE else
+                 PROBE_IDLE if probe == record else probe)
+        expected = np.zeros(ms.dim)
+        expected[ms.basis_index(occ, image)] = 1.0
+        assert np.array_equal(attack.u_forward[:, index], expected), (occ, probe)
+    # Slots run (mode 0: tag 0, tag 1; mode 1: tag 0, tag 1).
+    for occ, record in (((0, 2, 0, 0), 1), ((0, 0, 1, 1), 2), ((0, 1, 1, 0), 3)):
+        assert attack.u_forward[ms.basis_index(occ, record),
+                                ms.basis_index(occ, PROBE_IDLE)] == 1.0
 
 
 def test_measure_resend_hadamard_passes_plus_silently():
@@ -293,6 +331,17 @@ def test_fixture_document_is_validated():
     doc = attack_to_document(attack)
     doc["u_forward"][0][0] = [5.0, 0.0]
     with pytest.raises(ValueError):
+        attack_from_document(doc)
+
+
+@pytest.mark.parametrize("field, value", [("tag_dim", "1"), ("n_max", 2.7),
+                                          ("probe_dim", True),
+                                          ("photon_preserving", "no")])
+def test_fixture_takes_sizes_and_flags_only_as_json_types(field, value):
+    """Sizes must be JSON integers (no booleans), flags JSON booleans;
+    nothing is coerced."""
+    doc = dict(attack_to_document(identity_attack()), **{field: value})
+    with pytest.raises(ValueError, match=f"malformed attack document.*{field}"):
         attack_from_document(doc)
 
 

@@ -7,7 +7,7 @@ from sqkdsim.alice import (ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op,
 from sqkdsim.fock import ContractViolation, FockVector, ModeSystem, vacuum
 from sqkdsim.measurement import AliceOp, ClickPattern
 
-from extra_states import plus_state, single_photon
+from extra_states import basis_state, plus_state, single_photon
 from reference_measurement import measure_pair
 
 ATOL = 1e-12
@@ -39,7 +39,7 @@ def test_swap_permutation_exhaustive(op, tag_dim):
     image = swap_index_map(ms, op)
     seen = set()
     for index in range(ms.dim):
-        occ, probe = ms.basis_state(index)
+        occ, probe = basis_state(ms, index)
         target = ms.basis_index(_expected_image(ms, occ, op), probe)
         assert image[index] == target
         seen.add(image[index])
@@ -105,7 +105,7 @@ def test_swaps_preserve_norm_on_random_states():
         amps = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
         # confine support to states with empty storage
         for i in range(ms.dim):
-            occ, _ = ms.basis_state(i)
+            occ, _ = basis_state(ms, i)
             if any(occ[s] for s in vac_slots):
                 amps[i] = 0.0
         state = FockVector(ms, amps)
@@ -139,7 +139,7 @@ def test_alice_measure_reads_storage_pair():
         # storage cleared after the measurement
         nz = np.flatnonzero(np.abs(b.residual.amplitudes) > 0)
         for i in nz:
-            occ, _ = ms.basis_state(int(i))
+            occ, _ = basis_state(ms, int(i))
             assert all(occ[s] == 0 for s in ms.pair_slots(ALICE_PAIR))
 
 

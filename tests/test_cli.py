@@ -185,11 +185,32 @@ def test_lemma_fixture_malformed_shape_is_clean_error(tmp_path, capsys):
     assert "malformed lemma fixture" in err
 
 
+@pytest.mark.parametrize("field, value", [("n_max", 2.7), ("n_max", True),
+                                          ("claims_p_minus_zero", "no")])
+def test_lemma_fixture_takes_no_coerced_fields(field, value, tmp_path, capsys):
+    """n_max must be a JSON integer and the claim a JSON boolean."""
+    fixture = {"n_max": 2, "f": {"1": [[1.0, 0.0]]}, "g": {"1": [[1.0, 0.0]]},
+               "h": [[0.0, 0.0]], field: value}
+    path = tmp_path / "coerced.json"
+    path.write_text(json.dumps(fixture))
+    assert main(["lemma", "--fixture", str(path)]) == 1
+    err = capsys.readouterr().err
+    assert "malformed lemma fixture" in err and field in err
+
+
 def test_attack_demo(capsys):
     assert main(["attack-demo"]) == 0
     out = capsys.readouterr().out
     assert "identification accuracy" in out
     assert "tagging vs mirror" in out
+
+
+def test_cross_check_needs_the_mirror_variant(capsys):
+    """The cross check covers Alice's mirror swaps; a legacy run has none."""
+    assert main(["run", "--variant", "legacy", "--rounds", "10",
+                 "--cross-check"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--variant mirror" in err
 
 
 def test_legacy_run(capsys):

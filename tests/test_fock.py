@@ -9,7 +9,7 @@ from sqkdsim.fock import (ContractViolation, DensityOperator, FockVector,
                           creation_operator, hadamard_change, hadamard_matrix,
                           tensor, trace_distance, vacuum)
 
-from extra_states import apply_creation, plus_state, single_photon
+from extra_states import apply_creation, basis_state, plus_state, single_photon
 
 SEED = 20240811
 
@@ -43,7 +43,7 @@ def test_occupation_ordering_and_dim():
 def test_basis_index_round_trip():
     ms = ModeSystem(num_pairs=2, tag_dim=2, n_max=2, probe_dim=3)
     for index in range(ms.dim):
-        occ, probe = ms.basis_state(index)
+        occ, probe = basis_state(ms, index)
         assert ms.basis_index(occ, probe) == index
 
 
@@ -96,7 +96,7 @@ def test_ladder_operators_are_adjoint():
     # a† a counts photons below the cutoff
     number = a_up @ a_dn
     for i in range(ms.dim):
-        occ, _ = ms.basis_state(i)
+        occ, _ = basis_state(ms, i)
         assert number[i, i] == pytest.approx(occ[0])
 
 
@@ -113,7 +113,7 @@ def _loop_creation(system, slot, amps):
     mat = np.zeros((system.dim, system.dim), dtype=np.complex128)
     lost = 0.0
     for i in range(system.dim):
-        occ, probe = system.basis_state(i)
+        occ, probe = basis_state(system, i)
         if sum(occ) + 1 > system.n_max:
             lost += (occ[slot] + 1) * abs(amps[i]) ** 2
             continue
@@ -136,7 +136,7 @@ def test_creation_matches_loop_reference_at_the_cap(n_max):
         assert lost > 0.0  # the state has weight at the cap
         assert created.leaked == pytest.approx(0.25 + lost, rel=1e-12)
         total = np.vdot(amps, amps).real
-        number = sum(ms.basis_state(i)[0][slot] * abs(amps[i]) ** 2
+        number = sum(basis_state(ms, i)[0][slot] * abs(amps[i]) ** 2
                      for i in range(ms.dim))
         # |a-dagger psi|^2 = <n + 1>, split between kept and lost weight
         assert created.norm2 + lost == pytest.approx(total + number, rel=1e-12)
@@ -223,7 +223,7 @@ def test_truncating_unitary_records_dropped_weight():
     rng = np.random.default_rng(SEED)
     a = rng.standard_normal((ms.dim, ms.dim)) + 1j * rng.standard_normal((ms.dim, ms.dim))
     unitary = np.linalg.qr(a)[0]
-    top = [i for i in range(ms.dim) if sum(ms.basis_state(i)[0]) == ms.n_max]
+    top = [i for i in range(ms.dim) if sum(basis_state(ms, i)[0]) == ms.n_max]
     cut = unitary.copy()
     cut[top, :] = 0.0
     for _ in range(20):
@@ -254,6 +254,46 @@ def test_tensor_drops_over_budget_mass():
     # total occupancy 2 exceeds the shared cutoff of 1
     assert joint.norm2 == pytest.approx(0.0, abs=1e-12)
     assert joint.leaked == pytest.approx(1.0)
+
+
+def _tensor_by_loop(a: FockVector, b: FockVector):
+    """:func:`tensor`'s amplitudes and leaked weight, one scalar product
+    of nonzero amplitudes at a time, a's index major."""
+    ma, mb = a.system, b.system
+    joint = ModeSystem(ma.num_pairs + mb.num_pairs, ma.tag_dim, ma.n_max,
+                       ma.probe_dim or mb.probe_dim)
+    amps = np.zeros(joint.dim, dtype=np.complex128)
+    dropped = 0.0
+    for ia in np.flatnonzero(np.abs(a.amplitudes) > 0):
+        occ_a, probe_a = basis_state(ma, int(ia))
+        for ib in np.flatnonzero(np.abs(b.amplitudes) > 0):
+            occ_b, probe_b = basis_state(mb, int(ib))
+            amp = a.amplitudes[ia] * b.amplitudes[ib]
+            if sum(occ_a) + sum(occ_b) > joint.n_max:
+                dropped += abs(amp) ** 2
+            else:
+                amps[joint.basis_index(occ_a + occ_b, probe_a + probe_b)] += amp
+    return amps, a.leaked + b.leaked + dropped
+
+
+def test_tensor_equals_a_scalar_loop_bit_for_bit():
+    """Probe on the first factor, weight leaked by both inputs and dropped
+    by the product, zeros and negative zeros among the amplitudes."""
+    rng = np.random.default_rng(SEED)
+    for n_max in (1, 2, 3):
+        vectors = []
+        for system, leaked in ((ModeSystem(1, 2, n_max, probe_dim=3), 0.125),
+                               (ModeSystem(1, 2, n_max), 0.25)):
+            amps = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+            amps[rng.random(system.dim) < 0.3] = 0.0
+            amps.real[rng.random(system.dim) < 0.3] = -0.0
+            amps.imag[rng.random(system.dim) < 0.3] = -0.0
+            vectors.append(FockVector(system, amps, leaked))
+        joint = tensor(*vectors)
+        amps, leaked = _tensor_by_loop(*vectors)
+        assert joint.system.probe_dim == 3
+        assert joint.amplitudes.tobytes() == amps.tobytes()
+        assert joint.leaked > 0.375 and joint.leaked == leaked
 
 
 def test_density_operator_validation():

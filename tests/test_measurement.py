@@ -8,7 +8,7 @@ from sqkdsim.measurement import (AliceOp, ClickPattern, Interpretation,
                                  interpret_ctrl, interpret_legacy_sift,
                                  interpret_swap_all, interpret_swap_x, shared_bit)
 
-from extra_states import plus_state, single_photon
+from extra_states import basis_state, plus_state, single_photon
 from reference_measurement import measure_pair
 
 SEED = 424242
@@ -44,7 +44,7 @@ def test_measure_plus_state_branches():
     for b in branches:
         # residual is sub-normalized and the measured pair is emptied
         assert b.residual.norm2 == pytest.approx(b.probability)
-        occ, _ = ms.basis_state(int(np.flatnonzero(b.residual.amplitudes)[0]))
+        occ, _ = basis_state(ms, int(np.flatnonzero(b.residual.amplitudes)[0]))
         assert occ == (0, 0)
 
 

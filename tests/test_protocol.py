@@ -17,6 +17,7 @@ from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
 from sqkdsim.robustness import check_conditions, measurement_cross_check
 
 from extra_attacks import probe_rotation_attack
+from extra_states import basis_state
 
 MIRROR_OPS = (AliceOp.CTRL, AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL)
 BASES = (Basis.COMPUTATIONAL, Basis.HADAMARD)
@@ -134,7 +135,7 @@ def test_loss_maps_are_binomial_kraus_branches(q):
         weights.append(np.vdot(out, out).real)
         losts = set()
         for i, j, a in zip(src, dst, amp):
-            (occ, probe), (kept, kept_probe) = system.basis_state(i), system.basis_state(j)
+            (occ, probe), (kept, kept_probe) = basis_state(system, i), basis_state(system, j)
             lost = tuple(occ[s] - kept[s] for s in slots)
             losts.add(lost)
             assert probe == kept_probe and min(lost) >= 0
