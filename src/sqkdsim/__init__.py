@@ -12,7 +12,7 @@ from .adversary import (Attack, attack_from_document, attack_to_document,
                         random_attack, save_attack, tagging_attack)
 from .alice import ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   basis_vector, hadamard_change, tensor, trace_distance, vacuum)
+                   hadamard_change, trace_distance)
 from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
                           interpret_ctrl, interpret_legacy_sift, interpret_swap_all,
                           interpret_swap_x, shared_bit)
@@ -31,7 +31,7 @@ __all__ = [
     "__version__",
     # state space
     "ContractViolation", "ModeSystem", "FockVector", "DensityOperator",
-    "vacuum", "basis_vector", "tensor", "hadamard_change", "trace_distance",
+    "hadamard_change", "trace_distance",
     # parties
     "ALICE_PAIR", "TRANSMIT_PAIR", "AliceOp", "Basis", "ClickPattern",
     "Interpretation", "apply_alice_op",

@@ -337,6 +337,19 @@ def save_attack(attack: Attack, path) -> None:
         fh.write("\n")
 
 
+def _unique_keys(pairs: list) -> dict:
+    """A JSON object, as ``json``'s ``object_pairs_hook``: a repeated key is
+    a ValueError, where ``json`` would keep its last value."""
+    doc = dict(pairs)
+    if len(doc) < len(pairs):
+        raise ValueError(f"repeated key among {[key for key, _ in pairs]}")
+    return doc
+
+
 def load_attack(path) -> Attack:
-    with open(path, "r", encoding="utf-8") as fh:
-        return attack_from_document(json.load(fh))
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            doc = json.load(fh, object_pairs_hook=_unique_keys)
+    except ValueError as exc:  # not JSON, or a repeated key
+        raise ValueError(f"malformed attack document {path}: {exc}") from exc
+    return attack_from_document(doc)

@@ -24,22 +24,22 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict
+from dataclasses import asdict, replace
 from functools import lru_cache
 from math import isfinite
 from pathlib import Path
 
 import numpy as np
 
-from .adversary import (Attack, _from_pairs, _json_field, identity_attack,
-                        load_attack, measure_resend_attack, random_attack,
-                        tagging_attack)
+from .adversary import (Attack, _from_pairs, _json_field, _unique_keys,
+                        identity_attack, load_attack, measure_resend_attack,
+                        random_attack, tagging_attack)
 from .fock import ContractViolation
 from .protocol import (ProtocolConfig, RoundEnumerator, Variant,
                        eve_conditional_states, exact_statistics,
                        legacy_identification, run_protocol)
-from .robustness import (LemmaInput, check_conditions, random_lemma_input,
-                         robustness_sweep, verify_lemma1)
+from .robustness import (LemmaInput, check_conditions, measurement_cross_check,
+                         random_lemma_input, robustness_sweep, verify_lemma1)
 
 __all__ = ["main", "build_attack"]
 
@@ -160,10 +160,13 @@ def cmd_run(args) -> int:
 
     analysis: dict = {}
     if config.variant is Variant.MIRROR:
-        report = check_conditions(attack, config, cross_check=args.cross_check,
-                                  enumerator=enum)
+        report = check_conditions(attack, config, enumerator=enum)
+        conditions = asdict(report)
+        if args.cross_check:  # Alice's swaps, checked on the lossless forward pass
+            conditions["cross_check_deviation"] = measurement_cross_check(
+                attack, replace(config, channel_loss=1.0))
         conditionals = eve_conditional_states(attack, config, enum)
-        analysis["conditions"] = report.to_document()
+        analysis["conditions"] = dict(conditions, max_violation=report.max_violation)
         analysis["eavesdropper"] = {
             "p_shared": conditionals.p_shared,
             "trace_distance": conditionals.trace_distance,
@@ -245,11 +248,18 @@ def cmd_sweep(args) -> int:
     return EXIT_CLAIM_FAILED if report.n_counterexamples else EXIT_OK
 
 
+def _probe_vectors(side: dict) -> dict:
+    """Probe vectors by photon number, from keys written as plain decimals."""
+    vectors = {int(m): _from_pairs(v, 1) for m, v in side.items()}
+    if list(map(str, vectors)) != list(side):  # "01", "1_0", " 1" or a repeat
+        raise ValueError(f"photon numbers must be plain decimals, got {list(side)}")
+    return vectors
+
+
 def _load_lemma_fixture(path: str) -> tuple[LemmaInput, bool]:
-    doc = json.loads(Path(path).read_text())
     try:
-        f = {int(m): _from_pairs(v, 1) for m, v in doc.get("f", {}).items()}
-        g = {int(m): _from_pairs(v, 1) for m, v in doc.get("g", {}).items()}
+        doc = json.loads(Path(path).read_text(), object_pairs_hook=_unique_keys)
+        f, g = _probe_vectors(doc.get("f", {})), _probe_vectors(doc.get("g", {}))
         h = _from_pairs(doc["h"], 1)
         n_max = _json_field(doc, "n_max", int, 2)
         claims_zero = _json_field(doc, "claims_p_minus_zero", bool, False)
@@ -378,8 +388,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_run.add_argument("--error-threshold", type=float, default=0.05,
                        help="abort threshold applied to all error rates")
     p_run.add_argument("--cross-check", action="store_true",
-                       help="also re-derive measurement branches by projection "
-                            "(mirror variant only)")
+                       help="also re-derive Alice's swap measurement branches by "
+                            "projection on the lossless channel (mirror variant only)")
     _add_common(p_run)
     p_run.set_defaults(func=cmd_run)
 

@@ -42,14 +42,11 @@ __all__ = [
     "ModeSystem",
     "FockVector",
     "DensityOperator",
-    "vacuum",
-    "basis_vector",
     "creation_operator",
     "apply_truncating_unitary",
     "pair_mode_transform",
     "hadamard_matrix",
     "hadamard_change",
-    "tensor",
     "trace_distance",
 ]
 
@@ -192,28 +189,8 @@ class FockVector:
     def norm2(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
 
-    @property
-    def norm(self) -> float:
-        return sqrt(self.norm2)
-
     def amplitude(self, occ: Sequence[int], probe: int = 0) -> complex:
         return complex(self.amplitudes[self.system.basis_index(occ, probe)])
-
-    def normalized(self) -> "FockVector":
-        n = self.norm
-        if n < 1e-15:
-            raise ValueError("cannot normalize a (numerically) zero vector")
-        return FockVector(self.system, self.amplitudes / n, self.leaked)
-
-
-def vacuum(system: ModeSystem, probe: int = 0) -> FockVector:
-    return basis_vector(system, (0,) * system.n_slots, probe)
-
-
-def basis_vector(system: ModeSystem, occ: Sequence[int], probe: int = 0) -> FockVector:
-    amps = np.zeros(system.dim, dtype=np.complex128)
-    amps[system.basis_index(occ, probe)] = 1.0
-    return FockVector(system, amps)
 
 
 # -- ladder operators -------------------------------------------------------
@@ -298,44 +275,6 @@ def hadamard_matrix(system: ModeSystem, pair: int) -> np.ndarray:
 
 def hadamard_change(state: FockVector, pair: int) -> FockVector:
     return apply_truncating_unitary(state, hadamard_matrix(state.system, pair))
-
-
-# -- composite systems -------------------------------------------------------
-
-
-def tensor(a: FockVector, b: FockVector) -> FockVector:
-    """Tensor product; ``b``'s pairs are renumbered after ``a``'s.
-
-    Both factors must share tag_dim and n_max, and at most one may carry a
-    probe.  Joint occupations exceeding the shared n_max are dropped and
-    accounted in ``leaked``.
-    """
-    ma, mb = a.system, b.system
-    if ma.tag_dim != mb.tag_dim or ma.n_max != mb.n_max:
-        raise ValueError(f"incompatible mode systems {ma} vs {mb}")
-    if ma.probe_dim and mb.probe_dim:
-        raise ValueError("cannot tensor two systems that both carry a probe")
-    joint = ModeSystem(ma.num_pairs + mb.num_pairs, ma.tag_dim, ma.n_max,
-                       ma.probe_dim or mb.probe_dim)
-    # Every pair of nonzero amplitudes, a's index major, multiplied in real
-    # arithmetic: numpy's array complex product may fuse what its scalar one rounds.
-    ia, ib = np.nonzero(np.outer(np.abs(a.amplitudes) > 0, np.abs(b.amplitudes) > 0))
-    za, zb = a.amplitudes[ia], b.amplitudes[ib]
-    amp = np.empty(len(ia), dtype=np.complex128)
-    amp.real = za.real * zb.real - za.imag * zb.imag
-    amp.imag = za.real * zb.imag + za.imag * zb.real
-    (occs_a, probes_a), (occs_b, probes_b) = ma.basis_table, mb.basis_table
-    occs = np.concatenate([occs_a[ia], occs_b[ib]], axis=1)
-    kept = occs.sum(axis=1) <= joint.n_max
-    amps = np.zeros(joint.dim, dtype=np.complex128)
-    # Distinct pairs land on distinct indices; adding into zeros rather than
-    # assigning turns -0.0 parts into 0.0, as a scalar sum does.
-    amps[joint.index_of(occs[kept], probes_a[ia][kept] + probes_b[ib][kept])] += amp[kept]
-    # The dropped weights |amp| ** 2, rounded as scalar abs and ** round them
-    # (hypot, then libm pow), summed one at a time in pair order.
-    lost = np.add.accumulate(np.float_power(np.hypot(amp.real[~kept], amp.imag[~kept]), 2))
-    dropped = lost[-1] if lost.size else 0.0
-    return FockVector(joint, amps, a.leaked + b.leaked + dropped)
 
 
 @dataclass(frozen=True, eq=False)

@@ -221,10 +221,6 @@ class BranchTable:
         return self.interpretation == _SHARED
 
     @property
-    def discarded(self) -> np.ndarray:
-        return self.interpretation < 0
-
-    @property
     def labels(self) -> np.ndarray:
         """Per-row outcome codes into ``_LABELS``: 0 for Discarded."""
         return self.interpretation + 1

@@ -18,8 +18,7 @@ import numpy as np
 
 from .adversary import Attack, _check_probes, _check_unitary, _random_attacks, attack_space
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
-from .fock import (FockVector, ModeSystem, apply_truncating_unitary,
-                   hadamard_change, tensor, vacuum)
+from .fock import FockVector, ModeSystem, apply_truncating_unitary, hadamard_change
 from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
 from .protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant, _Layout,
                        _PrunedApart, _branch_stack, _document, _enumerator, _eve_conditionals,
@@ -60,29 +59,22 @@ class ConditionReport:
     swap_01_wrong_mode: float
     swap_all_alice_double: float
     swap_all_bob_click: float
-    cross_check_deviation: Optional[float] = None
 
     @property
     def max_violation(self) -> float:
-        return max(getattr(self, f.name) for f in fields(self)
-                   if f.name != "cross_check_deviation")
+        return max(getattr(self, f.name) for f in fields(self))
 
     def to_document(self) -> dict:
-        doc = dict(_document(self), max_violation=self.max_violation)
-        if self.cross_check_deviation is None:
-            del doc["cross_check_deviation"]
-        return doc
+        return dict(_document(self), max_violation=self.max_violation)
 
 
 def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
-                     cross_check: bool = False,
                      enumerator: Optional[RoundEnumerator] = None) -> ConditionReport:
     """The seven detection conditions on a mirror config (default if None),
     by the core a sweep runs on a stack of attacks.  A given enumerator
     must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    return ConditionReport(*_conditions(enum.config, *enum._pass)[0].tolist(),
-                           _cross_check(enum) if cross_check else None)
+    return ConditionReport(*_conditions(enum.config, *enum._pass)[0].tolist())
 
 
 def _conditions(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> np.ndarray:
@@ -140,21 +132,24 @@ def measurement_cross_check(attack: Attack,
     their branch sets differ).
 
     The routes are compared on the lossless forward-pass state, so the
-    mirror config (the default one if None) must be lossless.  A given
+    mirror config (the default one if None) must be lossless; ``sqkdsim
+    run --cross-check`` passes its config with the loss removed.  A given
     enumerator must hold that config and ``attack``.
     """
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
     if enum.config.channel_loss < 1.0:
         raise ValueError("cross check assumes a lossless channel")
-    return _cross_check(enum)
-
-
-def _cross_check(enum: RoundEnumerator) -> float:
-    """:func:`measurement_cross_check` on an enumerator of any loss."""
     forward = apply_truncating_unitary(enum.initial, enum.attack.u_forward)
-    storage = vacuum(ModeSystem(1, forward.system.tag_dim, forward.system.n_max))
-    joint = tensor(storage, forward)
-    system = joint.system
+    pair = forward.system
+    system = ModeSystem(2, pair.tag_dim, pair.n_max, pair.probe_dim)
+    # The attack pair's basis state i, next to the empty storage pair, is
+    # joint basis state embed[i]: the storage factor is exactly 1.
+    pair_occs, pair_probes = pair.basis_table
+    embed = system.index_of(np.concatenate([np.zeros_like(pair_occs), pair_occs], axis=1),
+                            pair_probes)
+    amps = np.zeros(system.dim, dtype=np.complex128)
+    amps[embed] = forward.amplitudes
+    joint = FockVector(system, amps)
     alice_slots = list(system.pair_slots(ALICE_PAIR))
     occs, probes = system.basis_table
     worst = 0.0
@@ -171,12 +166,14 @@ def _cross_check(enum: RoundEnumerator) -> float:
         groups = dict(zip(map(tuple, a_occs.tolist()), vecs))
         # The round's split, map k per rail occupation k; the joint storage
         # pair 0 has the attack pair's slot numbers, so rail counts embed.
-        rails = swapped_slots(forward.system, op, 0)
-        keys = [key for key, *_ in _branch_tables(forward.system, rails)]
-        plan, _, codes = _measure_plan(forward.system, (op,))
+        rails = swapped_slots(pair, op, 0)
+        keys = [key for key, *_ in _branch_tables(pair, rails)]
+        plan, _, codes = _measure_plan(pair, (op,))
         rows, probs, _, which = _split(forward.amplitudes[None, None], plan)
+        embedded = np.zeros((len(which), system.dim), dtype=np.complex128)
+        embedded[:, embed] = rows[0]
         branches = {}
-        for row, prob, k in zip(rows[0], probs[0], which):
+        for row, prob, k in zip(embedded, probs[0], which):
             counts = dict(zip(rails, keys[k]))
             a_occ = tuple(counts.get(s, 0) for s in alice_slots)
             branches[a_occ] = (codes[k], prob, row)
@@ -188,9 +185,8 @@ def _cross_check(enum: RoundEnumerator) -> float:
             if code != ClickPattern.from_clicks(mode1 > 0, sum(a_occ) > mode1).code:
                 return float("inf")
             vec = groups[a_occ]
-            embedded = tensor(storage, FockVector(forward.system, row)).amplitudes
             worst = max(worst, abs(prob - float(np.vdot(vec, vec).real)))
-            worst = max(worst, float(np.abs(embedded - vec).max()))
+            worst = max(worst, float(np.abs(row - vec).max()))
     return worst
 
 

@@ -4,10 +4,29 @@ Import as ``from extra_states import plus_state``; pytest puts this
 directory on ``sys.path`` for the test modules beside it.
 """
 from math import sqrt
+from typing import Sequence
 
 import numpy as np
 
-from sqkdsim.fock import FockVector, ModeSystem, basis_vector, creation_operator
+from sqkdsim.fock import FockVector, ModeSystem, creation_operator
+
+
+def basis_vector(system: ModeSystem, occ: Sequence[int], probe: int = 0) -> FockVector:
+    amps = np.zeros(system.dim, dtype=np.complex128)
+    amps[system.basis_index(occ, probe)] = 1.0
+    return FockVector(system, amps)
+
+
+def vacuum(system: ModeSystem, probe: int = 0) -> FockVector:
+    return basis_vector(system, (0,) * system.n_slots, probe)
+
+
+def normalized(state: FockVector) -> FockVector:
+    """``state`` scaled to unit norm, its leaked weight kept."""
+    norm = sqrt(state.norm2)
+    if norm < 1e-15:
+        raise ValueError("cannot normalize a (numerically) zero vector")
+    return FockVector(state.system, state.amplitudes / norm, state.leaked)
 
 
 def basis_state(system: ModeSystem, index: int) -> tuple[tuple[int, ...], int]:

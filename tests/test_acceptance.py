@@ -15,7 +15,7 @@ from sqkdsim.adversary import identity_attack, measure_resend_attack, \
     tagging_attack
 from sqkdsim.alice import ALICE_PAIR, TRANSMIT_PAIR, swap_matrix
 from sqkdsim.cli import main as cli_main
-from sqkdsim.fock import FockVector, ModeSystem, basis_vector, hadamard_change
+from sqkdsim.fock import FockVector, ModeSystem, hadamard_change
 from sqkdsim.measurement import (AliceOp, ClickPattern, Interpretation,
                                  interpret_ctrl, interpret_legacy_sift,
                                  interpret_swap_all, interpret_swap_x)
@@ -27,7 +27,7 @@ from sqkdsim.robustness import (check_conditions, lemma_state,
                                 random_lemma_input, robustness_sweep,
                                 verify_lemma1)
 
-from extra_states import basis_state
+from extra_states import basis_state, basis_vector, normalized
 
 PATTERNS = (ClickPattern.P00, ClickPattern.P01, ClickPattern.P10,
             ClickPattern.P11)
@@ -165,7 +165,7 @@ def test_criterion_4_basis_change():
     unit_worst = 0.0
     for _ in range(1000):
         amps = rng.standard_normal(big.dim) + 1j * rng.standard_normal(big.dim)
-        state = FockVector(big, amps).normalized()
+        state = normalized(FockVector(big, amps))
         rotated = hadamard_change(state, 1)
         unit_worst = max(unit_worst, abs(rotated.norm2 - 1.0))
         back = hadamard_change(rotated, 1)

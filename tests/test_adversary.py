@@ -9,18 +9,17 @@ from sqkdsim.adversary import (Attack, PROBE_IDLE, PROBE_SAW_CTRL,
                                identity_attack, load_attack,
                                measure_resend_attack, random_attack, save_attack,
                                tag_swap_unitary, tagging_attack)
-from sqkdsim.fock import (FockVector, ModeSystem, apply_truncating_unitary,
-                          pair_mode_transform, vacuum)
+from sqkdsim.fock import FockVector, ModeSystem, apply_truncating_unitary, pair_mode_transform
 
 from extra_attacks import number_sector_phases, probe_rotation_attack, probe_unitary
-from extra_states import basis_state, plus_state
+from extra_states import basis_state, normalized, plus_state, vacuum
 
 SEED = 99
 
 
 def _random_state(ms, rng):
     amps = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
-    return FockVector(ms, amps).normalized()
+    return normalized(FockVector(ms, amps))
 
 
 def test_attack_space_shape():

@@ -4,10 +4,10 @@ import pytest
 
 from sqkdsim.alice import (ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op,
                            swap_index_map, swap_matrix)
-from sqkdsim.fock import ContractViolation, FockVector, ModeSystem, vacuum
+from sqkdsim.fock import ContractViolation, FockVector, ModeSystem
 from sqkdsim.measurement import AliceOp, ClickPattern
 
-from extra_states import basis_state, plus_state, single_photon
+from extra_states import basis_state, plus_state, single_photon, vacuum
 from reference_measurement import measure_pair
 
 ATOL = 1e-12

@@ -154,7 +154,6 @@ def test_tables_match_reference_loop(n_max, survival):
                         "bob_pattern": [b.code for b in b_pats],
                         "interpretation": [-1 if i is None else INTERPRETATIONS.index(i)
                                            for i, _, _ in labels],
-                        "discarded": [i is None for i, _, _ in labels],
                         "alice_bit": [-1 if a is None else a for _, a, _ in labels],
                         "bob_bit": [-1 if b is None else b for _, _, b in labels],
                     }

@@ -10,6 +10,8 @@ import pytest
 from sqkdsim.adversary import (attack_to_document, identity_attack, random_attack,
                                save_attack)
 from sqkdsim.cli import EXIT_USAGE, build_parser, main
+from sqkdsim.protocol import ProtocolConfig
+from sqkdsim.robustness import measurement_cross_check
 
 from extra_attacks import probe_rotation_attack
 
@@ -68,6 +70,22 @@ def test_run_conditions_and_cross_check_under_loss(capsys):
                                                                  abs=1e-12)
     assert analysis["exact_error_probs"]["CTRL"] == pytest.approx(0.0625,
                                                                   abs=1e-12)
+
+
+def test_run_cross_check_is_the_lossless_check_listed_before_max_violation(capsys):
+    """A lossy run reports measurement_cross_check on its lossless config,
+    in the conditions table right before max_violation."""
+    args = ["run", "--rounds", "50", "--loss", "0.6", "--cross-check",
+            "--attack", "random:9:2:0.8", "--error-threshold", "1"]
+    assert main(args + ["--format", "structured"]) == 0
+    conditions = json.loads(capsys.readouterr().out)["analysis"]["conditions"]
+    attack = random_attack(9, probe_dim=2, strength=0.8)
+    assert conditions["cross_check_deviation"] == measurement_cross_check(
+        attack, ProtocolConfig(channel_loss=1.0))
+    assert main(args) == 0
+    table = capsys.readouterr().out.split("detection conditions\n")[1]
+    rows = [line.split()[0] for line in table.splitlines()]
+    assert rows[rows.index("max_violation") - 1] == "cross_check_deviation"
 
 
 def test_run_with_fixture_attack(tmp_path, capsys):
@@ -196,6 +214,31 @@ def test_lemma_fixture_takes_no_coerced_fields(field, value, tmp_path, capsys):
     assert main(["lemma", "--fixture", str(path)]) == 1
     err = capsys.readouterr().err
     assert "malformed lemma fixture" in err and field in err
+
+
+@pytest.mark.parametrize("f", ['{"1": [[1.0, 0.0]], "01": [[0.0, 1.0]]}',
+                               '{"1_0": [[1.0, 0.0]]}'], ids=["01", "1_0"])
+def test_lemma_fixture_takes_photon_numbers_only_as_plain_decimals(f, tmp_path, capsys):
+    """Key "01" would overwrite key "1", and "1_0" would read as photon number 10."""
+    path = tmp_path / "keys.json"
+    path.write_text(f'{{"n_max": 2, "f": {f}, "g": {{}}, "h": [[1.0, 0.0]]}}')
+    assert main(["lemma", "--fixture", str(path)]) == 1
+    assert "malformed lemma fixture" in capsys.readouterr().err
+
+
+def test_lemma_fixture_rejects_a_repeated_key(tmp_path, capsys):
+    path = tmp_path / "repeated.json"
+    path.write_text('{"n_max": 2, "f": {}, "g": {}, "h": [[1.0, 0.0]], "n_max": 3}')
+    assert main(["lemma", "--fixture", str(path)]) == 1
+    assert "malformed lemma fixture" in capsys.readouterr().err
+
+
+def test_attack_fixture_rejects_a_repeated_key(tmp_path, capsys):
+    text = json.dumps(attack_to_document(identity_attack(n_max=2)))
+    path = tmp_path / "repeated.json"
+    path.write_text(text.replace('"n_max": 2', '"n_max": 3, "n_max": 2', 1))
+    assert main(["run", "--rounds", "10", "--attack", str(path)]) == 1
+    assert "malformed attack document" in capsys.readouterr().err
 
 
 def test_attack_demo(capsys):

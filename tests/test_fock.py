@@ -5,11 +5,11 @@ import numpy as np
 import pytest
 
 from sqkdsim.fock import (ContractViolation, DensityOperator, FockVector,
-                          ModeSystem, apply_truncating_unitary, basis_vector,
-                          creation_operator, hadamard_change, hadamard_matrix,
-                          tensor, trace_distance, vacuum)
+                          ModeSystem, apply_truncating_unitary, creation_operator,
+                          hadamard_change, hadamard_matrix, trace_distance)
 
-from extra_states import apply_creation, basis_state, plus_state, single_photon
+from extra_states import (apply_creation, basis_state, basis_vector, normalized,
+                          plus_state, single_photon, vacuum)
 
 SEED = 20240811
 
@@ -202,7 +202,7 @@ def test_hadamard_norm_and_involution_random():
     rng = np.random.default_rng(SEED)
     for _ in range(200):
         amps = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
-        state = FockVector(ms, amps).normalized()
+        state = normalized(FockVector(ms, amps))
         rotated = hadamard_change(state, 1)
         assert rotated.norm2 == pytest.approx(1.0, abs=1e-12)
         back = hadamard_change(rotated, 1)
@@ -228,72 +228,13 @@ def test_truncating_unitary_records_dropped_weight():
     cut[top, :] = 0.0
     for _ in range(20):
         amps = rng.standard_normal(ms.dim) + 1j * rng.standard_normal(ms.dim)
-        state = FockVector(ms, amps).normalized()
+        state = normalized(FockVector(ms, amps))
         out = apply_truncating_unitary(state, cut)
         assert out.leaked > 1e-3
         assert out.norm2 + out.leaked == pytest.approx(1.0, abs=1e-12)
         # earlier losses carry over
         again = apply_truncating_unitary(out, cut)
         assert again.norm2 + again.leaked == pytest.approx(1.0, abs=1e-12)
-
-
-def test_tensor_product_layout():
-    a_sys = ModeSystem(num_pairs=1, tag_dim=1, n_max=2)
-    b_sys = ModeSystem(num_pairs=1, tag_dim=1, n_max=2, probe_dim=2)
-    joint = tensor(basis_vector(a_sys, (0, 1)),
-                   single_photon(b_sys, 0, mode=0, probe=1))
-    assert joint.system.num_pairs == 2
-    assert joint.system.probe_dim == 2
-    assert joint.amplitude((0, 1, 1, 0), probe=1) == pytest.approx(1.0)
-
-
-def test_tensor_drops_over_budget_mass():
-    ms = ModeSystem(num_pairs=1, tag_dim=1, n_max=1)
-    one = single_photon(ms, 0, mode=0)
-    joint = tensor(one, one)
-    # total occupancy 2 exceeds the shared cutoff of 1
-    assert joint.norm2 == pytest.approx(0.0, abs=1e-12)
-    assert joint.leaked == pytest.approx(1.0)
-
-
-def _tensor_by_loop(a: FockVector, b: FockVector):
-    """:func:`tensor`'s amplitudes and leaked weight, one scalar product
-    of nonzero amplitudes at a time, a's index major."""
-    ma, mb = a.system, b.system
-    joint = ModeSystem(ma.num_pairs + mb.num_pairs, ma.tag_dim, ma.n_max,
-                       ma.probe_dim or mb.probe_dim)
-    amps = np.zeros(joint.dim, dtype=np.complex128)
-    dropped = 0.0
-    for ia in np.flatnonzero(np.abs(a.amplitudes) > 0):
-        occ_a, probe_a = basis_state(ma, int(ia))
-        for ib in np.flatnonzero(np.abs(b.amplitudes) > 0):
-            occ_b, probe_b = basis_state(mb, int(ib))
-            amp = a.amplitudes[ia] * b.amplitudes[ib]
-            if sum(occ_a) + sum(occ_b) > joint.n_max:
-                dropped += abs(amp) ** 2
-            else:
-                amps[joint.basis_index(occ_a + occ_b, probe_a + probe_b)] += amp
-    return amps, a.leaked + b.leaked + dropped
-
-
-def test_tensor_equals_a_scalar_loop_bit_for_bit():
-    """Probe on the first factor, weight leaked by both inputs and dropped
-    by the product, zeros and negative zeros among the amplitudes."""
-    rng = np.random.default_rng(SEED)
-    for n_max in (1, 2, 3):
-        vectors = []
-        for system, leaked in ((ModeSystem(1, 2, n_max, probe_dim=3), 0.125),
-                               (ModeSystem(1, 2, n_max), 0.25)):
-            amps = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-            amps[rng.random(system.dim) < 0.3] = 0.0
-            amps.real[rng.random(system.dim) < 0.3] = -0.0
-            amps.imag[rng.random(system.dim) < 0.3] = -0.0
-            vectors.append(FockVector(system, amps, leaked))
-        joint = tensor(*vectors)
-        amps, leaked = _tensor_by_loop(*vectors)
-        assert joint.system.probe_dim == 3
-        assert joint.amplitudes.tobytes() == amps.tobytes()
-        assert joint.leaked > 0.375 and joint.leaked == leaked
 
 
 def test_density_operator_validation():
@@ -322,7 +263,7 @@ def test_vacuum_and_normalize_guard():
     assert vac.norm2 == pytest.approx(1.0)
     zero = FockVector(ms, np.zeros(ms.dim))
     with pytest.raises(ValueError):
-        zero.normalized()
+        normalized(zero)
 
 
 def test_contract_violation_is_runtime_error():

@@ -2,13 +2,12 @@
 import numpy as np
 import pytest
 
-from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
-                          basis_vector, hadamard_change)
+from sqkdsim.fock import ContractViolation, FockVector, ModeSystem, hadamard_change
 from sqkdsim.measurement import (AliceOp, ClickPattern, Interpretation,
                                  interpret_ctrl, interpret_legacy_sift,
                                  interpret_swap_all, interpret_swap_x, shared_bit)
 
-from extra_states import basis_state, plus_state, single_photon
+from extra_states import basis_state, basis_vector, plus_state, single_photon
 from reference_measurement import measure_pair
 
 SEED = 424242

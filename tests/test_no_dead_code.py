@@ -1,16 +1,15 @@
 """Every name defined in the package is used somewhere, and by the package.
 
 A top-level function, class or module constant of ``src/sqkdsim``, or a
-non-dunder method of a top-level class, must appear as a whole word in
-``src/``, ``tests/`` or ``bench/`` outside its own definition line, outside
-every ``__all__`` list and outside ``sqkdsim/__init__.py``.  Re-exports
-alone do not count as use.  It must also appear so in ``src/`` alone, or
-be named in :data:`SRC_ORACLES`: a name only tests use belongs beside
-them.  A plain-text scan with ``ast`` and regular expressions, so it needs
-no linter.
+non-dunder method of a top-level class, must be read by code in ``src/``,
+``tests/`` or ``bench/`` outside ``sqkdsim/__init__.py``: as a loaded
+name, a loaded attribute or an imported name, found with ``ast``, so
+docstrings, comments and the strings of ``__all__`` lists do not count,
+and re-exports alone do not either.  It must also be read so in ``src/``
+alone, or be named in :data:`SRC_ORACLES`: a name only tests use belongs
+beside them.  A scan of the syntax trees, so it needs no linter.
 """
 import ast
-import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -27,54 +26,47 @@ def _is_dunder(name: str) -> bool:
 
 
 def _definitions(tree: ast.Module):
-    """(name, definition line) of every checked name in a module."""
+    """Every checked name defined in a module."""
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-            yield node.name, node.lineno
+            yield node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
                 if isinstance(item, ast.FunctionDef) and not _is_dunder(item.name):
-                    yield item.name, item.lineno
+                    yield item.name
         targets = (node.targets if isinstance(node, ast.Assign)
                    else [node.target] if isinstance(node, ast.AnnAssign) else [])
         for target in targets:
             if isinstance(target, ast.Name) and not _is_dunder(target.id):
-                yield target.id, node.lineno
+                yield target.id
 
 
-def _searchable_lines(path: Path) -> list[str]:
-    """Lines of a file with its ``__all__`` lists blanked out."""
-    text = path.read_text()
-    lines = text.splitlines()
-    for node in ast.walk(ast.parse(text)):
-        if (isinstance(node, ast.Assign)
-                and any(isinstance(t, ast.Name) and t.id == "__all__"
-                        for t in node.targets)):
-            for i in range(node.lineno - 1, node.end_lineno):
-                lines[i] = ""
-    return lines
+def _read_names(path: Path) -> set:
+    """Every name the code of a file reads: loaded names (f-string
+    expressions included), loaded attributes and imported names."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+            names.add(node.attr)
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names.update(part for alias in node.names for part in alias.name.split("."))
+    return names
 
 
 def _unused(folders) -> list[str]:
-    """``module.name`` of every checked name that no file under ``folders``
-    uses outside its definition line."""
-    corpus = {path: _searchable_lines(path)
-              for folder in folders
-              for path in sorted((ROOT / folder).rglob("*.py"))
-              if path != PACKAGE / "__init__.py"
-              and not any(p.startswith(".") for p in path.relative_to(ROOT).parts)}
-    unused = []
-    for module in sorted(PACKAGE.glob("*.py")):
-        tree = ast.parse(module.read_text())
-        for name, line in _definitions(tree):
-            word = re.compile(rf"\b{re.escape(name)}\b")
-            used = any(word.search(text)
-                       for path, lines in corpus.items()
-                       for number, text in enumerate(lines, start=1)
-                       if not (path == module and number == line))
-            if not used:
-                unused.append(f"{module.stem}.{name}")
-    return unused
+    """``module.name`` of every checked name that no code under ``folders``
+    reads."""
+    read = set().union(*(_read_names(path)
+                         for folder in folders
+                         for path in sorted((ROOT / folder).rglob("*.py"))
+                         if path != PACKAGE / "__init__.py"
+                         and not any(p.startswith(".") for p in path.relative_to(ROOT).parts)))
+    return [f"{module.stem}.{name}"
+            for module in sorted(PACKAGE.glob("*.py"))
+            for name in _definitions(ast.parse(module.read_text()))
+            if name not in read]
 
 
 def test_every_defined_name_is_used():

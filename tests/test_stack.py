@@ -20,7 +20,7 @@ from sqkdsim.protocol import (BranchTable, ProtocolConfig, RoundEnumerator,
                               eve_conditional_states)
 from sqkdsim.robustness import ConditionReport, check_conditions, robustness_sweep
 
-CONDITIONS = [f for f in ConditionReport.__dataclass_fields__ if f != "cross_check_deviation"]
+CONDITIONS = list(ConditionReport.__dataclass_fields__)
 COLUMNS = list(BranchTable.__dataclass_fields__)
 
 
