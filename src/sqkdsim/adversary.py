@@ -6,7 +6,9 @@ Alice, ``v_backward`` on the way back.  Both are arbitrary unitaries on the
 truncated space, so Eve may inject or absorb photons unless she declares
 herself photon-preserving.  This one-pair-plus-probe space is also the
 space every protocol round runs on: Alice's storage is empty whenever Eve
-acts, so the matrices apply as they are, through
+acts, so the matrices apply as they are: a round's branch pass multiplies
+its stacked rows by them (``sqkdsim.protocol._evolve``), and only the
+measurement cross-check's single state goes through
 :func:`sqkdsim.fock.apply_truncating_unitary`.
 
 Two exported builders compose the named attacks and serve for new ones:

@@ -191,7 +191,10 @@ class BranchTable:
     where sifting discards.  Bits are -1 unless the row is a SharedBit.
     Row i of ``eve_probe`` is Eve's normalized probe state after branch i;
     ``leaked`` is the weight the photon cap dropped along its path (each
-    branch of a split inherits it whole).  Derived columns are computed once.
+    branch of a split inherits it whole).  ``alice_clicks`` and
+    ``bob_clicks`` count the detectors each party fired (Alice's announced
+    sum, 0 for CTRL) and ``shared`` marks the SharedBit rows; the layout
+    computes them once with the other structural columns.
     """
 
     probability: np.ndarray
@@ -203,22 +206,12 @@ class BranchTable:
     eve_probe: np.ndarray
     leaked: np.ndarray
     table_id: np.ndarray
+    alice_clicks: np.ndarray
+    bob_clicks: np.ndarray
+    shared: np.ndarray
 
     def __len__(self) -> int:
         return len(self.probability)
-
-    @cached_property
-    def alice_clicks(self) -> np.ndarray:
-        """Detectors Alice fired per row (the announced sum; 0 for CTRL)."""
-        return _CLICKS[self.alice_pattern + 1]
-
-    @cached_property
-    def bob_clicks(self) -> np.ndarray:
-        return _CLICKS[self.bob_pattern + 1]
-
-    @cached_property
-    def shared(self) -> np.ndarray:
-        return self.interpretation == _SHARED
 
     @property
     def labels(self) -> np.ndarray:
@@ -239,8 +232,9 @@ def _evolve(rows: np.ndarray, leaked: np.ndarray, matrices: np.ndarray):
     return out, leaked + np.maximum(_norm2(rows) - _norm2(out), 0.0)
 
 
-def _split_plan(width: int, maps, keep=()) -> tuple:
-    """Index maps ``(src, dst, amp)`` merged for :func:`_split`.
+def _merged_plan(width: int, maps, keep=()) -> tuple:
+    """Index maps ``(src, dst, amp)`` merged into one split, which
+    :func:`_weigh` and :func:`_scatter` push a stack of rows through.
 
     Map k reads columns ``src`` of a row (a nonempty segment of the merged
     ``src`` starting at ``starts[k]``) and writes columns ``k * width + dst``
@@ -287,17 +281,6 @@ def _scatter(moved: np.ndarray, plan: tuple, keep: np.ndarray) -> np.ndarray:
     return out.reshape(k, n * n_maps, width).take(keep, axis=1)
 
 
-def _split(rows: np.ndarray, plan: tuple):
-    """Push every row of a stack through every map of a split plan
-    (:func:`_weigh`, then :func:`_scatter` of the live rows).  Returns the
-    rows and weights per attack, and each row's input row and map."""
-    moved, weight, live = _weigh(rows, plan)
-    keep = np.flatnonzero(live)
-    parent, which = np.divmod(keep, plan[0])
-    return (_scatter(moved, plan, keep), weight.reshape(len(rows), -1).take(keep, axis=1),
-            parent, which)
-
-
 @lru_cache(maxsize=None)
 def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
     """One split plan for the measurements of several operations.
@@ -327,7 +310,7 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
             codes.append(-1 if pattern is None else pattern.code)
     ctrl = [m for m, code in enumerate(codes) if code < 0]
     width = system.probe_levels if ops == (None,) else system.dim
-    return (_split_plan(width, maps, keep=ctrl), np.array(op_index),
+    return (_merged_plan(width, maps, keep=ctrl), np.array(op_index),
             np.array(codes))
 
 
@@ -439,7 +422,6 @@ class RoundEnumerator:
 
 _COLUMNS = tuple(f.name for f in fields(BranchTable))
 _PER_ATTACK = ("probability", "eve_probe", "leaked")  # the other columns are shared
-_DERIVED = ("alice_clicks", "bob_clicks", "shared")  # BranchTable's cached columns
 
 _LAYOUT_BOUND = 64  # cached layouts; a sweep of 8 probe sizes keeps 16
 _layouts: dict = {}
@@ -486,10 +468,9 @@ class _Layout:
 
     Holds Bob's kept rows (``keep``), each final row's index into the
     leaked column after Eve's backward pass (``leaked_parent``), the
-    read-only structural columns of :class:`BranchTable` and its derived
-    columns, shared by every table of the layout, the row range of each
-    block and the flat (attack, block) cell of each row for the per-block
-    sum check.  :meth:`memo` keeps what an analysis derives from these,
+    read-only columns of :class:`BranchTable` other than ``_PER_ATTACK``,
+    shared by every table of the layout, and the row range of each block.
+    :meth:`memo` keeps what an analysis derives from these,
     such as its masks.  Compiling checks Bob's plan: a destination outside
     its map's own block would land in another branch's row.
     """
@@ -521,30 +502,20 @@ class _Layout:
         self.alice_clicks = _CLICKS[self.alice_pattern + 1]
         self.bob_clicks = _CLICKS[self.bob_pattern + 1]
         self.shared = self.interpretation == _SHARED
-        for name in set(_COLUMNS + _DERIVED) - set(_PER_ATTACK):
+        for name in set(_COLUMNS) - set(_PER_ATTACK):
             getattr(self, name).setflags(write=False)
         keys = _table_keys(variant)
         bounds = self.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
         self.blocks = {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
-        self._sum_cells, self._memo = {}, {}
+        self._memo = {}
 
     def table(self, probability: np.ndarray, eve_probe: np.ndarray,
               leaked: np.ndarray) -> BranchTable:
         """A table of this layout from its ``_PER_ATTACK`` columns."""
-        table = BranchTable(probability, self.alice_pattern, self.bob_pattern,
-                            self.interpretation, self.alice_bit, self.bob_bit, eve_probe,
-                            leaked, self.table_id)
-        table.__dict__.update(alice_clicks=self.alice_clicks, bob_clicks=self.bob_clicks,
-                              shared=self.shared)  # its cached columns
-        return table
-
-    def sum_cells(self, n_attacks: int) -> np.ndarray:
-        """Each row's (attack, block) cell of a stack of ``n_attacks``, flat."""
-        cells = self._sum_cells.get(n_attacks)
-        if cells is None:
-            cells = (np.arange(n_attacks)[:, None] * len(self.blocks) + self.table_id).ravel()
-            self._sum_cells[n_attacks] = cells
-        return cells
+        return BranchTable(probability, self.alice_pattern, self.bob_pattern,
+                           self.interpretation, self.alice_bit, self.bob_bit, eve_probe,
+                           leaked, self.table_id, self.alice_clicks, self.bob_clicks,
+                           self.shared)
 
     def memo(self, build):
         """``build(self)``, computed once per layout."""
@@ -573,7 +544,9 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     # Forward pass: loss, then Eve's forward unitary.  This loss mask only
     # fixes how many rows reach Alice, which the shape of her mask records.
     if survival < 1.0:
-        rows = _split(rows, _loss_plan(system, survival))[0]
+        plan = _loss_plan(system, survival)
+        moved, _, live = _weigh(rows, plan)
+        rows = _scatter(moved, plan, np.flatnonzero(live))
     rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]), u_forward)
 
     # Alice, every operation at once, gathered in operation order.
@@ -613,8 +586,8 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
 
     # Each block's sum per attack, in row order as a 1-D bincount adds.
     keys = _table_keys(variant)
-    totals = np.bincount(layout.sum_cells(len(prob)), weights=prob.ravel(),
-                         minlength=len(prob) * len(keys))
+    cells = np.arange(len(prob))[:, None] * len(keys) + layout.table_id
+    totals = np.bincount(cells.ravel(), weights=prob.ravel(), minlength=len(prob) * len(keys))
     for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL)[:1].tolist():
         op, basis = keys[t % len(keys)]
         raise ContractViolation(
@@ -638,7 +611,6 @@ def _launch(system: ModeSystem) -> tuple[np.ndarray, np.ndarray]:
     return amplitude, probes
 
 
-@lru_cache(maxsize=None)
 def _loss_maps(system: ModeSystem, survival: float):
     """Per-photon loss on the transmitted pair as index maps.
 
@@ -672,7 +644,7 @@ def _loss_maps(system: ModeSystem, survival: float):
 @lru_cache(maxsize=None)
 def _loss_plan(system: ModeSystem, survival: float) -> tuple:
     """:func:`_loss_maps` merged into one split plan."""
-    return _split_plan(system.dim, _loss_maps(system, survival))
+    return _merged_plan(system.dim, _loss_maps(system, survival))
 
 
 def _enumerator(attack: Attack, config: Optional[ProtocolConfig],

@@ -22,7 +22,7 @@ from .fock import FockVector, ModeSystem, apply_truncating_unitary, hadamard_cha
 from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
 from .protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant, _Layout,
                        _PrunedApart, _branch_stack, _document, _enumerator, _eve_conditionals,
-                       _measure_plan, _split)
+                       _measure_plan, _scatter, _weigh)
 
 __all__ = [
     "ConditionReport",
@@ -168,12 +168,14 @@ def measurement_cross_check(attack: Attack,
         # pair 0 has the attack pair's slot numbers, so rail counts embed.
         rails = swapped_slots(pair, op, 0)
         keys = [key for key, *_ in _branch_tables(pair, rails)]
+        # One input row, so each live (row, map) index is its map k.
         plan, _, codes = _measure_plan(pair, (op,))
-        rows, probs, _, which = _split(forward.amplitudes[None, None], plan)
+        moved, weight, live = _weigh(forward.amplitudes[None, None], plan)
+        which = np.flatnonzero(live)
         embedded = np.zeros((len(which), system.dim), dtype=np.complex128)
-        embedded[:, embed] = rows[0]
+        embedded[:, embed] = _scatter(moved, plan, which)[0]
         branches = {}
-        for row, prob, k in zip(embedded, probs[0], which):
+        for row, prob, k in zip(embedded, weight[0, 0, which], which):
             counts = dict(zip(rails, keys[k]))
             a_occ = tuple(counts.get(s, 0) for s in alice_slots)
             branches[a_occ] = (codes[k], prob, row)

@@ -329,6 +329,20 @@ def test_malformed_attack_fixture_fails_cleanly(name, tmp_path, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (["lemma", "--fixture"], "malformed lemma fixture"),
+    (["run", "--rounds", "10", "--attack"], "malformed attack document"),
+], ids=["lemma", "run"])
+def test_truncated_json_file_fails_cleanly(argv, message, tmp_path, capsys):
+    """A file cut off mid-document is no JSON; its loader names the file."""
+    path = tmp_path / "truncated.json"
+    path.write_text(json.dumps(attack_to_document(identity_attack()))[:50])
+    assert main(argv + [str(path)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and message in err and str(path) in err
+    assert "Traceback" not in err
+
+
 def test_commands_do_not_import_scipy(tmp_path):
     """numpy is the only run-time dependency: no command imports scipy."""
     src = Path(__file__).resolve().parent.parent / "src"

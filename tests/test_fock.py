@@ -9,7 +9,7 @@ from sqkdsim.fock import (ContractViolation, DensityOperator, FockVector,
                           hadamard_change, hadamard_matrix, trace_distance)
 
 from extra_states import (apply_creation, basis_state, basis_vector, normalized,
-                          plus_state, single_photon, vacuum)
+                          plus_state, single_photon)
 
 SEED = 20240811
 
@@ -257,13 +257,17 @@ def test_trace_distance_extremes():
     assert trace_distance(rho, sigma) == pytest.approx(1.0)
 
 
-def test_vacuum_and_normalize_guard():
+def test_constructors_reject_wrong_shapes_and_sizes():
     ms = ModeSystem(num_pairs=1, tag_dim=1, n_max=2)
-    vac = vacuum(ms)
-    assert vac.norm2 == pytest.approx(1.0)
-    zero = FockVector(ms, np.zeros(ms.dim))
-    with pytest.raises(ValueError):
-        normalized(zero)
+    for length in (ms.dim - 1, ms.dim + 1):
+        with pytest.raises(ValueError, match=f"expected {ms.dim} amplitudes"):
+            FockVector(ms, np.zeros(length))
+    for shape in ((ms.dim, ms.dim + 1), (ms.dim,), (ms.dim - 1, ms.dim - 1)):
+        with pytest.raises(ValueError, match=f"expected a {ms.dim}-dim square matrix"):
+            DensityOperator(ms, np.zeros(shape))
+    for kwargs in ({"num_pairs": -1}, {"num_pairs": 1, "tag_dim": 0}):
+        with pytest.raises(ValueError, match="invalid mode system"):
+            ModeSystem(**kwargs)
 
 
 def test_contract_violation_is_runtime_error():

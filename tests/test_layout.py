@@ -14,6 +14,7 @@ import test_branch_table as branch_table
 import test_stack as stack
 from sqkdsim import protocol, robustness
 from sqkdsim.adversary import Attack, identity_attack, random_attack
+from sqkdsim.measurement import Interpretation
 from sqkdsim.protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant,
                               eve_conditional_states, legacy_identification)
 from sqkdsim.robustness import ConditionReport, check_conditions
@@ -130,7 +131,8 @@ def test_shared_columns_are_read_only_and_shared():
     config = ProtocolConfig(channel_loss=0.9)
     one, two = (RoundEnumerator(config, random_attack(seed, probe_dim=2)) for seed in (1, 2))
     assert one._pass[0] is two._pass[0]
-    for name in SHARED + list(protocol._DERIVED):
+    assert {"alice_clicks", "bob_clicks", "shared"} <= set(SHARED)
+    for name in SHARED:
         column = getattr(one.table, name)
         assert column is getattr(two.table, name), name
         assert not column.flags.writeable, name
@@ -138,6 +140,23 @@ def test_shared_columns_are_read_only_and_shared():
             column[0] = 0
     for name in protocol._PER_ATTACK:
         assert not getattr(one.table, name).flags.writeable, name
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_block_views_carry_the_derived_columns(variant):
+    enum = RoundEnumerator(ProtocolConfig(variant=variant, channel_loss=0.9),
+                           random_attack(3, probe_dim=2))
+    table = enum.table
+    clicks = [0] + [p.n_clicks for p in protocol.PATTERNS]  # by pattern code + 1
+    assert table.alice_clicks.tolist() == [clicks[c + 1] for c in table.alice_pattern]
+    assert table.bob_clicks.tolist() == [clicks[c + 1] for c in table.bob_pattern]
+    shared = protocol.INTERPRETATIONS.index(Interpretation.SHARED_BIT)
+    assert table.shared.tolist() == [i == shared for i in table.interpretation]
+    assert table.shared.any()
+    for (op, basis), rows in enum.blocks.items():
+        block = enum.branches(op, basis)
+        for name in COLUMNS:
+            assert np.array_equal(getattr(block, name), getattr(table, name)[rows]), name
 
 
 def test_cache_stays_within_its_bound(monkeypatch):
