@@ -33,7 +33,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 from math import factorial, sqrt
-from typing import Sequence
 
 import numpy as np
 
@@ -130,9 +129,6 @@ class ModeSystem:
         rank = _basis_table(self)[2].searchsorted(_rank_key(occs, total, self.n_max))
         return rank * self.probe_levels + probes
 
-    def basis_index(self, occ: Sequence[int], probe: int = 0) -> int:
-        return int(self.index_of(occ, probe))
-
 
 @lru_cache(maxsize=None)
 def _occupations(n_slots: int, n_max: int) -> tuple[tuple[int, ...], ...]:
@@ -188,9 +184,6 @@ class FockVector:
     @property
     def norm2(self) -> float:
         return float(np.vdot(self.amplitudes, self.amplitudes).real)
-
-    def amplitude(self, occ: Sequence[int], probe: int = 0) -> complex:
-        return complex(self.amplitudes[self.system.basis_index(occ, probe)])
 
 
 # -- ladder operators -------------------------------------------------------

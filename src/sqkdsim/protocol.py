@@ -50,7 +50,7 @@ from .adversary import Attack
 from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
                    _check_densities, _occupations, creation_operator,
-                   hadamard_matrix, trace_distance)
+                   hadamard_matrix)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           _branch_tables, interpret_ctrl, interpret_legacy_sift,
                           interpret_swap_all, interpret_swap_x, shared_bit)
@@ -963,21 +963,18 @@ class SiftCtrlIdentification:
 def legacy_identification(attack: Attack,
                           config: Optional[ProtocolConfig] = None,
                           enumerator: Optional[RoundEnumerator] = None) -> SiftCtrlIdentification:
-    """Eve's SIFT/CTRL distinction on a legacy config (default if None).
+    """Eve's SIFT/CTRL distinction on a legacy config (default if None), both
+    states checked, and their distance taken, by one ``_check_densities`` call.
     A given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.LEGACY)
     layout, stack = enum._pass
     pl = enum.system.probe_levels
     p_had = enum.config.bob_hadamard_prob
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
-    rho = {}
-    for op in (AliceOp.CTRL, AliceOp.SIFT):
-        mat = np.zeros((pl, pl), dtype=np.complex128)
+    rho = np.zeros((2, pl, pl), dtype=np.complex128)  # CTRL, SIFT
+    for k, op in enumerate((AliceOp.CTRL, AliceOp.SIFT)):
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
-            if w != 0.0:
-                mat += _probe_mixture(stack, w, layout.blocks[op, basis])[0]
-        rho[op] = DensityOperator(probe_space, mat)
-        rho[op].validate()
-    dist = trace_distance(rho[AliceOp.CTRL], rho[AliceOp.SIFT])
-    return SiftCtrlIdentification(rho[AliceOp.CTRL], rho[AliceOp.SIFT],
-                                  dist, 0.5 * (1.0 + dist))
+            rho[k] += _probe_mixture(stack, w, layout.blocks[op, basis])[0]
+    dist = float(_check_densities(rho, rho[:1] - rho[1:])[0])
+    return SiftCtrlIdentification(DensityOperator(probe_space, rho[0]),
+                                  DensityOperator(probe_space, rho[1]), dist, 0.5 * (1.0 + dist))

@@ -54,3 +54,40 @@ def probe_rotation_attack(seed: int, probe_dim: int = 4, tag_dim: int = 1,
     probe[0] = 1.0
     return Attack(f"probe-rotation-{seed}", system, u_forward, v_backward, probe,
                   photon_preserving=True)
+
+
+def blocked_attack(inner: Attack, t: float) -> Attack:
+    """``inner``, then a beam splitter of transmission ``t`` on the way back
+    whose reflected light Eve keeps, with its occupation, in fresh probe levels.
+
+    The probe grows from P = ``inner``'s probe size to P + K * P levels,
+    where K is the number of photon-bearing occupations.  U is ``inner``'s U
+    on the levels below P.  V is ``inner``'s V on those levels, followed by
+    a real Givens rotation that sends each photon-bearing |occ, r> (k-th
+    such occupation, r < P) to sqrt(t) |occ, r> + sqrt(1 - t) |vacuum,
+    P + k * P + r>.  As t falls, every detectable disturbance falls with
+    it, but the rounds that still pass keep ``inner``'s information.
+    """
+    old = inner.system
+    p, k_occ = old.probe_dim, len(old.occupations()) - 1
+    system = attack_space(old.tag_dim, old.n_max, probe_dim=p + k_occ * p)
+    occs, levels = old.basis_table
+    embed = system.index_of(occs, levels)  # inner index -> the same state, level < P
+
+    def lifted(mat: np.ndarray) -> np.ndarray:
+        out = np.eye(system.dim, dtype=np.complex128)
+        out[np.ix_(embed, embed)] = mat
+        return out
+
+    # Inner index i = (k + 1) * P + r is the photon-bearing |occ, r> (the
+    # vacuum comes first), so its vacuum partner sits at probe level i.
+    kept = embed[p:]
+    held = system.index_of(np.zeros_like(occs[p:]), np.arange(p, old.dim))
+    givens = np.eye(system.dim)
+    givens[kept, kept] = givens[held, held] = np.sqrt(t)
+    givens[held, kept] = np.sqrt(1.0 - t)
+    givens[kept, held] = -np.sqrt(1.0 - t)
+    probe = np.zeros(system.probe_dim, dtype=np.complex128)
+    probe[:p] = inner.initial_probe
+    return Attack(f"blocked-{inner.name}", system, lifted(inner.u_forward),
+                  givens @ lifted(inner.v_backward), probe)

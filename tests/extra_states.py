@@ -11,9 +11,19 @@ import numpy as np
 from sqkdsim.fock import FockVector, ModeSystem, creation_operator
 
 
+def basis_index(system: ModeSystem, occ: Sequence[int], probe: int = 0) -> int:
+    """The basis index of occupation ``occ`` at probe level ``probe``."""
+    return int(system.index_of(occ, probe))
+
+
+def amplitude(state: FockVector, occ: Sequence[int], probe: int = 0) -> complex:
+    """The amplitude of ``state`` on occupation ``occ`` at probe level ``probe``."""
+    return complex(state.amplitudes[basis_index(state.system, occ, probe)])
+
+
 def basis_vector(system: ModeSystem, occ: Sequence[int], probe: int = 0) -> FockVector:
     amps = np.zeros(system.dim, dtype=np.complex128)
-    amps[system.basis_index(occ, probe)] = 1.0
+    amps[basis_index(system, occ, probe)] = 1.0
     return FockVector(system, amps)
 
 

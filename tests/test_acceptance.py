@@ -27,7 +27,7 @@ from sqkdsim.robustness import (check_conditions, lemma_state,
                                 random_lemma_input, robustness_sweep,
                                 verify_lemma1)
 
-from extra_states import basis_state, basis_vector, normalized
+from extra_states import amplitude, basis_index, basis_state, basis_vector, normalized
 
 PATTERNS = (ClickPattern.P00, ClickPattern.P01, ClickPattern.P10,
             ClickPattern.P11)
@@ -131,7 +131,7 @@ def test_criterion_3_swap_operators():
                         b = ms.slot(TRANSMIT_PAIR, mode, tag)
                         out[a], out[b] = out[b], out[a]
                 expected = np.zeros(ms.dim)
-                expected[ms.basis_index(out, probe)] = 1.0
+                expected[basis_index(ms, out, probe)] = 1.0
                 worst = max(worst, float(np.abs(mat[:, index] - expected).max()))
         composed = mats[AliceOp.SWAP_10] @ mats[AliceOp.SWAP_01]
         worst = max(worst, float(np.abs(composed - mats[AliceOp.SWAP_ALL]).max()))
@@ -157,7 +157,7 @@ def test_criterion_4_basis_change():
         rotated = hadamard_change(basis_vector(ms, occ), 0)
         for out_occ in ms.occupations():
             want = table.get(out_occ, 0.0)
-            worst = max(worst, abs(rotated.amplitude(out_occ) - want))
+            worst = max(worst, abs(amplitude(rotated, out_occ) - want))
     ok = worst <= 1e-10
 
     big = ModeSystem(num_pairs=2, tag_dim=1, n_max=2, probe_dim=2)

@@ -12,7 +12,8 @@ from sqkdsim.adversary import (Attack, PROBE_IDLE, PROBE_SAW_CTRL,
 from sqkdsim.fock import FockVector, ModeSystem, apply_truncating_unitary, pair_mode_transform
 
 from extra_attacks import number_sector_phases, probe_rotation_attack, probe_unitary
-from extra_states import basis_state, normalized, plus_state, vacuum
+from extra_states import (amplitude, basis_index, basis_state, normalized,
+                          plus_state, vacuum)
 
 SEED = 99
 
@@ -84,7 +85,7 @@ def test_photon_preserving_flag_is_checked():
            photon_preserving=True)
     # an operator feeding the vacuum from a photon state is not count-preserving
     rot = np.eye(ms.dim, dtype=complex)
-    i0, i1 = ms.basis_index((0, 0)), ms.basis_index((0, 1))
+    i0, i1 = basis_index(ms, (0, 0)), basis_index(ms, (0, 1))
     rot[np.ix_([i0, i1], [i0, i1])] = np.array([[0, 1], [1, 0]])
     with pytest.raises(ValueError):
         Attack("bad", ms, rot, np.eye(ms.dim), np.array([1.0]),
@@ -125,7 +126,7 @@ def test_tag_swap_exchanges_tags_0_and_1_and_leaves_tag_2():
             a, b = ms.slot(0, mode, 0), ms.slot(0, mode, 1)
             image[a], image[b] = occ[b], occ[a]
         expected = np.zeros(ms.dim)
-        expected[ms.basis_index(image, probe)] = 1.0
+        expected[basis_index(ms, image, probe)] = 1.0
         assert np.array_equal(swap[:, index], expected), occ
     with pytest.raises(ValueError):
         tag_swap_unitary(ModeSystem(num_pairs=1, tag_dim=1, n_max=2))
@@ -237,15 +238,15 @@ def test_tagging_attack_marks_and_cleans():
     # forward pass: tag 0 photon becomes tag 1, probe untouched
     state = plus_state(ms, 0, tag=0, probe=PROBE_IDLE)
     fwd = FockVector(ms, attack.u_forward @ state.amplitudes)
-    assert fwd.amplitude((0, 1, 0, 0), probe=PROBE_IDLE) == \
+    assert amplitude(fwd, (0, 1, 0, 0), probe=PROBE_IDLE) == \
         pytest.approx(1 / np.sqrt(2))
-    assert fwd.amplitude((0, 0, 0, 1), probe=PROBE_IDLE) == \
+    assert amplitude(fwd, (0, 0, 0, 1), probe=PROBE_IDLE) == \
         pytest.approx(1 / np.sqrt(2))
     # backward pass on a reflected tagged photon: tag restored, CTRL recorded
     back = FockVector(ms, attack.v_backward @ fwd.amplitudes)
-    assert back.amplitude((1, 0, 0, 0), probe=PROBE_SAW_CTRL) == \
+    assert amplitude(back, (1, 0, 0, 0), probe=PROBE_SAW_CTRL) == \
         pytest.approx(1 / np.sqrt(2))
-    assert back.amplitude((0, 0, 1, 0), probe=PROBE_SAW_CTRL) == \
+    assert amplitude(back, (0, 0, 1, 0), probe=PROBE_SAW_CTRL) == \
         pytest.approx(1 / np.sqrt(2))
     probes = {basis_state(ms, int(i))[1]
               for i in np.flatnonzero(np.abs(back.amplitudes) > 1e-12)}
@@ -272,8 +273,8 @@ def test_measure_resend_records_click_class():
     state = plus_state(ms, 0, probe=PROBE_IDLE)
     fwd = FockVector(ms, attack.u_forward @ state.amplitudes)
     # photon in mode 0 pairs with record 1, mode 1 with record 2
-    assert fwd.amplitude((1, 0), probe=1) == pytest.approx(1 / np.sqrt(2))
-    assert fwd.amplitude((0, 1), probe=2) == pytest.approx(1 / np.sqrt(2))
+    assert amplitude(fwd, (1, 0), probe=1) == pytest.approx(1 / np.sqrt(2))
+    assert amplitude(fwd, (0, 1), probe=2) == pytest.approx(1 / np.sqrt(2))
     assert np.allclose(attack.v_backward, np.eye(ms.dim))
 
 
@@ -290,12 +291,12 @@ def test_measure_resend_records_click_class_by_mode_over_tags():
         image = (record if probe == PROBE_IDLE else
                  PROBE_IDLE if probe == record else probe)
         expected = np.zeros(ms.dim)
-        expected[ms.basis_index(occ, image)] = 1.0
+        expected[basis_index(ms, occ, image)] = 1.0
         assert np.array_equal(attack.u_forward[:, index], expected), (occ, probe)
     # Slots run (mode 0: tag 0, tag 1; mode 1: tag 0, tag 1).
     for occ, record in (((0, 2, 0, 0), 1), ((0, 0, 1, 1), 2), ((0, 1, 1, 0), 3)):
-        assert attack.u_forward[ms.basis_index(occ, record),
-                                ms.basis_index(occ, PROBE_IDLE)] == 1.0
+        assert attack.u_forward[basis_index(ms, occ, record),
+                                basis_index(ms, occ, PROBE_IDLE)] == 1.0
 
 
 def test_measure_resend_hadamard_passes_plus_silently():

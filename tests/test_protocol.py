@@ -17,7 +17,7 @@ from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
 from sqkdsim.robustness import check_conditions, measurement_cross_check
 
 from extra_attacks import probe_rotation_attack
-from extra_states import basis_state
+from extra_states import basis_index, basis_state
 
 MIRROR_OPS = (AliceOp.CTRL, AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL)
 BASES = (Basis.COMPUTATIONAL, Basis.HADAMARD)
@@ -150,7 +150,7 @@ def test_loss_maps_are_binomial_kraus_branches(q):
     for s in slots:
         occ = [0] * len(slots)
         occ[s] = 1
-        base = system.basis_index(occ)
+        base = basis_index(system, occ)
         single[base:base + 3] = rng.standard_normal(3) + 1j * rng.standard_normal(3)
     single /= np.linalg.norm(single)
     kept = lost = 0.0

@@ -5,13 +5,15 @@ import pytest
 from sqkdsim.adversary import (identity_attack, measure_resend_attack, random_attack,
                                tagging_attack)
 from sqkdsim.measurement import AliceOp
-from sqkdsim.protocol import ProtocolConfig, Variant, exact_statistics
+from sqkdsim.protocol import (ProtocolConfig, Variant, eve_conditional_states,
+                              exact_statistics)
 from sqkdsim.robustness import (LemmaInput, check_conditions, lemma_state,
                                 measurement_cross_check, random_lemma_input,
                                 robustness_sweep, verify_lemma1)
 import sqkdsim.robustness as robustness
 
-from extra_attacks import probe_rotation_attack
+from extra_attacks import blocked_attack, probe_rotation_attack
+from extra_states import amplitude
 
 SEED = 31337
 
@@ -76,6 +78,24 @@ def test_probe_rotation_family_stays_quiet():
         assert check_conditions(attack).max_violation < 1e-10
 
 
+@pytest.mark.parametrize("t", [1.0, 1e-3, 1e-9])
+def test_blocked_measure_resend_is_quiet_but_fully_informative(t):
+    """Blocking all but a fraction t of the returning light scales every
+    condition and the SharedBit rate by t, yet Eve's states on the SharedBit
+    rounds that remain stay perfectly distinguishable: at small t the
+    conditions sit under any fixed threshold while the trace distance does
+    not, a loophole of the conditional distance."""
+    config = ProtocolConfig(n_max=1)
+    attack = blocked_attack(measure_resend_attack("computational", n_max=1), t)
+    report = check_conditions(attack, config)
+    conditionals = eve_conditional_states(attack, config)
+    assert report.max_violation == pytest.approx(t / 4, rel=1e-12)
+    assert conditionals.p_shared == pytest.approx(t / 2, rel=1e-12)
+    assert conditionals.trace_distance >= 1 - 1e-12
+    if t == 1e-9:
+        assert report.max_violation < 1e-9 and conditionals.trace_distance > 1e-6
+
+
 def test_cross_check_agrees_with_measurement_branches():
     randoms = [random_attack(100 + k, probe_dim=k % 8 + 1, strength=0.8,
                              n_max=2 + k // 8 % 2) for k in range(50)]
@@ -125,7 +145,7 @@ def test_lemma_state_layout():
     probe = np.array([1.0, 0.0], dtype=complex)
     state = lemma_state(LemmaInput(f={1: probe}, g={}, h=np.zeros(2)))
     ms = state.system
-    assert state.amplitude((0, 1), probe=0) == pytest.approx(1.0)
+    assert amplitude(state, (0, 1), probe=0) == pytest.approx(1.0)
     assert ms.probe_dim == 2
 
 

@@ -17,7 +17,7 @@ from sqkdsim.cli import main
 from sqkdsim.fock import ContractViolation, DensityOperator, ModeSystem, _check_densities
 from sqkdsim.measurement import AliceOp
 from sqkdsim.protocol import (BranchTable, ProtocolConfig, RoundEnumerator,
-                              eve_conditional_states)
+                              eve_conditional_states, legacy_identification)
 from sqkdsim.robustness import ConditionReport, check_conditions, robustness_sweep
 
 CONDITIONS = list(ConditionReport.__dataclass_fields__)
@@ -229,6 +229,20 @@ def test_density_check_of_a_stack_raises_the_validate_message(defect):
     assert str(stacked.value) == str(alone.value)
 
 
+def _corrupt(mats, k, defect):
+    """A copy of a stack of 4-level density matrices with matrix ``k``
+    made non-Hermitian, negative or of trace 1.001."""
+    mats = mats.copy()
+    if defect == "adjoint":
+        mats[k, 0, 1] += 1e-3
+    elif defect == "negative":
+        mats[k] += np.diag([-1.0, 1.0, 0.0, 0.0])  # still Hermitian with trace 1
+        assert np.linalg.eigvalsh(mats[k]).min() < -1e-10
+    else:
+        mats[k] *= 1.001
+    return mats
+
+
 @pytest.mark.parametrize("defect", ["adjoint", "negative", "trace"])
 def test_eve_state_check_of_a_sweep_stack_raises_the_validate_message(defect, monkeypatch):
     """A defective state of the second attack, met where the sweep's Eve
@@ -237,14 +251,8 @@ def test_eve_state_check_of_a_sweep_stack_raises_the_validate_message(defect, mo
     seen = []
 
     def corrupted(mats, differences=None):
-        mats = mats.copy()  # rows: (attack 0, bit 0), (attack 0, bit 1), (attack 1, bit 0), ...
-        if defect == "adjoint":
-            mats[2, 0, 1] += 1e-3
-        elif defect == "negative":
-            mats[2] += np.diag([-1.0, 1.0, 0.0, 0.0])  # still Hermitian with trace 1
-            assert np.linalg.eigvalsh(mats[2]).min() < -1e-10
-        else:
-            mats[2] *= 1.001
+        # rows: (attack 0, bit 0), (attack 0, bit 1), (attack 1, bit 0), ...
+        mats = _corrupt(mats, 2, defect)
         seen.append(mats[2])
         return check(mats, differences)
 
@@ -255,4 +263,26 @@ def test_eve_state_check_of_a_sweep_stack_raises_the_validate_message(defect, mo
         _evaluate(ProtocolConfig(), [random_attack(20 + k, probe_dim=4) for k in range(3)])
     with pytest.raises(ValueError, match="density matrix") as alone:
         DensityOperator(ModeSystem(num_pairs=0, n_max=0, probe_dim=4), seen[0]).validate()
+    assert str(stacked.value) == str(alone.value)
+
+
+@pytest.mark.parametrize("which", [0, 1])  # CTRL, SIFT
+@pytest.mark.parametrize("defect", ["adjoint", "negative", "trace"])
+def test_legacy_state_check_raises_the_validate_message(defect, which, monkeypatch):
+    """A defective CTRL or SIFT state, met where legacy identification
+    checks both states and takes their distance in one call."""
+    check = protocol._check_densities
+    seen = []
+
+    def corrupted(mats, differences=None):
+        mats = _corrupt(mats, which, defect)
+        seen.append(mats[which])
+        return check(mats, differences)
+
+    monkeypatch.setattr(protocol, "_check_densities", corrupted)
+    with pytest.raises(ValueError, match="density matrix") as stacked:
+        legacy_identification(random_attack(7, probe_dim=4))
+    with pytest.raises(ValueError, match="density matrix") as alone:
+        DensityOperator(ModeSystem(num_pairs=0, n_max=0, probe_dim=4), seen[0]).validate()
+    assert len(seen) == 1
     assert str(stacked.value) == str(alone.value)
