@@ -25,7 +25,12 @@ Conventions used throughout the package:
 * The dual-rail Hadamard transform stores the minus-mode count in the mode-1
   slot and the plus-mode count in the mode-0 slot.
 * Truncation never fails silently: operations that can push weight past
-  ``n_max`` report it through :attr:`FockVector.leaked`.
+  ``n_max`` report it through :attr:`FockVector.leaked`, and a branch pass
+  through its ``leaked`` column.  A validated attack is unitary on the
+  truncated space and SIFT's resend always has room, so on the protocol's
+  paths that column holds only rounding (about 1e-15); weight reaches the
+  cap only through a matrix that is not unitary there.  No report prints
+  the column yet.
 """
 
 from __future__ import annotations

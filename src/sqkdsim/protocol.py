@@ -19,9 +19,10 @@ Eve's probe columns, the vacuum ⊗ probe states.  The result is one flat
 :class:`BranchTable` of NumPy columns.  Its ``table_id`` column numbers the
 (operation, basis) blocks of rows; within a block, rows keep the order of
 the nested loop loss, Alice's outcome, loss, Bob's outcome.  What the pass
-does not compute from the attack's matrices (gathers, kept rows, the
-structural columns, block ranges and the analyses' masks) is compiled once
-per space, variant, survival and set of live rows, and cached.
+does not compute from the attack's matrices (Bob's kept rows sorted into
+blocks, the structural columns, block ranges and the analyses' masks) is
+compiled into one layout per space, variant, survival and set of live rows,
+and cached.
 A sampled run is one vectorized pass: row i of a counter-based Philox
 stream keyed by the seed picks round i's operation, basis and branch, the
 round is stored as a row index into that table, and the aggregates are
@@ -191,7 +192,9 @@ class BranchTable:
     where sifting discards.  Bits are -1 unless the row is a SharedBit.
     Row i of ``eve_probe`` is Eve's normalized probe state after branch i;
     ``leaked`` is the weight the photon cap dropped along its path (each
-    branch of a split inherits it whole).  ``alice_clicks`` and
+    branch of a split inherits it whole).  A validated attack is unitary on
+    the truncated space and SIFT's resend always has room, so its column
+    holds only rounding; no report prints it yet.  ``alice_clicks`` and
     ``bob_clicks`` count the detectors each party fired (Alice's announced
     sum, 0 for CTRL) and ``shared`` marks the SharedBit rows; the layout
     computes them once with the other structural columns.
@@ -369,12 +372,12 @@ class RoundEnumerator:
     The first use of :attr:`table` builds every branch of every operation
     of the variant in both of Bob's bases in one pass over a stack of
     sub-normalized states, one row per branch so far: each stage maps or
-    splits every row at once, and the rows of one (operation, basis) stay
-    contiguous.  That pass is :func:`_branch_stack` of a one-attack stack,
-    the code a sweep runs on many attacks of one space at once, and its
-    cached :class:`_Layout` holds every index the table and the analyses
-    read: the structural columns, the row range of each block
-    (:attr:`blocks`) and the analyses' masks.
+    splits every row at once.  That pass is :func:`_branch_stack` of a
+    one-attack stack, the code a sweep runs on many attacks of one space
+    at once, and its cached :class:`_Layout` holds every index the table
+    and the analyses read: the gather that makes the rows of one
+    (operation, basis) contiguous, the structural columns, the row range
+    of each block (:attr:`blocks`) and the analyses' masks.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -423,7 +426,7 @@ class RoundEnumerator:
 _COLUMNS = tuple(f.name for f in fields(BranchTable))
 _PER_ATTACK = ("probability", "eve_probe", "leaked")  # the other columns are shared
 
-_LAYOUT_BOUND = 64  # cached layouts; a sweep of 8 probe sizes keeps 16
+_LAYOUT_BOUND = 64  # cached layouts; a sweep of 8 probe sizes keeps 8
 _layouts: dict = {}
 
 
@@ -439,61 +442,44 @@ def _cached(key: tuple, build):
     return layout
 
 
-class _AliceLayout:
-    """Index work of Alice's split for one live (row, map) mask of it: the
-    gather of her live output rows sorted stably by operation (so each
-    operation keeps its nested-loop order), each row's parent row, its
-    operation index and pattern code, and the rows whose pattern clicked
-    mode 0 and mode 1 (where SIFT resends a photon).  Holds the
-    ``_measure_plan`` result it was compiled from, whose id keys it."""
-
-    def __init__(self, measured: tuple, live: np.ndarray):
-        self.measured = measured
-        plan, map_op, map_code = measured
-        keep = np.flatnonzero(live)
-        parent, which = np.divmod(keep, plan[0])
-        order = np.argsort(map_op[which], kind="stable")
-        self.gather, self.parent, which = keep[order], parent[order], which[order]
-        self.op_index, self.a_code = map_op[which], map_code[which]
-
-    @cached_property
-    def clicked(self) -> list:
-        return [(self.a_code >= 0) & ((self.a_code >> mode) & 1 == 1)
-                for mode in (0, 1)]  # bit m: mode m
-
-
 class _Layout:
     """Everything of a branch pass that does not depend on the matrices,
     compiled once per (space, variant, survival, live mask of each split).
 
-    Holds Bob's kept rows (``keep``), each final row's index into the
-    leaked column after Eve's backward pass (``leaked_parent``), the
+    Holds Bob's kept rows (``keep``) and each final row's index into the
+    leaked column after Eve's backward pass (``leaked_parent``), both
+    composed with a stable sort of the pass's rows by ``table_id``; the
     read-only columns of :class:`BranchTable` other than ``_PER_ATTACK``,
-    shared by every table of the layout, and the row range of each block.
-    :meth:`memo` keeps what an analysis derives from these,
-    such as its masks.  Compiling checks Bob's plan: a destination outside
-    its map's own block would land in another branch's row.
+    shared by every table of the layout; and the row range of each block.
+    :meth:`memo` keeps what an analysis derives from these, such as its
+    masks.  Holds Alice's and Bob's ``_measure_plan`` results, whose ids
+    key it.  Compiling checks Bob's plan: a destination outside its map's
+    own block would land in another branch's row.
     """
 
-    def __init__(self, system: ModeSystem, variant: Variant, alice: _AliceLayout,
-                 lossy: Optional[np.ndarray], measured: tuple, live: np.ndarray):
-        self.system, self.measured = system, measured  # the plan whose id keys it
+    def __init__(self, system: ModeSystem, variant: Variant, alice: tuple,
+                 alice_live: np.ndarray, lossy: Optional[np.ndarray], measured: tuple,
+                 live: np.ndarray):
+        self.system, self.alice, self.measured = system, alice, measured
         plan, _, map_code = measured
         _, src, dst, _, starts, _, width = plan
         if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
             raise ContractViolation("post-measurement state not confined to vacuum")
-        n_ops = len(variant.operations)
-        parent = (np.arange(len(alice.op_index)) if lossy is None
+        alice_plan, map_op, alice_code = alice
+        which = np.flatnonzero(alice_live) % alice_plan[0]  # the map of each of Alice's rows
+        parent = (np.arange(len(which)) if lossy is None
                   else np.flatnonzero(lossy) // lossy.shape[1])
-        self.keep = np.flatnonzero(live)
-        bob_parent, which = np.divmod(self.keep, plan[0])
-        self.leaked_parent = np.concatenate([parent, parent])[bob_parent]
-        # The stack is doubled for Bob's bases, the computational copy first,
-        # so rows group by (basis, operation).
-        alice_row = np.concatenate([parent, parent + len(alice.op_index)])[bob_parent]
-        self.table_id = np.concatenate([alice.op_index, alice.op_index + n_ops])[alice_row]
-        self.alice_pattern = np.concatenate([alice.a_code, alice.a_code])[alice_row]
-        self.bob_pattern = map_code[which]
+        # The stack is doubled for Bob's bases, the computational copy first.
+        keep = np.flatnonzero(live)
+        basis, row = np.divmod(keep // plan[0], len(parent))
+        table_id = map_op[which[parent[row]]] + len(variant.operations) * basis
+        # A stable sort groups rows by (basis, operation); each block keeps
+        # the nested-loop order.
+        order = np.argsort(table_id, kind="stable")
+        self.keep, self.table_id = keep[order], table_id[order]
+        self.leaked_parent = parent[row[order]]  # Alice's row of each row
+        self.alice_pattern = alice_code[which[self.leaked_parent]]
+        self.bob_pattern = map_code[self.keep % plan[0]]
         # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
         cells = (self.table_id * _N_CELLS + (self.alice_pattern + 1) * len(PATTERNS)
                  + self.bob_pattern)
@@ -532,7 +518,7 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     pass's :class:`_Layout` and a table whose rows are sorted by
     ``table_id`` and whose ``_PER_ATTACK`` columns have a leading attack
     axis.  A call runs only the numeric kernels: the launch rows, each
-    split's weights and live mask (the masks select the cached layouts)
+    split's weights and live mask (the masks select the one cached layout)
     and its gather, Eve's products per slice and Bob's Hadamard, so an
     attack's columns have the bits of its own one-attack stack; every
     numeric check runs for every attack, raising for the first that
@@ -549,17 +535,20 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
         rows = _scatter(moved, plan, np.flatnonzero(live))
     rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]), u_forward)
 
-    # Alice, every operation at once, gathered in operation order.
-    measured = _measure_plan(system, variant.operations)
-    moved, _, live = _weigh(rows, measured[0])
-    alice = _cached((id(measured), live.tobytes()), lambda: _AliceLayout(measured, live))
-    rows = _scatter(moved, measured[0], alice.gather)
-    leaked = leaked.take(alice.parent, axis=1)
+    # Alice, every operation at once.
+    alice = _measure_plan(system, variant.operations)
+    moved, _, alice_live = _weigh(rows, alice[0])
+    kept = np.flatnonzero(alice_live)
+    rows = _scatter(moved, alice[0], kept)
+    parent, which = np.divmod(kept, alice[0][0])
+    leaked = leaked.take(parent, axis=1)
     if variant is Variant.LEGACY:
         # SIFT resends one fresh photon per clicked mode, tag reset to 0.
         # Nothing meets the photon cap: the measured pair is empty, and a
         # double click needs room for two photons.
-        for mode, clicked in enumerate(alice.clicked):
+        code = alice[2][which]
+        for mode in (0, 1):  # bit m: mode m
+            clicked = (code >= 0) & ((code >> mode) & 1 == 1)
             rows[:, clicked] = rows[:, clicked] @ creation_operator(
                 system, system.slot(_PAIR, mode, 0)).T
 
@@ -577,9 +566,9 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     # one column would lose some) is checked after it.
     measured = _measure_plan(system, (None,))
     moved, weight, live = _weigh(rows, measured[0])
-    layout = _cached((alice, survival, None if lossy is None else lossy.tobytes(),
-                      id(measured), live.tobytes()),
-                     lambda: _Layout(system, variant, alice, lossy, measured, live))
+    layout = _cached((id(alice), alice_live.tobytes(), survival,
+                      None if lossy is None else lossy.tobytes(), id(measured), live.tobytes()),
+                     lambda: _Layout(system, variant, alice, alice_live, lossy, measured, live))
     probe = _scatter(moved, measured[0], layout.keep)
     prob = weight.reshape(len(rows), -1).take(layout.keep, axis=1)
     leaked = leaked.take(layout.leaked_parent, axis=1)

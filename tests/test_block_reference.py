@@ -130,9 +130,13 @@ def test_legacy_identification_equals_the_block_reference(n_max, loss, p_had):
     _assert_branches_are_the_blocks(enum)
     ident = legacy_identification(attack, config, enumerator=enum)
     pl = enum.system.probe_levels
+    reference = []
     for op, density in ((AliceOp.CTRL, ident.rho_ctrl), (AliceOp.SIFT, ident.rho_sift)):
         mat = np.zeros((pl, pl), dtype=np.complex128)
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
             block = _block(enum, op, basis)
             mat += _mixture(w, block["probability"], block["eve_probe"])
         assert np.array_equal(density.matrix, mat)
+        reference.append(mat)
+    assert ident.trace_distance == trace_distance(*reference)
+    assert ident.accuracy == 0.5 * (1.0 + ident.trace_distance)

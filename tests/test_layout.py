@@ -162,15 +162,17 @@ def test_block_views_carry_the_derived_columns(variant):
 def test_cache_stays_within_its_bound(monkeypatch):
     monkeypatch.setattr(protocol, "_layouts", {})
     compiled = []
-    for tag_dim in (1, 2):
-        for n_max in (1, 2, 3):
-            for probe_dim in range(1, 9):
-                config = ProtocolConfig(tag_dim=tag_dim, n_max=n_max)
-                enum = RoundEnumerator(config, identity_attack(tag_dim, n_max, probe_dim))
-                compiled.append(enum._pass[0])
-                # Alice's layout and the whole pass's per space
-                assert len(protocol._layouts) == min(2 * len(compiled), protocol._LAYOUT_BOUND)
-    assert 2 * len(compiled) > protocol._LAYOUT_BOUND
+    for survival in (1.0, 0.9):
+        for tag_dim in (1, 2):
+            for n_max in (1, 2, 3):
+                for probe_dim in range(1, 9):
+                    config = ProtocolConfig(tag_dim=tag_dim, n_max=n_max,
+                                            channel_loss=survival)
+                    enum = RoundEnumerator(config, identity_attack(tag_dim, n_max, probe_dim))
+                    compiled.append(enum._pass[0])
+                    # one layout per compiled pass
+                    assert len(protocol._layouts) == min(len(compiled), protocol._LAYOUT_BOUND)
+    assert len(compiled) > protocol._LAYOUT_BOUND
     kept = list(protocol._layouts.values())
     assert compiled[-1] in kept and compiled[0] not in kept  # the oldest went first
 
