@@ -289,10 +289,6 @@ class DensityOperator:
         mat.setflags(write=False)
         object.__setattr__(self, "matrix", mat)
 
-    @property
-    def trace(self) -> float:
-        return float(np.trace(self.matrix).real)
-
     def validate(self) -> None:
         """Check Hermiticity, positivity, and unit trace to 1e-10."""
         _check_densities(self.matrix[None])

@@ -168,7 +168,6 @@ def _document(value):
 
 PATTERNS = tuple(ClickPattern)  # PATTERNS[p.code] is p
 INTERPRETATIONS = tuple(Interpretation)
-_CLICKS = np.array([0] + [p.n_clicks for p in PATTERNS])  # by pattern code + 1
 _LABELS = ("Discarded",) + tuple(i.value for i in INTERPRETATIONS)
 _SHARED = INTERPRETATIONS.index(Interpretation.SHARED_BIT)
 _N_CELLS = (len(PATTERNS) + 1) * len(PATTERNS)  # (Alice code + 1, Bob code)
@@ -194,10 +193,9 @@ class BranchTable:
     ``leaked`` is the weight the photon cap dropped along its path (each
     branch of a split inherits it whole).  A validated attack is unitary on
     the truncated space and SIFT's resend always has room, so its column
-    holds only rounding; no report prints it yet.  ``alice_clicks`` and
-    ``bob_clicks`` count the detectors each party fired (Alice's announced
-    sum, 0 for CTRL) and ``shared`` marks the SharedBit rows; the layout
-    computes them once with the other structural columns.
+    holds only rounding; no report prints it yet.  ``shared`` marks the
+    SharedBit rows; the layout computes it once with the other structural
+    columns.
     """
 
     probability: np.ndarray
@@ -209,8 +207,6 @@ class BranchTable:
     eve_probe: np.ndarray
     leaked: np.ndarray
     table_id: np.ndarray
-    alice_clicks: np.ndarray
-    bob_clicks: np.ndarray
     shared: np.ndarray
 
     def __len__(self) -> int:
@@ -344,17 +340,16 @@ def _table_keys(variant: Variant) -> tuple[tuple[AliceOp, Basis], ...]:
     return tuple((op, basis) for basis in Basis for op in variant.operations)
 
 
-@lru_cache(maxsize=256)
-def _cell_lookup(variant: Variant, cells: tuple[int, ...]) -> np.ndarray:
+def _cell_lookup(variant: Variant, cells: np.ndarray) -> np.ndarray:
     """:func:`_classify` of the given cells of a variant's stack.
 
     Cell ``table * _N_CELLS + (alice code + 1) * 4 + bob code``; its row
     holds the interpretation index and bits, with -1 standing for None.
-    Cached per set of cells that occur, which random attacks mostly share.
+    Runs once per compiled :class:`_Layout`, on the cells that occur in it.
     """
     keys = _table_keys(variant)
     lookup = np.zeros((len(keys) * _N_CELLS, 3), dtype=np.int8)
-    for cell in cells:
+    for cell in cells.tolist():
         table, local = divmod(cell, _N_CELLS)
         a_index, b_index = divmod(local, len(PATTERNS))
         interp, a_bit, b_bit = _classify(
@@ -483,10 +478,8 @@ class _Layout:
         # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
         cells = (self.table_id * _N_CELLS + (self.alice_pattern + 1) * len(PATTERNS)
                  + self.bob_pattern)
-        present = tuple(np.flatnonzero(np.bincount(cells)).tolist())
+        present = np.flatnonzero(np.bincount(cells))
         self.interpretation, self.alice_bit, self.bob_bit = _cell_lookup(variant, present)[cells].T
-        self.alice_clicks = _CLICKS[self.alice_pattern + 1]
-        self.bob_clicks = _CLICKS[self.bob_pattern + 1]
         self.shared = self.interpretation == _SHARED
         for name in set(_COLUMNS) - set(_PER_ATTACK):
             getattr(self, name).setflags(write=False)
@@ -500,8 +493,7 @@ class _Layout:
         """A table of this layout from its ``_PER_ATTACK`` columns."""
         return BranchTable(probability, self.alice_pattern, self.bob_pattern,
                            self.interpretation, self.alice_bit, self.bob_bit, eve_probe,
-                           leaked, self.table_id, self.alice_clicks, self.bob_clicks,
-                           self.shared)
+                           leaked, self.table_id, self.shared)
 
     def memo(self, build):
         """``build(self)``, computed once per layout."""

@@ -103,15 +103,16 @@ def _condition_terms(layout: _Layout) -> tuple:
     terms = [(ctrl, layout.bob_pattern[ctrl] >= ClickPattern.P10.code)]
     # The swapped-out mode is the only one Bob may legitimately click in;
     # its opposite showing up alone means the photon dodged Alice's swap.
+    none, double = ClickPattern.P00.code, ClickPattern.P11.code
     for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
                           (AliceOp.SWAP_01, ClickPattern.P01)):
         block = blocks[op, Basis.COMPUTATIONAL]
-        a, b = layout.alice_clicks[block], layout.bob_clicks[block]
-        terms += [(block, (a >= 1) & (b >= 1)), (block, (a == 2) | (b == 2)),
-                  (block, (a == 0) & (layout.bob_pattern[block] == forbidden.code))]
+        a, b = layout.alice_pattern[block], layout.bob_pattern[block]
+        terms += [(block, (a != none) & (b != none)), (block, (a == double) | (b == double)),
+                  (block, (a == none) & (b == forbidden.code))]
     swap_all = blocks[AliceOp.SWAP_ALL, Basis.COMPUTATIONAL]
-    terms += [(swap_all, layout.alice_pattern[swap_all] == ClickPattern.P11.code),
-              (swap_all, layout.bob_clicks[swap_all] >= 1)]
+    terms += [(swap_all, layout.alice_pattern[swap_all] == double),
+              (swap_all, layout.bob_pattern[swap_all] != none)]
     return tuple(terms)
 
 
@@ -265,6 +266,8 @@ def verify_lemma1(spec_input: LemmaInput, zero_tol: float = 1e-9,
     """
     state = lemma_state(spec_input)
     norm2 = state.norm2
+    if not np.isfinite(norm2):
+        raise ValueError(f"lemma input's squared norm {norm2} is not finite")
     if norm2 < 1e-30:
         raise ValueError("lemma input is the zero vector")
     rotated = hadamard_change(state, 0)

@@ -192,6 +192,20 @@ def test_lemma_fixture_false_claim_flagged(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["--fixture", "overflow.json"],
+                                  ["--random", "2", "--delta", "1e200"]],
+                         ids=["fixture", "random"])
+def test_lemma_overflowing_norm_is_clean_error(argv, tmp_path, monkeypatch, capsys):
+    """A squared norm beyond float range is an input error, not a lemma failure."""
+    fixture = {"f": {"1": [[1e200, 0]]}, "g": {"1": [[0, 1e200]]}, "h": [[0, 0]]}
+    (tmp_path / "overflow.json").write_text(json.dumps(fixture))
+    monkeypatch.chdir(tmp_path)
+    assert main(["lemma", *argv]) == 1
+    out, err = capsys.readouterr()
+    assert "squared norm" in err and "not finite" in err
+    assert "implication failures" not in out
+
+
 def test_lemma_fixture_malformed_shape_is_clean_error(tmp_path, capsys):
     # f given as a list instead of a photon-number mapping
     fixture = {"f": [[[1.0, 0.0]]], "g": {}, "h": [[0.0, 0.0]]}

@@ -131,7 +131,7 @@ def test_shared_columns_are_read_only_and_shared():
     config = ProtocolConfig(channel_loss=0.9)
     one, two = (RoundEnumerator(config, random_attack(seed, probe_dim=2)) for seed in (1, 2))
     assert one._pass[0] is two._pass[0]
-    assert {"alice_clicks", "bob_clicks", "shared"} <= set(SHARED)
+    assert "shared" in SHARED
     for name in SHARED:
         column = getattr(one.table, name)
         assert column is getattr(two.table, name), name
@@ -147,9 +147,6 @@ def test_block_views_carry_the_derived_columns(variant):
     enum = RoundEnumerator(ProtocolConfig(variant=variant, channel_loss=0.9),
                            random_attack(3, probe_dim=2))
     table = enum.table
-    clicks = [0] + [p.n_clicks for p in protocol.PATTERNS]  # by pattern code + 1
-    assert table.alice_clicks.tolist() == [clicks[c + 1] for c in table.alice_pattern]
-    assert table.bob_clicks.tolist() == [clicks[c + 1] for c in table.bob_pattern]
     shared = protocol.INTERPRETATIONS.index(Interpretation.SHARED_BIT)
     assert table.shared.tolist() == [i == shared for i in table.interpretation]
     assert table.shared.any()

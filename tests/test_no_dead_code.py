@@ -5,17 +5,17 @@ non-dunder method of a top-level class, must be read by code in ``src/``,
 ``tests/`` or ``bench/`` outside ``sqkdsim/__init__.py``, found with
 ``ast``, so docstrings, comments and the strings of ``__all__`` lists do
 not count, and re-exports alone do not either.  A method counts as read
-only through a loaded attribute (``x.name``), so a local variable that
-shares its name does not keep it alive.  A module-level name counts
+only through a loaded attribute (``x.name``) on something other than a
+module the file binds by ``import``, so neither a local variable that
+shares its name nor ``np.name`` keeps it alive.  A module-level name counts
 through a loaded name or an imported name; outside ``src/`` also through a
 loaded attribute (``module.name``).  It must also be read so in ``src/``
 alone, or be named in :data:`SRC_ORACLES`: a name only tests use belongs
 beside them.  A scan of the syntax trees, so it needs no linter.
 
 The check matches names, not the objects they belong to.  A method still
-passes when another attribute of the same name is read: ``DensityOperator.trace``
-by ``np.trace``, or the ``validate`` of one class by a call to the
-``validate`` of another.
+passes when another object's attribute of the same name is read: the
+``validate`` of one class by a call to the ``validate`` of another.
 """
 import ast
 from pathlib import Path
@@ -56,13 +56,20 @@ def _definitions(tree: ast.Module):
 
 def _reads(path: Path) -> tuple[set, set]:
     """``(names, attributes)`` the code of a file reads: loaded and imported
-    names (f-string expressions included), and loaded attributes."""
+    names (f-string expressions included) and attributes loaded from a
+    module the file binds by ``import`` (``np.trace``), then the other
+    loaded attributes."""
+    tree = ast.parse(path.read_text())
+    modules = {(alias.asname or alias.name).split(".")[0]
+               for node in ast.walk(tree) if isinstance(node, ast.Import)
+               for alias in node.names}
     names, attributes = set(), set()
-    for node in ast.walk(ast.parse(path.read_text())):
+    for node in ast.walk(tree):
         if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
             names.add(node.id)
         elif isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
-            attributes.add(node.attr)
+            on_module = isinstance(node.value, ast.Name) and node.value.id in modules
+            (names if on_module else attributes).add(node.attr)
         elif isinstance(node, (ast.Import, ast.ImportFrom)):
             names.update(part for alias in node.names for part in alias.name.split("."))
     return names, attributes

@@ -195,6 +195,18 @@ def test_lemma_rejects_bad_input():
         lemma_state(LemmaInput(f={1: np.ones(3)}, g={}, h=np.zeros(2)))
 
 
+def test_lemma_rejects_an_overflowing_norm():
+    """At scale 1e200 the squared norm overflows; the lemma is not judged."""
+    def pair(scale):
+        return LemmaInput(f={1: np.array([scale])}, g={1: np.array([1j * scale])},
+                          h=np.zeros(1))
+    verdict = verify_lemma1(pair(1.0))
+    assert verdict.p_minus == pytest.approx(0.5, abs=1e-12)
+    assert verdict.implication_holds
+    with pytest.raises(ValueError, match="squared norm inf is not finite"):
+        verify_lemma1(pair(1e200))
+
+
 def test_lemma_vacuum_component_is_harmless():
     probe = _unit([1.0, 2.0j, -0.5])
     verdict = verify_lemma1(LemmaInput(f={1: probe}, g={1: probe},
