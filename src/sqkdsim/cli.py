@@ -24,7 +24,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import asdict, replace
+from dataclasses import asdict
 from functools import lru_cache
 from math import isfinite
 from pathlib import Path
@@ -163,8 +163,7 @@ def cmd_run(args) -> int:
         report = check_conditions(attack, config, enumerator=enum)
         conditions = asdict(report)
         if args.cross_check:  # Alice's swaps, checked on the lossless forward pass
-            conditions["cross_check_deviation"] = measurement_cross_check(
-                attack, replace(config, channel_loss=1.0))
+            conditions["cross_check_deviation"] = measurement_cross_check(attack)
         conditionals = eve_conditional_states(attack, config, enum)
         analysis["conditions"] = dict(conditions, max_violation=report.max_violation)
         analysis["eavesdropper"] = {

@@ -137,6 +137,8 @@ class ProtocolConfig:
             self.alice_op_probs = probs
         if self.n_rounds < 0:
             raise ValueError("n_rounds must be non-negative")
+        if not 0 <= self.rng_seed < 2**128:  # a Philox key
+            raise ValueError(f"rng_seed must lie in [0, 2**128), got {self.rng_seed}")
         for name in ("channel_loss", "bob_hadamard_prob", "test_fraction"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
@@ -170,6 +172,7 @@ PATTERNS = tuple(ClickPattern)  # PATTERNS[p.code] is p
 INTERPRETATIONS = tuple(Interpretation)
 _LABELS = ("Discarded",) + tuple(i.value for i in INTERPRETATIONS)
 _SHARED = INTERPRETATIONS.index(Interpretation.SHARED_BIT)
+_ERROR = _LABELS.index(Interpretation.ERROR.value)
 _N_CELLS = (len(PATTERNS) + 1) * len(PATTERNS)  # (Alice code + 1, Bob code)
 
 
@@ -701,12 +704,12 @@ def _search_blocks(probability: np.ndarray, table_id: np.ndarray,
 class RunStats:
     """Aggregates of one protocol run.
 
-    Error rates are per round of the operation (discarded rounds stay in the
-    denominator), which makes the sampled rates estimate the same per-round
-    detection probabilities the exact analyses report.  A rate whose
-    denominator is zero is reported as None and never triggers an abort.
-    In the legacy variant SIFT rounds fill the swap_x slot and no swap_all
-    category exists.
+    Counts and error rates read one (operation, label) tally of the rounds
+    (:func:`_outcome_sums`).  A rate is per round of the operation (discarded
+    rounds stay in the denominator), so the sampled rates estimate the
+    per-round detection probabilities the exact analyses report.  A rate
+    whose denominator is zero is None and never triggers an abort.  In the
+    legacy variant SIFT rounds fill the swap_x slot; no swap_all exists.
     """
 
     n_rounds: int
@@ -728,11 +731,11 @@ class RunStats:
         return _document(self)
 
 
-def _error_rate(counts: dict, ops) -> Optional[float]:
-    per_op = [counts.get(op.value, {}) for op in ops]
-    total = sum(sum(c.values()) for c in per_op)
-    errors = sum(c.get(Interpretation.ERROR.value, 0) for c in per_op)
-    return errors / total if total else None
+def _outcome_sums(ops, table: BranchTable, weights: np.ndarray) -> np.ndarray:
+    """``weights`` summed per (operation, label) of the rows, each cell in row
+    order: an (operation, label) array whose label 0 is Discarded."""
+    cells = table.table_id % len(ops) * len(_LABELS) + table.labels
+    return np.bincount(cells, weights, len(ops) * len(_LABELS)).reshape(len(ops), -1)
 
 
 def run_protocol(config: ProtocolConfig, attack: Attack,
@@ -743,23 +746,20 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     ops = config.variant.operations
     table = enum.table
     rounds = simulate_records(config, enum.attack, enum)
-    # Rounds per row, per (operation, outcome label), then per operation.
-    row_cell = table.table_id % len(ops) * len(_LABELS) + table.labels
-    per_cell = np.bincount(row_cell, weights=np.bincount(rounds, minlength=len(table)),
-                           minlength=len(ops) * len(_LABELS)).astype(np.intp)
-    counts: dict[str, dict[str, int]] = {}
-    for cell in np.flatnonzero(per_cell).tolist():
-        k, label = divmod(cell, len(_LABELS))
-        counts.setdefault(ops[k].value, {})[_LABELS[label]] = int(per_cell[cell])
+    per_cell = _outcome_sums(ops, table, np.bincount(rounds, minlength=len(table))).astype(int)
+    counts = {op.value: {_LABELS[label]: n for label, n in enumerate(row) if n}
+              for op, row in zip(ops, per_cell.tolist()) if any(row)}
     key_ops = ((AliceOp.SWAP_10, AliceOp.SWAP_01)
                if config.variant is Variant.MIRROR else (AliceOp.SIFT,))
-    sifted_key_rounds = sum(n for op in key_ops
-                            for label, n in counts.get(op.value, {}).items()
-                            if label != _LABELS[0])
+    sifted_key_rounds = int(per_cell[[op in key_ops for op in ops], 1:].sum())
 
-    ctrl_rate = _error_rate(counts, (AliceOp.CTRL,))
-    swap_x_rate = _error_rate(counts, key_ops)
-    swap_all_rate = _error_rate(counts, (AliceOp.SWAP_ALL,))  # None without such rounds
+    def error_rate(named) -> Optional[float]:  # None without such rounds
+        rows = per_cell[[op in named for op in ops]]
+        return int(rows[:, _ERROR].sum()) / int(rows.sum()) if rows.any() else None
+
+    ctrl_rate = error_rate((AliceOp.CTRL,))
+    swap_x_rate = error_rate(key_ops)
+    swap_all_rate = error_rate((AliceOp.SWAP_ALL,))
 
     # Shared bits in round order.
     shared = rounds[table.shared[rounds]]
@@ -827,8 +827,9 @@ class ExactStatistics:
 
 def exact_statistics(config: ProtocolConfig, attack: Attack,
                      enumerator: Optional[RoundEnumerator] = None) -> ExactStatistics:
-    """Exact outcome probabilities per operation of the config's variant.
-    A given enumerator must hold ``config`` and ``attack``."""
+    """Exact outcome probabilities per operation of the config's variant: a
+    run's tally (:func:`_outcome_sums`) of basis-weighted branch mass.  A
+    given enumerator must hold ``config`` and ``attack``."""
     enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
     table = enum.table
@@ -838,16 +839,12 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
     mass = basis_weight * table.probability
     # Outcomes per (operation, label); a basis Bob never picks adds none,
     # not even at zero weight.
-    live = basis_weight > 0.0
-    cells = (op_index * len(_LABELS) + table.labels)[live]
-    n_cells = len(ops) * len(_LABELS)
-    per_cell = np.bincount(cells, weights=mass[live], minlength=n_cells)
-    outcome: dict[AliceOp, dict[str, float]] = {op: {} for op in ops}
-    for cell in np.flatnonzero(np.bincount(cells, minlength=n_cells)).tolist():
-        k, label = divmod(cell, len(_LABELS))
-        outcome[ops[k]][_LABELS[label]] = float(per_cell[cell])
-    errors = {op: dist.get(Interpretation.ERROR.value, 0.0)
-              for op, dist in outcome.items()}
+    per_cell = _outcome_sums(ops, table, mass)
+    shown = _outcome_sums(ops, table, basis_weight > 0.0) > 0
+    outcome = {op: {_LABELS[label]: float(per_cell[k, label])
+                    for label in np.flatnonzero(shown[k]).tolist()}
+               for k, op in enumerate(ops)}
+    errors = dict(zip(ops, per_cell[:, _ERROR].tolist()))
     weight = mass * np.array([config.alice_op_probs.get(op, 0.0) for op in ops])[op_index]
     p_shared = float(weight[table.shared].sum())
     p_mismatch = float(weight[table.shared & (table.alice_bit != table.bob_bit)].sum())

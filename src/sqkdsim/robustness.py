@@ -116,31 +116,22 @@ def _condition_terms(layout: _Layout) -> tuple:
     return tuple(terms)
 
 
-def measurement_cross_check(attack: Attack,
-                            config: Optional[ProtocolConfig] = None,
-                            enumerator: Optional[RoundEnumerator] = None) -> float:
+def measurement_cross_check(attack: Attack) -> float:
     """Check Alice's one-pair rail measurement against the two-pair spec.
 
     Rounds measure the swapped rails of the transmitted pair directly; the
-    checked route splits the forward-pass state with the enumerator's own
-    plan for each SWAP, the one its rounds run.  The spec route places that
-    state next to an empty storage pair, applies the SWAP permutation, and
-    decomposes the result with explicit index masks, one per storage-pair
-    occupation.  Each projection must match a branch of the split: same
-    click pattern, same probability, and the same residual once placed next
-    to the emptied storage.  Returns the largest absolute disagreement
-    found (0.0 means both routes agree to machine precision, infinity that
-    their branch sets differ).
-
-    The routes are compared on the lossless forward-pass state, so the
-    mirror config (the default one if None) must be lossless; ``sqkdsim
-    run --cross-check`` passes its config with the loss removed.  A given
-    enumerator must hold that config and ``attack``.
+    checked route splits the attack's lossless forward-pass state with the
+    rounds' own plan for each SWAP.  The spec route places that state next
+    to an empty storage pair, applies the SWAP permutation, and decomposes
+    the result with explicit index masks, one per storage-pair occupation.
+    Each projection must match a branch of the split: same click pattern,
+    same probability, and the same residual once placed next to the
+    emptied storage.  Returns the largest absolute disagreement found (0.0
+    means both routes agree to machine precision, infinity that their
+    branch sets differ).  The state depends on the attack alone.
     """
-    enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    if enum.config.channel_loss < 1.0:
-        raise ValueError("cross check assumes a lossless channel")
-    forward = apply_truncating_unitary(enum.initial, enum.attack.u_forward)
+    forward = apply_truncating_unitary(_enumerator(attack, None, None).initial,
+                                       attack.u_forward)
     pair = forward.system
     system = ModeSystem(2, pair.tag_dim, pair.n_max, pair.probe_dim)
     # The attack pair's basis state i, next to the empty storage pair, is
@@ -268,8 +259,10 @@ def verify_lemma1(spec_input: LemmaInput, zero_tol: float = 1e-9,
     norm2 = state.norm2
     if not np.isfinite(norm2):
         raise ValueError(f"lemma input's squared norm {norm2} is not finite")
-    if norm2 < 1e-30:
+    if not state.amplitudes.any():
         raise ValueError("lemma input is the zero vector")
+    if norm2 < np.finfo(float).tiny:  # a subnormal norm loses digits in every ratio
+        raise ValueError(f"lemma input's squared norm {norm2} is below the normal float range")
     rotated = hadamard_change(state, 0)
     system = state.system
     minus = system.basis_table[0][:, system.slot(0, 1, 0)] > 0  # after the change

@@ -10,7 +10,6 @@ import pytest
 from sqkdsim.adversary import (attack_to_document, identity_attack, random_attack,
                                save_attack)
 from sqkdsim.cli import EXIT_USAGE, build_parser, main
-from sqkdsim.protocol import ProtocolConfig
 from sqkdsim.robustness import measurement_cross_check
 
 from extra_attacks import probe_rotation_attack
@@ -73,15 +72,14 @@ def test_run_conditions_and_cross_check_under_loss(capsys):
 
 
 def test_run_cross_check_is_the_lossless_check_listed_before_max_violation(capsys):
-    """A lossy run reports measurement_cross_check on its lossless config,
-    in the conditions table right before max_violation."""
+    """A lossy run reports measurement_cross_check of its attack, in the
+    conditions table right before max_violation."""
     args = ["run", "--rounds", "50", "--loss", "0.6", "--cross-check",
             "--attack", "random:9:2:0.8", "--error-threshold", "1"]
     assert main(args + ["--format", "structured"]) == 0
     conditions = json.loads(capsys.readouterr().out)["analysis"]["conditions"]
     attack = random_attack(9, probe_dim=2, strength=0.8)
-    assert conditions["cross_check_deviation"] == measurement_cross_check(
-        attack, ProtocolConfig(channel_loss=1.0))
+    assert conditions["cross_check_deviation"] == measurement_cross_check(attack)
     assert main(args) == 0
     table = capsys.readouterr().out.split("detection conditions\n")[1]
     rows = [line.split()[0] for line in table.splitlines()]
@@ -100,6 +98,11 @@ def test_run_with_noisy_fixture_aborts(tmp_path, capsys):
     save_attack(random_attack(2, probe_dim=2, strength=0.2), path)
     assert main(["run", "--rounds", "400", "--attack", str(path)]) == 3
     capsys.readouterr()
+
+
+def test_run_rejects_a_seed_that_is_no_philox_key(capsys):
+    assert main(["run", "--rounds", "10", "--seed", "-1"]) == 1
+    assert "rng_seed" in capsys.readouterr().err
 
 
 def test_unknown_attack_fails_cleanly(capsys):

@@ -14,7 +14,7 @@ from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
                               eve_conditional_states,
                               exact_statistics, legacy_identification,
                               run_protocol, simulate_records)
-from sqkdsim.robustness import check_conditions, measurement_cross_check
+from sqkdsim.robustness import check_conditions
 
 from extra_attacks import probe_rotation_attack
 from extra_states import basis_index, basis_state
@@ -40,6 +40,19 @@ def test_config_validation():
 def test_config_rejects_non_finite_op_weights(weight):
     with pytest.raises(ValueError):
         ProtocolConfig(n_rounds=1000, alice_op_probs={"CTRL": weight, "SWAP-10": 1.0})
+
+
+@pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
+def test_config_rejects_a_seed_that_is_no_philox_key(seed):
+    """The run's stream is keyed by the seed, so the config checks its range
+    itself rather than leaving it to the first sampled run."""
+    with pytest.raises(ValueError, match="rng_seed"):
+        ProtocolConfig(rng_seed=seed)
+
+
+def test_config_accepts_the_largest_philox_key():
+    cfg = ProtocolConfig(n_rounds=20, rng_seed=2**128 - 1)
+    assert run_protocol(cfg, identity_attack()).n_rounds == 20
 
 
 def test_config_accepts_string_op_keys():
@@ -369,8 +382,6 @@ def test_enumerator_must_hold_the_given_config_and_attack():
         eve_conditional_states(attack, ProtocolConfig(alice_op_probs=skewed), mirror)
     with pytest.raises(ValueError):
         run_protocol(ProtocolConfig(rng_seed=1), attack, mirror)
-    with pytest.raises(ValueError):  # SWAP rails are a mirror-variant measurement
-        measurement_cross_check(attack, legacy_cfg, legacy)
 
     # Another attack on the same space: other unitaries, or only another
     # initial probe state.
@@ -382,7 +393,6 @@ def test_enumerator_must_hold_the_given_config_and_attack():
                          lambda: exact_statistics(cfg, other, mirror),
                          lambda: eve_conditional_states(other, cfg, mirror),
                          lambda: check_conditions(other, cfg, enumerator=mirror),
-                         lambda: measurement_cross_check(other, cfg, mirror),
                          lambda: legacy_identification(other, legacy_cfg, legacy)):
             with pytest.raises(ValueError):
                 analysis()
@@ -509,3 +519,96 @@ def test_simulator_draws_every_operation():
     rows = simulate_records(cfg, identity_attack(), enum)
     seen = {MIRROR_OPS[t % len(MIRROR_OPS)] for t in enum.table.table_id[rows]}
     assert seen == set(MIRROR_OPS)
+
+
+# -- the (operation, label) tally, pinned by per-row and per-round loops ------
+
+_TALLY_OP_PROBS = {
+    "mirror": (None, {"CTRL": 0.5, "SWAP-10": 0.0, "SWAP-01": 0.5, "SWAP-ALL": 0.0},
+               {"CTRL": 0.4, "SWAP-10": 0.3, "SWAP-01": 0.2, "SWAP-ALL": 0.1}),
+    "legacy": (None, {"CTRL": 1.0, "SIFT": 0.0}, {"CTRL": 0.3, "SIFT": 0.7}),
+}
+
+
+def _tally_configs(variant, n_max):
+    """Every Hadamard weight, survival and operation weighting of the grid."""
+    for hadamard in (0.0, 0.3, 1.0):
+        for survival in (1.0, 0.7):
+            for op_probs in _TALLY_OP_PROBS[variant]:
+                yield ProtocolConfig(variant=variant, n_max=n_max, n_rounds=300,
+                                     rng_seed=n_max, channel_loss=survival,
+                                     bob_hadamard_prob=hadamard, alice_op_probs=op_probs)
+
+
+def _label(table, row):
+    code = int(table.interpretation[row])
+    return "Discarded" if code < 0 else INTERPRETATIONS[code].value
+
+
+def _in_tally_order(sums, ops):
+    """Per-operation dicts keyed as the library keys them: operations in
+    variant order, labels Discarded first, then ``INTERPRETATIONS`` order."""
+    order = ["Discarded"] + [i.value for i in INTERPRETATIONS]
+    return {op: {label: sums[op][label] for label in order if label in sums[op]}
+            for op in ops}
+
+
+def _items(nested):
+    return [(key, list(value.items())) for key, value in nested.items()]
+
+
+@pytest.mark.parametrize("variant", ["mirror", "legacy"])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_exact_statistics_match_a_per_row_loop(variant, n_max):
+    """Each outcome probability is the basis-weighted branch probabilities
+    added one row at a time in table order; a basis Bob never picks shows
+    no label.  Equal bit for bit, key order included."""
+    attack = random_attack(n_max, probe_dim=2, strength=0.8, n_max=n_max)
+    for cfg in _tally_configs(variant, n_max):
+        table = RoundEnumerator(cfg, attack).table
+        ops = cfg.variant.operations
+        sums = {op: {} for op in ops}
+        for row in range(len(table)):
+            hadamard, k = divmod(int(table.table_id[row]), len(ops))
+            weight = cfg.bob_hadamard_prob if hadamard else 1.0 - cfg.bob_hadamard_prob
+            if weight > 0.0:
+                cell = sums[ops[k]]
+                label = _label(table, row)
+                cell[label] = cell.get(label, 0.0) + weight * float(table.probability[row])
+        outcome = _in_tally_order(sums, ops)
+        exact = exact_statistics(cfg, attack)
+        assert _items(exact.outcome_probs) == _items(outcome)
+        errors = {op: dist.get(Interpretation.ERROR.value, 0.0) for op, dist in outcome.items()}
+        assert list(exact.error_probs.items()) == list(errors.items())
+
+
+@pytest.mark.parametrize("variant", ["mirror", "legacy"])
+@pytest.mark.parametrize("n_max", [1, 2, 3])
+def test_run_tally_matches_a_per_round_recount(variant, n_max):
+    """Counts, sifted key rounds and the three category rates equal a recount
+    of the sampled rows one round at a time, key order included."""
+    attack = random_attack(n_max, probe_dim=2, strength=0.8, n_max=n_max)
+    for cfg in _tally_configs(variant, n_max):
+        enum = RoundEnumerator(cfg, attack)
+        table, ops = enum.table, cfg.variant.operations
+        per_op = {op: {} for op in ops}
+        for row in simulate_records(cfg, attack, enum).tolist():
+            cell = per_op[ops[int(table.table_id[row]) % len(ops)]]
+            label = _label(table, row)
+            cell[label] = cell.get(label, 0) + 1
+        counts = {op.value: dist for op, dist in _in_tally_order(per_op, ops).items() if dist}
+
+        def rate(named):
+            dists = [per_op[op] for op in named if op in per_op]
+            total = sum(n for dist in dists for n in dist.values())
+            errors = sum(dist.get(Interpretation.ERROR.value, 0) for dist in dists)
+            return errors / total if total else None
+
+        key_ops = ((AliceOp.SWAP_10, AliceOp.SWAP_01) if variant == "mirror"
+                   else (AliceOp.SIFT,))
+        stats = run_protocol(cfg, attack, enum)
+        assert _items(stats.counts) == _items(counts)
+        assert stats.sifted_key_rounds == sum(
+            n for op in key_ops for label, n in per_op[op].items() if label != "Discarded")
+        assert (stats.ctrl_error_rate, stats.swap_x_error_rate, stats.swap_all_error_rate) == (
+            rate((AliceOp.CTRL,)), rate(key_ops), rate((AliceOp.SWAP_ALL,)))

@@ -122,12 +122,6 @@ def test_cross_check_reads_the_rounds_measurement_plan(monkeypatch):
     assert measurement_cross_check(attack) > 1e-12
 
 
-def test_cross_check_requires_lossless_channel():
-    cfg = ProtocolConfig(channel_loss=0.9)
-    with pytest.raises(ValueError):
-        measurement_cross_check(identity_attack(), cfg)
-
-
 def test_conditions_require_mirror_variant():
     with pytest.raises(ValueError):
         check_conditions(identity_attack(),
@@ -195,16 +189,40 @@ def test_lemma_rejects_bad_input():
         lemma_state(LemmaInput(f={1: np.ones(3)}, g={}, h=np.zeros(2)))
 
 
+def _opposed_pair(scale):
+    """One photon in each mode with probes 90 degrees apart: p_minus 1/2."""
+    return LemmaInput(f={1: np.array([scale])}, g={1: np.array([1j * scale])},
+                      h=np.zeros(1))
+
+
 def test_lemma_rejects_an_overflowing_norm():
     """At scale 1e200 the squared norm overflows; the lemma is not judged."""
-    def pair(scale):
-        return LemmaInput(f={1: np.array([scale])}, g={1: np.array([1j * scale])},
-                          h=np.zeros(1))
-    verdict = verify_lemma1(pair(1.0))
+    verdict = verify_lemma1(_opposed_pair(1.0))
     assert verdict.p_minus == pytest.approx(0.5, abs=1e-12)
     assert verdict.implication_holds
     with pytest.raises(ValueError, match="squared norm inf is not finite"):
-        verify_lemma1(pair(1e200))
+        verify_lemma1(_opposed_pair(1e200))
+
+
+@pytest.mark.parametrize("scale", [1e-16, 1e-100, 1e-153])
+def test_lemma_verdict_does_not_depend_on_scale(scale):
+    """The lemma is scale-invariant, so a tiny input that is not zero gets
+    the verdict of scale 1, as long as its squared norm is a normal float."""
+    verdict = verify_lemma1(_opposed_pair(scale))
+    assert abs(verdict.p_minus - 0.5) <= 2 * np.spacing(0.5)
+    assert verdict.deviation == pytest.approx(1.0, rel=1e-15)
+    assert verdict.implication_holds and not verdict.conclusion_holds
+
+
+def test_lemma_rejects_a_subnormal_norm_but_names_it():
+    """Below the normal range the ratios lose digits: an input error that
+    names the squared norm.  Only an all-zero input is the zero vector."""
+    with pytest.raises(ValueError, match="squared norm 2e-310"):
+        verify_lemma1(_opposed_pair(1e-155))
+    with pytest.raises(ValueError, match="squared norm 0.0"):  # squares underflow
+        verify_lemma1(_opposed_pair(1e-200))
+    with pytest.raises(ValueError, match="zero vector"):
+        verify_lemma1(_opposed_pair(0.0))
 
 
 def test_lemma_vacuum_component_is_harmless():
