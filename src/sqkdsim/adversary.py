@@ -6,10 +6,10 @@ Alice, ``v_backward`` on the way back.  Both are arbitrary unitaries on the
 truncated space, so Eve may inject or absorb photons unless she declares
 herself photon-preserving.  This one-pair-plus-probe space is also the
 space every protocol round runs on: Alice's storage is empty whenever Eve
-acts, so the matrices apply as they are: a round's branch pass multiplies
-its stacked rows by them (``sqkdsim.protocol._evolve``), and only the
-measurement cross-check's single state goes through
-:func:`sqkdsim.fock.apply_truncating_unitary`.
+acts, so the matrices apply as they are, by one function: a round's
+branch pass multiplies its stacked rows by them (``sqkdsim.fock._evolve``),
+and the measurement cross-check's single state goes through its one-row
+case, :func:`sqkdsim.fock.apply_truncating_unitary`.
 
 Two exported builders compose the named attacks and serve for new ones:
 :func:`basis_permutation` takes the image of every basis index as
@@ -97,15 +97,16 @@ class Attack:
 def _check_unitary(mats: np.ndarray, labels=("u_forward", "v_backward")) -> None:
     """:meth:`Attack.validate`'s unitarity check on an (attack, matrix, d, d)
     stack whose matrices are named by ``labels``, raising for the first
-    failing matrix in attack order."""
+    failing matrix in attack order.  The defect, the largest absolute row sum
+    of M^dagger M - I, bounds how much M changes any state's squared norm."""
     d = mats.shape[-1]
     gram = (np.conjugate(mats).swapaxes(-1, -2) @ mats).reshape(-1, d * d)
     gram[:, ::d + 1] -= 1.0  # each Gram matrix minus the identity
-    unitary = np.abs(gram).max(axis=1) <= UNITARY_ATOL
+    defect = np.abs(gram).reshape(-1, d, d).sum(axis=2).max(axis=1)
+    unitary = defect <= UNITARY_ATOL
     if not unitary.all():
         k = unitary.argmin()
-        raise ValueError(f"{labels[k % len(labels)]} is not unitary "
-                         f"(defect {np.abs(gram[k]).max():.3e})")
+        raise ValueError(f"{labels[k % len(labels)]} is not unitary (defect {defect[k]:.3e})")
 
 
 def _check_probes(system: ModeSystem, probes: np.ndarray) -> None:

@@ -24,13 +24,13 @@ Conventions used throughout the package:
   slot first, matching the usual ket notation for dual-rail states.
 * The dual-rail Hadamard transform stores the minus-mode count in the mode-1
   slot and the plus-mode count in the mode-0 slot.
-* Truncation never fails silently: operations that can push weight past
-  ``n_max`` report it through :attr:`FockVector.leaked`, and a branch pass
-  through its ``leaked`` column.  A validated attack is unitary on the
-  truncated space and SIFT's resend always has room, so on the protocol's
-  paths that column holds only rounding (about 1e-15); weight reaches the
-  cap only through a matrix that is not unitary there.  No report prints
-  the column yet.
+* Truncation never fails silently: one function, ``_evolve``, applies each
+  matrix that may push weight past ``n_max`` and records the norm each row
+  loses, in :attr:`FockVector.leaked` or a branch pass's ``leaked`` column.
+  A validated attack is unitary on the truncated space and SIFT's resend
+  always has room, so that column holds only rounding (about 1e-15) on the
+  protocol's paths; weight reaches the cap only through a matrix that is
+  not unitary there.  No report prints the column yet.
 """
 
 from __future__ import annotations
@@ -212,11 +212,24 @@ def creation_operator(system: ModeSystem, slot: int) -> np.ndarray:
     return mat
 
 
+def _norm2(rows: np.ndarray) -> np.ndarray:
+    flat = rows.view(np.float64)  # (re, im) pairs
+    return np.einsum("...j,...j->...", flat, flat)
+
+
+def _evolve(rows: np.ndarray, leaked: np.ndarray, matrices: np.ndarray):
+    """Apply each matrix of an (attack, d, d) stack, unitary up to truncation,
+    to its slice of an (attack, row, d) stack, one product per slice; the
+    norm each row loses is added to its entry of ``leaked``."""
+    out = rows @ matrices.transpose(0, 2, 1)
+    return out, leaked + np.maximum(_norm2(rows) - _norm2(out), 0.0)
+
+
 def apply_truncating_unitary(state: FockVector, matrix: np.ndarray) -> FockVector:
-    """Apply a matrix that is unitary up to truncation; lost norm is recorded."""
-    out = matrix @ state.amplitudes
-    lost = state.norm2 - float(np.vdot(out, out).real)
-    return FockVector(state.system, out, state.leaked + max(lost, 0.0))
+    """Apply a matrix unitary up to truncation, lost norm recorded: one row's :func:`_evolve`."""
+    out, leaked = _evolve(state.amplitudes[None, None], np.full((1, 1), state.leaked),
+                          np.asarray(matrix)[None])
+    return FockVector(state.system, out[0, 0], float(leaked[0, 0]))
 
 
 # -- linear mode transforms -------------------------------------------------

@@ -43,6 +43,7 @@ import enum
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from math import comb, isfinite, isnan, sqrt
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -50,8 +51,7 @@ import numpy as np
 from .adversary import Attack
 from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   _check_densities, _occupations, creation_operator,
-                   hadamard_matrix)
+                   _check_densities, _evolve, _norm2, _occupations, hadamard_matrix)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           _branch_tables, interpret_ctrl, interpret_legacy_sift,
                           interpret_swap_all, interpret_swap_x, shared_bit)
@@ -135,6 +135,11 @@ class ProtocolConfig:
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"operation probabilities sum to {total}, not 1")
             self.alice_op_probs = probs
+        for name in ("n_rounds", "rng_seed", "tag_dim", "n_max"):
+            v = getattr(self, name)
+            if isinstance(v, bool) or not isinstance(v, Integral):
+                raise ValueError(f"{name} must be an integer, got {v!r}")
+            setattr(self, name, int(v))
         if self.n_rounds < 0:
             raise ValueError("n_rounds must be non-negative")
         if not 0 <= self.rng_seed < 2**128:  # a Philox key
@@ -221,19 +226,6 @@ class BranchTable:
         return self.interpretation + 1
 
 
-def _norm2(rows: np.ndarray) -> np.ndarray:
-    flat = rows.view(np.float64)  # (re, im) pairs
-    return np.einsum("...j,...j->...", flat, flat)
-
-
-def _evolve(rows: np.ndarray, leaked: np.ndarray, matrices: np.ndarray):
-    """Apply each attack's matrix unitary up to truncation to its rows, one
-    product per slice of the stack; lost norm is recorded per row as in
-    :func:`~sqkdsim.fock.apply_truncating_unitary`."""
-    out = rows @ matrices.transpose(0, 2, 1)
-    return out, leaked + np.maximum(_norm2(rows) - _norm2(out), 0.0)
-
-
 def _merged_plan(width: int, maps, keep=()) -> tuple:
     """Index maps ``(src, dst, amp)`` merged into one split, which
     :func:`_weigh` and :func:`_scatter` push a stack of rows through.
@@ -290,11 +282,12 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
     CTRL passes the state on untouched (and unpruned); a mirror SWAP
     measures the rails it swaps out; SIFT, and Bob (``None``), measure the
     whole pair.  A measurement has one map per exact occupation of the
-    measured slots, which it empties.  Bob's plan writes only Eve's probe
-    columns: it empties the attack's one pair, so every map lands on the
-    vacuum ⊗ probe indices ``0 … probe_levels - 1``.  Returns the plan and,
-    per map, the index of its operation in ``ops`` and its pattern code (-1
-    for CTRL).
+    measured slots, which it empties; SIFT's maps land on the light it
+    resends there, one tag-0 photon per clicked mode.  Bob's plan writes
+    only Eve's probe columns: it empties the attack's one pair, so every
+    map lands on the vacuum ⊗ probe indices ``0 … probe_levels - 1``.
+    Returns the plan and, per map, the index of its operation in ``ops``
+    and its pattern code (-1 for CTRL).
     """
     maps, op_index, codes = [], [], []
     for k, op in enumerate(ops):
@@ -307,6 +300,10 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
                      else system.pair_slots(_PAIR))
             groups = _branch_tables(system, slots)
         for _, pattern, sel, dst in groups:
+            if op is AliceOp.SIFT:  # the emptied pair has room: the photons were there
+                resent = system.basis_table[0][dst]  # a copy; pattern bit m: mode m clicked
+                resent[:, [system.slot(_PAIR, m) for m in (0, 1) if pattern.code >> m & 1]] += 1
+                dst = system.index_of(resent, system.basis_table[1][dst])
             maps.append((sel, dst, None))
             op_index.append(k)
             codes.append(-1 if pattern is None else pattern.code)
@@ -512,13 +509,13 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     as (attack, d, d) unitaries and (attack, level) initial probes: the
     pass's :class:`_Layout` and a table whose rows are sorted by
     ``table_id`` and whose ``_PER_ATTACK`` columns have a leading attack
-    axis.  A call runs only the numeric kernels: the launch rows, each
-    split's weights and live mask (the masks select the one cached layout)
-    and its gather, Eve's products per slice and Bob's Hadamard, so an
-    attack's columns have the bits of its own one-attack stack; every
-    numeric check runs for every attack, raising for the first that
-    fails.  A sweep passes a chunk's raw matrices, and
-    :class:`RoundEnumerator` one-slice views of its attack's."""
+    axis.  Both variants run the same steps: SIFT's resend is one of
+    Alice's maps.  A call runs only the numeric kernels: the launch rows,
+    each split's weights, live mask (the masks select the cached layout)
+    and gather, Eve's products per slice and Bob's Hadamard, so an attack's
+    columns have the bits of its own one-attack stack; every numeric check
+    runs for every attack, raising for the first that fails.  A sweep passes
+    a chunk's raw matrices, and :class:`RoundEnumerator` one-slice views."""
     variant, survival = config.variant, config.channel_loss
     plus, levels = _launch(system)
     rows = (plus * probes.take(levels, axis=1))[:, None]
@@ -530,22 +527,12 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
         rows = _scatter(moved, plan, np.flatnonzero(live))
     rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]), u_forward)
 
-    # Alice, every operation at once.
+    # Alice, every operation at once; SIFT's resend is part of her split.
     alice = _measure_plan(system, variant.operations)
     moved, _, alice_live = _weigh(rows, alice[0])
     kept = np.flatnonzero(alice_live)
     rows = _scatter(moved, alice[0], kept)
-    parent, which = np.divmod(kept, alice[0][0])
-    leaked = leaked.take(parent, axis=1)
-    if variant is Variant.LEGACY:
-        # SIFT resends one fresh photon per clicked mode, tag reset to 0.
-        # Nothing meets the photon cap: the measured pair is empty, and a
-        # double click needs room for two photons.
-        code = alice[2][which]
-        for mode in (0, 1):  # bit m: mode m
-            clicked = (code >= 0) & ((code >> mode) & 1 == 1)
-            rows[:, clicked] = rows[:, clicked] @ creation_operator(
-                system, system.slot(_PAIR, mode, 0)).T
+    leaked = leaked.take(kept // alice[0][0], axis=1)
 
     # Backward pass, then Bob in each basis, the computational copy first.
     rows, leaked = _evolve(rows, leaked, v_backward)
@@ -575,7 +562,7 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL)[:1].tolist():
         op, basis = keys[t % len(keys)]
         raise ContractViolation(
-            f"round branches for ({op.value}, {basis.value}) sum to {totals[t]!r}")
+            f"round branches for ({op.value}, {basis.value}) sum to {float(totals[t])!r}")
     mass = _norm2(probe)
     if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
         raise ContractViolation("post-measurement state not confined to vacuum")
@@ -855,14 +842,27 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
 _PROBE_MASS_TOL = 1e-15
 
 
-def _probe_mixture(stack: BranchTable, w: float, rows: slice, mask=None) -> np.ndarray:
-    """``w`` times the sum of p psi psi^dagger over the ``mask``ed rows (all
-    if None) of one block of a stacked table, per attack: one product per
-    slice, (w p psi)^T conj(psi)."""
-    p, probe = stack.probability[:, rows], stack.eve_probe[:, rows]
-    if mask is not None:
-        p, probe = p.compress(mask, axis=1), probe.compress(mask, axis=1)
-    return ((w * p)[..., None] * probe).transpose(0, 2, 1) @ probe.conj()
+def _probe_states(layout: _Layout, stack: BranchTable, terms) -> tuple:
+    """(p, rho, trace_distance) of two probe states per attack of a stacked
+    table, with a leading attack axis.  A term ``(k, w, rows, mask)`` adds
+    w p psi psi^dagger of the ``mask``ed rows (all if None) of block ``rows``
+    to state k.  Each state is normalised by its trace p, and one
+    :func:`~sqkdsim.fock._check_densities` call checks them all and takes
+    each distance, NaN if a state is absent, from one ``eigvalsh``."""
+    pl = layout.system.probe_levels
+    rho = np.zeros((len(stack.probability), 2, pl, pl), dtype=np.complex128)  # (attack, state)
+    for k, w, rows, mask in terms:
+        p, probe = stack.probability[:, rows], stack.eve_probe[:, rows]
+        if mask is not None:
+            p, probe = p.compress(mask, axis=1), probe.compress(mask, axis=1)
+        rho[:, k] += ((w * p)[..., None] * probe).transpose(0, 2, 1) @ probe.conj()
+    p = np.trace(rho, axis1=-2, axis2=-1).real
+    present = p > _PROBE_MASS_TOL
+    rho /= np.where(present, p, 1.0)[..., None, None]  # an absent state stays unused
+    both = present.all(axis=1)
+    dist = np.full(len(rho), np.nan)
+    dist[both] = _check_densities(rho[present], rho[both, 0] - rho[both, 1])
+    return p, rho, dist
 
 
 @dataclass(frozen=True)
@@ -908,24 +908,12 @@ def _eve_rows(layout: _Layout) -> tuple:
 
 
 def _eve_conditionals(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> tuple:
-    """(p_bit, rho, trace_distance) of a stacked table, arrays with a leading
-    attack axis, from stacked probe mixtures over the layout's row masks
-    (found once per layout): every state is normalised in one call, and one
-    :func:`~sqkdsim.fock._check_densities` call checks them all and takes
-    every trace distance, NaN if a bit is absent, from one ``eigvalsh``."""
+    """(p_bit, rho, trace_distance) of a stacked table: :func:`_probe_states`
+    of the layout's SharedBit row masks (found once per layout)."""
     w = {op: config.alice_op_probs.get(op, 0.0) for op in (AliceOp.SWAP_10, AliceOp.SWAP_01)}
     total = sum(w.values())  # 0: Alice plays neither swap, so mix them equally
-    pl = layout.system.probe_levels
-    rho = np.zeros((len(stack.probability), 2, pl, pl), dtype=np.complex128)  # (attack, bit)
-    for op, b, rows, mask in layout.memo(_eve_rows):
-        rho[:, b] += _probe_mixture(stack, w[op] / total if total else 0.5, rows, mask)
-    p_bit = np.trace(rho, axis1=-2, axis2=-1).real
-    present = p_bit > _PROBE_MASS_TOL
-    rho /= np.where(present, p_bit, 1.0)[..., None, None]  # an absent state stays unused
-    both = present.all(axis=1)
-    dist = np.full(len(rho), np.nan)
-    dist[both] = _check_densities(rho[present], rho[both, 0] - rho[both, 1])
-    return p_bit, rho, dist
+    return _probe_states(layout, stack, [(b, w[op] / total if total else 0.5, rows, mask)
+                                         for op, b, rows, mask in layout.memo(_eve_rows)])
 
 
 @dataclass(frozen=True)
@@ -941,18 +929,17 @@ class SiftCtrlIdentification:
 def legacy_identification(attack: Attack,
                           config: Optional[ProtocolConfig] = None,
                           enumerator: Optional[RoundEnumerator] = None) -> SiftCtrlIdentification:
-    """Eve's SIFT/CTRL distinction on a legacy config (default if None), both
-    states checked, and their distance taken, by one ``_check_densities`` call.
+    """Eve's SIFT/CTRL distinction on a legacy config (default if None): her
+    probe states after CTRL and after SIFT, mixing Bob's bases by their
+    weights, from the core of her mirror states (:func:`_probe_states`).
     A given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.LEGACY)
     layout, stack = enum._pass
-    pl = enum.system.probe_levels
     p_had = enum.config.bob_hadamard_prob
+    terms = [(k, w, layout.blocks[op, basis], None)
+             for k, op in enumerate((AliceOp.CTRL, AliceOp.SIFT))
+             for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had))]
+    _, rho, dist = (column[0] for column in _probe_states(layout, stack, terms))
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
-    rho = np.zeros((2, pl, pl), dtype=np.complex128)  # CTRL, SIFT
-    for k, op in enumerate((AliceOp.CTRL, AliceOp.SIFT)):
-        for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
-            rho[k] += _probe_mixture(stack, w, layout.blocks[op, basis])[0]
-    dist = float(_check_densities(rho, rho[:1] - rho[1:])[0])
-    return SiftCtrlIdentification(DensityOperator(probe_space, rho[0]),
-                                  DensityOperator(probe_space, rho[1]), dist, 0.5 * (1.0 + dist))
+    return SiftCtrlIdentification(*(DensityOperator(probe_space, m) for m in rho),
+                                  float(dist), 0.5 * (1.0 + float(dist)))

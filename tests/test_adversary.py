@@ -348,3 +348,18 @@ def test_fixture_takes_sizes_and_flags_only_as_json_types(field, value):
 def test_fixture_rejects_wrong_kind():
     with pytest.raises(ValueError):
         attack_from_document({"kind": "something-else"})
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: Attack("bad", attack_space(), np.eye(5), np.eye(6), [1.0]),
+     "u_forward must be 6x6"),
+    (lambda: Attack("bad", attack_space(), np.eye(6), np.eye(6), [1.0, 0.0]),
+     "initial_probe has the wrong dimension"),
+    (lambda: Attack("bad", ModeSystem(2, probe_dim=1), np.eye(15), np.eye(15), [1.0]),
+     "a single transmitted pair"),
+    (lambda: measure_resend_attack("diagonal"), "unknown basis 'diagonal'"),
+], ids=["matrix-shape", "probe-size", "two-pairs", "resend-basis"])
+def test_adversary_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+

@@ -3,7 +3,7 @@ import numpy as np
 import pytest
 
 from sqkdsim.alice import (ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op,
-                           swap_index_map, swap_matrix)
+                           swap_index_map, swap_matrix, swapped_slots)
 from sqkdsim.fock import ContractViolation, FockVector, ModeSystem
 from sqkdsim.measurement import AliceOp, ClickPattern
 
@@ -150,3 +150,8 @@ def test_swap_needs_two_pairs():
         swap_index_map(ms, AliceOp.SWAP_10)
     with pytest.raises(ValueError):
         apply_alice_op(vacuum(ms), AliceOp.SWAP_10)
+
+
+def test_swapped_slots_rejects_the_legacy_operation():
+    with pytest.raises(ValueError, match="SIFT is not a mirror-protocol operation"):
+        swapped_slots(ModeSystem(2), AliceOp.SIFT, TRANSMIT_PAIR)

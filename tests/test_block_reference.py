@@ -136,6 +136,7 @@ def test_legacy_identification_equals_the_block_reference(n_max, loss, p_had):
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
             block = _block(enum, op, basis)
             mat += _mixture(w, block["probability"], block["eve_probe"])
+        mat /= float(np.trace(mat).real)  # normalised as Eve's mirror states are
         assert np.array_equal(density.matrix, mat)
         reference.append(mat)
     assert ident.trace_distance == trace_distance(*reference)

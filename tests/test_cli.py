@@ -5,11 +5,13 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from sqkdsim.adversary import (attack_to_document, identity_attack, random_attack,
-                               save_attack)
-from sqkdsim.cli import EXIT_USAGE, build_parser, main
+from sqkdsim.adversary import (attack_space, attack_to_document, identity_attack,
+                               load_attack, random_attack, save_attack)
+from sqkdsim.cli import EXIT_USAGE, build_attack, build_parser, main
+from sqkdsim.protocol import ProtocolConfig, RoundEnumerator
 from sqkdsim.robustness import measurement_cross_check
 
 from extra_attacks import probe_rotation_attack
@@ -98,6 +100,60 @@ def test_run_with_noisy_fixture_aborts(tmp_path, capsys):
     save_attack(random_attack(2, probe_dim=2, strength=0.2), path)
     assert main(["run", "--rounds", "400", "--attack", str(path)]) == 3
     capsys.readouterr()
+
+
+def _unchecked_fixture(tmp_path, u_forward, v_backward, probe_dim):
+    """An n_max 2 attack document with the given matrices, written without
+    building (and so without validating) an attack."""
+    doc = dict(attack_to_document(identity_attack(probe_dim=probe_dim)), photon_preserving=False)
+    for key, mat in (("u_forward", u_forward), ("v_backward", v_backward)):
+        doc[key] = np.stack([mat.real, mat.imag], axis=-1).tolist()
+    path = tmp_path / "fixture.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+@pytest.mark.parametrize("variant", ["mirror", "legacy"])
+def test_run_takes_an_attack_within_the_unitarity_bound(variant, tmp_path, capsys):
+    """(1 + 4.9e-11) I has defect 9.8e-11: validation accepts it, so every
+    analysis of both variants must run on it; the legacy states are
+    normalised by their traces (1 + 2e-10) before they are checked."""
+    scaled = (1 + 4.9e-11) * np.eye(attack_space(probe_dim=2).dim)
+    path = _unchecked_fixture(tmp_path, scaled, scaled, 2)
+    assert main(["run", "--variant", variant, "--rounds", "100", "--attack", str(path)]) == 0
+    capsys.readouterr()
+
+
+def test_run_rejects_on_load_an_attack_that_breaks_the_branch_total(tmp_path, capsys):
+    """U takes Bob's launch state to the uniform vector, which V scales by
+    1 + 48 * 0.99e-10 in squared norm, past the branch pass's 1e-9 check on
+    each block's total, though no entry of V^dagger V - I exceeds 1e-10."""
+    identity = identity_attack(probe_dim=8)
+    d = identity.system.dim  # 48
+    launch = RoundEnumerator(ProtocolConfig(), identity).initial.amplitudes
+    v = launch - d ** -0.5
+    householder = np.eye(d) - 2 * np.outer(v, v.conj()) / np.vdot(v, v).real
+    all_ones = np.eye(d) + ((1 + 0.99e-10 * d) ** 0.5 - 1) / d
+    assert np.abs(all_ones.T @ all_ones - np.eye(d)).max() <= 1e-10
+    path = _unchecked_fixture(tmp_path, householder, all_ones, 8)
+    with pytest.raises(ValueError, match=r"v_backward is not unitary \(defect 4.752e-09\)"):
+        load_attack(path)
+    assert main(["run", "--rounds", "10", "--attack", str(path)]) == 1
+    assert "v_backward is not unitary" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("spec, tag_dim, n_max, message", [
+    ("random:1:2:0.3:4", None, 2, "malformed random attack spec"),
+    ("random:1", 2, 2, "single tag level"),
+    ("FIXTURE", 2, 2, "uses tag_dim=1, but --tag-dim 2"),
+    ("FIXTURE", None, 3, "uses n_max=2, but --n-max 3"),
+], ids=["random-spec", "random-tags", "fixture-tags", "fixture-n-max"])
+def test_build_attack_input_checks(spec, tag_dim, n_max, message, tmp_path):
+    if spec == "FIXTURE":
+        spec = str(tmp_path / "identity.json")
+        save_attack(identity_attack(), spec)
+    with pytest.raises(ValueError, match=message):
+        build_attack(spec, tag_dim, n_max)
 
 
 def test_run_rejects_a_seed_that_is_no_philox_key(capsys):

@@ -6,7 +6,8 @@ import pytest
 
 from sqkdsim.fock import (ContractViolation, DensityOperator, FockVector,
                           ModeSystem, apply_truncating_unitary, creation_operator,
-                          hadamard_change, hadamard_matrix, trace_distance)
+                          hadamard_change, hadamard_matrix, pair_mode_transform,
+                          trace_distance)
 
 from extra_states import (amplitude, apply_creation, basis_index, basis_state,
                           basis_vector, normalized, plus_state, single_photon)
@@ -272,3 +273,14 @@ def test_constructors_reject_wrong_shapes_and_sizes():
 
 def test_contract_violation_is_runtime_error():
     assert issubclass(ContractViolation, RuntimeError)
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ModeSystem(1).slot(0, 2), "mode must be 0 or 1"),
+    (lambda: creation_operator(ModeSystem(1), 2), "slot 2 out of range"),
+    (lambda: pair_mode_transform(ModeSystem(1), 0, np.eye(3)), "needs a 2x2 matrix"),
+    (lambda: trace_distance(np.eye(2), np.eye(3)), "operators of equal dimension"),
+], ids=["slot-mode", "creation-slot", "transform-shape", "distance-shapes"])
+def test_fock_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -10,6 +10,9 @@ Regenerate them only with a change that announces a report change::
 with ``OPENBLAS_NUM_THREADS=1`` in the environment for the reports of
 ``ONE_BLAS_THREAD``.
 """
+import csv
+import io
+import json
 import os
 import subprocess
 import sys
@@ -86,11 +89,53 @@ def test_report_bytes_match_golden_on_one_blas_thread(name, tmp_path):
 
 
 def assert_golden(name, stdout: bytes, base: Path) -> None:
-    """Stdout and the ``--out`` files equal the golden files of ``name``."""
+    """Stdout and the ``--out`` files equal the golden files of ``name``; a
+    mismatch names each differing JSON leaf, or CSV cell, with both values."""
     expected = (GOLDEN / f"{name}.json").read_bytes()
-    assert stdout == expected
-    assert base.read_bytes() == expected
+    for source, found in (("stdout", stdout), ("--out", base.read_bytes())):
+        assert found == expected, _mismatch(f"{name}.json ({source})", found, expected,
+                                            _json_leaves)
     golden_csv = GOLDEN / f"{name}.csv"
     assert base.with_suffix(".csv").exists() == golden_csv.exists()
     if golden_csv.exists():
-        assert base.with_suffix(".csv").read_bytes() == golden_csv.read_bytes()
+        found, expected = base.with_suffix(".csv").read_bytes(), golden_csv.read_bytes()
+        assert found == expected, _mismatch(f"{name}.csv", found, expected, _csv_cells)
+
+
+def _mismatch(label: str, found: bytes, expected: bytes, leaves) -> str:
+    """The failure message of one report: every leaf path whose value
+    differs, with both values in document order, or a note that only the
+    bytes around the values differ."""
+    try:
+        found, expected = ({path: repr(value) for path, value in leaves(data)}
+                           for data in (found, expected))
+    except ValueError as exc:
+        return f"{label} does not parse: {exc}"
+    lines = [f"  {path}: {found.get(path, 'absent')} (golden {expected.get(path, 'absent')})"
+             for path in {**found, **expected} if found.get(path) != expected.get(path)]
+    if not lines:
+        return f"{label}: the same values, but the bytes differ"
+    return "\n".join([f"{label} differs from the golden at {len(lines)} leaves:", *lines])
+
+
+def _json_leaves(data: bytes):
+    """``(path, value)`` of every leaf of a JSON document, in document order."""
+    def walk(path, value):
+        if isinstance(value, (dict, list)):
+            items = value.items() if isinstance(value, dict) else enumerate(value)
+            for key, item in items:
+                yield from walk(f"{path}.{key}" if isinstance(value, dict)
+                                else f"{path}[{key}]", item)
+        else:
+            yield path, value
+    return walk("$", json.loads(data))
+
+
+def _csv_cells(data: bytes):
+    """``(row N column NAME, cell)`` of every cell of a CSV report, then each
+    row's width and the row count."""
+    header, *rows = csv.reader(io.StringIO(data.decode()))
+    for number, row in enumerate(rows, 1):
+        yield from ((f"row {number} column {column}", cell) for column, cell in zip(header, row))
+        yield f"row {number} width", len(row)
+    yield "rows", len(rows)

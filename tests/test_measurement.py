@@ -177,3 +177,12 @@ def test_shared_bit_assignment():
     # a photon surviving in the swapped-out mode carries mismatched bits
     assert shared_bit(AliceOp.SWAP_10, ClickPattern.P10) == (0, 1)
     assert shared_bit(AliceOp.SWAP_01, ClickPattern.P01) == (1, 0)
+
+
+@pytest.mark.parametrize("op, pattern, message", [
+    (AliceOp.SWAP_ALL, ClickPattern.P01, "no shared bit is defined for"),
+    (AliceOp.SWAP_10, ClickPattern.P11, "no shared bit for Bob pattern"),
+], ids=["operation", "bob-pattern"])
+def test_shared_bit_input_checks(op, pattern, message):
+    with pytest.raises(ValueError, match=message):
+        shared_bit(op, pattern)

@@ -50,6 +50,37 @@ def test_config_rejects_a_seed_that_is_no_philox_key(seed):
         ProtocolConfig(rng_seed=seed)
 
 
+@pytest.mark.parametrize("field", ["n_rounds", "rng_seed", "tag_dim", "n_max"])
+@pytest.mark.parametrize("value", [True, 1.5, 2.0], ids=["bool", "fraction", "integral-float"])
+def test_config_takes_sizes_and_seeds_only_as_integers(field, value):
+    """A float or bool seed would draw the stream of its integer part and
+    record the float in the report; a bool size would read as 1."""
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ProtocolConfig(**{field: value})
+
+
+def test_config_stores_numpy_integers_as_int():
+    cfg = ProtocolConfig(n_rounds=np.int64(20), rng_seed=np.uint32(3), tag_dim=np.int8(1),
+                         n_max=np.intp(2))
+    assert all(type(getattr(cfg, field)) is int
+               for field in ("n_rounds", "rng_seed", "tag_dim", "n_max"))
+    assert cfg == ProtocolConfig(n_rounds=20, rng_seed=3)
+    assert run_protocol(cfg, identity_attack()).counts == run_protocol(
+        ProtocolConfig(n_rounds=20, rng_seed=3), identity_attack()).counts
+
+
+@pytest.mark.parametrize("call, message", [
+    (lambda: ProtocolConfig(n_rounds=-1), "n_rounds must be non-negative"),
+    (lambda: ProtocolConfig(tag_dim=0), "tag_dim and n_max must be at least 1"),
+    (lambda: ProtocolConfig(n_max=0), "tag_dim and n_max must be at least 1"),
+    (lambda: RoundEnumerator(ProtocolConfig(), identity_attack()).branches(
+        AliceOp.SIFT, Basis.COMPUTATIONAL), "not defined for"),
+], ids=["negative-rounds", "tag-dim-0", "n-max-0", "op-outside-variant"])
+def test_protocol_input_checks(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 def test_config_accepts_the_largest_philox_key():
     cfg = ProtocolConfig(n_rounds=20, rng_seed=2**128 - 1)
     assert run_protocol(cfg, identity_attack()).n_rounds == 20
@@ -355,6 +386,15 @@ def test_legacy_identification_extremes():
     assert ident.accuracy == pytest.approx(0.5, abs=1e-12)
     tagged = legacy_identification(tagging_attack())
     assert tagged.accuracy == pytest.approx(1.0, abs=1e-12)
+
+
+def test_tagging_identifies_sift_exactly():
+    """Both legacy states are normalised by their traces, as Eve's mirror
+    states are, so the tagging attack's perfect distinction reads exactly 1."""
+    tagged = legacy_identification(tagging_attack())
+    assert (tagged.trace_distance, tagged.accuracy) == (1.0, 1.0)
+    for state in (tagged.rho_ctrl, tagged.rho_sift):
+        assert abs(np.trace(state.matrix).real - 1.0) <= 1e-15
 
 
 def test_variant_mismatch_is_rejected():
