@@ -20,16 +20,16 @@ Eve's probe columns, the vacuum ⊗ probe states.  The result is one flat
 (operation, basis) blocks of rows; within a block, rows keep the order of
 the nested loop loss, Alice's outcome, loss, Bob's outcome.  What the pass
 does not compute from the attack's matrices (Bob's kept rows sorted into
-blocks, the structural columns, block ranges and the analyses' masks) is
+blocks, each row's cell, the structural columns and block ranges) is
 compiled into one layout per space, variant, survival and set of live rows,
-and cached.
-A sampled run is one vectorized pass: row i of a counter-based Philox
-stream keyed by the seed picks round i's operation, basis and branch, the
-round is stored as a row index into that table, and the aggregates are
-counts over those indices.  The exact analyses read block slices of the
-same columns as masks, counts and matrix products.  Every analysis reads
-its config and attack from one enumerator: one passed in must hold the
-config and attack it is passed with.
+and cached.  A cell is what the parties observe of a round (operation,
+basis, Alice's pattern, Bob's pattern), and sifting, interpretation and
+shared bits are functions of it.  The pass sums each cell's rows into one
+weight, which the conditions, the tallies and the sampler read (round i of
+a run draws its operation, basis and cell from row i of a counter-based
+Philox stream keyed by the seed); Eve's probe states weigh each row by its
+cell.  Every analysis reads its config and attack from one enumerator,
+which must hold the config and attack it is passed with.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -197,13 +197,13 @@ class BranchTable:
     ``alice_pattern`` is -1 where Alice measured nothing (CTRL).
     ``interpretation`` indexes :data:`INTERPRETATIONS` and is -1 exactly
     where sifting discards.  Bits are -1 unless the row is a SharedBit.
-    Row i of ``eve_probe`` is Eve's normalized probe state after branch i;
+    These three are read from the layout's cell lookup; this row view is
+    for tests and inspection, as the analyses read cells.  Row i of
+    ``eve_probe`` is Eve's normalized probe state after branch i;
     ``leaked`` is the weight the photon cap dropped along its path (each
     branch of a split inherits it whole).  A validated attack is unitary on
     the truncated space and SIFT's resend always has room, so its column
-    holds only rounding; no report prints it yet.  ``shared`` marks the
-    SharedBit rows; the layout computes it once with the other structural
-    columns.
+    holds only rounding; no report prints it yet.
     """
 
     probability: np.ndarray
@@ -215,15 +215,9 @@ class BranchTable:
     eve_probe: np.ndarray
     leaked: np.ndarray
     table_id: np.ndarray
-    shared: np.ndarray
 
     def __len__(self) -> int:
         return len(self.probability)
-
-    @property
-    def labels(self) -> np.ndarray:
-        """Per-row outcome codes into ``_LABELS``: 0 for Discarded."""
-        return self.interpretation + 1
 
 
 def _merged_plan(width: int, maps, keep=()) -> tuple:
@@ -344,11 +338,11 @@ def _cell_lookup(variant: Variant, cells: np.ndarray) -> np.ndarray:
     """:func:`_classify` of the given cells of a variant's stack.
 
     Cell ``table * _N_CELLS + (alice code + 1) * 4 + bob code``; its row
-    holds the interpretation index and bits, with -1 standing for None.
-    Runs once per compiled :class:`_Layout`, on the cells that occur in it.
+    holds the interpretation index and bits, -1 standing for None and for
+    every cell not given.  A layout gives the cells that occur in it.
     """
     keys = _table_keys(variant)
-    lookup = np.zeros((len(keys) * _N_CELLS, 3), dtype=np.int8)
+    lookup = np.full((len(keys) * _N_CELLS, 3), -1, dtype=np.int8)
     for cell in cells.tolist():
         table, local = divmod(cell, _N_CELLS)
         a_index, b_index = divmod(local, len(PATTERNS))
@@ -371,8 +365,8 @@ class RoundEnumerator:
     one-attack stack, the code a sweep runs on many attacks of one space
     at once, and its cached :class:`_Layout` holds every index the table
     and the analyses read: the gather that makes the rows of one
-    (operation, basis) contiguous, the structural columns, the row range
-    of each block (:attr:`blocks`) and the analyses' masks.
+    (operation, basis) contiguous, each row's cell and the cells' lookup,
+    the structural columns and the row range of each block (:attr:`blocks`).
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -393,7 +387,7 @@ class RoundEnumerator:
 
     @cached_property
     def _pass(self) -> tuple:
-        """The layout and one-attack stacked table of :func:`_branch_stack`."""
+        """The layout, one-attack table and cell weights of :func:`_branch_stack`."""
         attack = self.attack
         return _branch_stack(self.config, self.system, attack.u_forward[None],
                              attack.v_backward[None], attack.initial_probe[None])
@@ -401,7 +395,7 @@ class RoundEnumerator:
     @cached_property
     def table(self) -> BranchTable:
         """Every branch of the variant, rows sorted by ``table_id``."""
-        layout, stack = self._pass
+        layout, stack, _ = self._pass
         return layout.table(*(getattr(stack, name)[0] for name in _PER_ATTACK))
 
     @property
@@ -443,13 +437,14 @@ class _Layout:
 
     Holds Bob's kept rows (``keep``) and each final row's index into the
     leaked column after Eve's backward pass (``leaked_parent``), both
-    composed with a stable sort of the pass's rows by ``table_id``; the
-    read-only columns of :class:`BranchTable` other than ``_PER_ATTACK``,
-    shared by every table of the layout; and the row range of each block.
-    :meth:`memo` keeps what an analysis derives from these, such as its
-    masks.  Holds Alice's and Bob's ``_measure_plan`` results, whose ids
-    key it.  Compiling checks Bob's plan: a destination outside its map's
-    own block would land in another branch's row.
+    composed with a stable sort of the pass's rows by ``table_id``; each
+    row's ``cell`` (coded as in :func:`_cell_lookup`), the sorted cells
+    that occur (``present``) and their ``lookup``; the read-only columns of
+    :class:`BranchTable` other than ``_PER_ATTACK``, shared by every table
+    of the layout; and the row range of each block.  Holds Alice's and
+    Bob's ``_measure_plan`` results, whose ids key it.  Compiling checks
+    Bob's plan: a destination outside its map's own block would land in
+    another branch's row.
     """
 
     def __init__(self, system: ModeSystem, variant: Variant, alice: tuple,
@@ -475,42 +470,34 @@ class _Layout:
         self.leaked_parent = parent[row[order]]  # Alice's row of each row
         self.alice_pattern = alice_code[which[self.leaked_parent]]
         self.bob_pattern = map_code[self.keep % plan[0]]
-        # Interpretation and bits per (table, Alice pattern, Bob pattern) cell.
-        cells = (self.table_id * _N_CELLS + (self.alice_pattern + 1) * len(PATTERNS)
-                 + self.bob_pattern)
-        present = np.flatnonzero(np.bincount(cells))
-        self.interpretation, self.alice_bit, self.bob_bit = _cell_lookup(variant, present)[cells].T
-        self.shared = self.interpretation == _SHARED
+        self.cell = (self.table_id * _N_CELLS + (self.alice_pattern + 1) * len(PATTERNS)
+                     + self.bob_pattern)
+        self.present = np.flatnonzero(np.bincount(self.cell))
+        self.lookup = _cell_lookup(variant, self.present)
+        self.interpretation, self.alice_bit, self.bob_bit = self.lookup[self.cell].T
         for name in set(_COLUMNS) - set(_PER_ATTACK):
             getattr(self, name).setflags(write=False)
         keys = _table_keys(variant)
         bounds = self.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
         self.blocks = {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
-        self._memo = {}
 
     def table(self, probability: np.ndarray, eve_probe: np.ndarray,
               leaked: np.ndarray) -> BranchTable:
         """A table of this layout from its ``_PER_ATTACK`` columns."""
         return BranchTable(probability, self.alice_pattern, self.bob_pattern,
                            self.interpretation, self.alice_bit, self.bob_bit, eve_probe,
-                           leaked, self.table_id, self.shared)
-
-    def memo(self, build):
-        """``build(self)``, computed once per layout."""
-        value = self._memo.get(build)
-        if value is None:
-            value = self._memo[build] = build(self)
-        return value
+                           leaked, self.table_id)
 
 
 def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndarray,
                   v_backward: np.ndarray, probes: np.ndarray) -> tuple:
     """Every branch of the variant for a stack of attacks on ``system``, given
     as (attack, d, d) unitaries and (attack, level) initial probes: the
-    pass's :class:`_Layout` and a table whose rows are sorted by
-    ``table_id`` and whose ``_PER_ATTACK`` columns have a leading attack
-    axis.  Both variants run the same steps: SIFT's resend is one of
-    Alice's maps.  A call runs only the numeric kernels: the launch rows,
+    pass's :class:`_Layout`, a table whose rows are sorted by ``table_id``
+    and whose ``_PER_ATTACK`` columns have a leading attack axis, and the
+    (attack, cell) weights over every cell code of the variant (0 where a
+    cell is absent).  Both variants run the same steps: SIFT's resend is one
+    of Alice's maps.  A call runs only the numeric kernels: the launch rows,
     each split's weights, live mask (the masks select the cached layout)
     and gather, Eve's products per slice and Bob's Hadamard, so an attack's
     columns have the bits of its own one-attack stack; every numeric check
@@ -555,10 +542,13 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     prob = weight.reshape(len(rows), -1).take(layout.keep, axis=1)
     leaked = leaked.take(layout.leaked_parent, axis=1)
 
-    # Each block's sum per attack, in row order as a 1-D bincount adds.
+    # Each cell's weight per attack, its rows added in row order as a 1-D
+    # bincount adds; each block's sum per attack adds its cells.
     keys = _table_keys(variant)
-    cells = np.arange(len(prob))[:, None] * len(keys) + layout.table_id
-    totals = np.bincount(cells.ravel(), weights=prob.ravel(), minlength=len(prob) * len(keys))
+    cells = (np.arange(len(prob))[:, None] * len(layout.lookup) + layout.cell).ravel()
+    weights = np.bincount(cells, prob.ravel(), len(prob) * len(layout.lookup))
+    weights = weights.reshape(len(prob), -1)
+    totals = np.add.reduce(weights.reshape(-1, _N_CELLS), axis=1)
     for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL)[:1].tolist():
         op, basis = keys[t % len(keys)]
         raise ContractViolation(
@@ -567,9 +557,9 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
         raise ContractViolation("post-measurement state not confined to vacuum")
     columns = prob, probe / np.sqrt(mass)[..., None], leaked
-    for column in columns:
+    for column in (*columns, weights):
         column.setflags(write=False)
-    return layout, layout.table(*columns)
+    return layout, layout.table(*columns), weights
 
 
 @lru_cache(maxsize=None)
@@ -643,33 +633,37 @@ def _enumerator(attack: Attack, config: Optional[ProtocolConfig],
 
 def simulate_records(config: ProtocolConfig, attack: Attack,
                      enumerator: Optional[RoundEnumerator] = None) -> np.ndarray:
-    """Row of the enumerator's :attr:`~RoundEnumerator.table` drawn for
-    every round of a run, deterministic in the seed.  A given enumerator
-    must hold ``config`` and ``attack``.
+    """Cell drawn for every round of a run, deterministic in the seed.  A
+    given enumerator must hold ``config`` and ``attack``.
 
-    Round i reads row i of ``Generator(Philox(key=rng_seed)).random((n_rounds,
-    3))``: Alice's operation, Bob's basis and the branch within the block of
-    that (operation, basis).  A counter-based stream puts every row at a
-    fixed position, so the first n rounds of a longer run are exactly the
-    rounds of a run of n.  An exact search finds the branch, equal to
-    per-block ``np.searchsorted(side="right")`` (:func:`_search_blocks`).
+    A cell's code is ``table_id * 20 + (alice_pattern + 1) * 4 + bob_pattern``
+    in the codes of :class:`BranchTable` (Alice's pattern is -1 where she
+    measured nothing).  Round i reads row i of ``Generator(Philox(key=rng_seed))
+    .random((n_rounds, 3))``: Alice's operation, Bob's basis and the cell
+    within that (operation, basis), drawn from the cells that occur by their
+    weights in code order.  A counter-based stream puts every row at a fixed
+    position, so the first n rounds of a longer run are exactly the rounds
+    of a run of n.  An exact search finds the cell, equal to per-block
+    ``np.searchsorted(side="right")`` (:func:`_search_blocks`).
     """
     enum = _enumerator(attack, config, enumerator)
+    layout, _, weights = enum._pass
     draws = np.random.Generator(np.random.Philox(key=config.rng_seed)).random(
         (config.n_rounds, 3))
     ops = config.variant.operations
     table_id = (draws[:, 1] < config.bob_hadamard_prob) * len(ops)
     for weight in np.cumsum([config.alice_op_probs.get(op, 0.0) for op in ops])[:-1]:
         table_id += draws[:, 0] >= weight
-    u_branch = draws[:, 2].copy()
+    u_cell = draws[:, 2].copy()
     del draws
-    return _search_blocks(enum.table.probability, enum.table.table_id, table_id, u_branch)
+    present = layout.present  # each has a positive weight: Bob's split prunes dust
+    return present[_search_blocks(weights[0, present], present // _N_CELLS, table_id, u_cell)]
 
 
 def _search_blocks(probability: np.ndarray, table_id: np.ndarray,
                    block: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Row ``start + min(searchsorted(cum, u * cum[-1], side="right"), size - 1)``
-    of each draw's block of rows (sharing a sorted ``table_id``; ``cum`` is its
+    """Entry ``start + min(searchsorted(cum, u * cum[-1], side="right"), size - 1)``
+    of each draw's block of entries (sharing a sorted ``table_id``; ``cum`` is its
     ``np.cumsum``), by one branchless binary search over all blocks' cumsums
     padded with their totals to a power-of-two width; exact whenever the
     probabilities are finite and non-negative.  ``u`` is overwritten by the keys."""
@@ -691,12 +685,13 @@ def _search_blocks(probability: np.ndarray, table_id: np.ndarray,
 class RunStats:
     """Aggregates of one protocol run.
 
-    Counts and error rates read one (operation, label) tally of the rounds
-    (:func:`_outcome_sums`).  A rate is per round of the operation (discarded
-    rounds stay in the denominator), so the sampled rates estimate the
-    per-round detection probabilities the exact analyses report.  A rate
-    whose denominator is zero is None and never triggers an abort.  In the
-    legacy variant SIFT rounds fill the swap_x slot; no swap_all exists.
+    Counts and error rates read one (operation, label) tally of the
+    rounds' cells (:func:`_outcome_sums`), whose SharedBit cells also give
+    the raw keys.  A rate is per round of the operation (discarded rounds
+    stay in the denominator), so the sampled rates estimate the per-round
+    detection probabilities the exact analyses report.  A rate whose
+    denominator is zero is None and never triggers an abort.  In the legacy
+    variant SIFT rounds fill the swap_x slot; no swap_all exists.
     """
 
     n_rounds: int
@@ -718,10 +713,11 @@ class RunStats:
         return _document(self)
 
 
-def _outcome_sums(ops, table: BranchTable, weights: np.ndarray) -> np.ndarray:
-    """``weights`` summed per (operation, label) of the rows, each cell in row
-    order: an (operation, label) array whose label 0 is Discarded."""
-    cells = table.table_id % len(ops) * len(_LABELS) + table.labels
+def _outcome_sums(ops, lookup: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """``weights``, one per row of a :func:`_cell_lookup` table, summed per
+    (operation, label), each in cell order: an (operation, label) array
+    whose label 0 is Discarded (where absent cells, weighing 0, land)."""
+    cells = np.arange(len(lookup)) // _N_CELLS % len(ops) * len(_LABELS) + lookup[:, 0] + 1
     return np.bincount(cells, weights, len(ops) * len(_LABELS)).reshape(len(ops), -1)
 
 
@@ -731,17 +727,17 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     A given enumerator must hold ``config`` and ``attack``."""
     enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
-    table = enum.table
-    rounds = simulate_records(config, enum.attack, enum)
-    per_cell = _outcome_sums(ops, table, np.bincount(rounds, minlength=len(table))).astype(int)
+    lookup = enum._pass[0].lookup
+    cells = simulate_records(config, enum.attack, enum)
+    tally = _outcome_sums(ops, lookup, np.bincount(cells, minlength=len(lookup))).astype(int)
     counts = {op.value: {_LABELS[label]: n for label, n in enumerate(row) if n}
-              for op, row in zip(ops, per_cell.tolist()) if any(row)}
+              for op, row in zip(ops, tally.tolist()) if any(row)}
     key_ops = ((AliceOp.SWAP_10, AliceOp.SWAP_01)
                if config.variant is Variant.MIRROR else (AliceOp.SIFT,))
-    sifted_key_rounds = int(per_cell[[op in key_ops for op in ops], 1:].sum())
+    sifted_key_rounds = int(tally[[op in key_ops for op in ops], 1:].sum())
 
     def error_rate(named) -> Optional[float]:  # None without such rounds
-        rows = per_cell[[op in named for op in ops]]
+        rows = tally[[op in named for op in ops]]
         return int(rows[:, _ERROR].sum()) / int(rows.sum()) if rows.any() else None
 
     ctrl_rate = error_rate((AliceOp.CTRL,))
@@ -749,9 +745,9 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     swap_all_rate = error_rate((AliceOp.SWAP_ALL,))
 
     # Shared bits in round order.
-    shared = rounds[table.shared[rounds]]
-    alice_bits = table.alice_bit[shared].astype(np.uint8)
-    bob_bits = table.bob_bit[shared].astype(np.uint8)
+    shared = cells[lookup[cells, 0] == _SHARED]
+    alice_bits = lookup[shared, 1].astype(np.uint8)
+    bob_bits = lookup[shared, 2].astype(np.uint8)
 
     # Step 6: reveal a random subset of the shared bits to estimate the
     # raw-key error rate; revealed positions are dropped from the keys.
@@ -815,26 +811,27 @@ class ExactStatistics:
 def exact_statistics(config: ProtocolConfig, attack: Attack,
                      enumerator: Optional[RoundEnumerator] = None) -> ExactStatistics:
     """Exact outcome probabilities per operation of the config's variant: a
-    run's tally (:func:`_outcome_sums`) of basis-weighted branch mass.  A
+    run's tally (:func:`_outcome_sums`) of basis-weighted cell weights.  A
     given enumerator must hold ``config`` and ``attack``."""
     enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
-    table = enum.table
-    hadamard, op_index = np.divmod(table.table_id, len(ops))
+    layout, _, weights = enum._pass
+    hadamard, op_index = np.divmod(np.arange(len(layout.lookup)) // _N_CELLS, len(ops))
     p_had = config.bob_hadamard_prob
     basis_weight = np.where(hadamard, p_had, 1.0 - p_had)
-    mass = basis_weight * table.probability
+    mass = basis_weight * weights[0]
     # Outcomes per (operation, label); a basis Bob never picks adds none,
     # not even at zero weight.
-    per_cell = _outcome_sums(ops, table, mass)
-    shown = _outcome_sums(ops, table, basis_weight > 0.0) > 0
-    outcome = {op: {_LABELS[label]: float(per_cell[k, label])
+    tally = _outcome_sums(ops, layout.lookup, mass)
+    shown = _outcome_sums(ops, layout.lookup, (basis_weight > 0.0) & (weights[0] > 0.0)) > 0
+    outcome = {op: {_LABELS[label]: float(tally[k, label])
                     for label in np.flatnonzero(shown[k]).tolist()}
                for k, op in enumerate(ops)}
-    errors = dict(zip(ops, per_cell[:, _ERROR].tolist()))
+    errors = dict(zip(ops, tally[:, _ERROR].tolist()))
     weight = mass * np.array([config.alice_op_probs.get(op, 0.0) for op in ops])[op_index]
-    p_shared = float(weight[table.shared].sum())
-    p_mismatch = float(weight[table.shared & (table.alice_bit != table.bob_bit)].sum())
+    interpretation, alice_bit, bob_bit = layout.lookup.T
+    p_shared = float(weight[interpretation == _SHARED].sum())
+    p_mismatch = float(weight[(interpretation == _SHARED) & (alice_bit != bob_bit)].sum())
     return ExactStatistics(outcome, errors,
                            p_mismatch / p_shared if p_shared > 0 else None)
 
@@ -842,20 +839,19 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
 _PROBE_MASS_TOL = 1e-15
 
 
-def _probe_states(layout: _Layout, stack: BranchTable, terms) -> tuple:
+def _probe_states(layout: _Layout, stack: BranchTable, mix: np.ndarray) -> tuple:
     """(p, rho, trace_distance) of two probe states per attack of a stacked
-    table, with a leading attack axis.  A term ``(k, w, rows, mask)`` adds
-    w p psi psi^dagger of the ``mask``ed rows (all if None) of block ``rows``
-    to state k.  Each state is normalised by its trace p, and one
+    table, with a leading attack axis.  State k adds w p psi psi^dagger of
+    every row whose cell has a nonzero weight w in row k of ``mix``, a
+    (state, cell) matrix.  Each state is normalised by its trace p, and one
     :func:`~sqkdsim.fock._check_densities` call checks them all and takes
     each distance, NaN if a state is absent, from one ``eigvalsh``."""
     pl = layout.system.probe_levels
     rho = np.zeros((len(stack.probability), 2, pl, pl), dtype=np.complex128)  # (attack, state)
-    for k, w, rows, mask in terms:
-        p, probe = stack.probability[:, rows], stack.eve_probe[:, rows]
-        if mask is not None:
-            p, probe = p.compress(mask, axis=1), probe.compress(mask, axis=1)
-        rho[:, k] += ((w * p)[..., None] * probe).transpose(0, 2, 1) @ probe.conj()
+    for k, w in enumerate(mix.take(layout.cell, axis=1)):
+        rows = w.nonzero()[0]
+        p, probe = stack.probability.take(rows, axis=1), stack.eve_probe.take(rows, axis=1)
+        rho[:, k] += ((w.take(rows) * p)[..., None] * probe).transpose(0, 2, 1) @ probe.conj()
     p = np.trace(rho, axis1=-2, axis2=-1).real
     present = p > _PROBE_MASS_TOL
     rho /= np.where(present, p, 1.0)[..., None, None]  # an absent state stays unused
@@ -889,31 +885,25 @@ def eve_conditional_states(attack: Attack,
     it plays neither, by the core a sweep runs on a stack of attacks.  A
     given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    p_bit, rho, dist = (column[0] for column in _eve_conditionals(enum.config, *enum._pass))
+    p_bit, rho, dist = (column[0] for column in _eve_conditionals(enum.config, *enum._pass[:2]))
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     return EveConditionals(float(p_bit.sum()), dict(enumerate(p_bit.tolist())),
                            {b: DensityOperator(probe_space, rho[b]) for b in (0, 1)
                             if p_bit[b] > _PROBE_MASS_TOL}, None if isnan(dist) else float(dist))
 
 
-def _eve_rows(layout: _Layout) -> tuple:
-    """(operation, bit, block, row mask) of each of Eve's four mixtures: the
-    SharedBit rows of a single-mode swap, computational basis, by Bob's bit."""
-    found = []
-    for op in (AliceOp.SWAP_10, AliceOp.SWAP_01):
-        rows = layout.blocks[op, Basis.COMPUTATIONAL]
-        shared, bob_bit = layout.shared[rows], layout.bob_bit[rows]
-        found += [(op, b, rows, shared & (bob_bit == b)) for b in (0, 1)]
-    return tuple(found)
-
-
 def _eve_conditionals(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> tuple:
     """(p_bit, rho, trace_distance) of a stacked table: :func:`_probe_states`
-    of the layout's SharedBit row masks (found once per layout)."""
+    of the SharedBit cells of a single-mode swap in Bob's computational
+    basis, weighted by the swap's config weight and split by Bob's bit."""
     w = {op: config.alice_op_probs.get(op, 0.0) for op in (AliceOp.SWAP_10, AliceOp.SWAP_01)}
     total = sum(w.values())  # 0: Alice plays neither swap, so mix them equally
-    return _probe_states(layout, stack, [(b, w[op] / total if total else 0.5, rows, mask)
-                                         for op, b, rows, mask in layout.memo(_eve_rows)])
+    per_table = [w.get(op, 0.0) / total if total else 0.5 * (op in w)
+                 for op, _ in _table_keys(config.variant)]
+    # Only a single-mode swap in Bob's computational basis has SharedBit cells.
+    interpretation, _, bob_bit = layout.lookup.T
+    shared = np.array(per_table).repeat(_N_CELLS) * (interpretation == _SHARED)
+    return _probe_states(layout, stack, shared * (bob_bit == np.arange(2)[:, None]))
 
 
 @dataclass(frozen=True)
@@ -934,12 +924,13 @@ def legacy_identification(attack: Attack,
     weights, from the core of her mirror states (:func:`_probe_states`).
     A given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.LEGACY)
-    layout, stack = enum._pass
+    layout, stack, _ = enum._pass
     p_had = enum.config.bob_hadamard_prob
-    terms = [(k, w, layout.blocks[op, basis], None)
-             for k, op in enumerate((AliceOp.CTRL, AliceOp.SIFT))
-             for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had))]
-    _, rho, dist = (column[0] for column in _probe_states(layout, stack, terms))
+    # CTRL's blocks feed state 0 and SIFT's state 1, each by its basis weight.
+    mix = np.array([[(p_had if basis is Basis.HADAMARD else 1.0 - p_had) * (op is state)
+                     for op, basis in _table_keys(Variant.LEGACY)]
+                    for state in (AliceOp.CTRL, AliceOp.SIFT)]).repeat(_N_CELLS, axis=1)
+    _, rho, dist = (column[0] for column in _probe_states(layout, stack, mix))
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     return SiftCtrlIdentification(*(DensityOperator(probe_space, m) for m in rho),
                                   float(dist), 0.5 * (1.0 + float(dist)))

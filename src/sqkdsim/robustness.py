@@ -12,6 +12,7 @@ learn nothing.
 from __future__ import annotations
 
 from dataclasses import dataclass, fields
+from functools import lru_cache
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -20,9 +21,9 @@ from .adversary import Attack, _check_probes, _check_unitary, _random_attacks, a
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import FockVector, ModeSystem, apply_truncating_unitary, hadamard_change
 from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
-from .protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant, _Layout,
+from .protocol import (_N_CELLS, PATTERNS, ProtocolConfig, RoundEnumerator, Variant,
                        _PrunedApart, _branch_stack, _document, _enumerator, _eve_conditionals,
-                       _measure_plan, _scatter, _weigh)
+                       _measure_plan, _scatter, _table_keys, _weigh)
 
 __all__ = [
     "ConditionReport",
@@ -74,46 +75,48 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
     by the core a sweep runs on a stack of attacks.  A given enumerator
     must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    return ConditionReport(*_conditions(enum.config, *enum._pass)[0].tolist())
+    return ConditionReport(*_conditions(enum.config, enum._pass[2])[0].tolist())
 
 
-def _conditions(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> np.ndarray:
-    """:func:`check_conditions` of each attack of a stacked table, as one
-    (attack, condition) array: each condition is one masked row sum per
-    stack, over masks found once per layout (:func:`_condition_terms`)."""
+@lru_cache(maxsize=None)
+def _condition_cells() -> tuple:
+    """The cells of the nine sums of :func:`_conditions`, from fixed (sum,
+    cell) masks over the mirror variant's cell codes: one index array whose
+    runs, each in code order, are the sums, and the bounds of the runs."""
+    keys = _table_keys(Variant.MIRROR)
+    table, local = np.divmod(np.arange(len(keys) * _N_CELLS), _N_CELLS)
+    # Alice's pattern code a is -1 where she measured nothing.
+    a, b = np.divmod(local - len(PATTERNS), len(PATTERNS))
+    none, double = ClickPattern.P00.code, ClickPattern.P11.code
+    comp = {op: table == keys.index((op, Basis.COMPUTATIONAL)) for op in Variant.MIRROR.operations}
+    # Bob's 10 and 11 set the mode-1 (minus) bit.
+    masks = [(table == keys.index((AliceOp.CTRL, Basis.HADAMARD))) & (b >= ClickPattern.P10.code)]
+    # The swapped-out mode is the only one Bob may legitimately click in;
+    # its opposite showing up alone means the photon dodged Alice's swap.
+    for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
+                          (AliceOp.SWAP_01, ClickPattern.P01)):
+        masks += [comp[op] & (a > none) & (b != none),
+                  comp[op] & ((a == double) | (b == double)),
+                  comp[op] & (a == none) & (b == forbidden.code)]
+    swap_all = comp[AliceOp.SWAP_ALL]
+    sums, cells = np.nonzero(masks + [swap_all & (a == double), swap_all & (b != none)])
+    return cells, sums.searchsorted(np.arange(10)).tolist()
+
+
+def _conditions(config: ProtocolConfig, weights: np.ndarray) -> np.ndarray:
+    """:func:`check_conditions` of each attack of an (attack, cell) weight
+    array, as one (attack, condition) array: each condition is one masked
+    cell sum per stack, over the fixed runs of :func:`_condition_cells`."""
     p_had, p_comp = config.bob_hadamard_prob, 1.0 - config.bob_hadamard_prob
-    # Each sum reads the masked rows of every attack at once: ``compress``
-    # makes a C-ordered (attack, row) stack, whose rows sum as their 1-D
-    # .sum() does.
-    p = stack.probability
-    sums = np.array([np.add.reduce(p[:, block].compress(mask, axis=1), axis=1)
-                     for block, mask in layout.memo(_condition_terms)])
+    # Each run of a C-ordered (attack, cell) gather sums as its 1-D .sum().
+    cells, bounds = _condition_cells()
+    found = weights.take(cells, axis=1)
+    sums = np.array([np.add.reduce(found[:, a:b], axis=1) for a, b in zip(bounds, bounds[1:])])
     # Bob's basis probability per term: CTRL's Hadamard, the swaps' six
     # computational, none for Alice's SWAP-ALL double, then Bob's.
     sums *= np.array([p_had] + [p_comp] * 6 + [1.0, p_comp])[:, None]
     sums[1:3] = np.maximum(np.maximum(0.0, sums[1:3]), sums[4:6])
     return sums[[0, 1, 2, 3, 6, 7, 8]].T
-
-
-def _condition_terms(layout: _Layout) -> tuple:
-    """(block, row mask) of each of the nine sums of :func:`_conditions`."""
-    blocks = layout.blocks
-    ctrl = blocks[AliceOp.CTRL, Basis.HADAMARD]
-    # Bob's 10 and 11 set the mode-1 (minus) bit.
-    terms = [(ctrl, layout.bob_pattern[ctrl] >= ClickPattern.P10.code)]
-    # The swapped-out mode is the only one Bob may legitimately click in;
-    # its opposite showing up alone means the photon dodged Alice's swap.
-    none, double = ClickPattern.P00.code, ClickPattern.P11.code
-    for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
-                          (AliceOp.SWAP_01, ClickPattern.P01)):
-        block = blocks[op, Basis.COMPUTATIONAL]
-        a, b = layout.alice_pattern[block], layout.bob_pattern[block]
-        terms += [(block, (a != none) & (b != none)), (block, (a == double) | (b == double)),
-                  (block, (a == none) & (b == forbidden.code))]
-    swap_all = blocks[AliceOp.SWAP_ALL, Basis.COMPUTATIONAL]
-    terms += [(swap_all, layout.alice_pattern[swap_all] == double),
-              (swap_all, layout.bob_pattern[swap_all] != none)]
-    return tuple(terms)
 
 
 def measurement_cross_check(attack: Attack) -> float:
@@ -379,11 +382,12 @@ def _evaluate(config: ProtocolConfig, system: ModeSystem, unitaries: np.ndarray,
     """The record of an (attack, U/V, d, d) stack on ``system``: both cores
     on one stacked table, or one attack at a time, joined, if they prune apart."""
     try:
-        layout, stack = _branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)
+        layout, stack, weights = _branch_stack(config, system, unitaries[:, 0], unitaries[:, 1],
+                                               probes)
     except _PrunedApart:
         return _Evaluation(*map(np.concatenate, zip(*(
             _evaluate(config, system, u[None], p[None]) for u, p in zip(unitaries, probes)))))
-    return _Evaluation(_conditions(config, layout, stack),
+    return _Evaluation(_conditions(config, weights),
                        *_eve_conditionals(config, layout, stack))
 
 

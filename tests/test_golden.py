@@ -2,14 +2,15 @@
 
 Each command's ``--format structured`` stdout and ``--out`` JSON (and CSV,
 where the command writes one) must equal the files under ``tests/golden``.
-Regenerate them only with a change that announces a report change::
+Regenerate them only with a change that announces a report change, and
+name each one::
 
-    PYTHONPATH=src python3 -c "from sqkdsim.cli import main; \\
-        main([...ARGS..., '--format', 'structured', '--out', 'tests/golden/NAME.json'])"
+    PYTHONPATH=src python3 tests/test_golden.py NAME...
 
-with ``OPENBLAS_NUM_THREADS=1`` in the environment for the reports of
-``ONE_BLAS_THREAD``.
+which rewrites the named goldens with the argv the tests use, the reports
+of ``ONE_BLAS_THREAD`` in the same one-BLAS-thread subprocess.
 """
+import contextlib
 import csv
 import io
 import json
@@ -77,13 +78,19 @@ def test_report_bytes_match_golden(name, tmp_path, capsys):
     assert_golden(name, capsys.readouterr().out.encode(), base)
 
 
+def _on_one_blas_thread(name: str, out: Path) -> subprocess.CompletedProcess:
+    """Report ``name`` of ``ONE_BLAS_THREAD`` written to ``out`` by a fresh
+    interpreter started with one BLAS thread."""
+    env = dict(os.environ, PYTHONPATH=str(SRC), **dict.fromkeys(THREAD_VARS, "1"))
+    return subprocess.run([sys.executable, "-m", "sqkdsim", *ONE_BLAS_THREAD[name],
+                           "--format", "structured", "--out", str(out)],
+                          capture_output=True, env=env, timeout=120)
+
+
 @pytest.mark.parametrize("name", sorted(ONE_BLAS_THREAD))
 def test_report_bytes_match_golden_on_one_blas_thread(name, tmp_path):
     base = tmp_path / f"{name}.json"
-    env = dict(os.environ, PYTHONPATH=str(SRC), **dict.fromkeys(THREAD_VARS, "1"))
-    done = subprocess.run([sys.executable, "-m", "sqkdsim", *ONE_BLAS_THREAD[name],
-                           "--format", "structured", "--out", str(base)],
-                          capture_output=True, env=env, timeout=120)
+    done = _on_one_blas_thread(name, base)
     assert done.returncode == 0, done.stderr
     assert_golden(name, done.stdout, base)
 
@@ -139,3 +146,32 @@ def _csv_cells(data: bytes):
         yield from ((f"row {number} column {column}", cell) for column, cell in zip(header, row))
         yield f"row {number} width", len(row)
     yield "rows", len(rows)
+
+
+def regenerate(names) -> None:
+    """Rewrite the goldens ``names`` as the tests produce them: the ``--out``
+    files, checked to equal the structured stdout."""
+    for name in names:
+        out = GOLDEN / f"{name}.json"
+        if name in ONE_BLAS_THREAD:
+            done = _on_one_blas_thread(name, out)
+            if done.returncode:
+                raise SystemExit(f"{name}: {done.stderr.decode()}")
+            stdout = done.stdout
+        else:
+            buffer = io.StringIO()
+            with contextlib.redirect_stdout(buffer):
+                main(COMMANDS[name] + ["--format", "structured", "--out", str(out)])
+            stdout = buffer.getvalue().encode()
+        if stdout != out.read_bytes():
+            raise SystemExit(f"{name}: the structured stdout differs from the --out file")
+        print(f"rewrote {name}")
+
+
+if __name__ == "__main__":
+    names = sys.argv[1:]
+    unknown = sorted(set(names) - set(COMMANDS) - set(ONE_BLAS_THREAD))
+    if not names or unknown:
+        raise SystemExit(f"usage: tests/test_golden.py NAME...; unknown: {unknown}; "
+                         f"names: {' '.join(sorted([*COMMANDS, *ONE_BLAS_THREAD]))}")
+    regenerate(names)

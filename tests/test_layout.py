@@ -1,9 +1,11 @@
 """A branch pass reads its index work from a cached layout.
 
 The layout of a (space, variant, survival, live-row masks) holds every
-structural column, block range and analysis mask, so it is compiled once
-and shared.  Whatever the cache holds, every table column, condition,
-probability and state must equal, with ``==``, what a cold cache gives.
+structural column, each row's cell and the cells' lookup, and the block
+ranges, so it is compiled once and shared.  Whatever the cache holds, every
+table column, condition, probability and state must equal, with ``==``,
+what a cold cache gives.  The pass's cell weights, which the analyses and
+the sampler read, must equal a per-row loop.
 """
 import copy
 
@@ -131,7 +133,7 @@ def test_shared_columns_are_read_only_and_shared():
     config = ProtocolConfig(channel_loss=0.9)
     one, two = (RoundEnumerator(config, random_attack(seed, probe_dim=2)) for seed in (1, 2))
     assert one._pass[0] is two._pass[0]
-    assert "shared" in SHARED
+    assert "interpretation" in SHARED
     for name in SHARED:
         column = getattr(one.table, name)
         assert column is getattr(two.table, name), name
@@ -146,10 +148,11 @@ def test_shared_columns_are_read_only_and_shared():
 def test_block_views_carry_the_derived_columns(variant):
     enum = RoundEnumerator(ProtocolConfig(variant=variant, channel_loss=0.9),
                            random_attack(3, probe_dim=2))
-    table = enum.table
+    table, layout = enum.table, enum._pass[0]
     shared = protocol.INTERPRETATIONS.index(Interpretation.SHARED_BIT)
-    assert table.shared.tolist() == [i == shared for i in table.interpretation]
-    assert table.shared.any()
+    derived = np.stack([table.interpretation, table.alice_bit, table.bob_bit], axis=1)
+    assert np.array_equal(layout.lookup[layout.cell], derived)
+    assert (table.interpretation == shared).any()
     for (op, basis), rows in enum.blocks.items():
         block = enum.branches(op, basis)
         for name in COLUMNS:
@@ -201,3 +204,37 @@ def test_plan_guards_fire_after_the_space_was_compiled(first, monkeypatch):
     for guard in guards:
         guard(monkeypatch)
         monkeypatch.undo()
+
+
+# Cells that occur: the mirror variant's four operations and the legacy
+# variant's two, at n_max 1 (one photon at most, so no double click) and above.
+PRESENT_CELLS = {Variant.MIRROR: {1: 48, 2: 72}, Variant.LEGACY: {1: 24, 2: 40}}
+
+
+@pytest.mark.parametrize("survival", [1.0, 0.9])
+@pytest.mark.parametrize("variant", list(Variant))
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+def test_cell_weights_equal_a_per_row_loop(n_max, variant, survival):
+    """Each cell's weight is its rows' probabilities added one at a time in
+    row order, grouped by (table_id, Alice's pattern, Bob's pattern) and
+    coded table_id * 20 + (Alice's code + 1) * 4 + Bob's code; every cell
+    that occurs has a positive weight, and every other weighs 0."""
+    config = ProtocolConfig(variant=variant, n_max=n_max, channel_loss=survival)
+    for probe_dim in (1, 4, 8):
+        attack = random_attack(10 * n_max + probe_dim, probe_dim=probe_dim, n_max=n_max)
+        enum = RoundEnumerator(config, attack)
+        table, (layout, _, weights) = enum.table, enum._pass
+        sums = {}
+        for cell in zip(table.table_id.tolist(), table.alice_pattern.tolist(),
+                        table.bob_pattern.tolist(), table.probability.tolist()):
+            key = cell[:3]
+            sums[key] = sums.get(key, 0.0) + cell[3]
+        expected = np.zeros(2 * len(variant.operations) * 20)
+        for (t, a, b), p in sums.items():
+            expected[t * 20 + (a + 1) * 4 + b] = p
+        where = (probe_dim, len(table))
+        assert weights.shape == (1, len(expected)), where
+        assert (weights[0] == expected).all(), where
+        assert len(sums) == PRESENT_CELLS[variant][min(n_max, 2)], where
+        assert min(sums.values()) > 0.0, where
+        assert layout.present.tolist() == np.flatnonzero(expected).tolist(), where

@@ -245,19 +245,25 @@ def test_different_seeds_differ():
 
 
 def test_sampled_frequencies_match_exact_branches():
-    """Observed outcome rates sit within 5 sigma of the exact probabilities."""
-    cfg = ProtocolConfig(n_rounds=100_000, rng_seed=5)
-    attack = identity_attack()
-    stats = run_protocol(cfg, attack)
-    exact = exact_statistics(cfg, attack)
-    for op in MIRROR_OPS:
-        per_op = stats.counts.get(op.value, {})
-        n_op = sum(per_op.values())
-        assert n_op > 0
-        for label, p in exact.outcome_probs[op].items():
-            observed = per_op.get(label, 0) / n_op
-            sigma = np.sqrt(p * (1.0 - p) / n_op)
-            assert abs(observed - p) <= 5.0 * sigma + 1e-12, (op, label)
+    """Observed outcome rates sit within 5 sigma of the exact probabilities:
+    the identity on a lossless mirror channel, and a random attack at
+    survival 0.8 on both variants.  The check shares no index arithmetic
+    with the sampler, which draws cells."""
+    cases = [(ProtocolConfig(n_rounds=100_000, rng_seed=5), identity_attack())]
+    cases += [(ProtocolConfig(variant=variant, n_rounds=100_000, rng_seed=5, channel_loss=0.8),
+               random_attack(9, probe_dim=3, strength=0.5)) for variant in Variant]
+    for cfg, attack in cases:
+        stats = run_protocol(cfg, attack)
+        exact = exact_statistics(cfg, attack)
+        for op in cfg.variant.operations:
+            per_op = stats.counts.get(op.value, {})
+            n_op = sum(per_op.values())
+            assert n_op > 0
+            assert set(per_op) <= set(exact.outcome_probs[op]), op
+            for label, p in exact.outcome_probs[op].items():
+                observed = per_op.get(label, 0) / n_op
+                sigma = np.sqrt(p * (1.0 - p) / n_op)
+                assert abs(observed - p) <= 5.0 * sigma + 1e-12, (cfg.variant, op, label)
 
 
 def test_run_protocol_identity_bookkeeping():
@@ -450,33 +456,48 @@ def test_attack_config_shape_mismatch_is_rejected():
         RoundEnumerator(ProtocolConfig(tag_dim=2), identity_attack(tag_dim=1))
 
 
-def _per_round_reference(cfg, enum):
-    """Rows a scalar loop over the run's stream rows picks, and the
-    (probability, Eve's probe) of each picked branch.
+def _cell_code(table, row):
+    """Row ``row``'s cell: table_id * 20 + (Alice's code + 1) * 4 + Bob's code."""
+    return (int(table.table_id[row]) * 20 + (int(table.alice_pattern[row]) + 1) * 4
+            + int(table.bob_pattern[row]))
 
-    The loop picks branch j of the drawn (operation, basis) table with
-    ``np.searchsorted``; its row in the enumerator's flat table is j past
-    the start of that block, the blocks running computational then
-    Hadamard, each in operation order.
+
+def _cell_weights(table):
+    """Each occurring cell's weight, its rows added one at a time in row
+    order, in code order."""
+    weights = {}
+    for row, p in enumerate(table.probability.tolist()):
+        code = _cell_code(table, row)
+        weights[code] = weights.get(code, 0.0) + p
+    return dict(sorted(weights.items()))
+
+
+def _per_round_reference(cfg, enum):
+    """Cells a scalar loop over the run's stream rows picks, and the weight
+    of each picked cell.
+
+    The loop picks cell j of the drawn (operation, basis) block's occurring
+    cells, in code order, with ``np.searchsorted`` over their cumulative
+    weights; the blocks run computational then Hadamard, each in operation
+    order.
     """
     ops = cfg.variant.operations
     op_cum = np.cumsum([cfg.alice_op_probs[op] for op in ops])
     block = {key: t for t, key in enumerate((op, b) for b in BASES for op in ops)}
-    tables = {key: enum.branches(*key) for key in block}
-    expected, branches = [], []
+    weights = _cell_weights(enum.table)
+    codes = {t: [code for code in weights if code // 20 == t] for t in block.values()}
+    expected, picked = [], []
     draws = np.random.Generator(np.random.Philox(key=cfg.rng_seed)).random(
         (cfg.n_rounds, 3))
-    for u_op, u_basis, u_branch in draws:
+    for u_op, u_basis, u_cell in draws:
         k = min(int(np.searchsorted(op_cum, u_op, side="right")), len(ops) - 1)
         had = bool(u_basis < cfg.bob_hadamard_prob)
-        key = (ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL)
-        table = tables[key]
-        cum = np.cumsum(table.probability)
-        j = min(int(np.searchsorted(cum, u_branch * cum[-1], side="right")),
-                len(table) - 1)
-        expected.append(np.searchsorted(enum.table.table_id, block[key]) + j)
-        branches.append((table.probability[j], table.eve_probe[j]))
-    return expected, branches
+        cells = codes[block[ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL]]
+        cum = np.cumsum([weights[code] for code in cells])
+        j = min(int(np.searchsorted(cum, u_cell * cum[-1], side="right")), len(cells) - 1)
+        expected.append(cells[j])
+        picked.append(weights[cells[j]])
+    return expected, picked
 
 
 def test_sampler_matches_per_round_reference():
@@ -487,12 +508,10 @@ def test_sampler_matches_per_round_reference():
                                          "SWAP-01": 0.0, "SWAP-ALL": 0.4})
     attack = random_attack(3, probe_dim=2, strength=0.7)
     enum = RoundEnumerator(cfg, attack)
-    expected, branches = _per_round_reference(cfg, enum)
-    rows = simulate_records(cfg, attack, enum)
-    assert np.array_equal(rows, expected)
-    for row, (p, probe) in zip(rows, branches):
-        assert enum.table.probability[row] == p
-        assert np.array_equal(enum.table.eve_probe[row], probe)
+    expected, picked = _per_round_reference(cfg, enum)
+    cells = simulate_records(cfg, attack, enum)
+    assert np.array_equal(cells, expected)
+    assert enum._pass[2][0, cells].tolist() == picked
 
 
 @pytest.mark.parametrize("variant, n_max, probe_dim, loss, hadamard, op_probs", [
@@ -556,8 +575,8 @@ def test_search_blocks_matches_searchsorted(sizes):
 def test_simulator_draws_every_operation():
     cfg = ProtocolConfig(n_rounds=400, rng_seed=2)
     enum = RoundEnumerator(cfg, identity_attack())
-    rows = simulate_records(cfg, identity_attack(), enum)
-    seen = {MIRROR_OPS[t % len(MIRROR_OPS)] for t in enum.table.table_id[rows]}
+    cells = simulate_records(cfg, identity_attack(), enum)
+    seen = {MIRROR_OPS[code // 20 % len(MIRROR_OPS)] for code in cells.tolist()}
     assert seen == set(MIRROR_OPS)
 
 
@@ -600,19 +619,36 @@ def _items(nested):
 @pytest.mark.parametrize("variant", ["mirror", "legacy"])
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_exact_statistics_match_a_per_row_loop(variant, n_max):
-    """Each outcome probability is the basis-weighted branch probabilities
-    added one row at a time in table order; a basis Bob never picks shows
-    no label.  Equal bit for bit, key order included."""
+    """Each cell's weight is its rows added one at a time in table order;
+    each outcome probability adds the basis-weighted cell weights in code
+    order, and a basis Bob never picks shows no label.  Equal bit for bit,
+    key order included; the shared-bit mismatch sums its cells' values as
+    one array.  A second reference adds the basis-weighted rows one at a
+    time in table order and agrees within 1e-14."""
     attack = random_attack(n_max, probe_dim=2, strength=0.8, n_max=n_max)
     for cfg in _tally_configs(variant, n_max):
         table = RoundEnumerator(cfg, attack).table
         ops = cfg.variant.operations
-        sums = {op: {} for op in ops}
+        row_of = {_cell_code(table, row): row for row in range(len(table))}
+        sums, row_sums = {op: {} for op in ops}, {op: {} for op in ops}
+        shared, mismatched = [], []
+        for code, w in _cell_weights(table).items():
+            hadamard, k = divmod(code // 20, len(ops))
+            weight = cfg.bob_hadamard_prob if hadamard else 1.0 - cfg.bob_hadamard_prob
+            row = row_of[code]
+            if weight > 0.0:
+                cell = sums[ops[k]]
+                label = _label(table, row)
+                cell[label] = cell.get(label, 0.0) + weight * w
+            if table.interpretation[row] == INTERPRETATIONS.index(Interpretation.SHARED_BIT):
+                shared.append(weight * w * cfg.alice_op_probs.get(ops[k], 0.0))
+                if table.alice_bit[row] != table.bob_bit[row]:
+                    mismatched.append(shared[-1])
         for row in range(len(table)):
             hadamard, k = divmod(int(table.table_id[row]), len(ops))
             weight = cfg.bob_hadamard_prob if hadamard else 1.0 - cfg.bob_hadamard_prob
             if weight > 0.0:
-                cell = sums[ops[k]]
+                cell = row_sums[ops[k]]
                 label = _label(table, row)
                 cell[label] = cell.get(label, 0.0) + weight * float(table.probability[row])
         outcome = _in_tally_order(sums, ops)
@@ -620,21 +656,30 @@ def test_exact_statistics_match_a_per_row_loop(variant, n_max):
         assert _items(exact.outcome_probs) == _items(outcome)
         errors = {op: dist.get(Interpretation.ERROR.value, 0.0) for op, dist in outcome.items()}
         assert list(exact.error_probs.items()) == list(errors.items())
+        p_shared, p_mismatch = float(np.sum(shared)), float(np.sum(mismatched))
+        assert exact.shared_mismatch == (p_mismatch / p_shared if p_shared > 0 else None)
+        row_outcome = _in_tally_order(row_sums, ops)
+        assert [(op, list(dist)) for op, dist in row_outcome.items()] == [
+            (op, list(dist)) for op, dist in outcome.items()]
+        for op, dist in row_outcome.items():
+            for label, p in dist.items():
+                assert abs(outcome[op][label] - p) <= 1e-14, (op, label)
 
 
 @pytest.mark.parametrize("variant", ["mirror", "legacy"])
 @pytest.mark.parametrize("n_max", [1, 2, 3])
 def test_run_tally_matches_a_per_round_recount(variant, n_max):
     """Counts, sifted key rounds and the three category rates equal a recount
-    of the sampled rows one round at a time, key order included."""
+    of the sampled cells one round at a time, key order included."""
     attack = random_attack(n_max, probe_dim=2, strength=0.8, n_max=n_max)
     for cfg in _tally_configs(variant, n_max):
         enum = RoundEnumerator(cfg, attack)
         table, ops = enum.table, cfg.variant.operations
+        labels = {_cell_code(table, row): _label(table, row) for row in range(len(table))}
         per_op = {op: {} for op in ops}
-        for row in simulate_records(cfg, attack, enum).tolist():
-            cell = per_op[ops[int(table.table_id[row]) % len(ops)]]
-            label = _label(table, row)
+        for code in simulate_records(cfg, attack, enum).tolist():
+            cell = per_op[ops[code // 20 % len(ops)]]
+            label = labels[code]
             cell[label] = cell.get(label, 0) + 1
         counts = {op.value: dist for op, dist in _in_tally_order(per_op, ops).items() if dist}
 
