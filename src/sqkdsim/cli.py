@@ -11,8 +11,10 @@ with identical manifests produce byte-identical files at one BLAS thread
 count, not across counts: ``sweep --n-max 4 --count 8 --seed 3
 --max-probe-dim 8`` differs between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
 
-Exit codes: 0 success, 1 operational failure, 2 usage error, 3 protocol run
-aborted, 4 a checked claim failed (counterexample found, lemma violated).
+Exit codes: 0 success, 1 usage or input error (bad spec, malformed fixture),
+2 argument parsing error (argparse's own exit), 3 protocol run aborted by an
+error threshold, 4 a checked claim failed (counterexample found, lemma
+violated).
 
 :func:`main` may be called repeatedly in one process (tests, benchmark loops,
 library use); it builds its argument parser once, on the first call.
@@ -287,8 +289,8 @@ def cmd_lemma(args) -> int:
         results.append(dict(asdict(verdict), source=args.fixture,
                             claim_consistent=claim_ok))
     else:
-        if args.random < 0 or args.probe_dim < 1:
-            raise ValueError("--random must be at least 0 and --probe-dim at least 1")
+        if args.random < 0 or args.seed < 0 or args.probe_dim < 1:
+            raise ValueError("--random and --seed must be at least 0 and --probe-dim at least 1")
         rng = np.random.default_rng(args.seed)
         for i in range(args.random):
             spec_input = random_lemma_input(rng, probe_dim=args.probe_dim,

@@ -24,12 +24,13 @@ blocks, each row's cell, the structural columns and block ranges) is
 compiled into one layout per space, variant, survival and set of live rows,
 and cached.  A cell is what the parties observe of a round (operation,
 basis, Alice's pattern, Bob's pattern), and sifting, interpretation and
-shared bits are functions of it.  The pass sums each cell's rows into one
-weight, which the conditions, the tallies and the sampler read (round i of
-a run draws its operation, basis and cell from row i of a counter-based
-Philox stream keyed by the seed); Eve's probe states weigh each row by its
-cell.  Every analysis reads its config and attack from one enumerator,
-which must hold the config and attack it is passed with.
+shared bits are functions of it, read from the variant's one cell record.
+The pass sums each cell's rows into one weight, which the conditions, the
+tallies and the sampler read (round i of a run draws its operation, basis
+and cell from row i of a counter-based Philox stream keyed by the seed);
+Eve's probe states weigh each row by its cell.  Every analysis reads its
+config and attack from one enumerator, which must hold the config and
+attack it is passed with.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -44,7 +45,7 @@ from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from math import comb, isfinite, isnan, sqrt
 from numbers import Integral
-from typing import Optional
+from typing import NamedTuple, Optional
 
 import numpy as np
 
@@ -136,10 +137,7 @@ class ProtocolConfig:
                 raise ValueError(f"operation probabilities sum to {total}, not 1")
             self.alice_op_probs = probs
         for name in ("n_rounds", "rng_seed", "tag_dim", "n_max"):
-            v = getattr(self, name)
-            if isinstance(v, bool) or not isinstance(v, Integral):
-                raise ValueError(f"{name} must be an integer, got {v!r}")
-            setattr(self, name, int(v))
+            setattr(self, name, _integer(name, getattr(self, name)))
         if self.n_rounds < 0:
             raise ValueError("n_rounds must be non-negative")
         if not 0 <= self.rng_seed < 2**128:  # a Philox key
@@ -157,6 +155,14 @@ class ProtocolConfig:
 
     def to_document(self) -> dict:
         return _document(self)
+
+
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or bool, which numpy would truncate or
+    take as 0 or 1, is a ``ValueError`` that names the parameter."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _document(value):
@@ -197,7 +203,7 @@ class BranchTable:
     ``alice_pattern`` is -1 where Alice measured nothing (CTRL).
     ``interpretation`` indexes :data:`INTERPRETATIONS` and is -1 exactly
     where sifting discards.  Bits are -1 unless the row is a SharedBit.
-    These three are read from the layout's cell lookup; this row view is
+    These three are read from the variant's cell record; this row view is
     for tests and inspection, as the analyses read cells.  Row i of
     ``eve_probe`` is Eve's normalized probe state after branch i;
     ``leaked`` is the weight the photon cap dropped along its path (each
@@ -334,24 +340,50 @@ def _table_keys(variant: Variant) -> tuple[tuple[AliceOp, Basis], ...]:
     return tuple((op, basis) for basis in Basis for op in variant.operations)
 
 
-def _cell_lookup(variant: Variant, cells: np.ndarray) -> np.ndarray:
-    """:func:`_classify` of the given cells of a variant's stack.
+class _CellRecord(NamedTuple):
+    """Every cell code of a variant, ``table_id * _N_CELLS + (Alice's code +
+    1) * 4 + Bob's code``, one entry per code in each read-only column.
+    Columns named as in :class:`BranchTable` hold a row's value there.  The
+    labels are :func:`_classify`'s, -1 standing for None and for a cell
+    whose Alice pattern does not fit its operation (a pattern on CTRL, none
+    on a measurement); ``marked`` cells are the ones it rejects."""
+    table_id: np.ndarray  # the (operation, basis) of _table_keys
+    op: np.ndarray  # index into the variant's operations
+    hadamard: np.ndarray  # Bob measured in the Hadamard basis
+    alice_pattern: np.ndarray  # a code, -1 where Alice measured nothing
+    bob_pattern: np.ndarray
+    interpretation: np.ndarray  # int8 index into INTERPRETATIONS
+    alice_bit: np.ndarray  # int8
+    bob_bit: np.ndarray  # int8
+    marked: np.ndarray
 
-    Cell ``table * _N_CELLS + (alice code + 1) * 4 + bob code``; its row
-    holds the interpretation index and bits, -1 standing for None and for
-    every cell not given.  A layout gives the cells that occur in it.
-    """
-    keys = _table_keys(variant)
-    lookup = np.full((len(keys) * _N_CELLS, 3), -1, dtype=np.int8)
-    for cell in cells.tolist():
-        table, local = divmod(cell, _N_CELLS)
-        a_index, b_index = divmod(local, len(PATTERNS))
-        interp, a_bit, b_bit = _classify(
-            *keys[table], PATTERNS[a_index - 1] if a_index else None,
-            PATTERNS[b_index])
-        lookup[cell] = (-1 if interp is None else INTERPRETATIONS.index(interp),
-                        -1 if a_bit is None else a_bit, -1 if b_bit is None else b_bit)
-    return lookup
+    def basis_weight(self, p_had: float) -> np.ndarray:
+        """Bob's probability of each cell's basis, Hadamard with ``p_had``."""
+        return np.where(self.hadamard, p_had, 1.0 - p_had)
+
+
+@lru_cache(maxsize=None)
+def _cells(variant: Variant) -> _CellRecord:
+    """The cell record of a variant, built once per process."""
+    keys, n_ops = _table_keys(variant), len(variant.operations)
+    table, local = np.divmod(np.arange(len(keys) * _N_CELLS), _N_CELLS)
+    alice, bob = np.divmod(local - len(PATTERNS), len(PATTERNS))
+    labels = np.full((3, len(table)), -1, dtype=np.int8)
+    marked = np.zeros(len(table), dtype=bool)
+    fits = (alice < 0) == (table % n_ops == variant.operations.index(AliceOp.CTRL))
+    for cell in np.flatnonzero(fits).tolist():
+        try:
+            interp, *bits = _classify(*keys[table[cell]], (None, *PATTERNS)[alice[cell] + 1],
+                                      PATTERNS[bob[cell]])
+        except ContractViolation:  # Alice's click sum 2 on a single-mode swap
+            marked[cell] = True
+        else:
+            labels[:, cell] = [-1 if interp is None else INTERPRETATIONS.index(interp),
+                               *(-1 if bit is None else bit for bit in bits)]
+    record = _CellRecord(table, table % n_ops, table >= n_ops, alice, bob, *labels, marked)
+    for column in record:
+        column.setflags(write=False)
+    return record
 
 
 class RoundEnumerator:
@@ -365,8 +397,8 @@ class RoundEnumerator:
     one-attack stack, the code a sweep runs on many attacks of one space
     at once, and its cached :class:`_Layout` holds every index the table
     and the analyses read: the gather that makes the rows of one
-    (operation, basis) contiguous, each row's cell and the cells' lookup,
-    the structural columns and the row range of each block (:attr:`blocks`).
+    (operation, basis) contiguous, each row's cell and the variant's record
+    (:func:`_cells`), the structural columns and each block's row range.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -438,13 +470,13 @@ class _Layout:
     Holds Bob's kept rows (``keep``) and each final row's index into the
     leaked column after Eve's backward pass (``leaked_parent``), both
     composed with a stable sort of the pass's rows by ``table_id``; each
-    row's ``cell`` (coded as in :func:`_cell_lookup`), the sorted cells
-    that occur (``present``) and their ``lookup``; the read-only columns of
-    :class:`BranchTable` other than ``_PER_ATTACK``, shared by every table
-    of the layout; and the row range of each block.  Holds Alice's and
-    Bob's ``_measure_plan`` results, whose ids key it.  Compiling checks
-    Bob's plan: a destination outside its map's own block would land in
-    another branch's row.
+    row's ``cell``, the sorted cells that occur (``present``, none marked)
+    and the variant's one record of them (``cells``); the read-only columns
+    of :class:`BranchTable` other than ``_PER_ATTACK``, each row's cell's
+    entry in the record, shared by every table of the layout; and the row
+    range of each block.  Holds Alice's and Bob's ``_measure_plan``
+    results, whose ids key it.  Compiling checks Bob's plan: a destination
+    outside its map's own block would land in another branch's row.
     """
 
     def __init__(self, system: ModeSystem, variant: Variant, alice: tuple,
@@ -462,20 +494,20 @@ class _Layout:
         # The stack is doubled for Bob's bases, the computational copy first.
         keep = np.flatnonzero(live)
         basis, row = np.divmod(keep // plan[0], len(parent))
-        table_id = map_op[which[parent[row]]] + len(variant.operations) * basis
+        alice_map = which[parent[row]]
+        cell = ((map_op[alice_map] + len(variant.operations) * basis) * _N_CELLS
+                + (alice_code[alice_map] + 1) * len(PATTERNS) + map_code[keep % plan[0]])
+        self.cells = cells = _cells(variant)
         # A stable sort groups rows by (basis, operation); each block keeps
         # the nested-loop order.
-        order = np.argsort(table_id, kind="stable")
-        self.keep, self.table_id = keep[order], table_id[order]
+        order = np.argsort(cells.table_id[cell], kind="stable")
+        self.keep, self.cell = keep[order], cell[order]
         self.leaked_parent = parent[row[order]]  # Alice's row of each row
-        self.alice_pattern = alice_code[which[self.leaked_parent]]
-        self.bob_pattern = map_code[self.keep % plan[0]]
-        self.cell = (self.table_id * _N_CELLS + (self.alice_pattern + 1) * len(PATTERNS)
-                     + self.bob_pattern)
         self.present = np.flatnonzero(np.bincount(self.cell))
-        self.lookup = _cell_lookup(variant, self.present)
-        self.interpretation, self.alice_bit, self.bob_bit = self.lookup[self.cell].T
-        for name in set(_COLUMNS) - set(_PER_ATTACK):
+        if cells.marked[self.present].any():
+            raise ContractViolation("alice sum 2 on a single-mode swap round")
+        for name in set(_COLUMNS) - set(_PER_ATTACK):  # each row's is its cell's
+            setattr(self, name, getattr(cells, name)[self.cell])
             getattr(self, name).setflags(write=False)
         keys = _table_keys(variant)
         bounds = self.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
@@ -544,10 +576,9 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
 
     # Each cell's weight per attack, its rows added in row order as a 1-D
     # bincount adds; each block's sum per attack adds its cells.
-    keys = _table_keys(variant)
-    cells = (np.arange(len(prob))[:, None] * len(layout.lookup) + layout.cell).ravel()
-    weights = np.bincount(cells, prob.ravel(), len(prob) * len(layout.lookup))
-    weights = weights.reshape(len(prob), -1)
+    keys, n_cells = _table_keys(variant), len(layout.cells.table_id)
+    cells = (np.arange(len(prob))[:, None] * n_cells + layout.cell).ravel()
+    weights = np.bincount(cells, prob.ravel(), len(prob) * n_cells).reshape(len(prob), -1)
     totals = np.add.reduce(weights.reshape(-1, _N_CELLS), axis=1)
     for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL)[:1].tolist():
         op, basis = keys[t % len(keys)]
@@ -638,13 +669,14 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
 
     A cell's code is ``table_id * 20 + (alice_pattern + 1) * 4 + bob_pattern``
     in the codes of :class:`BranchTable` (Alice's pattern is -1 where she
-    measured nothing).  Round i reads row i of ``Generator(Philox(key=rng_seed))
-    .random((n_rounds, 3))``: Alice's operation, Bob's basis and the cell
-    within that (operation, basis), drawn from the cells that occur by their
-    weights in code order.  A counter-based stream puts every row at a fixed
-    position, so the first n rounds of a longer run are exactly the rounds
-    of a run of n.  An exact search finds the cell, equal to per-block
-    ``np.searchsorted(side="right")`` (:func:`_search_blocks`).
+    measured nothing), whose parts :func:`_cells` records.  Round i reads
+    row i of ``Generator(Philox(key=rng_seed)).random((n_rounds, 3))``:
+    Alice's operation, Bob's basis and the cell within that (operation,
+    basis), drawn from the cells that occur by their weights in code order.
+    A counter-based stream puts every row at a fixed position, so the first
+    n rounds of a longer run are exactly the rounds of a run of n.  An exact
+    search finds the cell, equal to per-block ``np.searchsorted(side="right")``
+    (:func:`_search_blocks`).
     """
     enum = _enumerator(attack, config, enumerator)
     layout, _, weights = enum._pass
@@ -657,7 +689,8 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
     u_cell = draws[:, 2].copy()
     del draws
     present = layout.present  # each has a positive weight: Bob's split prunes dust
-    return present[_search_blocks(weights[0, present], present // _N_CELLS, table_id, u_cell)]
+    blocks = layout.cells.table_id[present]
+    return present[_search_blocks(weights[0, present], blocks, table_id, u_cell)]
 
 
 def _search_blocks(probability: np.ndarray, table_id: np.ndarray,
@@ -713,12 +746,12 @@ class RunStats:
         return _document(self)
 
 
-def _outcome_sums(ops, lookup: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """``weights``, one per row of a :func:`_cell_lookup` table, summed per
-    (operation, label), each in cell order: an (operation, label) array
-    whose label 0 is Discarded (where absent cells, weighing 0, land)."""
-    cells = np.arange(len(lookup)) // _N_CELLS % len(ops) * len(_LABELS) + lookup[:, 0] + 1
-    return np.bincount(cells, weights, len(ops) * len(_LABELS)).reshape(len(ops), -1)
+def _outcome_sums(ops, cells: _CellRecord, weights: np.ndarray) -> np.ndarray:
+    """``weights``, one per code of a variant's cell record, summed per
+    (operation, label) in code order: an (operation, label) array whose
+    label 0 is Discarded (where absent and marked cells, weighing 0, land)."""
+    labels = cells.op * len(_LABELS) + cells.interpretation + 1
+    return np.bincount(labels, weights, len(ops) * len(_LABELS)).reshape(len(ops), -1)
 
 
 def run_protocol(config: ProtocolConfig, attack: Attack,
@@ -727,9 +760,10 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     A given enumerator must hold ``config`` and ``attack``."""
     enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
-    lookup = enum._pass[0].lookup
+    record = enum._pass[0].cells
     cells = simulate_records(config, enum.attack, enum)
-    tally = _outcome_sums(ops, lookup, np.bincount(cells, minlength=len(lookup))).astype(int)
+    rounds = np.bincount(cells, minlength=len(record.table_id))
+    tally = _outcome_sums(ops, record, rounds).astype(int)
     counts = {op.value: {_LABELS[label]: n for label, n in enumerate(row) if n}
               for op, row in zip(ops, tally.tolist()) if any(row)}
     key_ops = ((AliceOp.SWAP_10, AliceOp.SWAP_01)
@@ -745,9 +779,9 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     swap_all_rate = error_rate((AliceOp.SWAP_ALL,))
 
     # Shared bits in round order.
-    shared = cells[lookup[cells, 0] == _SHARED]
-    alice_bits = lookup[shared, 1].astype(np.uint8)
-    bob_bits = lookup[shared, 2].astype(np.uint8)
+    shared = cells[record.interpretation[cells] == _SHARED]
+    alice_bits = record.alice_bit[shared].astype(np.uint8)
+    bob_bits = record.bob_bit[shared].astype(np.uint8)
 
     # Step 6: reveal a random subset of the shared bits to estimate the
     # raw-key error rate; revealed positions are dropped from the keys.
@@ -816,22 +850,21 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
     enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
     layout, _, weights = enum._pass
-    hadamard, op_index = np.divmod(np.arange(len(layout.lookup)) // _N_CELLS, len(ops))
-    p_had = config.bob_hadamard_prob
-    basis_weight = np.where(hadamard, p_had, 1.0 - p_had)
+    cells = layout.cells
+    basis_weight = cells.basis_weight(config.bob_hadamard_prob)
     mass = basis_weight * weights[0]
     # Outcomes per (operation, label); a basis Bob never picks adds none,
     # not even at zero weight.
-    tally = _outcome_sums(ops, layout.lookup, mass)
-    shown = _outcome_sums(ops, layout.lookup, (basis_weight > 0.0) & (weights[0] > 0.0)) > 0
+    tally = _outcome_sums(ops, cells, mass)
+    shown = _outcome_sums(ops, cells, (basis_weight > 0.0) & (weights[0] > 0.0)) > 0
     outcome = {op: {_LABELS[label]: float(tally[k, label])
                     for label in np.flatnonzero(shown[k]).tolist()}
                for k, op in enumerate(ops)}
     errors = dict(zip(ops, tally[:, _ERROR].tolist()))
-    weight = mass * np.array([config.alice_op_probs.get(op, 0.0) for op in ops])[op_index]
-    interpretation, alice_bit, bob_bit = layout.lookup.T
-    p_shared = float(weight[interpretation == _SHARED].sum())
-    p_mismatch = float(weight[(interpretation == _SHARED) & (alice_bit != bob_bit)].sum())
+    weight = mass * np.array([config.alice_op_probs.get(op, 0.0) for op in ops])[cells.op]
+    shared = cells.interpretation == _SHARED
+    p_shared = float(weight[shared].sum())
+    p_mismatch = float(weight[shared & (cells.alice_bit != cells.bob_bit)].sum())
     return ExactStatistics(outcome, errors,
                            p_mismatch / p_shared if p_shared > 0 else None)
 
@@ -898,12 +931,12 @@ def _eve_conditionals(config: ProtocolConfig, layout: _Layout, stack: BranchTabl
     basis, weighted by the swap's config weight and split by Bob's bit."""
     w = {op: config.alice_op_probs.get(op, 0.0) for op in (AliceOp.SWAP_10, AliceOp.SWAP_01)}
     total = sum(w.values())  # 0: Alice plays neither swap, so mix them equally
-    per_table = [w.get(op, 0.0) / total if total else 0.5 * (op in w)
-                 for op, _ in _table_keys(config.variant)]
+    per_op = [w.get(op, 0.0) / total if total else 0.5 * (op in w)
+              for op in config.variant.operations]
     # Only a single-mode swap in Bob's computational basis has SharedBit cells.
-    interpretation, _, bob_bit = layout.lookup.T
-    shared = np.array(per_table).repeat(_N_CELLS) * (interpretation == _SHARED)
-    return _probe_states(layout, stack, shared * (bob_bit == np.arange(2)[:, None]))
+    cells = layout.cells
+    shared = np.array(per_op)[cells.op] * (cells.interpretation == _SHARED)
+    return _probe_states(layout, stack, shared * (cells.bob_bit == np.arange(2)[:, None]))
 
 
 @dataclass(frozen=True)
@@ -925,11 +958,9 @@ def legacy_identification(attack: Attack,
     A given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.LEGACY)
     layout, stack, _ = enum._pass
-    p_had = enum.config.bob_hadamard_prob
-    # CTRL's blocks feed state 0 and SIFT's state 1, each by its basis weight.
-    mix = np.array([[(p_had if basis is Basis.HADAMARD else 1.0 - p_had) * (op is state)
-                     for op, basis in _table_keys(Variant.LEGACY)]
-                    for state in (AliceOp.CTRL, AliceOp.SIFT)]).repeat(_N_CELLS, axis=1)
+    # CTRL's cells feed state 0 and SIFT's state 1, each by its basis weight.
+    cells = layout.cells
+    mix = (cells.op == np.arange(2)[:, None]) * cells.basis_weight(enum.config.bob_hadamard_prob)
     _, rho, dist = (column[0] for column in _probe_states(layout, stack, mix))
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     return SiftCtrlIdentification(*(DensityOperator(probe_space, m) for m in rho),

@@ -20,10 +20,10 @@ import numpy as np
 from .adversary import Attack, _check_probes, _check_unitary, _random_attacks, attack_space
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import FockVector, ModeSystem, apply_truncating_unitary, hadamard_change
-from .measurement import PRUNE, AliceOp, Basis, ClickPattern, _branch_tables
-from .protocol import (_N_CELLS, PATTERNS, ProtocolConfig, RoundEnumerator, Variant,
-                       _PrunedApart, _branch_stack, _document, _enumerator, _eve_conditionals,
-                       _measure_plan, _scatter, _table_keys, _weigh)
+from .measurement import PRUNE, AliceOp, ClickPattern, _branch_tables
+from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _PrunedApart, _branch_stack,
+                       _cells, _document, _enumerator, _eve_conditionals, _integer,
+                       _measure_plan, _scatter, _weigh)
 
 __all__ = [
     "ConditionReport",
@@ -81,16 +81,15 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
 @lru_cache(maxsize=None)
 def _condition_cells() -> tuple:
     """The cells of the nine sums of :func:`_conditions`, from fixed (sum,
-    cell) masks over the mirror variant's cell codes: one index array whose
+    cell) masks over the mirror variant's cell record: one index array whose
     runs, each in code order, are the sums, and the bounds of the runs."""
-    keys = _table_keys(Variant.MIRROR)
-    table, local = np.divmod(np.arange(len(keys) * _N_CELLS), _N_CELLS)
-    # Alice's pattern code a is -1 where she measured nothing.
-    a, b = np.divmod(local - len(PATTERNS), len(PATTERNS))
+    record, ops = _cells(Variant.MIRROR), Variant.MIRROR.operations
+    a, b = record.alice_pattern, record.bob_pattern  # a is -1 where Alice measured nothing
     none, double = ClickPattern.P00.code, ClickPattern.P11.code
-    comp = {op: table == keys.index((op, Basis.COMPUTATIONAL)) for op in Variant.MIRROR.operations}
+    comp = {op: (record.op == k) & ~record.hadamard for k, op in enumerate(ops)}
     # Bob's 10 and 11 set the mode-1 (minus) bit.
-    masks = [(table == keys.index((AliceOp.CTRL, Basis.HADAMARD))) & (b >= ClickPattern.P10.code)]
+    masks = [(record.op == ops.index(AliceOp.CTRL)) & record.hadamard
+             & (b >= ClickPattern.P10.code)]
     # The swapped-out mode is the only one Bob may legitimately click in;
     # its opposite showing up alone means the photon dodged Alice's swap.
     for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
@@ -408,10 +407,13 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
     object per seed.  Every step is per slice or per row, so each record has
     the bits of its attack evaluated alone and no record depends on stacking.
     """
+    master_seed, count, max_probe_dim = (_integer(name, value) for name, value in (
+        ("master_seed", master_seed), ("count", count), ("max_probe_dim", max_probe_dim)))
     if max_probe_dim < 1:
         raise ValueError("max_probe_dim must be at least 1")
-    if count < 0:
-        raise ValueError("count must be non-negative")
+    for name, value in (("master_seed", master_seed), ("count", count)):
+        if value < 0:
+            raise ValueError(f"{name} must be non-negative, got {value}")
     if not 0.0 <= strength <= 1.0:  # NaN fails too
         raise ValueError("strength must lie in [0, 1]")
     if not all(np.isfinite(eps) and eps >= 0 for eps in (eps_error, eps_info)):

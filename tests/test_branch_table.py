@@ -263,3 +263,39 @@ def test_interpretation_guard_still_fires(monkeypatch):
     enum = RoundEnumerator(ProtocolConfig(), identity_attack())
     with pytest.raises(ContractViolation, match="alice sum 2"):
         enum.branches(AliceOp.SWAP_10, Basis.COMPUTATIONAL)
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_cell_record_labels_every_cell_code(variant):
+    """Code ``table_id * 20 + (Alice's code + 1) * 4 + Bob's code`` of the
+    variant's record: its columns are the code's parts, its labels are the
+    reference's wherever Alice's pattern fits the operation (and -1
+    elsewhere), and it marks exactly the sifted-in single-mode swaps where
+    Alice's click sum is 2."""
+    record = protocol._cells(variant)
+    keys = [(op, basis) for basis in Basis for op in variant.operations]
+    assert len(record.table_id) == 20 * len(keys)
+    for column in record:
+        assert column.flags.c_contiguous and not column.flags.writeable
+    for name in ("interpretation", "alice_bit", "bob_bit"):
+        assert getattr(record, name).dtype == np.int8
+    patterns = list(ClickPattern)
+    for code in range(len(record.table_id)):
+        table, a_code, b_code = code // 20, code % 20 // 4 - 1, code % 4
+        op, basis = keys[table]
+        where = (variant, code)
+        assert (record.table_id[code], record.op[code], record.hadamard[code],
+                record.alice_pattern[code], record.bob_pattern[code]) == (
+                    table, variant.operations.index(op), basis is Basis.HADAMARD,
+                    a_code, b_code), where
+        got = (record.interpretation[code], record.alice_bit[code], record.bob_bit[code])
+        a_pat = None if a_code < 0 else patterns[a_code]
+        sum_two = (op in (AliceOp.SWAP_10, AliceOp.SWAP_01) and basis is Basis.COMPUTATIONAL
+                   and a_pat is ClickPattern.P11)
+        assert record.marked[code] == sum_two, where
+        if (a_pat is None) is not (op is AliceOp.CTRL) or sum_two:
+            assert got == (-1, -1, -1), where
+            continue
+        interp, a_bit, b_bit = reference_label(op, basis, a_pat, patterns[b_code])
+        assert got == (-1 if interp is None else INTERPRETATIONS.index(interp),
+                       -1 if a_bit is None else a_bit, -1 if b_bit is None else b_bit), where

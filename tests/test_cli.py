@@ -161,6 +161,17 @@ def test_run_rejects_a_seed_that_is_no_philox_key(capsys):
     assert "rng_seed" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("argv, name", [
+    (["sweep", "--count", "2", "--seed", "-1"], "master_seed"),
+    (["lemma", "--random", "2", "--seed", "-1"], "--seed"),
+], ids=["sweep", "lemma"])
+def test_a_negative_seed_is_an_error_that_names_the_option(argv, name, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and name in err
+    assert "Traceback" not in err
+
+
 def test_unknown_attack_fails_cleanly(capsys):
     assert main(["run", "--attack", "nonsense"]) == 1
     assert "unknown attack" in capsys.readouterr().err

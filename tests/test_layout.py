@@ -1,11 +1,12 @@
 """A branch pass reads its index work from a cached layout.
 
 The layout of a (space, variant, survival, live-row masks) holds every
-structural column, each row's cell and the cells' lookup, and the block
-ranges, so it is compiled once and shared.  Whatever the cache holds, every
-table column, condition, probability and state must equal, with ``==``,
-what a cold cache gives.  The pass's cell weights, which the analyses and
-the sampler read, must equal a per-row loop.
+structural column, each row's cell and the block ranges, so it is compiled
+once and shared; every layout of a variant points at the variant's one
+cell record.  Whatever the cache holds, every table column, condition,
+probability and state must equal, with ``==``, what a cold cache gives.
+The pass's cell weights, which the analyses and the sampler read, must
+equal a per-row loop.
 """
 import copy
 
@@ -150,8 +151,10 @@ def test_block_views_carry_the_derived_columns(variant):
                            random_attack(3, probe_dim=2))
     table, layout = enum.table, enum._pass[0]
     shared = protocol.INTERPRETATIONS.index(Interpretation.SHARED_BIT)
-    derived = np.stack([table.interpretation, table.alice_bit, table.bob_bit], axis=1)
-    assert np.array_equal(layout.lookup[layout.cell], derived)
+    for name in SHARED:  # every structural column is its cell's entry in the record
+        assert np.array_equal(getattr(layout.cells, name)[layout.cell], getattr(table, name)), name
+    for name in ("interpretation", "alice_bit", "bob_bit"):
+        assert getattr(table, name).dtype == np.int8, name
     assert (table.interpretation == shared).any()
     for (op, basis), rows in enum.blocks.items():
         block = enum.branches(op, basis)
@@ -238,3 +241,19 @@ def test_cell_weights_equal_a_per_row_loop(n_max, variant, survival):
         assert len(sums) == PRESENT_CELLS[variant][min(n_max, 2)], where
         assert min(sums.values()) > 0.0, where
         assert layout.present.tolist() == np.flatnonzero(expected).tolist(), where
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_every_layout_of_a_variant_holds_its_one_cell_record(variant):
+    """No layout compiles labels of its own: each holds the variant's record,
+    which is built once per process."""
+    record = protocol._cells(variant)
+    assert protocol._cells(variant) is record
+    for n_max in (1, 2, 3, 4):
+        for survival in (1.0, 0.9):
+            config = ProtocolConfig(variant=variant, n_max=n_max, channel_loss=survival)
+            for attack in (identity_attack(n_max=n_max),
+                           random_attack(n_max, probe_dim=2, n_max=n_max)):
+                layout = RoundEnumerator(config, attack)._pass[0]
+                assert layout.cells is record, (n_max, survival, attack.name)
+                assert not hasattr(layout, "lookup")

@@ -697,3 +697,47 @@ def test_run_tally_matches_a_per_round_recount(variant, n_max):
             n for op in key_ops for label, n in per_op[op].items() if label != "Discarded")
         assert (stats.ctrl_error_rate, stats.swap_x_error_rate, stats.swap_all_error_rate) == (
             rate((AliceOp.CTRL,)), rate(key_ops), rate((AliceOp.SWAP_ALL,)))
+
+
+def _cutoff_values(attack, variant, survival) -> dict:
+    """Every exact analysis of one attack on one config, flattened to
+    (name, value) pairs: outcome probabilities, and the conditions and Eve's
+    states (mirror) or legacy identification (legacy)."""
+    config = ProtocolConfig(variant=variant, tag_dim=attack.system.tag_dim,
+                            n_max=attack.system.n_max, channel_loss=survival)
+    enum = RoundEnumerator(config, attack)
+    exact = exact_statistics(config, attack, enum)
+    found = {("outcome", op.value, label): p
+             for op, probs in exact.outcome_probs.items() for label, p in probs.items()}
+    if variant is Variant.MIRROR:
+        report = check_conditions(attack, config, enumerator=enum)
+        found.update((("condition", name), value)
+                     for name, value in report.to_document().items())
+        eve = eve_conditional_states(attack, config, enum)
+        found.update({("eve", "p_shared"): eve.p_shared,
+                      ("eve", "trace_distance"): eve.trace_distance})
+    else:
+        ident = legacy_identification(attack, config, enum)
+        found.update({("legacy", "trace_distance"): ident.trace_distance,
+                      ("legacy", "accuracy"): ident.accuracy})
+    return found
+
+
+@pytest.mark.parametrize("survival", [1.0, 0.7])
+@pytest.mark.parametrize("variant", list(Variant))
+def test_photon_preserving_attacks_converge_in_the_cutoff(variant, survival):
+    """Bob sends one photon and these attacks never add one, so raising the
+    cutoff from n_max to n_max + 1 changes no exact number beyond rounding."""
+    builders = [lambda n: identity_attack(n_max=n), lambda n: tagging_attack(n_max=n),
+                lambda n: measure_resend_attack("computational", n_max=n),
+                lambda n: measure_resend_attack("hadamard", n_max=n)]
+    for build in builders:
+        for n_max in (1, 2, 3):
+            low, high = (_cutoff_values(build(n), variant, survival) for n in (n_max, n_max + 1))
+            where = (build(1).name, n_max)
+            assert low.keys() == high.keys(), where
+            for key, value in low.items():
+                if value is None:
+                    assert high[key] is None, (where, key)
+                else:
+                    assert abs(high[key] - value) <= 1e-12, (where, key)

@@ -262,3 +262,25 @@ def test_sweep_csv_rows_shape():
 def test_sweep_records_violations_for_disturbing_attacks():
     report = robustness_sweep(master_seed=3, count=8, strength=0.5)
     assert max(r.max_violation for r in report.records) > 1e-6
+
+
+@pytest.mark.parametrize("field, value, message", [
+    ("count", 2.5, "count must be an integer"),
+    ("max_probe_dim", 2.5, "max_probe_dim must be an integer"),
+    ("master_seed", 1.5, "master_seed must be an integer"),
+    ("master_seed", True, "master_seed must be an integer"),
+    ("master_seed", -1, "master_seed must be non-negative"),
+    ("count", -1, "count must be non-negative"),
+])
+def test_sweep_takes_seeds_and_sizes_only_as_integers(field, value, message):
+    """The rule ``ProtocolConfig`` applies to its seed: a float would reach
+    numpy as a ``TypeError`` from inside it, a bool as seed 0 or 1."""
+    with pytest.raises(ValueError, match=message):
+        robustness_sweep(**{"count": 2, field: value})
+
+
+def test_sweep_stores_numpy_integers_as_int():
+    report = robustness_sweep(master_seed=np.uint32(3), count=np.int64(2),
+                              max_probe_dim=np.int8(2))
+    assert report == robustness_sweep(master_seed=3, count=2, max_probe_dim=2)
+    assert type(report.master_seed) is int
