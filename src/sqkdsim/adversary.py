@@ -25,7 +25,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .fock import ModeSystem, hadamard_matrix
+from .fock import ModeSystem, _integer, hadamard_matrix
 
 __all__ = [
     "Attack",
@@ -222,6 +222,7 @@ def random_attack(seed: int, probe_dim: int = 4, strength: float = 0.3,
     seeds: every step is per slice, so a seed's U and V have the same bits
     in a stack of any size.
     """
+    seed = _integer("seed", seed)
     system = attack_space(tag_dim=1, n_max=n_max, probe_dim=probe_dim)
     (unitaries,), (probe,) = _random_attacks((seed,), system, strength)
     return Attack(f"random-{seed}", system, *unitaries, probe)

@@ -35,9 +35,10 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from functools import lru_cache
 from math import factorial, sqrt
+from numbers import Integral, Real
 
 import numpy as np
 
@@ -58,6 +59,23 @@ class ContractViolation(RuntimeError):
     """An internal simulator invariant failed; indicates a bug, not bad data."""
 
 
+def _integer(name: str, value) -> int:
+    """``value`` as an int; a float or bool, which numpy would truncate or
+    take as 0 or 1, is a ``ValueError`` that names the parameter."""
+    if isinstance(value, bool) or not isinstance(value, Integral):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
+
+
+def _real(name: str, value) -> float:
+    """``value`` as a float; a bool, which a report would record as true or
+    false, or anything but a real number is a ``ValueError`` that names the
+    parameter."""
+    if isinstance(value, bool) or not isinstance(value, Real):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
+    return float(value)
+
+
 @dataclass(frozen=True)
 class ModeSystem:
     """Shape of a truncated Fock space.
@@ -75,6 +93,8 @@ class ModeSystem:
     probe_dim: int = 0
 
     def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
         if self.num_pairs < 0 or self.tag_dim < 1 or self.n_max < 0 or self.probe_dim < 0:
             raise ValueError(f"invalid mode system {self}")
 

@@ -15,21 +15,19 @@ so far, goes through each stage at once (loss and measurements as cached
 index maps that split every row, Eve's unitaries and Bob's Hadamard as one
 matrix product each), with every operation of Alice and both of Bob's bases
 side by side.  Bob's measurement empties the pair, so his split writes only
-Eve's probe columns, the vacuum ⊗ probe states.  The result is one flat
-:class:`BranchTable` of NumPy columns.  Its ``table_id`` column numbers the
-(operation, basis) blocks of rows; within a block, rows keep the order of
-the nested loop loss, Alice's outcome, loss, Bob's outcome.  What the pass
-does not compute from the attack's matrices (Bob's kept rows sorted into
-blocks, each row's cell, the structural columns and block ranges) is
-compiled into one layout per space, variant, survival and set of live rows,
-and cached.  A cell is what the parties observe of a round (operation,
-basis, Alice's pattern, Bob's pattern), and sifting, interpretation and
-shared bits are functions of it, read from the variant's one cell record.
-The pass sums each cell's rows into one weight, which the conditions, the
-tallies and the sampler read (round i of a run draws its operation, basis
-and cell from row i of a counter-based Philox stream keyed by the seed);
-Eve's probe states weigh each row by its cell.  Every analysis reads its
-config and attack from one enumerator, which must hold the config and
+Eve's probe columns, the vacuum ⊗ probe states.  A cell is what the parties
+observe of a round (operation, basis, Alice's pattern, Bob's pattern), and
+sifting, interpretation and shared bits are functions of it, read from the
+variant's one cell record.  The pass keeps nothing between calls: from the
+live rows of each split it finds each row's cell, sorts the rows stably
+into (operation, basis) blocks (within a block, rows keep the order of the
+nested loop loss, Alice's outcome, loss, Bob's outcome) and sums each
+cell's rows into one weight, which the conditions, the tallies and the
+sampler read (round i of a run draws its operation, basis and cell from row
+i of a counter-based Philox stream keyed by the seed); Eve's probe states
+weigh each row by its cell.  :class:`BranchTable` is the row view of one
+attack's pass, gathered from the record when read.  Every analysis reads
+its config and attack from one enumerator, which must hold the config and
 attack it is passed with.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
@@ -41,10 +39,11 @@ her storage measurement is a threshold measurement of the swapped rails.
 from __future__ import annotations
 
 import enum
+from collections.abc import Mapping
 from dataclasses import dataclass, fields, is_dataclass
 from functools import cached_property, lru_cache
 from math import comb, isfinite, isnan, sqrt
-from numbers import Integral
+from types import MappingProxyType
 from typing import NamedTuple, Optional
 
 import numpy as np
@@ -52,7 +51,8 @@ import numpy as np
 from .adversary import Attack
 from .alice import swapped_slots
 from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   _check_densities, _evolve, _norm2, _occupations, hadamard_matrix)
+                   _check_densities, _evolve, _integer, _norm2, _occupations, _real,
+                   hadamard_matrix)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           _branch_tables, interpret_ctrl, interpret_legacy_sift,
                           interpret_swap_all, interpret_swap_x, shared_bit)
@@ -90,7 +90,7 @@ class Variant(enum.Enum):
         return (AliceOp.CTRL, AliceOp.SIFT)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ProtocolConfig:
     """Run parameters.
 
@@ -98,7 +98,9 @@ class ProtocolConfig:
     one channel pass (so 1.0 is a lossless channel and smaller values are
     lossier).  ``alice_op_probs`` defaults to the uniform distribution over
     the variant's operations.  Error thresholds are compared against the
-    category rates after the run; exceeding any of them aborts.
+    category rates after the run; exceeding any of them aborts.  A config
+    is frozen, its ``alice_op_probs`` a read-only mapping, so an enumerator
+    always holds the config it was built from.
     """
 
     variant: Variant = Variant.MIRROR
@@ -108,7 +110,7 @@ class ProtocolConfig:
     n_max: int = 2
     channel_loss: float = 1.0
     bob_hadamard_prob: float = 0.5
-    alice_op_probs: Optional[dict] = None
+    alice_op_probs: Optional[Mapping] = None
     test_fraction: float = 0.1
     ctrl_error_threshold: float = 0.05
     swap_x_error_threshold: float = 0.05
@@ -116,11 +118,14 @@ class ProtocolConfig:
     raw_key_error_threshold: float = 0.05
 
     def __post_init__(self) -> None:
+        def put(name, value):  # the one write of each validated field
+            object.__setattr__(self, name, value)
+
         if isinstance(self.variant, str):
-            self.variant = Variant(self.variant)
+            put("variant", Variant(self.variant))
         ops = self.variant.operations
         if self.alice_op_probs is None:
-            self.alice_op_probs = {op: 1.0 / len(ops) for op in ops}
+            probs = {op: 1.0 / len(ops) for op in ops}
         else:
             # Both checks read "not defect <= tol", so NaN and inf fail too.
             probs = {}
@@ -128,41 +133,40 @@ class ProtocolConfig:
                 op = AliceOp(op) if not isinstance(op, AliceOp) else op
                 if op not in ops:
                     raise ValueError(f"{op} is not played in variant {self.variant.value}")
+                probs[op] = p = _real("alice_op_probs", p)
                 if not -p <= 0.0:
                     raise ValueError(
                         f"operation probabilities must be non-negative, got {p}")
-                probs[op] = float(p)
             total = sum(probs.values())
             if not abs(total - 1.0) <= 1e-9:
                 raise ValueError(f"operation probabilities sum to {total}, not 1")
-            self.alice_op_probs = probs
+        put("alice_op_probs", MappingProxyType(probs))
         for name in ("n_rounds", "rng_seed", "tag_dim", "n_max"):
-            setattr(self, name, _integer(name, getattr(self, name)))
+            put(name, _integer(name, getattr(self, name)))
         if self.n_rounds < 0:
             raise ValueError("n_rounds must be non-negative")
         if not 0 <= self.rng_seed < 2**128:  # a Philox key
             raise ValueError(f"rng_seed must lie in [0, 2**128), got {self.rng_seed}")
         for name in ("channel_loss", "bob_hadamard_prob", "test_fraction"):
-            v = getattr(self, name)
+            v = _real(name, getattr(self, name))
+            put(name, v)
             if not 0.0 <= v <= 1.0:
                 raise ValueError(f"{name} must lie in [0, 1], got {v}")
         if self.tag_dim < 1 or self.n_max < 1:
             raise ValueError("tag_dim and n_max must be at least 1")
         for f in fields(self):
-            v = getattr(self, f.name)
-            if f.name.endswith("_error_threshold") and not (isfinite(v) and v >= 0):
-                raise ValueError(f"{f.name} must be finite and non-negative, got {v}")
+            if f.name.endswith("_error_threshold"):
+                v = _real(f.name, getattr(self, f.name))
+                put(f.name, v)
+                if not (isfinite(v) and v >= 0):
+                    raise ValueError(f"{f.name} must be finite and non-negative, got {v}")
+
+    def __reduce__(self):  # a read-only mapping does not pickle: rebuild from a dict
+        values = (getattr(self, f.name) for f in fields(self))
+        return ProtocolConfig, tuple(dict(v) if isinstance(v, Mapping) else v for v in values)
 
     def to_document(self) -> dict:
         return _document(self)
-
-
-def _integer(name: str, value) -> int:
-    """``value`` as an int; a float or bool, which numpy would truncate or
-    take as 0 or 1, is a ``ValueError`` that names the parameter."""
-    if isinstance(value, bool) or not isinstance(value, Integral):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    return int(value)
 
 
 def _document(value):
@@ -172,7 +176,7 @@ def _document(value):
         return {f.name: _document(getattr(value, f.name)) for f in fields(value)}
     if isinstance(value, enum.Enum):
         return value.value
-    if isinstance(value, dict):
+    if isinstance(value, Mapping):
         return {_document(k): _document(v) for k, v in value.items()}
     if isinstance(value, (tuple, list)):
         return [_document(v) for v in value]
@@ -386,19 +390,32 @@ def _cells(variant: Variant) -> _CellRecord:
     return record
 
 
+class _Pass(NamedTuple):
+    """What :func:`_branch_stack` finds for a stack of attacks: its rows
+    sorted stably by ``table_id``, and the columns named as in
+    :class:`BranchTable` with a leading attack axis."""
+    cells: _CellRecord  # the variant's one record
+    cell: np.ndarray  # each row's cell code
+    present: np.ndarray  # the codes of the cells that occur, ascending; none marked
+    probability: np.ndarray
+    eve_probe: np.ndarray
+    leaked: np.ndarray
+    weights: np.ndarray  # (attack, cell) over every code of the record, 0 where absent
+
+
 class RoundEnumerator:
     """Exact branch distribution of a round for every (operation, basis).
 
     ``system`` is the attack's one-pair-plus-probe space for both variants.
-    The first use of :attr:`table` builds every branch of every operation
-    of the variant in both of Bob's bases in one pass over a stack of
-    sub-normalized states, one row per branch so far: each stage maps or
-    splits every row at once.  That pass is :func:`_branch_stack` of a
-    one-attack stack, the code a sweep runs on many attacks of one space
-    at once, and its cached :class:`_Layout` holds every index the table
-    and the analyses read: the gather that makes the rows of one
-    (operation, basis) contiguous, each row's cell and the variant's record
-    (:func:`_cells`), the structural columns and each block's row range.
+    The first read of a result runs the enumerator's one pass: every branch
+    of every operation of the variant in both of Bob's bases, built over a
+    stack of sub-normalized states, one row per branch so far, where each
+    stage maps or splits every row at once.  That pass is
+    :func:`_branch_stack` of a one-attack stack, the code a sweep runs on
+    many attacks of one space at once; it keeps each row's cell and the
+    cells' weights, which the analyses read.  :attr:`table`,
+    :attr:`blocks` and :meth:`branches` are the row view, gathered from
+    the variant's cell record (:func:`_cells`) only when read.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -418,26 +435,34 @@ class RoundEnumerator:
         return FockVector(self.system, plus * self.attack.initial_probe[probes])
 
     @cached_property
-    def _pass(self) -> tuple:
-        """The layout, one-attack table and cell weights of :func:`_branch_stack`."""
+    def _pass(self) -> _Pass:
+        """:func:`_branch_stack` of this one attack."""
         attack = self.attack
         return _branch_stack(self.config, self.system, attack.u_forward[None],
                              attack.v_backward[None], attack.initial_probe[None])
 
     @cached_property
     def table(self) -> BranchTable:
-        """Every branch of the variant, rows sorted by ``table_id``."""
-        layout, stack, _ = self._pass
-        return layout.table(*(getattr(stack, name)[0] for name in _PER_ATTACK))
+        """Every branch of the variant, rows sorted by ``table_id``: the
+        pass's columns of this attack, and each row's cell's entries in the
+        record for the others."""
+        found = self._pass
+        columns = {name: getattr(found, name)[0] if name in found._fields
+                   else getattr(found.cells, name)[found.cell] for name in _COLUMNS}
+        for column in columns.values():
+            column.setflags(write=False)
+        return BranchTable(**columns)
 
-    @property
+    @cached_property
     def blocks(self) -> dict:
         """The row range (a slice of :attr:`table`) of each (operation, basis)."""
-        return self._pass[0].blocks
+        keys = _table_keys(self.config.variant)
+        bounds = self.table.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
+        return {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
 
     def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
         """The rows of :attr:`table` for one (operation, basis) as a table of
-        column views.  The analyses slice only the columns they read."""
+        column views."""
         if (op, basis) not in _table_keys(self.config.variant):
             raise ValueError(f"operation {op} not defined for {self.config.variant}")
         rows = self.blocks[op, basis]
@@ -445,96 +470,21 @@ class RoundEnumerator:
 
 
 _COLUMNS = tuple(f.name for f in fields(BranchTable))
-_PER_ATTACK = ("probability", "eve_probe", "leaked")  # the other columns are shared
-
-_LAYOUT_BOUND = 64  # cached layouts; a sweep of 8 probe sizes keeps 8
-_layouts: dict = {}
-
-
-def _cached(key: tuple, build):
-    """The layout cached under ``key``, built on a miss; beyond
-    ``_LAYOUT_BOUND`` layouts the least recently used one is dropped."""
-    layout = _layouts.pop(key, None)
-    if layout is None:
-        layout = build()
-        while len(_layouts) >= _LAYOUT_BOUND:
-            del _layouts[next(iter(_layouts))]
-    _layouts[key] = layout
-    return layout
-
-
-class _Layout:
-    """Everything of a branch pass that does not depend on the matrices,
-    compiled once per (space, variant, survival, live mask of each split).
-
-    Holds Bob's kept rows (``keep``) and each final row's index into the
-    leaked column after Eve's backward pass (``leaked_parent``), both
-    composed with a stable sort of the pass's rows by ``table_id``; each
-    row's ``cell``, the sorted cells that occur (``present``, none marked)
-    and the variant's one record of them (``cells``); the read-only columns
-    of :class:`BranchTable` other than ``_PER_ATTACK``, each row's cell's
-    entry in the record, shared by every table of the layout; and the row
-    range of each block.  Holds Alice's and Bob's ``_measure_plan``
-    results, whose ids key it.  Compiling checks Bob's plan: a destination
-    outside its map's own block would land in another branch's row.
-    """
-
-    def __init__(self, system: ModeSystem, variant: Variant, alice: tuple,
-                 alice_live: np.ndarray, lossy: Optional[np.ndarray], measured: tuple,
-                 live: np.ndarray):
-        self.system, self.alice, self.measured = system, alice, measured
-        plan, _, map_code = measured
-        _, src, dst, _, starts, _, width = plan
-        if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
-            raise ContractViolation("post-measurement state not confined to vacuum")
-        alice_plan, map_op, alice_code = alice
-        which = np.flatnonzero(alice_live) % alice_plan[0]  # the map of each of Alice's rows
-        parent = (np.arange(len(which)) if lossy is None
-                  else np.flatnonzero(lossy) // lossy.shape[1])
-        # The stack is doubled for Bob's bases, the computational copy first.
-        keep = np.flatnonzero(live)
-        basis, row = np.divmod(keep // plan[0], len(parent))
-        alice_map = which[parent[row]]
-        cell = ((map_op[alice_map] + len(variant.operations) * basis) * _N_CELLS
-                + (alice_code[alice_map] + 1) * len(PATTERNS) + map_code[keep % plan[0]])
-        self.cells = cells = _cells(variant)
-        # A stable sort groups rows by (basis, operation); each block keeps
-        # the nested-loop order.
-        order = np.argsort(cells.table_id[cell], kind="stable")
-        self.keep, self.cell = keep[order], cell[order]
-        self.leaked_parent = parent[row[order]]  # Alice's row of each row
-        self.present = np.flatnonzero(np.bincount(self.cell))
-        if cells.marked[self.present].any():
-            raise ContractViolation("alice sum 2 on a single-mode swap round")
-        for name in set(_COLUMNS) - set(_PER_ATTACK):  # each row's is its cell's
-            setattr(self, name, getattr(cells, name)[self.cell])
-            getattr(self, name).setflags(write=False)
-        keys = _table_keys(variant)
-        bounds = self.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
-        self.blocks = {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
-
-    def table(self, probability: np.ndarray, eve_probe: np.ndarray,
-              leaked: np.ndarray) -> BranchTable:
-        """A table of this layout from its ``_PER_ATTACK`` columns."""
-        return BranchTable(probability, self.alice_pattern, self.bob_pattern,
-                           self.interpretation, self.alice_bit, self.bob_bit, eve_probe,
-                           leaked, self.table_id)
 
 
 def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndarray,
-                  v_backward: np.ndarray, probes: np.ndarray) -> tuple:
+                  v_backward: np.ndarray, probes: np.ndarray) -> _Pass:
     """Every branch of the variant for a stack of attacks on ``system``, given
-    as (attack, d, d) unitaries and (attack, level) initial probes: the
-    pass's :class:`_Layout`, a table whose rows are sorted by ``table_id``
-    and whose ``_PER_ATTACK`` columns have a leading attack axis, and the
-    (attack, cell) weights over every cell code of the variant (0 where a
-    cell is absent).  Both variants run the same steps: SIFT's resend is one
-    of Alice's maps.  A call runs only the numeric kernels: the launch rows,
-    each split's weights, live mask (the masks select the cached layout)
-    and gather, Eve's products per slice and Bob's Hadamard, so an attack's
-    columns have the bits of its own one-attack stack; every numeric check
-    runs for every attack, raising for the first that fails.  A sweep passes
-    a chunk's raw matrices, and :class:`RoundEnumerator` one-slice views."""
+    as (attack, d, d) unitaries and (attack, level) initial probes, as a
+    :class:`_Pass` of read-only arrays.  Both variants run the same steps:
+    SIFT's resend is one of Alice's maps.  Each call does all of its work,
+    keeping nothing between calls: the launch rows, each split's weights,
+    live mask and gather, Eve's products per slice and Bob's Hadamard, and
+    the index work on the live masks (each row's cell, the sort into
+    blocks, the cells that occur), so an attack's columns have the bits of
+    its own one-attack stack; every numeric check runs for every attack,
+    raising for the first that fails.  A sweep passes a chunk's raw
+    matrices, and :class:`RoundEnumerator` one-slice views."""
     variant, survival = config.variant, config.channel_loss
     plus, levels = _launch(system)
     rows = (plus * probes.take(levels, axis=1))[:, None]
@@ -547,37 +497,52 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]), u_forward)
 
     # Alice, every operation at once; SIFT's resend is part of her split.
-    alice = _measure_plan(system, variant.operations)
-    moved, _, alice_live = _weigh(rows, alice[0])
+    alice_plan, map_op, alice_code = _measure_plan(system, variant.operations)
+    moved, _, alice_live = _weigh(rows, alice_plan)
     kept = np.flatnonzero(alice_live)
-    rows = _scatter(moved, alice[0], kept)
-    leaked = leaked.take(kept // alice[0][0], axis=1)
+    rows = _scatter(moved, alice_plan, kept)
+    leaked = leaked.take(kept // alice_plan[0], axis=1)
 
     # Backward pass, then Bob in each basis, the computational copy first.
     rows, leaked = _evolve(rows, leaked, v_backward)
-    lossy = None
+    parent = np.arange(len(kept))  # Alice's row of each row
     if survival < 1.0:
         plan = _loss_plan(system, survival)
         moved, _, lossy = _weigh(rows, plan)
         rows = _scatter(moved, plan, np.flatnonzero(lossy))
+        parent = np.flatnonzero(lossy) // lossy.shape[1]
     rows = np.concatenate([rows, rows @ hadamard_matrix(system, _PAIR).T], axis=1)
     # Bob empties the pair, so his split writes only Eve's probe columns:
-    # map k fills block k of a row.  Compiling the layout checks the plan
-    # before any scatter through it, and each row's mass (two sources on
-    # one column would lose some) is checked after it.
-    measured = _measure_plan(system, (None,))
-    moved, weight, live = _weigh(rows, measured[0])
-    layout = _cached((id(alice), alice_live.tobytes(), survival,
-                      None if lossy is None else lossy.tobytes(), id(measured), live.tobytes()),
-                     lambda: _Layout(system, variant, alice, alice_live, lossy, measured, live))
-    probe = _scatter(moved, measured[0], layout.keep)
-    prob = weight.reshape(len(rows), -1).take(layout.keep, axis=1)
-    leaked = leaked.take(layout.leaked_parent, axis=1)
+    # map k must fill block k of a row (a destination outside it would land
+    # in another branch's row), which is checked on the plan before any
+    # scatter through it, and each row's mass (two sources on one column
+    # would lose some) after it.
+    bob_plan, _, bob_code = _measure_plan(system, (None,))
+    _, src, dst, _, starts, _, width = bob_plan
+    if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
+        raise ContractViolation("post-measurement state not confined to vacuum")
+    moved, weight, live = _weigh(rows, bob_plan)
+    keep = np.flatnonzero(live)
+    basis, row = np.divmod(keep // bob_plan[0], len(parent))
+    alice_map = (kept % alice_plan[0])[parent[row]]
+    cell = ((map_op[alice_map] + len(variant.operations) * basis) * _N_CELLS
+            + (alice_code[alice_map] + 1) * len(PATTERNS) + bob_code[keep % bob_plan[0]])
+    # A stable sort groups rows by (basis, operation); each block keeps the
+    # nested-loop order.
+    record = _cells(variant)
+    order = np.argsort(record.table_id[cell], kind="stable")
+    keep, cell = keep[order], cell[order]
+    present = np.flatnonzero(np.bincount(cell))
+    if record.marked[present].any():
+        raise ContractViolation("alice sum 2 on a single-mode swap round")
+    probe = _scatter(moved, bob_plan, keep)
+    prob = weight.reshape(len(rows), -1).take(keep, axis=1)
+    leaked = leaked.take(parent[row[order]], axis=1)
 
     # Each cell's weight per attack, its rows added in row order as a 1-D
     # bincount adds; each block's sum per attack adds its cells.
-    keys, n_cells = _table_keys(variant), len(layout.cells.table_id)
-    cells = (np.arange(len(prob))[:, None] * n_cells + layout.cell).ravel()
+    keys, n_cells = _table_keys(variant), len(record.table_id)
+    cells = (np.arange(len(prob))[:, None] * n_cells + cell).ravel()
     weights = np.bincount(cells, prob.ravel(), len(prob) * n_cells).reshape(len(prob), -1)
     totals = np.add.reduce(weights.reshape(-1, _N_CELLS), axis=1)
     for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL)[:1].tolist():
@@ -587,10 +552,11 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     mass = _norm2(probe)
     if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
         raise ContractViolation("post-measurement state not confined to vacuum")
-    columns = prob, probe / np.sqrt(mass)[..., None], leaked
-    for column in (*columns, weights):
+    found = _Pass(record, cell, present, prob, probe / np.sqrt(mass)[..., None], leaked,
+                  weights)
+    for column in found[1:]:
         column.setflags(write=False)
-    return layout, layout.table(*columns), weights
+    return found
 
 
 @lru_cache(maxsize=None)
@@ -679,7 +645,7 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
     (:func:`_search_blocks`).
     """
     enum = _enumerator(attack, config, enumerator)
-    layout, _, weights = enum._pass
+    found = enum._pass
     draws = np.random.Generator(np.random.Philox(key=config.rng_seed)).random(
         (config.n_rounds, 3))
     ops = config.variant.operations
@@ -688,9 +654,9 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
         table_id += draws[:, 0] >= weight
     u_cell = draws[:, 2].copy()
     del draws
-    present = layout.present  # each has a positive weight: Bob's split prunes dust
-    blocks = layout.cells.table_id[present]
-    return present[_search_blocks(weights[0, present], blocks, table_id, u_cell)]
+    present = found.present  # each has a positive weight: Bob's split prunes dust
+    blocks = found.cells.table_id[present]
+    return present[_search_blocks(found.weights[0, present], blocks, table_id, u_cell)]
 
 
 def _search_blocks(probability: np.ndarray, table_id: np.ndarray,
@@ -760,7 +726,7 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     A given enumerator must hold ``config`` and ``attack``."""
     enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
-    record = enum._pass[0].cells
+    record = enum._pass.cells
     cells = simulate_records(config, enum.attack, enum)
     rounds = np.bincount(cells, minlength=len(record.table_id))
     tally = _outcome_sums(ops, record, rounds).astype(int)
@@ -849,8 +815,7 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
     given enumerator must hold ``config`` and ``attack``."""
     enum = _enumerator(attack, config, enumerator)
     ops = config.variant.operations
-    layout, _, weights = enum._pass
-    cells = layout.cells
+    cells, weights = enum._pass.cells, enum._pass.weights
     basis_weight = cells.basis_weight(config.bob_hadamard_prob)
     mass = basis_weight * weights[0]
     # Outcomes per (operation, label); a basis Bob never picks adds none,
@@ -872,18 +837,18 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
 _PROBE_MASS_TOL = 1e-15
 
 
-def _probe_states(layout: _Layout, stack: BranchTable, mix: np.ndarray) -> tuple:
-    """(p, rho, trace_distance) of two probe states per attack of a stacked
-    table, with a leading attack axis.  State k adds w p psi psi^dagger of
+def _probe_states(found: _Pass, mix: np.ndarray) -> tuple:
+    """(p, rho, trace_distance) of two probe states per attack of a pass,
+    with a leading attack axis.  State k adds w p psi psi^dagger of
     every row whose cell has a nonzero weight w in row k of ``mix``, a
     (state, cell) matrix.  Each state is normalised by its trace p, and one
     :func:`~sqkdsim.fock._check_densities` call checks them all and takes
     each distance, NaN if a state is absent, from one ``eigvalsh``."""
-    pl = layout.system.probe_levels
-    rho = np.zeros((len(stack.probability), 2, pl, pl), dtype=np.complex128)  # (attack, state)
-    for k, w in enumerate(mix.take(layout.cell, axis=1)):
+    pl = found.eve_probe.shape[-1]
+    rho = np.zeros((len(found.probability), 2, pl, pl), dtype=np.complex128)  # (attack, state)
+    for k, w in enumerate(mix.take(found.cell, axis=1)):
         rows = w.nonzero()[0]
-        p, probe = stack.probability.take(rows, axis=1), stack.eve_probe.take(rows, axis=1)
+        p, probe = found.probability.take(rows, axis=1), found.eve_probe.take(rows, axis=1)
         rho[:, k] += ((w.take(rows) * p)[..., None] * probe).transpose(0, 2, 1) @ probe.conj()
     p = np.trace(rho, axis1=-2, axis2=-1).real
     present = p > _PROBE_MASS_TOL
@@ -918,15 +883,15 @@ def eve_conditional_states(attack: Attack,
     it plays neither, by the core a sweep runs on a stack of attacks.  A
     given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    p_bit, rho, dist = (column[0] for column in _eve_conditionals(enum.config, *enum._pass[:2]))
+    p_bit, rho, dist = (column[0] for column in _eve_conditionals(enum.config, enum._pass))
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     return EveConditionals(float(p_bit.sum()), dict(enumerate(p_bit.tolist())),
                            {b: DensityOperator(probe_space, rho[b]) for b in (0, 1)
                             if p_bit[b] > _PROBE_MASS_TOL}, None if isnan(dist) else float(dist))
 
 
-def _eve_conditionals(config: ProtocolConfig, layout: _Layout, stack: BranchTable) -> tuple:
-    """(p_bit, rho, trace_distance) of a stacked table: :func:`_probe_states`
+def _eve_conditionals(config: ProtocolConfig, found: _Pass) -> tuple:
+    """(p_bit, rho, trace_distance) of a pass: :func:`_probe_states`
     of the SharedBit cells of a single-mode swap in Bob's computational
     basis, weighted by the swap's config weight and split by Bob's bit."""
     w = {op: config.alice_op_probs.get(op, 0.0) for op in (AliceOp.SWAP_10, AliceOp.SWAP_01)}
@@ -934,9 +899,9 @@ def _eve_conditionals(config: ProtocolConfig, layout: _Layout, stack: BranchTabl
     per_op = [w.get(op, 0.0) / total if total else 0.5 * (op in w)
               for op in config.variant.operations]
     # Only a single-mode swap in Bob's computational basis has SharedBit cells.
-    cells = layout.cells
+    cells = found.cells
     shared = np.array(per_op)[cells.op] * (cells.interpretation == _SHARED)
-    return _probe_states(layout, stack, shared * (cells.bob_bit == np.arange(2)[:, None]))
+    return _probe_states(found, shared * (cells.bob_bit == np.arange(2)[:, None]))
 
 
 @dataclass(frozen=True)
@@ -957,11 +922,10 @@ def legacy_identification(attack: Attack,
     weights, from the core of her mirror states (:func:`_probe_states`).
     A given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.LEGACY)
-    layout, stack, _ = enum._pass
     # CTRL's cells feed state 0 and SIFT's state 1, each by its basis weight.
-    cells = layout.cells
+    cells = enum._pass.cells
     mix = (cells.op == np.arange(2)[:, None]) * cells.basis_weight(enum.config.bob_hadamard_prob)
-    _, rho, dist = (column[0] for column in _probe_states(layout, stack, mix))
+    _, rho, dist = (column[0] for column in _probe_states(enum._pass, mix))
     probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     return SiftCtrlIdentification(*(DensityOperator(probe_space, m) for m in rho),
                                   float(dist), 0.5 * (1.0 + float(dist)))

@@ -19,11 +19,12 @@ import numpy as np
 
 from .adversary import Attack, _check_probes, _check_unitary, _random_attacks, attack_space
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
-from .fock import FockVector, ModeSystem, apply_truncating_unitary, hadamard_change
+from .fock import (FockVector, ModeSystem, _integer, _real, apply_truncating_unitary,
+                   hadamard_change)
 from .measurement import PRUNE, AliceOp, ClickPattern, _branch_tables
 from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _PrunedApart, _branch_stack,
-                       _cells, _document, _enumerator, _eve_conditionals, _integer,
-                       _measure_plan, _scatter, _weigh)
+                       _cells, _document, _enumerator, _eve_conditionals, _measure_plan,
+                       _scatter, _weigh)
 
 __all__ = [
     "ConditionReport",
@@ -75,7 +76,7 @@ def check_conditions(attack: Attack, config: Optional[ProtocolConfig] = None,
     by the core a sweep runs on a stack of attacks.  A given enumerator
     must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
-    return ConditionReport(*_conditions(enum.config, enum._pass[2])[0].tolist())
+    return ConditionReport(*_conditions(enum.config, enum._pass.weights)[0].tolist())
 
 
 @lru_cache(maxsize=None)
@@ -379,15 +380,13 @@ class _Evaluation(NamedTuple):
 def _evaluate(config: ProtocolConfig, system: ModeSystem, unitaries: np.ndarray,
               probes: np.ndarray) -> _Evaluation:
     """The record of an (attack, U/V, d, d) stack on ``system``: both cores
-    on one stacked table, or one attack at a time, joined, if they prune apart."""
+    on one branch pass, or one attack at a time, joined, if they prune apart."""
     try:
-        layout, stack, weights = _branch_stack(config, system, unitaries[:, 0], unitaries[:, 1],
-                                               probes)
+        found = _branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)
     except _PrunedApart:
         return _Evaluation(*map(np.concatenate, zip(*(
             _evaluate(config, system, u[None], p[None]) for u, p in zip(unitaries, probes)))))
-    return _Evaluation(_conditions(config, weights),
-                       *_eve_conditionals(config, layout, stack))
+    return _Evaluation(_conditions(config, found.weights), *_eve_conditionals(config, found))
 
 
 def robustness_sweep(master_seed: int = 0, count: int = 100,
@@ -402,13 +401,15 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
     in chunks of bounded size from seeds to records as one stack of raw
     matrices: :func:`~sqkdsim.adversary.random_attack`'s builder makes
     the chunk's unitaries, :class:`~sqkdsim.adversary.Attack`'s checks run
-    on the whole stack, and one table build, one condition core and one
+    on the whole stack, and one branch pass, one condition core and one
     Eve core evaluate it as one record of arrays, with no ``Attack`` or report
     object per seed.  Every step is per slice or per row, so each record has
     the bits of its attack evaluated alone and no record depends on stacking.
     """
     master_seed, count, max_probe_dim = (_integer(name, value) for name, value in (
         ("master_seed", master_seed), ("count", count), ("max_probe_dim", max_probe_dim)))
+    strength, eps_error, eps_info = (_real(name, value) for name, value in (
+        ("strength", strength), ("eps_error", eps_error), ("eps_info", eps_info)))
     if max_probe_dim < 1:
         raise ValueError("max_probe_dim must be at least 1")
     for name, value in (("master_seed", master_seed), ("count", count)):

@@ -10,7 +10,7 @@ order.
 import numpy as np
 import pytest
 
-from sqkdsim.adversary import (identity_attack, measure_resend_attack, random_attack,
+from sqkdsim.adversary import (Attack, identity_attack, measure_resend_attack, random_attack,
                                tagging_attack)
 from sqkdsim.alice import swapped_slots
 from sqkdsim.fock import (ContractViolation, FockVector, ModeSystem,
@@ -130,11 +130,12 @@ def _attacks(n_max: int) -> list:
                                   n_max=n_max) for seed in range(30)]
 
 
-@pytest.mark.parametrize("n_max", [2, 3])
-@pytest.mark.parametrize("survival", [1.0, 0.9])
-def test_tables_match_reference_loop(n_max, survival):
+def _worst_gap_to_reference(attacks: list, n_max: int, survival: float) -> float:
+    """Every attack's rows in both variants against the reference loop:
+    patterns and labels must be equal, and the largest difference of a
+    probability, probe amplitude or leaked weight is returned."""
     worst = 0.0
-    for attack in _attacks(n_max):
+    for attack in attacks:
         for variant in Variant:
             cfg = ProtocolConfig(variant=variant, tag_dim=attack.system.tag_dim,
                                  n_max=n_max, channel_loss=survival)
@@ -166,7 +167,32 @@ def test_tables_match_reference_loop(n_max, survival):
                                        - probes / np.sqrt(probs)[:, None]).max(),
                                 np.abs(table.leaked
                                        - [r.leaked for r in residuals]).max())
-    assert worst < 1e-12
+    return worst
+
+
+@pytest.mark.parametrize("n_max", [2, 3])
+@pytest.mark.parametrize("survival", [1.0, 0.9])
+def test_tables_match_reference_loop(n_max, survival):
+    assert _worst_gap_to_reference(_attacks(n_max), n_max, survival) < 1e-12
+
+
+@pytest.mark.parametrize("survival", [1.0, 0.8])
+def test_attacks_that_prune_apart_match_reference_loop(survival):
+    """Two pairs of attacks on one space whose passes keep different rows.
+    The identity keeps Alice's swapped-out rails empty where a random attack
+    does not; an identity backward pass keeps her emptied rails empty, which
+    the second loss and Bob then prune, where a random one does not."""
+    forward = random_attack(7, probe_dim=3)
+    pairs = [(identity_attack(probe_dim=3), forward),
+             tuple(Attack(name, forward.system, forward.u_forward, v, forward.initial_probe)
+                   for name, v in (("identity back", np.eye(forward.system.dim)),
+                                   ("random back", random_attack(8, probe_dim=3).v_backward)))]
+    for pair in pairs:
+        for variant in Variant:
+            config = ProtocolConfig(variant=variant, channel_loss=survival)
+            rows = [len(RoundEnumerator(config, attack).table) for attack in pair]
+            assert rows[0] < rows[1], (pair[0].name, variant)
+        assert _worst_gap_to_reference(pair, 2, survival) < 1e-12
 
 
 def test_leaked_weight_matches_reference():

@@ -4,6 +4,8 @@ import itertools
 import numpy as np
 import pytest
 
+from sqkdsim import fock
+from sqkdsim.adversary import attack_space, identity_attack, random_attack
 from sqkdsim.fock import (ContractViolation, DensityOperator, FockVector,
                           ModeSystem, apply_truncating_unitary, creation_operator,
                           hadamard_change, hadamard_matrix, pair_mode_transform,
@@ -27,6 +29,28 @@ def test_slot_layout():
         ms.slot(2, 0, 0)
     with pytest.raises(ValueError):
         ms.slot(0, 1, 3)
+
+
+@pytest.mark.parametrize("field", ["num_pairs", "tag_dim", "n_max", "probe_dim"])
+@pytest.mark.parametrize("value", [True, 2.0], ids=["bool", "integral-float"])
+def test_mode_system_takes_sizes_only_as_integers(field, value):
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        ModeSystem(**{"num_pairs": 1, field: value})
+
+
+def test_a_float_cutoff_is_an_error_whatever_spaces_exist():
+    """The occupation cache treats 2 and 2.0 as one key, so a float cutoff
+    once got a space only when an integer one had been built before it."""
+    fock._occupations.cache_clear()
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        identity_attack(n_max=2.0)
+    assert identity_attack(n_max=2).system == attack_space(n_max=2)
+    with pytest.raises(ValueError, match="n_max must be an integer"):
+        identity_attack(n_max=2.0)
+    with pytest.raises(ValueError, match="tag_dim must be an integer"):
+        attack_space(tag_dim=True, probe_dim=True)
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        random_attack(True)
 
 
 def test_occupation_ordering_and_dim():

@@ -1,29 +1,25 @@
-"""A branch pass reads its index work from a cached layout.
+"""A branch pass keeps nothing between calls.
 
-The layout of a (space, variant, survival, live-row masks) holds every
-structural column, each row's cell and the block ranges, so it is compiled
-once and shared; every layout of a variant points at the variant's one
-cell record.  Whatever the cache holds, every table column, condition,
-probability and state must equal, with ``==``, what a cold cache gives.
-The pass's cell weights, which the analyses and the sampler read, must
-equal a per-row loop.
+``_branch_stack`` does its index work on every call: each row's cell from
+Alice's and Bob's plans and the live masks, the stable sort into (operation,
+basis) blocks and the cells that occur, all read against the variant's one
+cell record.  The pass's cell weights, which the analyses and the sampler
+read, must equal a per-row loop; the row view (``RoundEnumerator.table``) is
+gathered from the record only when read, so no analysis builds it.
 """
-import copy
-
 import numpy as np
 import pytest
 
-import test_branch_table as branch_table
-import test_stack as stack
-from sqkdsim import protocol, robustness
+from sqkdsim import protocol
 from sqkdsim.adversary import Attack, identity_attack, random_attack
 from sqkdsim.measurement import Interpretation
 from sqkdsim.protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant,
-                              eve_conditional_states, legacy_identification)
-from sqkdsim.robustness import ConditionReport, check_conditions
+                              eve_conditional_states, exact_statistics, legacy_identification,
+                              run_protocol)
+from sqkdsim.robustness import ConditionReport, check_conditions, robustness_sweep
 
 COLUMNS = list(BranchTable.__dataclass_fields__)
-SHARED = [name for name in COLUMNS if name not in protocol._PER_ATTACK]
+STRUCTURAL = [name for name in COLUMNS if name not in protocol._Pass._fields]
 CONDITIONS = list(ConditionReport.__dataclass_fields__)
 
 
@@ -42,7 +38,7 @@ def _results(config, attack):
         ident = legacy_identification(attack, config, enumerator=enum)
         found.update(rho_ctrl=ident.rho_ctrl.matrix, rho_sift=ident.rho_sift.matrix,
                      trace_distance=ident.trace_distance)
-    return found, enum._pass[0]
+    return found, enum._pass
 
 
 def _assert_equal(got, expected, where):
@@ -59,100 +55,40 @@ def _assert_equal(got, expected, where):
             assert got[name] == value, (name, where)
 
 
-def _cold(config, attack, monkeypatch):
-    monkeypatch.setattr(protocol, "_layouts", {})
-    return _results(config, attack)
-
-
-@pytest.mark.parametrize("survival", [1.0, 0.8])
-@pytest.mark.parametrize("variant", list(Variant))
-@pytest.mark.parametrize("n_max", [2, 3, 4])
-def test_warm_cache_equals_cold_cache(n_max, variant, survival, monkeypatch):
-    config = ProtocolConfig(variant=variant, n_max=n_max, channel_loss=survival)
-    for strength in (0.0, 1e-3, 0.3, 1.0):
-        for probe_dim in range(1, 9):
-            first, second = (random_attack(50 * probe_dim + k, probe_dim=probe_dim,
-                                           strength=strength, n_max=n_max) for k in (1, 2))
-            cold, _ = _cold(config, second, monkeypatch)
-            monkeypatch.setattr(protocol, "_layouts", {})
-            _, compiled = _results(config, first)  # compiles the space's layout
-            warm, layout = _results(config, second)
-            where = (strength, probe_dim)
-            assert layout is compiled, where  # one structure per space
-            _assert_equal(warm, cold, where)
-
-
-def test_stacked_evaluation_on_a_warm_cache_equals_a_cold_one(monkeypatch):
-    config = ProtocolConfig(n_max=3, channel_loss=0.8, bob_hadamard_prob=0.9)
-    for probe_dim in (1, 4, 8):
-        attacks = [random_attack(7 * probe_dim + k, probe_dim=probe_dim, n_max=3)
-                   for k in range(3)]
-        raw = (attacks[0].system, np.array([(a.u_forward, a.v_backward) for a in attacks]),
-               np.array([a.initial_probe for a in attacks]))
-        monkeypatch.setattr(protocol, "_layouts", {})
-        cold = robustness._evaluate(config, *raw)
-        warm = robustness._evaluate(config, *raw)
-        for column, column0 in zip(warm, cold):
-            assert np.array_equal(column, column0, equal_nan=True)
-        for k, attack in enumerate(attacks):
-            stack.assert_row_equal(warm, k, attack, config)
-
-
-def test_identity_and_random_attack_get_separate_layouts(monkeypatch):
-    """On one space the identity attack prunes rows a random attack keeps,
-    so each has its own layout and its own cold result."""
-    config = ProtocolConfig(channel_loss=0.8)
-    attacks = [identity_attack(probe_dim=3), random_attack(7, probe_dim=3)]
-    cold = [_cold(config, attack, monkeypatch)[0] for attack in attacks]
-    monkeypatch.setattr(protocol, "_layouts", {})
-    warm = [_results(config, attack) for attack in attacks]
-    assert warm[0][1] is not warm[1][1]
-    assert len(warm[0][0]["probability"]) < len(warm[1][0]["probability"])
-    for (got, _), expected, attack in zip(warm, cold, attacks):
+def _assert_passes_apart(config, attacks):
+    """Each attack, taken after the other, gives with ``==`` what it gives
+    alone, from a pass of its own; returns the two passes' row counts."""
+    alone = [_results(config, attack)[0] for attack in attacks]
+    after = [_results(config, attack) for attack in attacks]
+    assert after[0][1] is not after[1][1]
+    assert after[0][1].cells is after[1][1].cells  # the variant's one record
+    for (got, _), expected, attack in zip(after, alone, attacks):
         _assert_equal(got, expected, attack.name)
+    for (got, _), expected, attack in zip(reversed(after), reversed(alone), reversed(attacks)):
         _assert_equal(_results(config, attack)[0], expected, attack.name)
+    return [len(got["probability"]) for got, _ in after]
 
 
-@pytest.mark.parametrize("survival", [1.0, 0.8])
-def test_attacks_differing_only_after_alice_get_separate_layouts(survival, monkeypatch):
-    """Alice prunes the same rows for both; an identity backward pass keeps
-    her emptied rails empty, which the second loss and Bob then prune."""
-    config = ProtocolConfig(channel_loss=survival)
-    forward = random_attack(7, probe_dim=3)
-    attacks = [Attack(name, forward.system, forward.u_forward, v, forward.initial_probe)
-               for name, v in (("identity back", np.eye(forward.system.dim)),
-                               ("random back", random_attack(8, probe_dim=3).v_backward))]
-    cold = [_cold(config, attack, monkeypatch)[0] for attack in attacks]
-    monkeypatch.setattr(protocol, "_layouts", {})
-    warm = [_results(config, attack) for attack in attacks]
-    assert warm[0][1] is not warm[1][1]
-    for (got, _), expected, attack in zip(warm, cold, attacks):
-        _assert_equal(got, expected, attack.name)
-
-
-def test_shared_columns_are_read_only_and_shared():
-    config = ProtocolConfig(channel_loss=0.9)
-    one, two = (RoundEnumerator(config, random_attack(seed, probe_dim=2)) for seed in (1, 2))
-    assert one._pass[0] is two._pass[0]
-    assert "interpretation" in SHARED
-    for name in SHARED:
-        column = getattr(one.table, name)
-        assert column is getattr(two.table, name), name
+def test_table_columns_are_read_only():
+    enum = RoundEnumerator(ProtocolConfig(channel_loss=0.9), random_attack(1, probe_dim=2))
+    assert "interpretation" in STRUCTURAL
+    for name in COLUMNS:
+        column = getattr(enum.table, name)
         assert not column.flags.writeable, name
         with pytest.raises(ValueError, match="read-only"):
             column[0] = 0
-    for name in protocol._PER_ATTACK:
-        assert not getattr(one.table, name).flags.writeable, name
+    for name in protocol._Pass._fields[1:]:  # the record's own columns are checked apart
+        assert not getattr(enum._pass, name).flags.writeable, name
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_block_views_carry_the_derived_columns(variant):
     enum = RoundEnumerator(ProtocolConfig(variant=variant, channel_loss=0.9),
                            random_attack(3, probe_dim=2))
-    table, layout = enum.table, enum._pass[0]
+    table, found = enum.table, enum._pass
     shared = protocol.INTERPRETATIONS.index(Interpretation.SHARED_BIT)
-    for name in SHARED:  # every structural column is its cell's entry in the record
-        assert np.array_equal(getattr(layout.cells, name)[layout.cell], getattr(table, name)), name
+    for name in STRUCTURAL:  # every structural column is its cell's entry in the record
+        assert np.array_equal(getattr(found.cells, name)[found.cell], getattr(table, name)), name
     for name in ("interpretation", "alice_bit", "bob_bit"):
         assert getattr(table, name).dtype == np.int8, name
     assert (table.interpretation == shared).any()
@@ -162,51 +98,50 @@ def test_block_views_carry_the_derived_columns(variant):
             assert np.array_equal(getattr(block, name), getattr(table, name)[rows]), name
 
 
-def test_cache_stays_within_its_bound(monkeypatch):
-    monkeypatch.setattr(protocol, "_layouts", {})
-    compiled = []
-    for survival in (1.0, 0.9):
-        for tag_dim in (1, 2):
-            for n_max in (1, 2, 3):
-                for probe_dim in range(1, 9):
-                    config = ProtocolConfig(tag_dim=tag_dim, n_max=n_max,
-                                            channel_loss=survival)
-                    enum = RoundEnumerator(config, identity_attack(tag_dim, n_max, probe_dim))
-                    compiled.append(enum._pass[0])
-                    # one layout per compiled pass
-                    assert len(protocol._layouts) == min(len(compiled), protocol._LAYOUT_BOUND)
-    assert len(compiled) > protocol._LAYOUT_BOUND
-    kept = list(protocol._layouts.values())
-    assert compiled[-1] in kept and compiled[0] not in kept  # the oldest went first
+def test_analyses_build_no_row_view(monkeypatch):
+    """Runs, exact statistics, conditions, Eve's states, legacy
+    identification and sweeps read the pass, never a ``BranchTable``."""
+    attack = random_attack(5, probe_dim=2)
+    mirror, legacy = (ProtocolConfig(variant=v, n_rounds=200, channel_loss=0.9)
+                      for v in Variant)
+    expected = [run_protocol(mirror, attack), exact_statistics(mirror, attack),
+                check_conditions(attack, mirror), eve_conditional_states(attack, mirror).p_bit,
+                legacy_identification(attack, legacy).trace_distance,
+                robustness_sweep(master_seed=2, count=8).records]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a row view was built")
+
+    monkeypatch.setattr(protocol, "BranchTable", forbidden)
+    with pytest.raises(AssertionError, match="row view"):
+        RoundEnumerator(mirror, attack).table  # the patch does bite
+    assert [run_protocol(mirror, attack), exact_statistics(mirror, attack),
+            check_conditions(attack, mirror), eve_conditional_states(attack, mirror).p_bit,
+            legacy_identification(attack, legacy).trace_distance,
+            robustness_sweep(master_seed=2, count=8).records] == expected
 
 
-def test_each_plan_object_gets_its_own_layout(monkeypatch):
-    """The layout key holds the plans it was compiled from: an equal copy
-    of Bob's plan is compiled, and checked, afresh."""
-    config, attack = ProtocolConfig(), random_attack(4, probe_dim=2)
-    expected, compiled = _results(config, attack)
-    plans = protocol._measure_plan
-    bob = copy.deepcopy(plans(attack.system, (None,)))
-    monkeypatch.setattr(protocol, "_measure_plan",
-                        lambda system, ops: bob if ops == (None,) else plans(system, ops))
-    got, layout = _results(config, attack)
-    assert layout is not compiled and layout.measured is bob
-    _assert_equal(got, expected, "copied plan")
+def test_identity_and_random_attack_get_separate_layouts():
+    """On one space the identity attack prunes rows a random attack keeps,
+    so each has a pass of its own and gives what it gives alone."""
+    attacks = [identity_attack(probe_dim=3), random_attack(7, probe_dim=3)]
+    for variant in Variant:
+        rows = _assert_passes_apart(ProtocolConfig(variant=variant, channel_loss=0.8), attacks)
+        assert rows[0] < rows[1], variant
 
 
-@pytest.mark.parametrize("first", ["vacuum", "interpretation"])
-def test_plan_guards_fire_after_the_space_was_compiled(first, monkeypatch):
-    """A patched plan is a new plan object, so it gets its own layout, and
-    its guard fires even after the real plan compiled the same space."""
-    for attack in (random_attack(4, probe_dim=2), identity_attack()):
-        RoundEnumerator(ProtocolConfig(), attack).table
-    guards = [branch_table.test_vacuum_confinement_check_fires,
-              branch_table.test_interpretation_guard_still_fires]
-    if first == "interpretation":
-        guards.reverse()
-    for guard in guards:
-        guard(monkeypatch)
-        monkeypatch.undo()
+@pytest.mark.parametrize("survival", [1.0, 0.8])
+def test_attacks_differing_only_after_alice_get_separate_layouts(survival):
+    """Alice prunes the same rows for both; an identity backward pass keeps
+    her emptied rails empty, which the second loss and Bob then prune."""
+    forward = random_attack(7, probe_dim=3)
+    attacks = [Attack(name, forward.system, forward.u_forward, v, forward.initial_probe)
+               for name, v in (("identity back", np.eye(forward.system.dim)),
+                               ("random back", random_attack(8, probe_dim=3).v_backward))]
+    for variant in Variant:
+        config = ProtocolConfig(variant=variant, channel_loss=survival)
+        rows = _assert_passes_apart(config, attacks)
+        assert rows[0] < rows[1], variant
 
 
 # Cells that occur: the mirror variant's four operations and the legacy
@@ -226,7 +161,7 @@ def test_cell_weights_equal_a_per_row_loop(n_max, variant, survival):
     for probe_dim in (1, 4, 8):
         attack = random_attack(10 * n_max + probe_dim, probe_dim=probe_dim, n_max=n_max)
         enum = RoundEnumerator(config, attack)
-        table, (layout, _, weights) = enum.table, enum._pass
+        table, found = enum.table, enum._pass
         sums = {}
         for cell in zip(table.table_id.tolist(), table.alice_pattern.tolist(),
                         table.bob_pattern.tolist(), table.probability.tolist()):
@@ -236,16 +171,16 @@ def test_cell_weights_equal_a_per_row_loop(n_max, variant, survival):
         for (t, a, b), p in sums.items():
             expected[t * 20 + (a + 1) * 4 + b] = p
         where = (probe_dim, len(table))
-        assert weights.shape == (1, len(expected)), where
-        assert (weights[0] == expected).all(), where
+        assert found.weights.shape == (1, len(expected)), where
+        assert (found.weights[0] == expected).all(), where
         assert len(sums) == PRESENT_CELLS[variant][min(n_max, 2)], where
         assert min(sums.values()) > 0.0, where
-        assert layout.present.tolist() == np.flatnonzero(expected).tolist(), where
+        assert found.present.tolist() == np.flatnonzero(expected).tolist(), where
 
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_every_layout_of_a_variant_holds_its_one_cell_record(variant):
-    """No layout compiles labels of its own: each holds the variant's record,
+    """No pass builds labels of its own: each holds the variant's record,
     which is built once per process."""
     record = protocol._cells(variant)
     assert protocol._cells(variant) is record
@@ -254,6 +189,5 @@ def test_every_layout_of_a_variant_holds_its_one_cell_record(variant):
             config = ProtocolConfig(variant=variant, n_max=n_max, channel_loss=survival)
             for attack in (identity_attack(n_max=n_max),
                            random_attack(n_max, probe_dim=2, n_max=n_max)):
-                layout = RoundEnumerator(config, attack)._pass[0]
-                assert layout.cells is record, (n_max, survival, attack.name)
-                assert not hasattr(layout, "lookup")
+                found = RoundEnumerator(config, attack)._pass
+                assert found.cells is record, (n_max, survival, attack.name)

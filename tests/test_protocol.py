@@ -1,5 +1,7 @@
 """Round enumeration, sampling, sifting, and the exact analyses."""
+import copy
 import math
+import pickle
 from dataclasses import replace
 
 import numpy as np
@@ -57,6 +59,44 @@ def test_config_takes_sizes_and_seeds_only_as_integers(field, value):
     record the float in the report; a bool size would read as 1."""
     with pytest.raises(ValueError, match=f"{field} must be an integer"):
         ProtocolConfig(**{field: value})
+
+
+REAL_FIELDS = ["channel_loss", "bob_hadamard_prob", "test_fraction", "ctrl_error_threshold",
+               "swap_x_error_threshold", "swap_all_error_threshold", "raw_key_error_threshold"]
+
+
+@pytest.mark.parametrize("field", REAL_FIELDS + ["alice_op_probs"])
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+def test_config_takes_rates_only_as_real_numbers(field, value):
+    """A bool would run as 0 or 1 and be reported as true or false; a string
+    would fail inside a comparison with a ``TypeError``."""
+    if field == "alice_op_probs":
+        value = {"CTRL": value, "SWAP-10": 0.5}
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        ProtocolConfig(**{field: value})
+
+
+def test_config_stores_rates_as_float():
+    cfg = ProtocolConfig(channel_loss=1, ctrl_error_threshold=np.float32(0.5),
+                         alice_op_probs={"CTRL": 1, "SWAP-10": 0})
+    assert all(type(getattr(cfg, field)) is float for field in REAL_FIELDS)
+    assert all(type(p) is float for p in cfg.alice_op_probs.values())
+    assert cfg.to_document()["channel_loss"] == 1.0
+
+
+def test_config_is_frozen():
+    """An enumerator holds its config, so a config cannot change under it."""
+    cfg = ProtocolConfig(channel_loss=0.9)
+    with pytest.raises(AttributeError):
+        cfg.channel_loss = 0.5
+    with pytest.raises(TypeError):
+        cfg.alice_op_probs[AliceOp.CTRL] = 1.0
+    assert cfg == ProtocolConfig(channel_loss=0.9)
+    assert cfg.to_document()["alice_op_probs"] == {op.value: 0.25 for op in MIRROR_OPS}
+    for twin in (copy.deepcopy(cfg), pickle.loads(pickle.dumps(cfg))):
+        assert twin == cfg and twin is not cfg
+        with pytest.raises(TypeError):
+            twin.alice_op_probs[AliceOp.CTRL] = 1.0
 
 
 def test_config_stores_numpy_integers_as_int():
@@ -511,7 +551,7 @@ def test_sampler_matches_per_round_reference():
     expected, picked = _per_round_reference(cfg, enum)
     cells = simulate_records(cfg, attack, enum)
     assert np.array_equal(cells, expected)
-    assert enum._pass[2][0, cells].tolist() == picked
+    assert enum._pass.weights[0, cells].tolist() == picked
 
 
 @pytest.mark.parametrize("variant, n_max, probe_dim, loss, hadamard, op_probs", [

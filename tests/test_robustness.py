@@ -279,6 +279,14 @@ def test_sweep_takes_seeds_and_sizes_only_as_integers(field, value, message):
         robustness_sweep(**{"count": 2, field: value})
 
 
+@pytest.mark.parametrize("field", ["strength", "eps_error", "eps_info"])
+@pytest.mark.parametrize("value", [True, "0.5"], ids=["bool", "string"])
+def test_sweep_takes_strength_and_tolerances_only_as_real_numbers(field, value):
+    """A bool strength would run at strength 1 and be reported as true."""
+    with pytest.raises(ValueError, match=f"{field} must be a real number"):
+        robustness_sweep(**{"count": 1, field: value})
+
+
 def test_sweep_stores_numpy_integers_as_int():
     report = robustness_sweep(master_seed=np.uint32(3), count=np.int64(2),
                               max_probe_dim=np.int8(2))

@@ -1,9 +1,10 @@
 """A stack of attacks has the bits of its attacks taken one at a time.
 
-A sweep evaluates the attacks of one probe size as one stack: one table
-build with a leading attack axis, one condition core and one Eve core.
-Every column, condition, probability and state must equal, with ``==``,
-what the single-attack entry points give for each attack alone.
+A sweep evaluates the attacks of one probe size as one stack: one branch
+pass with a leading attack axis, one condition core and one Eve core.
+Every column, cell weight, condition, probability and state must equal,
+with ``==``, what the single-attack entry points give for each attack
+alone.
 """
 import math
 
@@ -38,9 +39,9 @@ def _raw(attacks):
 
 
 def _branch_stack(config, attacks):
-    """The stacked table of a list of attacks on one space."""
+    """The branch pass of a list of attacks on one space."""
     system, unitaries, probes = _raw(attacks)
-    return protocol._branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)[1]
+    return protocol._branch_stack(config, system, unitaries[:, 0], unitaries[:, 1], probes)
 
 
 def _evaluate(config, attacks):
@@ -73,14 +74,16 @@ def test_stack_equals_one_attack_at_a_time(n_max, strength, lossy):
     for probe_dim in range(1, 9):
         attacks = [random_attack(1000 * probe_dim + k, probe_dim=probe_dim,
                                  strength=strength, n_max=n_max) for k in range(3)]
-        stack = _branch_stack(config, attacks)  # one pruned row set
+        stacked = _branch_stack(config, attacks)  # one pruned row set
         for k, attack in enumerate(attacks):
-            alone = RoundEnumerator(config, attack).table
+            enum = RoundEnumerator(config, attack)
+            alone = enum.table
             for name in COLUMNS:
-                column = getattr(stack, name)
-                mine = column[k] if name in protocol._PER_ATTACK else column
+                mine = (getattr(stacked, name)[k] if name in stacked._fields
+                        else getattr(stacked.cells, name)[stacked.cell])
                 assert mine.shape == getattr(alone, name).shape, name
                 assert (mine == getattr(alone, name)).all(), (name, probe_dim, k)
+            assert (stacked.weights[k] == enum._pass.weights[0]).all(), (probe_dim, k)
         found = _evaluate(config, attacks)
         for k, attack in enumerate(attacks):
             assert_row_equal(found, k, attack, config)
