@@ -20,12 +20,12 @@ basis-table arrays (occupation rows and probe levels), and
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Sequence
 
 import numpy as np
 
-from .fock import ModeSystem, _integer, hadamard_matrix
+from .fock import ModeSystem, _integer, _real, hadamard_matrix
 
 __all__ = [
     "Attack",
@@ -57,9 +57,10 @@ def attack_space(tag_dim: int = 1, n_max: int = 2, probe_dim: int = 1) -> ModeSy
     return ModeSystem(num_pairs=1, tag_dim=tag_dim, n_max=n_max, probe_dim=probe_dim)
 
 
-@dataclass(eq=False)
+@dataclass(frozen=True, eq=False)
 class Attack:
-    """Immutable once validated; do not mutate the matrices after creation."""
+    """Frozen and validated: its fields and matrices are read-only, so an
+    enumerator always holds the attack it was built from."""
 
     name: str
     system: ModeSystem
@@ -69,12 +70,14 @@ class Attack:
     photon_preserving: bool = False
 
     def __post_init__(self) -> None:
-        self.u_forward = np.array(self.u_forward, dtype=np.complex128)
-        self.v_backward = np.array(self.v_backward, dtype=np.complex128)
-        self.initial_probe = np.array(self.initial_probe, dtype=np.complex128)
-        for arr in (self.u_forward, self.v_backward, self.initial_probe):
+        for name in ("u_forward", "v_backward", "initial_probe"):  # the one write of each
+            arr = np.array(getattr(self, name), dtype=np.complex128)
             arr.setflags(write=False)
+            object.__setattr__(self, name, arr)
         self.validate()
+
+    def __reduce__(self):  # an unpickled array is writable: rebuild, which validates
+        return Attack, tuple(getattr(self, f.name) for f in fields(self))
 
     def validate(self) -> None:
         if self.system.num_pairs != 1:
@@ -222,7 +225,7 @@ def random_attack(seed: int, probe_dim: int = 4, strength: float = 0.3,
     seeds: every step is per slice, so a seed's U and V have the same bits
     in a stack of any size.
     """
-    seed = _integer("seed", seed)
+    seed, strength = _integer("seed", seed), _real("strength", strength)
     system = attack_space(tag_dim=1, n_max=n_max, probe_dim=probe_dim)
     (unitaries,), (probe,) = _random_attacks((seed,), system, strength)
     return Attack(f"random-{seed}", system, *unitaries, probe)

@@ -11,6 +11,9 @@ learn nothing.
 
 from __future__ import annotations
 
+import os
+import threading
+from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
 from typing import NamedTuple, Optional
@@ -389,6 +392,63 @@ def _evaluate(config: ProtocolConfig, system: ModeSystem, unitaries: np.ndarray,
     return _Evaluation(_conditions(config, found.weights), *_eve_conditionals(config, found))
 
 
+def _blas_pinned(environ: Mapping[str, str]) -> bool:
+    """Whether ``environ`` pins OpenBLAS to one thread: its own variable is
+    "1", or, where that is unset, ``OMP_NUM_THREADS`` is."""
+    return environ.get("OPENBLAS_NUM_THREADS", environ.get("OMP_NUM_THREADS")) == "1"
+
+
+def _cores() -> int:
+    """The cores this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # a platform without affinity
+        return os.cpu_count() or 1
+
+
+def _run_chunks(work: Callable[[int], object], weights: Sequence[int], helpers: int) -> list:
+    """``[work(i) for i in range(len(weights))]``, taken by the calling thread
+    and ``helpers`` threads from one queue, heaviest chunk first.
+
+    Once chunk i fails, no chunk after it in index order starts; the error
+    of the first failing index is raised once every helper has stopped, so
+    a caller sees what a serial loop would raise.  An interrupt of the
+    caller stops the helpers before their next chunk."""
+    queue = iter(sorted(range(len(weights)), key=weights.__getitem__, reverse=True))
+    results, errors = [None] * len(weights), {}
+    lock = threading.Lock()
+    stop = len(weights)  # no chunk at or after this index starts
+
+    def take():
+        nonlocal stop
+        while True:
+            with lock:
+                i = next((i for i in queue if i < stop), None)
+            if i is None:
+                return
+            try:
+                results[i] = work(i)
+            except Exception as exc:
+                with lock:
+                    errors[i], stop = exc, min(stop, i)
+
+    started = []
+    try:
+        for _ in range(helpers):
+            thread = threading.Thread(target=take, daemon=True)
+            thread.start()
+            started.append(thread)
+        take()
+    finally:
+        with lock:
+            stop = -1
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
 def robustness_sweep(master_seed: int = 0, count: int = 100,
                      strength: float = 0.3, max_probe_dim: int = 8,
                      n_max: int = 2, eps_error: float = 1e-9,
@@ -405,6 +465,11 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
     Eve core evaluate it as one record of arrays, with no ``Attack`` or report
     object per seed.  Every step is per slice or per row, so each record has
     the bits of its attack evaluated alone and no record depends on stacking.
+    Chunks share nothing, so where BLAS is pinned to one thread
+    (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is "1") one thread
+    per spare core evaluates them beside the caller; records are made in
+    chunk order once all are done, so none depends on the threads either,
+    and a failing chunk raises what the serial loop raises.
     """
     master_seed, count, max_probe_dim = (_integer(name, value) for name, value in (
         ("master_seed", master_seed), ("count", count), ("max_probe_dim", max_probe_dim)))
@@ -421,23 +486,30 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
         raise ValueError("eps_error and eps_info must be finite and non-negative")
     seeds = np.random.SeedSequence(master_seed).generate_state(count, dtype=np.uint32)
     config = ProtocolConfig(variant=Variant.MIRROR, n_max=n_max)
-    records = [None] * count
+    chunks = []  # (space, attack indices), in serial order
     for probe_dim in range(1, min(count, max_probe_dim) + 1):
         system = attack_space(n_max=n_max, probe_dim=probe_dim)
         group = range(probe_dim - 1, count, max_probe_dim)
         size = max(1, _STACK_BUDGET // system.dim ** 2)
-        for start in range(0, len(group), size):
-            chunk = group[start:start + size]
-            unitaries, probes = _random_attacks(seeds[chunk].tolist(), system, strength)
-            _check_unitary(unitaries)  # Attack's checks, as no Attack is built
-            _check_probes(system, probes)
-            found = _evaluate(config, system, unitaries, probes)
-            worst, dist = found.conditions.max(axis=1), found.trace_distance
-            flagged = (worst < eps_error) & (dist > eps_info)  # NaN is never informative
-            for i, w, p, d, flag in zip(chunk, worst.tolist(), found.p_bit.sum(axis=1).tolist(),
-                                        dist.tolist(), flagged.tolist()):
-                records[i] = SweepRecord(i, int(seeds[i]), probe_dim, w, p,
-                                         None if np.isnan(d) else d, flag)
-            del unitaries
+        chunks += [(system, group[start:start + size])
+                   for start in range(0, len(group), size)]
+
+    def evaluate(k: int) -> _Evaluation:
+        system, chunk = chunks[k]
+        unitaries, probes = _random_attacks(seeds[chunk].tolist(), system, strength)
+        _check_unitary(unitaries)  # Attack's checks, as no Attack is built
+        _check_probes(system, probes)
+        return _evaluate(config, system, unitaries, probes)
+
+    helpers = min(_cores(), len(chunks)) - 1 if _blas_pinned(os.environ) else 0
+    evaluated = _run_chunks(evaluate, [s.dim ** 3 * len(c) for s, c in chunks], helpers)
+    records = [None] * count
+    for (system, chunk), found in zip(chunks, evaluated):
+        worst, dist = found.conditions.max(axis=1), found.trace_distance
+        flagged = (worst < eps_error) & (dist > eps_info)  # NaN is never informative
+        for i, w, p, d, flag in zip(chunk, worst.tolist(), found.p_bit.sum(axis=1).tolist(),
+                                    dist.tolist(), flagged.tolist()):
+            records[i] = SweepRecord(i, int(seeds[i]), system.probe_dim, w, p,
+                                     None if np.isnan(d) else d, flag)
     return SweepReport(master_seed, strength, eps_error, eps_info,
                        tuple(records))

@@ -1,4 +1,8 @@
 """Two-pass channel attacks: containers, builders, the named attacks."""
+import copy
+import dataclasses
+import pickle
+
 import numpy as np
 import pytest
 
@@ -173,6 +177,34 @@ def test_random_attack_is_seeded():
 def test_random_attack_rejects_bad_strength():
     with pytest.raises(ValueError):
         random_attack(0, strength=1.5)
+
+
+@pytest.mark.parametrize("value, message", [
+    (True, "strength must be a real number, got True"),
+    ("0.5", "strength must be a real number, got '0.5'"),
+    (1.5, r"strength must lie in \[0, 1\]"),  # the range message stays
+])
+def test_random_attack_takes_strength_only_as_a_real_number(value, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        random_attack(1, strength=value)
+
+
+def test_attack_is_frozen_and_round_trips():
+    """No field can be reassigned, so no enumerator can hold a stale attack;
+    a copy or a pickled attack is the same attack, validated and read-only."""
+    attack = random_attack(3, probe_dim=2, strength=0.5)
+    for field in dataclasses.fields(attack):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(attack, field.name, getattr(attack, field.name))
+    for copied in (copy.deepcopy(attack), pickle.loads(pickle.dumps(attack))):
+        assert copied is not attack
+        for field in dataclasses.fields(attack):
+            value = getattr(copied, field.name)
+            if isinstance(value, np.ndarray):
+                assert np.array_equal(value, getattr(attack, field.name))
+                assert not value.flags.writeable
+            else:
+                assert value == getattr(attack, field.name)
 
 
 @pytest.mark.parametrize("probe_dim", [0, -1])

@@ -8,7 +8,9 @@ name each one::
     PYTHONPATH=src python3 tests/test_golden.py NAME...
 
 which rewrites the named goldens with the argv the tests use, the reports
-of ``ONE_BLAS_THREAD`` in the same one-BLAS-thread subprocess.
+of ``ONE_BLAS_THREAD`` in the same one-BLAS-thread subprocess.  The
+``THREADED`` sweeps are checked in that subprocess too, against their
+goldens of ``COMMANDS``, and written only as those are.
 """
 import contextlib
 import csv
@@ -68,6 +70,10 @@ ONE_BLAS_THREAD = {
     "sweep_n4": ["sweep", "--n-max", "4", "--count", "8", "--seed", "3",
                  "--max-probe-dim", "8"],
 }
+# Sweeps whose chunks hold several attacks, pinned also in that subprocess,
+# where a sweep evaluates its chunks on helper threads, against their goldens
+# of COMMANDS.
+THREADED = ("sweep_identity", "sweep_n3_stacked", "sweep_wide")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 
@@ -79,15 +85,16 @@ def test_report_bytes_match_golden(name, tmp_path, capsys):
 
 
 def _on_one_blas_thread(name: str, out: Path) -> subprocess.CompletedProcess:
-    """Report ``name`` of ``ONE_BLAS_THREAD`` written to ``out`` by a fresh
-    interpreter started with one BLAS thread."""
+    """Report ``name`` of ``ONE_BLAS_THREAD`` or ``THREADED`` written to
+    ``out`` by a fresh interpreter started with one BLAS thread."""
     env = dict(os.environ, PYTHONPATH=str(SRC), **dict.fromkeys(THREAD_VARS, "1"))
-    return subprocess.run([sys.executable, "-m", "sqkdsim", *ONE_BLAS_THREAD[name],
+    argv = ONE_BLAS_THREAD[name] if name in ONE_BLAS_THREAD else COMMANDS[name]
+    return subprocess.run([sys.executable, "-m", "sqkdsim", *argv,
                            "--format", "structured", "--out", str(out)],
                           capture_output=True, env=env, timeout=120)
 
 
-@pytest.mark.parametrize("name", sorted(ONE_BLAS_THREAD))
+@pytest.mark.parametrize("name", sorted([*ONE_BLAS_THREAD, *THREADED]))
 def test_report_bytes_match_golden_on_one_blas_thread(name, tmp_path):
     base = tmp_path / f"{name}.json"
     done = _on_one_blas_thread(name, base)

@@ -140,7 +140,7 @@ def test_sweep_builds_no_report_objects(monkeypatch):
 def test_probability_sum_check_fires_for_a_later_attack_of_a_stack():
     """Each attack of a stack gets the one-attack check and its message."""
     good, bad = random_attack(4, probe_dim=2), random_attack(5, probe_dim=2)
-    bad.u_forward = 0.9 * bad.u_forward  # after validation
+    object.__setattr__(bad, "u_forward", 0.9 * bad.u_forward)  # after validation
     with pytest.raises(ContractViolation, match="sum to") as alone:
         RoundEnumerator(ProtocolConfig(), bad).table
     with pytest.raises(ContractViolation, match="sum to") as stacked:
