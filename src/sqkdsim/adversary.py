@@ -226,6 +226,8 @@ def random_attack(seed: int, probe_dim: int = 4, strength: float = 0.3,
     in a stack of any size.
     """
     seed, strength = _integer("seed", seed), _real("strength", strength)
+    if seed < 0:
+        raise ValueError(f"seed must be non-negative, got {seed}")
     system = attack_space(tag_dim=1, n_max=n_max, probe_dim=probe_dim)
     (unitaries,), (probe,) = _random_attacks((seed,), system, strength)
     return Attack(f"random-{seed}", system, *unitaries, probe)
@@ -248,10 +250,11 @@ def _random_attacks(seeds: Sequence[int], system: ModeSystem,
         draws = np.empty((k, 2, 2, d, d))
         for slot, seed in zip(draws, seeds):
             np.random.default_rng(seed).standard_normal(out=slot)  # the same stream
-        h = 1j * draws[:, :, 1]
-        h += draws[:, :, 0]  # G = A + iB
+        # G + G^H with G = A + iB, written part by part into one buffer.
+        h = np.empty((k, 2, d, d), dtype=np.complex128)
+        np.add(draws[:, :, 0], draws[:, :, 0].swapaxes(-1, -2), out=h.real)
+        np.subtract(draws[:, :, 1], draws[:, :, 1].swapaxes(-1, -2), out=h.imag)
         del draws
-        h += h.conj().swapaxes(-1, -2)
         h /= 2.0
         w, vecs = np.linalg.eigh(h)
         del h

@@ -10,8 +10,9 @@ Output is deterministic: no timestamps, sorted keys, floats via repr.  Runs
 with identical manifests produce byte-identical files at one BLAS thread
 count, not across counts: ``sweep --n-max 4 --count 8 --seed 3
 --max-probe-dim 8`` differs between ``OPENBLAS_NUM_THREADS=1`` and ``2``.
-With one BLAS thread a sweep spreads its chunks over the cores, and its
-bytes stay those of the serial loop.
+With one BLAS thread a sweep builds its chunks' unitaries on every core
+and evaluates them on the calling thread, and its bytes stay those of the
+serial loop.
 
 Exit codes: 0 success, 1 usage or input error (bad spec, malformed fixture),
 2 argument parsing error (argparse's own exit), 3 protocol run aborted by an

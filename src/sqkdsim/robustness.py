@@ -370,6 +370,7 @@ class SweepReport:
 
 
 _STACK_BUDGET = 1 << 14  # attacks per stack times dim**2: 256 KiB per stacked unitary
+_BACKLOG = 2  # chunks per thread built, or in build, and waiting for evaluation
 
 
 class _Evaluation(NamedTuple):
@@ -406,42 +407,104 @@ def _cores() -> int:
         return os.cpu_count() or 1
 
 
-def _run_chunks(work: Callable[[int], object], weights: Sequence[int], helpers: int) -> list:
-    """``[work(i) for i in range(len(weights))]``, taken by the calling thread
-    and ``helpers`` threads from one queue, heaviest chunk first.
+def _run_chunks(build: Callable[[int], object], evaluate: Callable[[int, object], object],
+                weights: Sequence[int], helpers: int) -> list:
+    """``[evaluate(i, build(i)) for i in range(len(weights))]``, the builds
+    shared by the calling thread and ``helpers`` threads, every evaluation
+    made by the caller.
 
-    Once chunk i fails, no chunk after it in index order starts; the error
-    of the first failing index is raised once every helper has stopped, so
-    a caller sees what a serial loop would raise.  An interrupt of the
-    caller stops the helpers before their next chunk."""
-    queue = iter(sorted(range(len(weights)), key=weights.__getitem__, reverse=True))
-    results, errors = [None] * len(weights), {}
-    lock = threading.Lock()
+    A build spends its time in a few large calls that release the GIL, an
+    evaluation in many small calls that hold it, so two evaluations never
+    run at once.  Each helper builds the heaviest unbuilt chunk; the caller
+    evaluates the built chunk of lowest index as soon as one is ready, and
+    otherwise builds the lightest unbuilt chunk, mostly Python overhead,
+    itself.  No build starts while
+    ``_BACKLOG`` chunks per thread are built or in build and not yet
+    evaluated, so memory grows with the threads, not with the chunks.  With
+    no helpers this is the serial loop.
+
+    Once chunk i fails in either stage, no chunk at or after it in index
+    order starts either stage; the error of the first failing index is
+    raised once every helper has stopped, so a caller sees what the serial
+    loop would raise.  An interrupt of the caller stops the helpers before
+    their next build."""
+    if not helpers:
+        return [evaluate(i, build(i)) for i in range(len(weights))]
+    unbuilt = sorted(range(len(weights)), key=weights.__getitem__)  # lightest first
+    built, results, errors = {}, [None] * len(weights), {}
+    building = 0  # chunks in build
+    bound = _BACKLOG * (helpers + 1)  # above the helpers: the caller always has room
     stop = len(weights)  # no chunk at or after this index starts
+    cond = threading.Condition()
 
-    def take():
+    def fail(i, exc):
+        """With ``cond`` held: chunk i failed, so no chunk from i on starts."""
         nonlocal stop
+        errors[i], stop = exc, min(stop, i)
+        unbuilt[:] = [j for j in unbuilt if j < stop]
+        for j in [j for j in built if j >= stop]:
+            del built[j]
+        cond.notify_all()
+
+    def make(i, catch):
+        """Build chunk i, counted in ``building``, and file it as built; a
+        failure of type ``catch`` is chunk i's, anything else propagates."""
+        nonlocal building
+        try:
+            item = build(i)
+        except catch as exc:
+            with cond:
+                building -= 1
+                fail(i, exc)
+            return
+        with cond:
+            building -= 1
+            if i < stop:
+                built[i] = item
+            cond.notify_all()
+
+    def helper():
+        nonlocal building
         while True:
-            with lock:
-                i = next((i for i in queue if i < stop), None)
-            if i is None:
-                return
-            try:
-                results[i] = work(i)
-            except Exception as exc:
-                with lock:
-                    errors[i], stop = exc, min(stop, i)
+            with cond:
+                cond.wait_for(lambda: not unbuilt or len(built) + building < bound)
+                if not unbuilt:
+                    return
+                i = unbuilt.pop()
+                building += 1
+            make(i, BaseException)  # nothing escapes a helper: the caller raises it
 
     started = []
     try:
         for _ in range(helpers):
-            thread = threading.Thread(target=take, daemon=True)
+            thread = threading.Thread(target=helper, daemon=True)
             thread.start()
             started.append(thread)
-        take()
+        while True:
+            with cond:
+                cond.wait_for(lambda: built or unbuilt or not building)
+                if not (built or unbuilt):
+                    break
+                ready = bool(built)
+                if ready:
+                    i = min(built)
+                    item = built.pop(i)
+                    cond.notify_all()  # room for a build
+                else:
+                    i = unbuilt.pop(0)
+                    building += 1
+            if not ready:
+                make(i, Exception)
+                continue
+            try:
+                results[i] = evaluate(i, item)
+            except Exception as exc:
+                with cond:
+                    fail(i, exc)
     finally:
-        with lock:
-            stop = -1
+        with cond:
+            unbuilt.clear()
+            cond.notify_all()
         for thread in started:
             thread.join()
     if errors:
@@ -467,9 +530,10 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
     the bits of its attack evaluated alone and no record depends on stacking.
     Chunks share nothing, so where BLAS is pinned to one thread
     (``OPENBLAS_NUM_THREADS``, else ``OMP_NUM_THREADS``, is "1") one thread
-    per spare core evaluates them beside the caller; records are made in
-    chunk order once all are done, so none depends on the threads either,
-    and a failing chunk raises what the serial loop raises.
+    per spare core builds their unitaries beside the caller, which
+    evaluates every chunk (:func:`_run_chunks`); records are made in chunk
+    order once all are done, so none depends on the threads either, and a
+    chunk failing in either stage raises what the serial loop raises.
     """
     master_seed, count, max_probe_dim = (_integer(name, value) for name, value in (
         ("master_seed", master_seed), ("count", count), ("max_probe_dim", max_probe_dim)))
@@ -494,15 +558,16 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
         chunks += [(system, group[start:start + size])
                    for start in range(0, len(group), size)]
 
-    def evaluate(k: int) -> _Evaluation:
+    def build(k: int) -> tuple[np.ndarray, np.ndarray]:
         system, chunk = chunks[k]
         unitaries, probes = _random_attacks(seeds[chunk].tolist(), system, strength)
         _check_unitary(unitaries)  # Attack's checks, as no Attack is built
         _check_probes(system, probes)
-        return _evaluate(config, system, unitaries, probes)
+        return unitaries, probes
 
     helpers = min(_cores(), len(chunks)) - 1 if _blas_pinned(os.environ) else 0
-    evaluated = _run_chunks(evaluate, [s.dim ** 3 * len(c) for s, c in chunks], helpers)
+    evaluated = _run_chunks(build, lambda k, built: _evaluate(config, chunks[k][0], *built),
+                            [s.dim ** 3 * len(c) for s, c in chunks], helpers)
     records = [None] * count
     for (system, chunk), found in zip(chunks, evaluated):
         worst, dist = found.conditions.max(axis=1), found.trace_distance

@@ -189,6 +189,12 @@ def test_random_attack_takes_strength_only_as_a_real_number(value, message):
         random_attack(1, strength=value)
 
 
+def test_random_attack_rejects_a_negative_seed():
+    """Named here, not by numpy's seeding deep inside the builder."""
+    with pytest.raises(ValueError, match="^seed must be non-negative, got -1$"):
+        random_attack(-1)
+
+
 def test_attack_is_frozen_and_round_trips():
     """No field can be reassigned, so no enumerator can hold a stale attack;
     a copy or a pickled attack is the same attack, validated and read-only."""

@@ -172,6 +172,12 @@ def test_a_negative_seed_is_an_error_that_names_the_option(argv, name, capsys):
     assert "Traceback" not in err
 
 
+def test_a_negative_random_attack_seed_is_an_error_that_names_it(capsys):
+    assert main(["run", "--rounds", "10", "--attack", "random:-1"]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be non-negative, got -1\n"
+
+
 def test_unknown_attack_fails_cleanly(capsys):
     assert main(["run", "--attack", "nonsense"]) == 1
     assert "unknown attack" in capsys.readouterr().err

@@ -70,10 +70,10 @@ ONE_BLAS_THREAD = {
     "sweep_n4": ["sweep", "--n-max", "4", "--count", "8", "--seed", "3",
                  "--max-probe-dim", "8"],
 }
-# Sweeps whose chunks hold several attacks, pinned also in that subprocess,
-# where a sweep evaluates its chunks on helper threads, against their goldens
-# of COMMANDS.
-THREADED = ("sweep_identity", "sweep_n3_stacked", "sweep_wide")
+# Every sweep of COMMANDS, pinned also in that subprocess, where helper
+# threads build a sweep's chunks, against its golden of COMMANDS.
+THREADED = ("sweep", "sweep_identity", "sweep_n3", "sweep_n3_stacked", "sweep_stacked",
+            "sweep_wide")
 THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS")
 
 

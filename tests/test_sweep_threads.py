@@ -1,11 +1,12 @@
 """A sweep's chunks give the same records on any number of helper threads.
 
-The sweep hands its chunks to ``robustness._run_chunks``, which the calling
-thread works through with helper threads where BLAS is pinned to one
-thread.  Records are made in chunk order once every chunk is done, so they
-must equal, with ``==``, the records of the serial loop; a failing chunk
-raises what the serial loop raises, and no helper outlives the call.  No
-test here starts more than four threads.
+The sweep hands its chunks to ``robustness._run_chunks`` as two stages, a
+build and an evaluation.  Where BLAS is pinned to one thread, helper
+threads share the builds with the calling thread, which alone evaluates.
+Records are made in chunk order once every chunk is done, so they must
+equal, with ``==``, the records of the serial loop; a failing chunk, in
+either stage, raises what the serial loop raises, and no helper outlives
+the call.  No test here starts more than four threads.
 """
 import sys
 import threading
@@ -19,8 +20,8 @@ from sqkdsim.robustness import _blas_pinned, _run_chunks, robustness_sweep
 
 def _with_helpers(monkeypatch, helpers):
     """Make every sweep run its chunks with ``helpers`` helper threads."""
-    monkeypatch.setattr(robustness, "_run_chunks",
-                        lambda work, weights, _: _run_chunks(work, weights, helpers))
+    monkeypatch.setattr(robustness, "_run_chunks", lambda build, evaluate, weights, _:
+                        _run_chunks(build, evaluate, weights, helpers))
 
 
 @pytest.mark.parametrize("budget", ["default", 1])
@@ -56,6 +57,48 @@ def test_sweep_raises_the_first_failing_chunk_in_serial_order(helpers, monkeypat
 
 
 @pytest.mark.parametrize("helpers", [0, 1, 3])
+@pytest.mark.parametrize("build_fails, evaluation_fails", [(4, 2), (2, 4)])
+def test_the_first_failing_chunk_wins_across_stages(helpers, build_fails, evaluation_fails,
+                                                    monkeypatch):
+    """One chunk's build and another's evaluation fail: the error of the
+    chunk first in serial order is raised, whichever stage it failed in."""
+    _with_helpers(monkeypatch, helpers)
+    random_attacks, evaluate = robustness._random_attacks, robustness._evaluate
+
+    def failing_build(seeds, system, strength):
+        if system.probe_dim == build_fails:
+            raise ValueError(f"build of probe size {build_fails}")
+        return random_attacks(seeds, system, strength)
+
+    def failing_evaluation(config, system, unitaries, probes):
+        if system.probe_dim == evaluation_fails:
+            raise ValueError(f"evaluation of probe size {evaluation_fails}")
+        return evaluate(config, system, unitaries, probes)
+
+    monkeypatch.setattr(robustness, "_random_attacks", failing_build)
+    monkeypatch.setattr(robustness, "_evaluate", failing_evaluation)
+    first = "build" if build_fails < evaluation_fails else "evaluation"
+    threads = threading.active_count()
+    with pytest.raises(ValueError, match=f"^{first} of probe size 2$"):
+        robustness_sweep(count=16, max_probe_dim=8)
+    assert threading.active_count() == threads
+
+
+@pytest.mark.parametrize("helpers", [1, 3])
+def test_only_the_calling_thread_evaluates(helpers, monkeypatch):
+    _with_helpers(monkeypatch, helpers)
+    evaluate, threads = robustness._evaluate, set()
+
+    def recorded(config, system, unitaries, probes):
+        threads.add(threading.current_thread())
+        return evaluate(config, system, unitaries, probes)
+
+    monkeypatch.setattr(robustness, "_evaluate", recorded)
+    robustness_sweep(count=16, max_probe_dim=8)
+    assert threads == {threading.current_thread()}
+
+
+@pytest.mark.parametrize("helpers", [0, 1, 3])
 def test_no_helper_outlives_a_sweep(helpers, monkeypatch):
     _with_helpers(monkeypatch, helpers)
     threads = threading.active_count()
@@ -67,14 +110,14 @@ def test_no_chunk_after_a_failing_one_starts():
     """Serially, in index order (the weights fall), chunks 2.. never start."""
     started = []
 
-    def work(i):
+    def build(i):
         started.append(i)
         if i in (1, 3):
             raise KeyError(i)
         return i
 
     with pytest.raises(KeyError, match="1"):
-        _run_chunks(work, [6, 5, 4, 3, 2, 1], 0)
+        _run_chunks(build, lambda i, built: built, [6, 5, 4, 3, 2, 1], 0)
     assert started == [0, 1]
 
 
@@ -82,7 +125,7 @@ def test_no_chunk_after_a_failing_one_starts():
 def test_a_failing_chunk_stops_the_helpers(helpers):
     started = []
 
-    def work(i):
+    def build(i):
         started.append(i)
         if i == 1:
             raise KeyError(i)
@@ -90,7 +133,7 @@ def test_a_failing_chunk_stops_the_helpers(helpers):
 
     threads = threading.active_count()
     with pytest.raises(KeyError, match="1"):
-        _run_chunks(work, list(range(20, 0, -1)), helpers)
+        _run_chunks(build, lambda i, built: built, list(range(20, 0, -1)), helpers)
     assert threading.active_count() == threads
     assert len(started) < 20
 
@@ -99,7 +142,7 @@ def test_an_interrupt_stops_the_helpers():
     """The caller's interrupt propagates once its helper has stopped."""
     started = []
 
-    def work(i):
+    def build(i):
         started.append(i)
         if threading.current_thread() is threading.main_thread():
             raise KeyboardInterrupt
@@ -107,29 +150,56 @@ def test_an_interrupt_stops_the_helpers():
 
     threads = threading.active_count()
     with pytest.raises(KeyboardInterrupt):
-        _run_chunks(work, [1] * 20, 1)
+        _run_chunks(build, lambda i, built: built, [1] * 20, 1)
     assert threading.active_count() == threads
     assert len(started) < 20
 
 
 def test_results_are_in_chunk_order():
-    assert _run_chunks(lambda i: i * i, [1, 9, 3, 9, 2], 3) == [0, 1, 4, 9, 16]
+    """Each evaluation also gets its own chunk's build."""
+    assert _run_chunks(lambda i: i, lambda i, built: i * built, [1, 9, 3, 9, 2], 3) == [
+        0, 1, 4, 9, 16]
 
 
 def test_every_chunk_runs_once_under_contention():
     """More threads than cores, switching as often as the interpreter can:
     a lost update of the shared queue would run a chunk twice or never."""
-    ran = []
+    built, ran = [], []
     switch = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(20):
+            built.clear()
             ran.clear()
-            results = _run_chunks(lambda i: ran.append(i) or -i, [i % 7 for i in range(300)], 3)
-            assert sorted(ran) == list(range(300))
+            results = _run_chunks(lambda i: built.append(i) or -i,
+                                  lambda i, item: ran.append(i) or item,
+                                  [i % 7 for i in range(300)], 3)
+            assert sorted(built) == sorted(ran) == list(range(300))
             assert results == [-i for i in range(300)]
     finally:
         sys.setswitchinterval(switch)
+
+
+@pytest.mark.parametrize("helpers", [1, 3])
+def test_the_backlog_of_built_chunks_is_bounded(helpers):
+    """Builds are instant and evaluations slow, so the builds would all run
+    ahead without the bound: the chunks built or in build and waiting never
+    exceed ``_BACKLOG`` per thread, beside the one in evaluation."""
+    lock, held, most = threading.Lock(), [0], [0]
+
+    def build(i):
+        with lock:
+            held[0] += 1
+            most[0] = max(most[0], held[0])
+
+    def evaluate(i, built):
+        time.sleep(0.002)
+        with lock:
+            held[0] -= 1
+
+    _run_chunks(build, evaluate, [1] * 60, helpers)
+    assert held == [0]
+    assert most[0] <= robustness._BACKLOG * (helpers + 1) + 1
 
 
 @pytest.mark.parametrize("environ, pinned", [
@@ -156,9 +226,9 @@ def test_sweep_starts_helpers_only_with_blas_pinned(blas, count, helpers, monkey
     monkeypatch.setattr(robustness, "_cores", lambda: 2)
     asked = []
 
-    def spy(work, weights, n):
+    def spy(build, evaluate, weights, n):
         asked.append(n)
-        return _run_chunks(work, weights, 0)
+        return _run_chunks(build, evaluate, weights, 0)
 
     monkeypatch.setattr(robustness, "_run_chunks", spy)
     robustness_sweep(count=count, max_probe_dim=8)
