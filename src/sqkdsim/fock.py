@@ -7,7 +7,7 @@ photons perfectly in principle.  An optional finite-dimensional probe factor
 models an eavesdropper's private memory.  Amplitudes are stored densely over
 all occupation configurations with at most ``n_max`` photons in total, so
 every operation reduces to ordinary complex matrix algebra and probabilities
-come out exact to machine precision.
+come out exact up to rounding in the inputs' float type.
 
 Basis layout: occupations are ordered by (photon count, tuple), so the
 vacuum comes first, and each occupation is followed by every probe level,
@@ -233,7 +233,7 @@ def creation_operator(system: ModeSystem, slot: int) -> np.ndarray:
 
 
 def _norm2(rows: np.ndarray) -> np.ndarray:
-    flat = rows.view(np.float64)  # (re, im) pairs
+    flat = rows.view(rows.real.dtype)  # (re, im) pairs
     return np.einsum("...j,...j->...", flat, flat)
 
 
@@ -341,8 +341,8 @@ def _check_densities(mats: np.ndarray, differences: np.ndarray | None = None) ->
     close = np.abs(mats - adjoint) <= atol + 1e-5 * np.abs(adjoint)
     if not close.all():
         raise ValueError("density matrix is not Hermitian")
-    values = np.linalg.eigvalsh(
-        mats if differences is None else np.concatenate([mats, differences]))
+    stack = mats if differences is None else np.concatenate([mats, differences])
+    values = np.linalg.eigvalsh(stack.astype(np.complex128, copy=False))  # linalg's widest
     lowest = values[:len(mats), 0]  # ascending
     failed = lowest < -atol
     if failed.any():

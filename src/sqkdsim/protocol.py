@@ -260,7 +260,7 @@ def _weigh(rows: np.ndarray, plan: tuple):
     moved = rows.take(src, axis=2)
     if amp is not None:
         moved *= amp
-    flat = moved.view(np.float64)  # (re, im) pairs
+    flat = moved.view(moved.real.dtype)  # (re, im) pairs
     weight = np.add.reduceat(flat * flat, 2 * starts, axis=2)  # (attack, row, map)
     live = (weight > PRUNE) | keep_map
     if len(rows) > 1 and (live != live[0]).any():
@@ -274,7 +274,7 @@ def _scatter(moved: np.ndarray, plan: tuple, keep: np.ndarray) -> np.ndarray:
     ``width``, so rows are ordered as a nested loop over rows, then maps."""
     n_maps, _, dst, _, _, _, width = plan
     k, n = moved.shape[:2]
-    out = np.zeros((k, n, n_maps * width), dtype=np.complex128)
+    out = np.zeros((k, n, n_maps * width), dtype=moved.dtype)
     out[..., dst] = moved
     return out.reshape(k, n * n_maps, width).take(keep, axis=1)
 
@@ -484,7 +484,8 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     blocks, the cells that occur), so an attack's columns have the bits of
     its own one-attack stack; every numeric check runs for every attack,
     raising for the first that fails.  A sweep passes a chunk's raw
-    matrices, and :class:`RoundEnumerator` one-slice views."""
+    matrices, and :class:`RoundEnumerator` one-slice views; every column
+    takes its float type from them (float64 constants widen exactly)."""
     variant, survival = config.variant, config.channel_loss
     plus, levels = _launch(system)
     rows = (plus * probes.take(levels, axis=1))[:, None]
@@ -494,7 +495,7 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
         plan = _loss_plan(system, survival)
         moved, _, live = _weigh(rows, plan)
         rows = _scatter(moved, plan, np.flatnonzero(live))
-    rows, leaked = _evolve(rows, np.zeros(rows.shape[:2]), u_forward)
+    rows, leaked = _evolve(rows, np.zeros(rows.shape[:2], rows.real.dtype), u_forward)
 
     # Alice, every operation at once; SIFT's resend is part of her split.
     alice_plan, map_op, alice_code = _measure_plan(system, variant.operations)
@@ -539,11 +540,11 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     prob = weight.reshape(len(rows), -1).take(keep, axis=1)
     leaked = leaked.take(parent[row[order]], axis=1)
 
-    # Each cell's weight per attack, its rows added in row order as a 1-D
-    # bincount adds; each block's sum per attack adds its cells.
+    # Each cell's weight per attack, its rows added one by one in row order
+    # (np.add.at); each block's sum per attack adds its cells.
     keys, n_cells = _table_keys(variant), len(record.table_id)
-    cells = (np.arange(len(prob))[:, None] * n_cells + cell).ravel()
-    weights = np.bincount(cells, prob.ravel(), len(prob) * n_cells).reshape(len(prob), -1)
+    weights = np.zeros((len(prob), n_cells), prob.dtype)
+    np.add.at(weights, (np.arange(len(prob))[:, None], cell), prob)
     totals = np.add.reduce(weights.reshape(-1, _N_CELLS), axis=1)
     for t in np.flatnonzero(np.abs(totals - 1.0) > _PROB_ATOL)[:1].tolist():
         op, basis = keys[t % len(keys)]
@@ -713,11 +714,12 @@ class RunStats:
 
 
 def _outcome_sums(ops, cells: _CellRecord, weights: np.ndarray) -> np.ndarray:
-    """``weights``, one per code of a variant's cell record, summed per
-    (operation, label) in code order: an (operation, label) array whose
-    label 0 is Discarded (where absent and marked cells, weighing 0, land)."""
-    labels = cells.op * len(_LABELS) + cells.interpretation + 1
-    return np.bincount(labels, weights, len(ops) * len(_LABELS)).reshape(len(ops), -1)
+    """``weights``, one per code of a variant's cell record, added per
+    (operation, label) in code order and their dtype: an (operation, label)
+    array whose label 0 is Discarded (where absent and marked cells land)."""
+    sums = np.zeros((len(ops), len(_LABELS)), weights.dtype)
+    np.add.at(sums, (cells.op, cells.interpretation + 1), weights)
+    return sums
 
 
 def run_protocol(config: ProtocolConfig, attack: Attack,
@@ -729,7 +731,7 @@ def run_protocol(config: ProtocolConfig, attack: Attack,
     record = enum._pass.cells
     cells = simulate_records(config, enum.attack, enum)
     rounds = np.bincount(cells, minlength=len(record.table_id))
-    tally = _outcome_sums(ops, record, rounds).astype(int)
+    tally = _outcome_sums(ops, record, rounds)
     counts = {op.value: {_LABELS[label]: n for label, n in enumerate(row) if n}
               for op, row in zip(ops, tally.tolist()) if any(row)}
     key_ops = ((AliceOp.SWAP_10, AliceOp.SWAP_01)
@@ -845,7 +847,7 @@ def _probe_states(found: _Pass, mix: np.ndarray) -> tuple:
     :func:`~sqkdsim.fock._check_densities` call checks them all and takes
     each distance, NaN if a state is absent, from one ``eigvalsh``."""
     pl = found.eve_probe.shape[-1]
-    rho = np.zeros((len(found.probability), 2, pl, pl), dtype=np.complex128)  # (attack, state)
+    rho = np.zeros((len(found.probability), 2, pl, pl), found.eve_probe.dtype)  # (attack, state)
     for k, w in enumerate(mix.take(found.cell, axis=1)):
         rows = w.nonzero()[0]
         p, probe = found.probability.take(rows, axis=1), found.eve_probe.take(rows, axis=1)

@@ -565,7 +565,7 @@ def robustness_sweep(master_seed: int = 0, count: int = 100,
         _check_probes(system, probes)
         return unitaries, probes
 
-    helpers = min(_cores(), len(chunks)) - 1 if _blas_pinned(os.environ) else 0
+    helpers = max(min(_cores(), len(chunks)) - 1, 0) if _blas_pinned(os.environ) else 0
     evaluated = _run_chunks(build, lambda k, built: _evaluate(config, chunks[k][0], *built),
                             [s.dim ** 3 * len(c) for s, c in chunks], helpers)
     records = [None] * count

@@ -219,6 +219,7 @@ def test_blas_pinned_rule(environ, pinned):
 @pytest.mark.parametrize("blas, count, helpers", [
     ("1", 16, 1),  # two cores, eight chunks
     ("1", 1, 0),  # one chunk
+    ("1", 0, 0),  # no chunks
     ("2", 16, 0),  # BLAS may use the cores itself
 ])
 def test_sweep_starts_helpers_only_with_blas_pinned(blas, count, helpers, monkeypatch):
