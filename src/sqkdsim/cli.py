@@ -14,10 +14,10 @@ With one BLAS thread a sweep builds its chunks' unitaries on every core
 and evaluates them on the calling thread, and its bytes stay those of the
 serial loop.
 
-Exit codes: 0 success, 1 usage or input error (bad spec, malformed fixture),
-2 argument parsing error (argparse's own exit), 3 protocol run aborted by an
-error threshold, 4 a checked claim failed (counterexample found, lemma
-violated).
+Exit codes: 0 success, 1 usage or input error (bad spec, malformed fixture,
+an ``--out`` whose CSV table would overwrite its report), 2 argument parsing
+error (argparse's own exit), 3 protocol run aborted by an error threshold,
+4 a checked claim failed (counterexample found, lemma violated).
 
 :func:`main` may be called repeatedly in one process (tests, benchmark loops,
 library use); it builds its argument parser once, on the first call.
@@ -101,21 +101,6 @@ def build_attack(spec: str, tag_dim: int | None, n_max: int) -> Attack:
 # -- output plumbing -----------------------------------------------------------
 
 
-def _dump_json(doc: dict) -> str:
-    return json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
-
-
-def _write_outputs(out: str | None, doc: dict, csv_rows: list | None) -> None:
-    if out is None:
-        return
-    base = Path(out)
-    base.parent.mkdir(parents=True, exist_ok=True)
-    base.write_text(_dump_json(doc))
-    if csv_rows is not None:
-        with open(base.with_suffix(".csv"), "w", newline="") as fh:
-            csv.writer(fh).writerows(csv_rows)
-
-
 def _fmt(value) -> str:
     if value is None:
         return "-"
@@ -126,19 +111,30 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _print_table(title: str, rows: list) -> None:
-    print(title)
-    width = max((len(k) for k, _ in rows), default=0)
-    for key, value in rows:
-        print(f"  {key:<{width}}  {_fmt(value)}")
-
-
-def _emit(args, doc: dict, tables: list) -> None:
+def _report(args, doc: dict, tables: list, csv_rows: list | None = None) -> None:
+    """Write ``doc`` as JSON to ``--out`` BASE and ``csv_rows``, if given, to
+    BASE with its suffix replaced by ``.csv``; then print the JSON or the
+    tables.  A BASE whose CSV path is BASE itself is refused before anything
+    is written."""
+    text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
+    if args.out is not None:
+        base = Path(args.out)
+        if csv_rows is not None and base.with_suffix(".csv") == base:
+            raise ValueError(f"--out {args.out}: the CSV table would overwrite "
+                             "the JSON report; give BASE another suffix")
+        base.parent.mkdir(parents=True, exist_ok=True)
+        base.write_text(text)
+        if csv_rows is not None:
+            with open(base.with_suffix(".csv"), "w", newline="") as fh:
+                csv.writer(fh).writerows(csv_rows)
     if args.format == "structured":
-        sys.stdout.write(_dump_json(doc))
-    else:
-        for title, rows in tables:
-            _print_table(title, rows)
+        sys.stdout.write(text)
+        return
+    for title, rows in tables:
+        print(title)
+        width = max((len(k) for k, _ in rows), default=0)
+        for key, value in rows:
+            print(f"  {key:<{width}}  {_fmt(value)}")
 
 
 # -- subcommands ---------------------------------------------------------------
@@ -204,8 +200,6 @@ def cmd_run(args) -> int:
     csv_rows = [["operation", "outcome", "count"]] + [
         [op, label, n] for op, per_op in sorted(stats.counts.items())
         for label, n in sorted(per_op.items())]
-    _write_outputs(args.out, doc, csv_rows)
-
     tables = [("run", [
         ("variant", config.variant.value),
         ("attack", attack.name),
@@ -223,7 +217,7 @@ def cmd_run(args) -> int:
     tables += [("detection conditions" if name == "conditions" else name,
                 list(rows.items())) for name, rows in analysis.items()
                if name != "exact_error_probs"]
-    _emit(args, doc, tables)
+    _report(args, doc, tables, csv_rows)
     for reason in stats.abort_reasons:
         print(f"abort: {reason}", file=sys.stderr)
     return EXIT_ABORTED if stats.aborted else EXIT_OK
@@ -241,14 +235,13 @@ def cmd_sweep(args) -> int:
         "manifest": {"command": args.command, **options},
         "report": report.to_document(),
     }
-    _write_outputs(args.out, doc, report.to_csv_rows())
     worst = max(report.records, key=lambda r: r.max_violation, default=None)
-    _emit(args, doc, [("sweep", [
+    _report(args, doc, [("sweep", [
         ("attacks", len(report.records)),
         ("counterexamples", report.n_counterexamples),
         ("worst quiet trace distance", report.worst_quiet_distance),
         ("largest violation", worst.max_violation if worst else None),
-    ])])
+    ])], report.to_csv_rows())
     return EXIT_CLAIM_FAILED if report.n_counterexamples else EXIT_OK
 
 
@@ -307,8 +300,7 @@ def cmd_lemma(args) -> int:
         "results": results,
         "failures": failures,
     }
-    _write_outputs(args.out, doc, None)
-    _emit(args, doc, [("lemma", [
+    _report(args, doc, [("lemma", [
         ("inputs checked", len(results)),
         ("implication failures", failures),
         ("max p_minus", max((r["p_minus"] for r in results), default=None)),
@@ -339,8 +331,7 @@ def cmd_attack_demo(args) -> int:
             "trace_distance": conditionals.trace_distance,
         },
     }
-    _write_outputs(args.out, doc, None)
-    _emit(args, doc, [
+    _report(args, doc, [
         ("tagging vs legacy", [
             ("identification accuracy", ident.accuracy),
             ("max error probability",
@@ -359,8 +350,9 @@ def cmd_attack_demo(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="BASE",
-                        help="write a JSON report to BASE (and CSV to BASE.csv "
-                             "where applicable)")
+                        help="write a JSON report to BASE; run and sweep also "
+                             "write a CSV table to BASE with its suffix replaced "
+                             "by .csv, so they refuse a BASE ending in .csv")
     parser.add_argument("--format", choices=("table", "structured"),
                         default="table", help="stdout format")
 

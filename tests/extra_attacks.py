@@ -7,7 +7,7 @@ from typing import Sequence
 
 import numpy as np
 
-from sqkdsim.adversary import Attack, attack_space
+from sqkdsim.adversary import Attack, attack_space, basis_permutation
 from sqkdsim.fock import ModeSystem
 
 
@@ -91,3 +91,28 @@ def blocked_attack(inner: Attack, t: float) -> Attack:
     probe[:p] = inner.initial_probe
     return Attack(f"blocked-{inner.name}", system, lifted(inner.u_forward),
                   givens @ lifted(inner.v_backward), probe)
+
+
+def conjugated(attack: Attack) -> Attack:
+    """``attack`` with U, V and the initial probe complex-conjugated.
+
+    The launch state, the measurements and the loss maps are real, so every
+    amplitude of a round is conjugated with them and no probability moves."""
+    return Attack(f"conjugated-{attack.name}", attack.system, attack.u_forward.conj(),
+                  attack.v_backward.conj(), attack.initial_probe.conj(),
+                  attack.photon_preserving)
+
+
+def mode_exchange(system: ModeSystem) -> np.ndarray:
+    """The permutation X that swaps the pair's two modes in every tag."""
+    columns = np.arange(system.n_slots).reshape(2, system.tag_dim)  # mode by tag
+    occs, probes = system.basis_table
+    return basis_permutation(system, occs[:, columns[::-1].ravel()], probes)
+
+
+def mode_exchanged(attack: Attack) -> Attack:
+    """``attack`` seen with the pair's two modes swapped: U -> XUX, V -> XVX."""
+    x = mode_exchange(attack.system)
+    return Attack(f"mode-exchanged-{attack.name}", attack.system,
+                  x @ attack.u_forward @ x, x @ attack.v_backward @ x,
+                  attack.initial_probe, attack.photon_preserving)

@@ -227,6 +227,26 @@ def test_sweep_writes_csv(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("argv", [["run", "--rounds", "20"], ["sweep", "--count", "2"]],
+                         ids=["run", "sweep"])
+def test_a_table_that_would_overwrite_its_report_is_refused(argv, tmp_path, capsys):
+    """The CSV table goes to BASE with its suffix replaced, so a BASE ending
+    in ``.csv`` would lose its JSON report: refused, and nothing written."""
+    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "--out" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("argv", [["lemma", "--random", "2"], ["attack-demo"]],
+                         ids=["lemma", "attack-demo"])
+def test_a_command_without_a_table_writes_its_report_to_a_csv_base(argv, tmp_path, capsys):
+    out = tmp_path / "r.csv"
+    assert main(argv + ["--out", str(out), "--format", "structured"]) == 0
+    assert out.read_text() == capsys.readouterr().out
+    assert [p.name for p in tmp_path.iterdir()] == ["r.csv"]
+
+
 def test_lemma_random_inputs(capsys):
     assert main(["lemma", "--random", "25", "--seed", "3"]) == 0
     capsys.readouterr()
