@@ -114,14 +114,10 @@ def _fmt(value) -> str:
 def _report(args, doc: dict, tables: list, csv_rows: list | None = None) -> None:
     """Write ``doc`` as JSON to ``--out`` BASE and ``csv_rows``, if given, to
     BASE with its suffix replaced by ``.csv``; then print the JSON or the
-    tables.  A BASE whose CSV path is BASE itself is refused before anything
-    is written."""
+    tables."""
     text = json.dumps(doc, sort_keys=True, indent=2, allow_nan=False) + "\n"
     if args.out is not None:
         base = Path(args.out)
-        if csv_rows is not None and base.with_suffix(".csv") == base:
-            raise ValueError(f"--out {args.out}: the CSV table would overwrite "
-                             "the JSON report; give BASE another suffix")
         base.parent.mkdir(parents=True, exist_ok=True)
         base.write_text(text)
         if csv_rows is not None:
@@ -225,7 +221,7 @@ def cmd_run(args) -> int:
 
 def _options(args) -> dict:
     return {k: v for k, v in vars(args).items()
-            if k not in ("command", "func", "out", "format")}
+            if k not in ("command", "func", "writes_csv", "out", "format")}
 
 
 def cmd_sweep(args) -> int:
@@ -387,7 +383,7 @@ def build_parser() -> argparse.ArgumentParser:
                        help="also re-derive Alice's swap measurement branches by "
                             "projection on the lossless channel (mirror variant only)")
     _add_common(p_run)
-    p_run.set_defaults(func=cmd_run)
+    p_run.set_defaults(func=cmd_run, writes_csv=True)
 
     p_sweep = sub.add_parser("sweep", help="search random attacks for "
                                            "undetected leakage")
@@ -400,7 +396,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep.add_argument("--eps-error", type=float, default=1e-9)
     p_sweep.add_argument("--eps-info", type=float, default=1e-6)
     _add_common(p_sweep)
-    p_sweep.set_defaults(func=cmd_sweep)
+    p_sweep.set_defaults(func=cmd_sweep, writes_csv=True)
 
     p_lemma = sub.add_parser("lemma", help="verify the single-photon-return "
                                            "lemma on given or random inputs")
@@ -428,6 +424,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if vars(args).get("writes_csv") and args.out and Path(args.out).suffix == ".csv":
+            raise ValueError(f"--out {args.out}: the CSV table would overwrite "
+                             "the JSON report; give BASE another suffix")
         return args.func(args)
     except (ValueError, ContractViolation, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -12,7 +12,9 @@ learn nothing.
 from __future__ import annotations
 
 import os
+import queue
 import threading
+from collections import deque
 from collections.abc import Callable, Mapping, Sequence
 from dataclasses import dataclass, fields
 from functools import lru_cache
@@ -416,62 +418,37 @@ def _run_chunks(build: Callable[[int], object], evaluate: Callable[[int, object]
     A build spends its time in a few large calls that release the GIL, an
     evaluation in many small calls that hold it, so two evaluations never
     run at once.  Each helper builds the heaviest unbuilt chunk; the caller
-    evaluates the built chunk of lowest index as soon as one is ready, and
-    otherwise builds the lightest unbuilt chunk, mostly Python overhead,
-    itself.  No build starts while
-    ``_BACKLOG`` chunks per thread are built or in build and not yet
-    evaluated, so memory grows with the threads, not with the chunks.  With
-    no helpers this is the serial loop.
+    evaluates built chunks in the order their builds report, and when none
+    is waiting builds the lightest unbuilt chunk, mostly Python overhead,
+    itself.  No build starts while ``_BACKLOG`` chunks per thread are built
+    or in build and not yet evaluated, so memory grows with the threads, not
+    with the chunks.  With no helpers this is the serial loop.
 
-    Once chunk i fails in either stage, no chunk at or after it in index
-    order starts either stage; the error of the first failing index is
-    raised once every helper has stopped, so a caller sees what the serial
-    loop would raise.  An interrupt of the caller stops the helpers before
-    their next build."""
+    Once the caller reads that chunk i failed, in either stage, no chunk at
+    or after it in index order starts either stage; the error of the first
+    failing index is raised once every helper has stopped, so a caller sees
+    what the serial loop would raise.  An interrupt of the caller stops the
+    helpers before their next build."""
     if not helpers:
         return [evaluate(i, build(i)) for i in range(len(weights))]
-    unbuilt = sorted(range(len(weights)), key=weights.__getitem__)  # lightest first
-    built, results, errors = {}, [None] * len(weights), {}
-    building = 0  # chunks in build
-    bound = _BACKLOG * (helpers + 1)  # above the helpers: the caller always has room
-    stop = len(weights)  # no chunk at or after this index starts
-    cond = threading.Condition()
+    unbuilt = deque(sorted(range(len(weights)), key=weights.__getitem__))  # lightest first
+    lock, reports = threading.Lock(), queue.SimpleQueue()  # each build reports (i, item, error)
+    room = threading.Semaphore(_BACKLOG * (helpers + 1))  # held by each chunk built or in build
+    results, error = [None] * len(weights), None
+    stop = awaited = len(weights)  # no chunk at or after stop starts; reports still to read
 
-    def fail(i, exc):
-        """With ``cond`` held: chunk i failed, so no chunk from i on starts."""
-        nonlocal stop
-        errors[i], stop = exc, min(stop, i)
-        unbuilt[:] = [j for j in unbuilt if j < stop]
-        for j in [j for j in built if j >= stop]:
-            del built[j]
-        cond.notify_all()
+    def take(pop):
+        with lock:
+            return pop() if unbuilt else None
 
     def make(i, catch):
-        """Build chunk i, counted in ``building``, and file it as built; a
-        failure of type ``catch`` is chunk i's, anything else propagates."""
-        nonlocal building
         try:
-            item = build(i)
+            reports.put((i, build(i), None))
         except catch as exc:
-            with cond:
-                building -= 1
-                fail(i, exc)
-            return
-        with cond:
-            building -= 1
-            if i < stop:
-                built[i] = item
-            cond.notify_all()
+            reports.put((i, None, exc))
 
     def helper():
-        nonlocal building
-        while True:
-            with cond:
-                cond.wait_for(lambda: not unbuilt or len(built) + building < bound)
-                if not unbuilt:
-                    return
-                i = unbuilt.pop()
-                building += 1
+        while room.acquire() and (i := take(unbuilt.pop)) is not None:
             make(i, BaseException)  # nothing escapes a helper: the caller raises it
 
     started = []
@@ -480,35 +457,37 @@ def _run_chunks(build: Callable[[int], object], evaluate: Callable[[int, object]
             thread = threading.Thread(target=helper, daemon=True)
             thread.start()
             started.append(thread)
-        while True:
-            with cond:
-                cond.wait_for(lambda: built or unbuilt or not building)
-                if not (built or unbuilt):
-                    break
-                ready = bool(built)
-                if ready:
-                    i = min(built)
-                    item = built.pop(i)
-                    cond.notify_all()  # room for a build
+        while awaited:
+            if reports.empty() and room.acquire(blocking=False):
+                if (i := take(unbuilt.popleft)) is None:
+                    room.release()
                 else:
-                    i = unbuilt.pop(0)
-                    building += 1
-            if not ready:
-                make(i, Exception)
+                    make(i, Exception)
+            i, item, exc = reports.get()
+            room.release()
+            awaited -= 1
+            if i >= stop:
                 continue
-            try:
-                results[i] = evaluate(i, item)
-            except Exception as exc:
-                with cond:
-                    fail(i, exc)
+            if exc is None:
+                try:
+                    results[i] = evaluate(i, item)
+                    continue
+                except Exception as failure:
+                    exc = failure
+            with lock:
+                stop, error = i, exc
+                kept = [j for j in unbuilt if j < stop]
+                awaited -= len(unbuilt) - len(kept)
+                unbuilt.clear()
+                unbuilt.extend(kept)
     finally:
-        with cond:
+        with lock:
             unbuilt.clear()
-            cond.notify_all()
+        room.release(helpers)  # wake the helpers waiting for room
         for thread in started:
             thread.join()
-    if errors:
-        raise errors[min(errors)]
+    if error is not None:
+        raise error
     return results
 
 

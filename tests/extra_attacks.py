@@ -20,6 +20,13 @@ def probe_unitary(system: ModeSystem, u_probe: np.ndarray) -> np.ndarray:
     return np.kron(np.eye(n_occ), u_probe)
 
 
+def haar_unitary(rng: np.random.Generator, dim: int) -> np.ndarray:
+    """A Haar-random ``dim`` x ``dim`` unitary drawn from ``rng``."""
+    a = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
+    q, r = np.linalg.qr(a)
+    return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
+
+
 def number_sector_phases(system: ModeSystem, phases: Sequence[float]) -> np.ndarray:
     """Diagonal phase per total photon number; needs one phase per 0..n_max."""
     if len(phases) != system.n_max + 1:
@@ -39,15 +46,10 @@ def probe_rotation_attack(seed: int, probe_dim: int = 4, tag_dim: int = 1,
     system = attack_space(tag_dim=tag_dim, n_max=n_max, probe_dim=probe_dim)
     rng = np.random.default_rng(seed)
 
-    def haar_probe() -> np.ndarray:
-        a = rng.standard_normal((probe_dim, probe_dim)) \
-            + 1j * rng.standard_normal((probe_dim, probe_dim))
-        q, r = np.linalg.qr(a)
-        return q * (np.diagonal(r) / np.abs(np.diagonal(r)))
-
     def dressed() -> np.ndarray:
         phases = rng.uniform(0.0, 2 * np.pi, size=n_max + 1)
-        return number_sector_phases(system, phases) @ probe_unitary(system, haar_probe())
+        return number_sector_phases(system, phases) @ probe_unitary(
+            system, haar_unitary(rng, probe_dim))
 
     u_forward, v_backward = dressed(), dressed()
     probe = np.zeros(probe_dim)
@@ -116,3 +118,14 @@ def mode_exchanged(attack: Attack) -> Attack:
     return Attack(f"mode-exchanged-{attack.name}", attack.system,
                   x @ attack.u_forward @ x, x @ attack.v_backward @ x,
                   attack.initial_probe, attack.photon_preserving)
+
+
+def probe_gauged(attack: Attack, w: np.ndarray, forward: bool) -> Attack:
+    """``attack`` with the unitary ``w`` on Eve's probe: after U and undone
+    by V if ``forward`` (U -> (I x W)U, V -> V(I x W^dagger)), else after V
+    (V -> (I x W)V).  Neither changes what the parties observe or what Eve
+    can learn."""
+    lifted = probe_unitary(attack.system, w)
+    u, v = attack.u_forward, attack.v_backward
+    u, v = (lifted @ u, v @ lifted.conj().T) if forward else (u, lifted @ v)
+    return Attack(f"probe-gauged-{attack.name}", attack.system, u, v, attack.initial_probe)

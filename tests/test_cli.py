@@ -8,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from sqkdsim import cli
 from sqkdsim.adversary import (attack_space, attack_to_document, identity_attack,
                                load_attack, random_attack, save_attack)
 from sqkdsim.cli import EXIT_USAGE, build_attack, build_parser, main
@@ -229,9 +230,16 @@ def test_sweep_writes_csv(tmp_path, capsys):
 
 @pytest.mark.parametrize("argv", [["run", "--rounds", "20"], ["sweep", "--count", "2"]],
                          ids=["run", "sweep"])
-def test_a_table_that_would_overwrite_its_report_is_refused(argv, tmp_path, capsys):
+def test_a_table_that_would_overwrite_its_report_is_refused(argv, tmp_path, capsys,
+                                                           monkeypatch):
     """The CSV table goes to BASE with its suffix replaced, so a BASE ending
-    in ``.csv`` would lose its JSON report: refused, and nothing written."""
+    in ``.csv`` would lose its JSON report: refused before any work, and
+    nothing written."""
+    def never(*args, **kwargs):
+        raise AssertionError("the command ran before its --out was checked")
+
+    monkeypatch.setattr(cli, "run_protocol", never)
+    monkeypatch.setattr(cli, "robustness_sweep", never)
     assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error:") and "--out" in err

@@ -8,6 +8,8 @@ equal, with ``==``, the records of the serial loop; a failing chunk, in
 either stage, raises what the serial loop raises, and no helper outlives
 the call.  No test here starts more than four threads.
 """
+import faulthandler
+import os
 import sys
 import threading
 import time
@@ -16,6 +18,19 @@ import pytest
 
 from sqkdsim import robustness
 from sqkdsim.robustness import _blas_pinned, _run_chunks, robustness_sweep
+
+
+@pytest.fixture(autouse=True)
+def _no_hang(capfd):
+    """A deadlocked runner ends the run after a minute, with every thread's
+    stack on the terminal's stderr (not the captured one), rather than
+    stalling it."""
+    with capfd.disabled():
+        stderr = os.dup(sys.stderr.fileno())
+    faulthandler.dump_traceback_later(60, exit=True, file=stderr)
+    yield
+    faulthandler.cancel_dump_traceback_later()
+    os.close(stderr)
 
 
 def _with_helpers(monkeypatch, helpers):
@@ -138,6 +153,19 @@ def test_a_failing_chunk_stops_the_helpers(helpers):
     assert len(started) < 20
 
 
+@pytest.mark.parametrize("helpers", [1, 3])
+def test_a_failure_read_after_the_first_one_is_not_raised(helpers):
+    """Chunk 0 fails at once; the chunks taken before that is read fail
+    later, and chunk 0's error is still the one raised."""
+    def build(i):
+        if i:
+            time.sleep(0.05)
+        raise KeyError(i)
+
+    with pytest.raises(KeyError, match="0"):
+        _run_chunks(build, lambda i, built: built, [1, 2, 9], helpers)
+
+
 def test_an_interrupt_stops_the_helpers():
     """The caller's interrupt propagates once its helper has stopped."""
     started = []
@@ -153,6 +181,19 @@ def test_an_interrupt_stops_the_helpers():
         _run_chunks(build, lambda i, built: built, [1] * 20, 1)
     assert threading.active_count() == threads
     assert len(started) < 20
+
+
+def test_an_interrupt_while_the_helpers_wait_for_room_stops_them():
+    """Builds are instant, so the helper fills the backlog and waits while
+    the caller evaluates; the caller's interrupt must still wake it."""
+    def evaluate(i, built):
+        time.sleep(0.05)
+        raise KeyboardInterrupt
+
+    threads = threading.active_count()
+    with pytest.raises(KeyboardInterrupt):
+        _run_chunks(lambda i: i, evaluate, [1] * 20, 1)
+    assert threading.active_count() == threads
 
 
 def test_results_are_in_chunk_order():
