@@ -270,6 +270,8 @@ def cmd_lemma(args) -> int:
             or args.conclusion_tol < 2 * args.zero_tol):
         raise ValueError("--delta, --zero-tol and --conclusion-tol must be finite and "
                          "non-negative, and --conclusion-tol at least twice --zero-tol")
+    if args.fixture is None and args.random is None:
+        args.random = 100  # the default, set here so the manifest records it
     results = []
     failures = 0
     if args.fixture:
@@ -400,8 +402,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_lemma = sub.add_parser("lemma", help="verify the single-photon-return "
                                            "lemma on given or random inputs")
-    p_lemma.add_argument("--fixture", help="JSON input file")
-    p_lemma.add_argument("--random", type=int, default=100, metavar="COUNT")
+    # No default of 100 for --random: argparse would let `--random 100` join --fixture.
+    inputs = p_lemma.add_mutually_exclusive_group()
+    inputs.add_argument("--fixture", help="JSON input file")
+    inputs.add_argument("--random", type=int, metavar="COUNT", help="default 100")
     p_lemma.add_argument("--delta", type=float, default=0.0,
                          help="perturbation distance for random inputs")
     p_lemma.add_argument("--probe-dim", type=int, default=3)

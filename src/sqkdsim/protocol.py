@@ -14,12 +14,12 @@ the whole variant: a 2-D stack of sub-normalized states, one row per branch
 so far, goes through each stage at once (loss and measurements as cached
 index maps that split every row, Eve's unitaries and Bob's Hadamard as one
 matrix product each), with every operation of Alice and both of Bob's bases
-side by side.  Bob's measurement empties the pair, so his split writes only
-Eve's probe columns, the vacuum ⊗ probe states.  A cell is what the parties
-observe of a round (operation, basis, Alice's pattern, Bob's pattern), and
-sifting, interpretation and shared bits are functions of it, read from the
-variant's one cell record.  The pass keeps nothing between calls: from the
-live rows of each split it finds each row's cell, sorts the rows stably
+side by side.  Bob's measurement empties the pair, so the moved columns of
+his split are Eve's probe states.  A cell is what the parties observe of a
+round (operation, basis, Alice's pattern, Bob's pattern), and sifting,
+interpretation and shared bits are functions of it, read from the variant's
+one cell record.  The pass keeps nothing between calls: each row carries
+its cell code through the splits, the pass sorts the rows stably
 into (operation, basis) blocks (within a block, rows keep the order of the
 nested loop loss, Alice's outcome, loss, Bob's outcome) and sums each
 cell's rows into one weight, which the conditions, the tallies and the
@@ -131,6 +131,8 @@ class ProtocolConfig:
             probs = {}
             for op, p in self.alice_op_probs.items():
                 op = AliceOp(op) if not isinstance(op, AliceOp) else op
+                if op in probs:
+                    raise ValueError(f"operation {op.value} is given twice")
                 if op not in ops:
                     raise ValueError(f"{op} is not played in variant {self.variant.value}")
                 probs[op] = p = _real("alice_op_probs", p)
@@ -232,31 +234,40 @@ class BranchTable:
 
 def _merged_plan(width: int, maps, keep=()) -> tuple:
     """Index maps ``(src, dst, amp)`` merged into one split, which
-    :func:`_weigh` and :func:`_scatter` push a stack of rows through.
+    :func:`_split` pushes a stack of rows through.
 
     Map k reads columns ``src`` of a row (a nonempty segment of the merged
     ``src`` starting at ``starts[k]``) and writes columns ``k * width + dst``
-    of one wide row, so each output row has ``width`` columns, the plan's
-    last element.  ``amp`` is None for maps that only move amplitudes.
-    Maps listed in ``keep`` are never pruned.
+    of one wide row, ``width`` the row width of the space.  ``dst`` is None
+    for maps whose moved columns are their output rows, and ``amp`` for
+    maps that only move amplitudes.  Maps listed in ``keep`` are never
+    pruned.
     """
     starts = np.cumsum([0] + [len(m[0]) for m in maps[:-1]])
     return (len(maps), np.concatenate([m[0] for m in maps]),
-            np.concatenate([k * width + m[1] for k, m in enumerate(maps)]),
+            None if maps[0][1] is None else np.concatenate(
+                [k * width + m[1] for k, m in enumerate(maps)]),
             None if maps[0][2] is None else np.concatenate([m[2] for m in maps]),
-            starts, np.isin(np.arange(len(maps)), keep), width)
+            starts, np.isin(np.arange(len(maps)), keep))
 
 
 class _PrunedApart(Exception):
     """The attacks of a stack prune different rows."""
 
 
-def _weigh(rows: np.ndarray, plan: tuple):
-    """The moved columns of every row of an (attack, row, column) stack under
-    every map of a split plan, each (row, map)'s weight per attack, and the
-    live (row, map) mask: weights at most ``PRUNE`` are dust and dropped, the
-    same for every attack (else :class:`_PrunedApart`)."""
-    _, src, _, amp, starts, keep_map, _ = plan
+def _split(rows: np.ndarray, plan: tuple, *labels: np.ndarray) -> tuple:
+    """Every row of an (attack, row, column) stack under every map of a
+    split plan.  A (row, map) whose weight is at most ``PRUNE`` is dust and
+    dropped, the same for every attack (else :class:`_PrunedApart`).
+
+    Returns the live (row, map)s, as a nested loop over rows, then maps:
+    their output rows and weights with a leading attack axis, each one's
+    map, and each of ``labels`` (one entry per input row along its last
+    axis) read at its row.  Map k writes columns ``k * width + dst`` of one
+    wide row cut into rows as wide as the input's; without destinations,
+    the output rows are the maps' moved columns, which must be equally many.
+    """
+    n_maps, src, dst, amp, starts, keep_map = plan
     moved = rows.take(src, axis=2)
     if amp is not None:
         moved *= amp
@@ -265,18 +276,16 @@ def _weigh(rows: np.ndarray, plan: tuple):
     live = (weight > PRUNE) | keep_map
     if len(rows) > 1 and (live != live[0]).any():
         raise _PrunedApart
-    return moved, weight, live[0]
-
-
-def _scatter(moved: np.ndarray, plan: tuple, keep: np.ndarray) -> np.ndarray:
-    """The output rows ``keep`` (flat (row, map) indices) of a split: map k
-    writes columns ``k * width + dst`` of one wide row, cut into rows of
-    ``width``, so rows are ordered as a nested loop over rows, then maps."""
-    n_maps, _, dst, _, _, _, width = plan
     k, n = moved.shape[:2]
-    out = np.zeros((k, n, n_maps * width), dtype=moved.dtype)
-    out[..., dst] = moved
-    return out.reshape(k, n * n_maps, width).take(keep, axis=1)
+    if dst is not None:
+        out = np.zeros((k, n, n_maps * rows.shape[2]), dtype=moved.dtype)
+        out[..., dst] = moved
+        moved = out
+    keep = np.flatnonzero(live[0])
+    parent, maps = np.divmod(keep, n_maps)
+    return (moved.reshape(k, n * n_maps, -1).take(keep, axis=1),
+            weight.reshape(k, -1).take(keep, axis=1), maps,
+            *(label.take(parent, axis=-1) for label in labels))
 
 
 @lru_cache(maxsize=None)
@@ -287,11 +296,12 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
     measures the rails it swaps out; SIFT, and Bob (``None``), measure the
     whole pair.  A measurement has one map per exact occupation of the
     measured slots, which it empties; SIFT's maps land on the light it
-    resends there, one tag-0 photon per clicked mode.  Bob's plan writes
-    only Eve's probe columns: it empties the attack's one pair, so every
-    map lands on the vacuum ⊗ probe indices ``0 … probe_levels - 1``.
-    Returns the plan and, per map, the index of its operation in ``ops``
-    and its pattern code (-1 for CTRL).
+    resends there, one tag-0 photon per clicked mode.  Bob's maps have no
+    destinations: he empties the attack's one pair, and each of his maps
+    reads one occupation's ``probe_levels`` consecutive indices in probe
+    order, so its moved columns are Eve's probe state.  Returns the plan
+    and, per map, the index of its operation in ``ops`` and its pattern
+    code (-1 for CTRL).
     """
     maps, op_index, codes = [], [], []
     for k, op in enumerate(ops):
@@ -308,12 +318,11 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
                 resent = system.basis_table[0][dst]  # a copy; pattern bit m: mode m clicked
                 resent[:, [system.slot(_PAIR, m) for m in (0, 1) if pattern.code >> m & 1]] += 1
                 dst = system.index_of(resent, system.basis_table[1][dst])
-            maps.append((sel, dst, None))
+            maps.append((sel, None if op is None else dst, None))
             op_index.append(k)
             codes.append(-1 if pattern is None else pattern.code)
     ctrl = [m for m, code in enumerate(codes) if code < 0]
-    width = system.probe_levels if ops == (None,) else system.dim
-    return (_merged_plan(width, maps, keep=ctrl), np.array(op_index),
+    return (_merged_plan(system.dim, maps, keep=ctrl), np.array(op_index),
             np.array(codes))
 
 
@@ -480,7 +489,7 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     SIFT's resend is one of Alice's maps.  Each call does all of its work,
     keeping nothing between calls: the launch rows, each split's weights,
     live mask and gather, Eve's products per slice and Bob's Hadamard, and
-    the index work on the live masks (each row's cell, the sort into
+    the index work (each row's labels read at its parent, the sort into
     blocks, the cells that occur), so an attack's columns have the bits of
     its own one-attack stack; every numeric check runs for every attack,
     raising for the first that fails.  A sweep passes a chunk's raw
@@ -489,56 +498,37 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     variant, survival = config.variant, config.channel_loss
     plus, levels = _launch(system)
     rows = (plus * probes.take(levels, axis=1))[:, None]
-    # Forward pass: loss, then Eve's forward unitary.  This loss mask only
-    # fixes how many rows reach Alice, which the shape of her mask records.
+    # Forward pass: loss, then Eve's forward unitary.
     if survival < 1.0:
-        plan = _loss_plan(system, survival)
-        moved, _, live = _weigh(rows, plan)
-        rows = _scatter(moved, plan, np.flatnonzero(live))
+        rows, *_ = _split(rows, _loss_plan(system, survival))
     rows, leaked = _evolve(rows, np.zeros(rows.shape[:2], rows.real.dtype), u_forward)
 
     # Alice, every operation at once; SIFT's resend is part of her split.
+    # Each row carries its leaked weight and its cell code so far.
     alice_plan, map_op, alice_code = _measure_plan(system, variant.operations)
-    moved, _, alice_live = _weigh(rows, alice_plan)
-    kept = np.flatnonzero(alice_live)
-    rows = _scatter(moved, alice_plan, kept)
-    leaked = leaked.take(kept // alice_plan[0], axis=1)
+    rows, _, alice_map, leaked = _split(rows, alice_plan, leaked)
+    code = map_op[alice_map] * _N_CELLS + (alice_code[alice_map] + 1) * len(PATTERNS)
 
     # Backward pass, then Bob in each basis, the computational copy first.
     rows, leaked = _evolve(rows, leaked, v_backward)
-    parent = np.arange(len(kept))  # Alice's row of each row
     if survival < 1.0:
-        plan = _loss_plan(system, survival)
-        moved, _, lossy = _weigh(rows, plan)
-        rows = _scatter(moved, plan, np.flatnonzero(lossy))
-        parent = np.flatnonzero(lossy) // lossy.shape[1]
+        rows, _, _, leaked, code = _split(rows, _loss_plan(system, survival), leaked, code)
     rows = np.concatenate([rows, rows @ hadamard_matrix(system, _PAIR).T], axis=1)
-    # Bob empties the pair, so his split writes only Eve's probe columns:
-    # map k must fill block k of a row (a destination outside it would land
-    # in another branch's row), which is checked on the plan before any
-    # scatter through it, and each row's mass (two sources on one column
-    # would lose some) after it.
+    leaked = np.concatenate([leaked, leaked], axis=1)
+    code = np.concatenate([code, code + len(variant.operations) * _N_CELLS])
+    # Bob empties the pair, so each output row of his split is a probe state.
     bob_plan, _, bob_code = _measure_plan(system, (None,))
-    _, src, dst, _, starts, _, width = bob_plan
-    if (dst // width != starts.searchsorted(np.arange(len(src)), "right") - 1).any():
-        raise ContractViolation("post-measurement state not confined to vacuum")
-    moved, weight, live = _weigh(rows, bob_plan)
-    keep = np.flatnonzero(live)
-    basis, row = np.divmod(keep // bob_plan[0], len(parent))
-    alice_map = (kept % alice_plan[0])[parent[row]]
-    cell = ((map_op[alice_map] + len(variant.operations) * basis) * _N_CELLS
-            + (alice_code[alice_map] + 1) * len(PATTERNS) + bob_code[keep % bob_plan[0]])
+    probe, prob, bob_map, leaked, code = _split(rows, bob_plan, leaked, code)
+    cell = code + bob_code[bob_map]
     # A stable sort groups rows by (basis, operation); each block keeps the
     # nested-loop order.
     record = _cells(variant)
     order = np.argsort(record.table_id[cell], kind="stable")
-    keep, cell = keep[order], cell[order]
+    cell = cell[order]
     present = np.flatnonzero(np.bincount(cell))
     if record.marked[present].any():
         raise ContractViolation("alice sum 2 on a single-mode swap round")
-    probe = _scatter(moved, bob_plan, keep)
-    prob = weight.reshape(len(rows), -1).take(keep, axis=1)
-    leaked = leaked.take(parent[row[order]], axis=1)
+    probe, prob, leaked = (column.take(order, axis=1) for column in (probe, prob, leaked))
 
     # Each cell's weight per attack, its rows added one by one in row order
     # (np.add.at); each block's sum per attack adds its cells.
@@ -551,8 +541,6 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
         raise ContractViolation(
             f"round branches for ({op.value}, {basis.value}) sum to {float(totals[t])!r}")
     mass = _norm2(probe)
-    if (np.abs(mass - prob) > _PROB_ATOL * np.maximum(prob, 1.0)).any():
-        raise ContractViolation("post-measurement state not confined to vacuum")
     found = _Pass(record, cell, present, prob, probe / np.sqrt(mass)[..., None], leaked,
                   weights)
     for column in found[1:]:

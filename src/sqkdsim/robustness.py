@@ -28,8 +28,7 @@ from .fock import (FockVector, ModeSystem, _integer, _real, apply_truncating_uni
                    hadamard_change)
 from .measurement import PRUNE, AliceOp, ClickPattern, _branch_tables
 from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _PrunedApart, _branch_stack,
-                       _cells, _document, _enumerator, _eve_conditionals, _measure_plan,
-                       _scatter, _weigh)
+                       _cells, _document, _enumerator, _eve_conditionals, _measure_plan, _split)
 
 __all__ = [
     "ConditionReport",
@@ -168,14 +167,12 @@ def measurement_cross_check(attack: Attack) -> float:
         # pair 0 has the attack pair's slot numbers, so rail counts embed.
         rails = swapped_slots(pair, op, 0)
         keys = [key for key, *_ in _branch_tables(pair, rails)]
-        # One input row, so each live (row, map) index is its map k.
         plan, _, codes = _measure_plan(pair, (op,))
-        moved, weight, live = _weigh(forward.amplitudes[None, None], plan)
-        which = np.flatnonzero(live)
+        rows, weight, which = _split(forward.amplitudes[None, None], plan)
         embedded = np.zeros((len(which), system.dim), dtype=np.complex128)
-        embedded[:, embed] = _scatter(moved, plan, which)[0]
+        embedded[:, embed] = rows[0]
         branches = {}
-        for row, prob, k in zip(embedded, weight[0, 0, which], which):
+        for row, prob, k in zip(embedded, weight[0], which):
             counts = dict(zip(rails, keys[k]))
             a_occ = tuple(counts.get(s, 0) for s in alice_slots)
             branches[a_occ] = (codes[k], prob, row)

@@ -120,6 +120,17 @@ def mode_exchanged(attack: Attack) -> Attack:
                   attack.initial_probe, attack.photon_preserving)
 
 
+def tags_relabelled(attack: Attack) -> Attack:
+    """``attack`` seen with tags 1 and 2 of every photon swapped and tag 0
+    fixed: U -> TUT, V -> TVT."""
+    columns = np.arange(attack.system.n_slots).reshape(-1, attack.system.tag_dim)  # mode by tag
+    columns[:, [1, 2]] = columns[:, [2, 1]]
+    occs, probes = attack.system.basis_table
+    t = basis_permutation(attack.system, occs[:, columns.ravel()], probes)
+    return Attack(f"tags-relabelled-{attack.name}", attack.system, t @ attack.u_forward @ t,
+                  t @ attack.v_backward @ t, attack.initial_probe, attack.photon_preserving)
+
+
 def probe_gauged(attack: Attack, w: np.ndarray, forward: bool) -> Attack:
     """``attack`` with the unitary ``w`` on Eve's probe: after U and undone
     by V if ``forward`` (U -> (I x W)U, V -> V(I x W^dagger)), else after V

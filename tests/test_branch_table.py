@@ -218,38 +218,27 @@ def test_probability_sum_check_fires():
         enum.branches(AliceOp.CTRL, Basis.HADAMARD)
 
 
-def test_vacuum_confinement_check_fires(monkeypatch):
-    """A measurement that leaves photons behind is caught per row."""
-    attack = random_attack(4, probe_dim=2)
-    pl = attack.system.probe_levels
-    plans = protocol._measure_plan
-
-    def leaky(system, ops):
-        (n_maps, src, dst, *rest), map_op, codes = plans(system, ops)
-        if ops == (None,):  # Bob keeps the residual in the one-photon sector
-            dst = dst + pl
-        return (n_maps, src, dst, *rest), map_op, codes
-
-    monkeypatch.setattr(protocol, "_measure_plan", leaky)
-    enum = RoundEnumerator(ProtocolConfig(), attack)
-    with pytest.raises(ContractViolation, match="confined to vacuum"):
-        enum.branches(AliceOp.SWAP_10, Basis.COMPUTATIONAL)
-
-
 def test_bobs_plan_writes_each_map_into_its_own_probe_block():
-    """Bob empties the pair, so his split is only Eve's probe wide: map k
-    writes the vacuum ⊗ probe indices of block k, at the source's probe
-    level."""
+    """Bob empties the pair, so his split's moved columns, reshaped to
+    (row·map, probe level), are Eve's probe states: his plan has no
+    destinations, and map k reads the ``probe_levels`` consecutive indices
+    of one occupation in probe order, each occupation once."""
     for tag_dim in (1, 2):
         for n_max in (2, 3, 4):
             for probe_dim in (1, 8):
                 system = ModeSystem(1, tag_dim, n_max, probe_dim)
                 plan, _, _ = protocol._measure_plan(system, (None,))
-                n_maps, src, dst, _, starts, _, width = plan
-                assert width == plan[-1] == system.probe_levels
-                owner = np.repeat(np.arange(n_maps), np.diff(starts, append=len(src)))
-                assert np.array_equal(dst // width, owner)
-                assert np.array_equal(dst % width, system.basis_table[1][src])
+                n_maps, src, dst, amp, starts, _ = plan
+                assert dst is None and amp is None
+                pl = system.probe_levels
+                assert np.array_equal(starts, np.arange(n_maps) * pl)
+                blocks = src.reshape(n_maps, pl)
+                levels = np.broadcast_to(np.arange(pl), blocks.shape)
+                occs, probes = system.basis_table
+                assert np.array_equal(blocks - blocks[:, :1], levels)
+                assert np.array_equal(probes[blocks], levels)
+                assert (occs[blocks] == occs[blocks[:, :1]]).all()
+                assert np.array_equal(np.sort(src), np.arange(system.dim))
 
 
 def test_classify_matches_reference_on_every_cell():

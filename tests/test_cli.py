@@ -296,6 +296,22 @@ def test_lemma_fixture_false_claim_flagged(tmp_path, capsys):
     capsys.readouterr()
 
 
+@pytest.mark.parametrize("count", ["5", "100"])
+def test_lemma_takes_a_fixture_or_random_inputs_not_both(count, tmp_path, capsys):
+    """Both would check the fixture alone and record the count in the
+    manifest.  100, the count a bare ``lemma`` checks, clashes too, and
+    that bare run records it."""
+    path = tmp_path / "lemma.json"
+    path.write_text(json.dumps({"h": [[1.0, 0.0]]}))
+    with pytest.raises(SystemExit) as exc:
+        main(["lemma", "--fixture", str(path), "--random", count])
+    assert exc.value.code == EXIT_USAGE
+    assert "not allowed with argument --fixture" in capsys.readouterr().err
+    assert main(["lemma", "--format", "structured"]) == 0
+    manifest = json.loads(capsys.readouterr().out)["manifest"]
+    assert (manifest["fixture"], manifest["random"]) == (None, 100)
+
+
 @pytest.mark.parametrize("argv", [["--fixture", "overflow.json"],
                                   ["--random", "2", "--delta", "1e200"]],
                          ids=["fixture", "random"])

@@ -18,7 +18,7 @@ PACKAGE = Path(__file__).resolve().parent.parent / "src" / "sqkdsim"
 
 CORE = {
     "fock": ("_norm2", "_evolve"),
-    "protocol": ("_weigh", "_scatter", "_branch_stack", "_outcome_sums", "_probe_states"),
+    "protocol": ("_split", "_branch_stack", "_outcome_sums", "_probe_states"),
     "robustness": ("_conditions",),
 }
 FIXED_TYPES = {"float64", "complex128"}

@@ -9,19 +9,21 @@ wrong-mode conditions and leaves every other condition and Eve's
 information unchanged, up to rounding.  So does a unitary W on Eve's probe,
 applied after V (the probe gauge) or after U and undone by V (the forward
 gauge).  Bob's Hadamard weight p scales each condition that involves his
-basis choice by p or 1 - p, exactly, and moves nothing else.
+basis choice by p or 1 - p, exactly, and moves nothing else.  Swapping two
+tags other than tag 0, on which Bob launches and SIFT resends, moves no
+exact value beyond rounding.
 """
 import numpy as np
 import pytest
 
-from sqkdsim.adversary import random_attack, tagging_attack
+from sqkdsim.adversary import Attack, attack_space, random_attack, tagging_attack
 from sqkdsim.protocol import (ProtocolConfig, RoundEnumerator, Variant,
                               eve_conditional_states, exact_statistics,
                               legacy_identification, run_protocol)
 from sqkdsim.robustness import check_conditions
 
 from extra_attacks import (conjugated, haar_unitary, mode_exchange, mode_exchanged,
-                           probe_gauged)
+                           probe_gauged, tags_relabelled)
 
 SEEDS = range(6)
 PROBE_DIMS = (1, 2, 3, 4)
@@ -133,6 +135,28 @@ def test_a_unitary_on_the_probe_changes_no_exact_value(variant, forward):
                     gauged = _exact_values(probe_gauged(attack, w, forward), config)
                     assert gauged.keys() == found.keys()
                     worst = max([worst] + [abs(gauged[k] - v) for k, v in found.items()])
+    assert worst <= EXCHANGE_ATOL
+
+
+@pytest.mark.parametrize("survival", SURVIVALS)
+@pytest.mark.parametrize("variant", list(Variant), ids=lambda v: v.value)
+def test_swapping_tags_1_and_2_changes_no_exact_value(variant, survival):
+    """Haar U and V on three tags: loss and detection are blind to tags, so
+    only tag 0 is special.  At tag_dim 2 this swap would be the identity."""
+    worst = 0.0
+    for n_max in (1, 2):
+        for probe_dim in (1, 2):
+            system = attack_space(tag_dim=3, n_max=n_max, probe_dim=probe_dim)
+            config = ProtocolConfig(variant, tag_dim=3, n_max=n_max, channel_loss=survival)
+            for seed in SEEDS[:3]:
+                rng = np.random.default_rng([seed, n_max, probe_dim])
+                attack = Attack(f"haar-{seed}", system, haar_unitary(rng, system.dim),
+                                haar_unitary(rng, system.dim), haar_unitary(rng, probe_dim)[0])
+                image = tags_relabelled(attack)
+                assert not np.allclose(image.u_forward, attack.u_forward)
+                found, relabelled = _exact_values(attack, config), _exact_values(image, config)
+                assert relabelled.keys() == found.keys()
+                worst = max([worst] + [abs(relabelled[k] - v) for k, v in found.items()])
     assert worst <= EXCHANGE_ATOL
 
 

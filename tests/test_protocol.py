@@ -44,6 +44,13 @@ def test_config_rejects_non_finite_op_weights(weight):
         ProtocolConfig(n_rounds=1000, alice_op_probs={"CTRL": weight, "SWAP-10": 1.0})
 
 
+def test_config_rejects_an_operation_named_twice():
+    """An operation given as an AliceOp and as its string would keep only
+    the last weight, so these weights, summing to 1.5, would pass."""
+    with pytest.raises(ValueError, match="operation CTRL is given twice"):
+        ProtocolConfig(alice_op_probs={AliceOp.CTRL: 0.5, "CTRL": 0.5, "SWAP-10": 0.5})
+
+
 @pytest.mark.parametrize("seed", [-1, 2**128], ids=["negative", "2**128"])
 def test_config_rejects_a_seed_that_is_no_philox_key(seed):
     """The run's stream is keyed by the seed, so the config checks its range
