@@ -85,11 +85,13 @@ class Attack:
         if self.system.probe_dim < 1:
             raise ValueError("attacks need a probe factor (probe_dim >= 1)")
         d = self.system.dim
-        number = self.system.basis_table[0].sum(axis=1) if self.photon_preserving else None
-        # Every check reads "not defect <= tol", so NaN and inf fail too.
-        for label, mat in (("u_forward", self.u_forward), ("v_backward", self.v_backward)):
+        mats = {"u_forward": self.u_forward, "v_backward": self.v_backward}
+        for label, mat in mats.items():  # before the basis is listed: it may not fit
             if mat.shape != (d, d):
                 raise ValueError(f"{label} must be {d}x{d} for {self.system}")
+        number = self.system.basis_table[0].sum(axis=1) if self.photon_preserving else None
+        # Every check reads "not defect <= tol", so NaN and inf fail too.
+        for label, mat in mats.items():
             if self.photon_preserving and not (
                     np.abs(mat * (number[None, :] - number[:, None])).max() <= UNITARY_ATOL):
                 raise ValueError(f"{label} declared photon-preserving but is not")
@@ -327,7 +329,9 @@ def attack_from_document(doc: dict) -> Attack:
                                 for key in ("tag_dim", "n_max", "probe_dim")))
         photon_preserving = _json_field(doc, "photon_preserving", bool, False)
         declared = doc.get("basis_order")
-        if declared is not None and declared != _basis_order(system):
+        if declared is not None and not (  # its length first: the basis may not fit
+                isinstance(declared, list) and len(declared) == system.dim
+                and declared == _basis_order(system)):
             raise ValueError("declared basis order does not match the reconstructed space")
         probe = _from_pairs(doc["initial_probe"], 1)
         u_forward = _from_pairs(doc["u_forward"], 2)

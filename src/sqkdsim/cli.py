@@ -78,11 +78,15 @@ def build_attack(spec: str, tag_dim: int | None, n_max: int) -> Attack:
             raise ValueError(f"malformed random attack spec {spec!r}")
         if tag_dim not in (None, 1):
             raise ValueError("random attacks are defined for a single tag level")
-        seed = int(parts[0])
-        probe_dim = int(parts[1]) if len(parts) > 1 else 4
-        strength = float(parts[2]) if len(parts) > 2 else 0.3
-        return random_attack(seed, probe_dim=probe_dim, strength=strength,
-                             n_max=n_max)
+        values = []
+        for part, name, kind in zip(parts, ("SEED", "PROBE", "STRENGTH"), (int, int, float)):
+            try:
+                values.append(kind(part))
+            except ValueError:
+                raise ValueError(f"malformed random attack spec {spec!r}: {name} {part!r} "
+                                 f"is not {'an integer' if kind is int else 'a number'}") from None
+        seed, probe_dim, strength = values + [4, 0.3][len(values) - 1:]
+        return random_attack(seed, probe_dim=probe_dim, strength=strength, n_max=n_max)
     path = Path(spec)
     if path.suffix == ".json" or path.exists():
         attack = load_attack(path)

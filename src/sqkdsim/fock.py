@@ -37,7 +37,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, fields
 from functools import lru_cache
-from math import factorial, sqrt
+from math import comb, factorial, sqrt
 from numbers import Integral, Real
 
 import numpy as np
@@ -111,7 +111,8 @@ class ModeSystem:
 
     @property
     def dim(self) -> int:
-        return len(self.occupations()) * self.probe_levels
+        """``len(self.occupations()) * probe_levels``, counted without listing them."""
+        return comb(self.n_slots + self.n_max, self.n_max) * self.probe_levels
 
     def slot(self, pair: int, mode: int, tag: int = 0) -> int:
         if not (0 <= pair < self.num_pairs):

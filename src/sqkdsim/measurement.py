@@ -8,21 +8,18 @@ read as (minus, plus) clicks, so "01" is the plus detector alone.
 
 Although only the click pattern is announced, the detector physically
 absorbs the photons, which destroys coherence between configurations that
-differ in photon number or tag.  A measurement has one branch per exact
-occupation of the measured modes (a pair, or one rail of it), with those
-modes emptied in its sub-normalized residual.  Rounds apply these groups
-(``_branch_tables``) as index maps in :mod:`sqkdsim.protocol`.  The outcome
+differ in photon number or tag.  So a measurement is loss at survival 0 on
+the measured modes (a pair, or one rail of it): one branch per exact
+occupation of those modes, emptied in its sub-normalized residual.  Rounds
+apply it by the loss maps of :mod:`sqkdsim.protocol`.  The outcome
 interpretation tables follow.
 """
 
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 
-import numpy as np
-
-from .fock import ContractViolation, ModeSystem, _rank_key
+from .fock import ContractViolation
 
 __all__ = [
     "Basis",
@@ -100,25 +97,6 @@ class Interpretation(enum.Enum):
 
 
 PRUNE = 1e-24  # branch weights at most this are numerical dust, not outcomes
-
-
-@lru_cache(maxsize=None)
-def _branch_tables(system: ModeSystem, slots: tuple[int, ...]):
-    """Per-occupation groupings of the basis over ``slots``, plus index remaps
-    to the same configuration with those slots emptied."""
-    occs, probes = system.basis_table
-    emptied = occs.copy()
-    emptied[:, slots] = 0
-    cleared = system.index_of(emptied, probes)
-    code = _rank_key(occs[:, slots], np.zeros_like(probes), system.n_max)  # sorts as the tuples
-    _, first, group = np.unique(code, return_index=True, return_inverse=True)
-    out = []
-    for k, key in enumerate(map(tuple, occs[first][:, slots].tolist())):
-        sel = np.flatnonzero(group == k)
-        mode1 = sum(n for n, s in zip(key, slots) if s // system.tag_dim % 2)
-        pattern = ClickPattern.from_clicks(mode1 > 0, sum(key) > mode1)
-        out.append((key, pattern, sel, cleared[sel]))
-    return tuple(out)
 
 
 # -- interpretation tables ----------------------------------------------------

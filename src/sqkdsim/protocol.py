@@ -54,8 +54,8 @@ from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
                    _check_densities, _evolve, _integer, _norm2, _occupations, _real,
                    hadamard_matrix)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
-                          _branch_tables, interpret_ctrl, interpret_legacy_sift,
-                          interpret_swap_all, interpret_swap_x, shared_bit)
+                          interpret_ctrl, interpret_legacy_sift, interpret_swap_all,
+                          interpret_swap_x, shared_bit)
 
 __all__ = [
     "Variant",
@@ -232,7 +232,7 @@ class BranchTable:
         return len(self.probability)
 
 
-def _merged_plan(width: int, maps, keep=()) -> tuple:
+def _merged_plan(width: int, maps) -> tuple:
     """Index maps ``(src, dst, amp)`` merged into one split, which
     :func:`_split` pushes a stack of rows through.
 
@@ -240,15 +240,14 @@ def _merged_plan(width: int, maps, keep=()) -> tuple:
     ``src`` starting at ``starts[k]``) and writes columns ``k * width + dst``
     of one wide row, ``width`` the row width of the space.  ``dst`` is None
     for maps whose moved columns are their output rows, and ``amp`` for
-    maps that only move amplitudes.  Maps listed in ``keep`` are never
-    pruned.
+    maps that only move amplitudes.
     """
     starts = np.cumsum([0] + [len(m[0]) for m in maps[:-1]])
     return (len(maps), np.concatenate([m[0] for m in maps]),
             None if maps[0][1] is None else np.concatenate(
                 [k * width + m[1] for k, m in enumerate(maps)]),
             None if maps[0][2] is None else np.concatenate([m[2] for m in maps]),
-            starts, np.isin(np.arange(len(maps)), keep))
+            starts)
 
 
 class _PrunedApart(Exception):
@@ -267,13 +266,13 @@ def _split(rows: np.ndarray, plan: tuple, *labels: np.ndarray) -> tuple:
     wide row cut into rows as wide as the input's; without destinations,
     the output rows are the maps' moved columns, which must be equally many.
     """
-    n_maps, src, dst, amp, starts, keep_map = plan
+    n_maps, src, dst, amp, starts = plan
     moved = rows.take(src, axis=2)
     if amp is not None:
         moved *= amp
     flat = moved.view(moved.real.dtype)  # (re, im) pairs
     weight = np.add.reduceat(flat * flat, 2 * starts, axis=2)  # (attack, row, map)
-    live = (weight > PRUNE) | keep_map
+    live = weight > PRUNE
     if len(rows) > 1 and (live != live[0]).any():
         raise _PrunedApart
     k, n = moved.shape[:2]
@@ -292,38 +291,35 @@ def _split(rows: np.ndarray, plan: tuple, *labels: np.ndarray) -> tuple:
 def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
     """One split plan for the measurements of several operations.
 
-    CTRL passes the state on untouched (and unpruned); a mirror SWAP
-    measures the rails it swaps out; SIFT, and Bob (``None``), measure the
-    whole pair.  A measurement has one map per exact occupation of the
-    measured slots, which it empties; SIFT's maps land on the light it
-    resends there, one tag-0 photon per clicked mode.  Bob's maps have no
-    destinations: he empties the attack's one pair, and each of his maps
-    reads one occupation's ``probe_levels`` consecutive indices in probe
-    order, so its moved columns are Eve's probe state.  Returns the plan
-    and, per map, the index of its operation in ``ops`` and its pattern
-    code (-1 for CTRL).
+    A threshold detector loses every photon of the slots it measures, so a
+    measurement's maps are :func:`_loss_maps` at survival 0, amplitudes
+    dropped (each is 1), in the tuple order of their keys: one map per
+    exact occupation of the measured slots, which it empties, its click
+    pattern read from that occupation.  CTRL measures no slot, so its one
+    map passes the state on; a mirror SWAP measures the rails it swaps
+    out; SIFT, and Bob (``None``), measure the whole pair.  SIFT's maps
+    land on the light it resends there, one tag-0 photon per clicked mode.
+    Bob's maps have no destinations: he empties the attack's one pair, and
+    each of his maps reads one occupation's ``probe_levels`` consecutive
+    indices in probe order, so its moved columns are Eve's probe state.
+    Returns the plan and, per map, the index of its operation in ``ops``
+    and its pattern code (-1 for CTRL).
     """
     maps, op_index, codes = [], [], []
     for k, op in enumerate(ops):
-        if op is AliceOp.CTRL:
-            every = np.arange(system.dim)
-            groups = [(None, None, every, every)]
-        else:
-            slots = (swapped_slots(system, op, _PAIR)
-                     if op in (AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL)
-                     else system.pair_slots(_PAIR))
-            groups = _branch_tables(system, slots)
-        for _, pattern, sel, dst in groups:
+        slots = (() if op is AliceOp.CTRL else system.pair_slots(_PAIR)
+                 if op in (None, AliceOp.SIFT) else swapped_slots(system, op, _PAIR))
+        for key, (src, dst, _) in sorted(_loss_maps(system, slots, 0.0).items()):
+            mode1 = sum(n for n, s in zip(key, slots) if s // system.tag_dim % 2)
+            code = ClickPattern.from_clicks(mode1 > 0, sum(key) > mode1).code
             if op is AliceOp.SIFT:  # the emptied pair has room: the photons were there
-                resent = system.basis_table[0][dst]  # a copy; pattern bit m: mode m clicked
-                resent[:, [system.slot(_PAIR, m) for m in (0, 1) if pattern.code >> m & 1]] += 1
+                resent = system.basis_table[0][dst]  # a copy; code bit m: mode m clicked
+                resent[:, [system.slot(_PAIR, m) for m in (0, 1) if code >> m & 1]] += 1
                 dst = system.index_of(resent, system.basis_table[1][dst])
-            maps.append((sel, None if op is None else dst, None))
+            maps.append((src, None if op is None else dst, None))
             op_index.append(k)
-            codes.append(-1 if pattern is None else pattern.code)
-    ctrl = [m for m, code in enumerate(codes) if code < 0]
-    return (_merged_plan(system.dim, maps, keep=ctrl), np.array(op_index),
-            np.array(codes))
+            codes.append(-1 if op is AliceOp.CTRL else code)
+    return _merged_plan(system.dim, maps), np.array(op_index), np.array(codes)
 
 
 def _classify(op: AliceOp, basis: Basis, a_pat: Optional[ClickPattern],
@@ -558,16 +554,18 @@ def _launch(system: ModeSystem) -> tuple[np.ndarray, np.ndarray]:
     return amplitude, probes
 
 
-def _loss_maps(system: ModeSystem, survival: float):
-    """Per-photon loss on the transmitted pair as index maps.
+@lru_cache(maxsize=None)
+def _loss_maps(system: ModeSystem, slots: tuple[int, ...], survival: float) -> dict:
+    """Per-photon loss on ``slots`` as index maps.
 
     One ``(src, dst, amplitude)`` triple per lost-photon vector (photons
-    lost from each slot of the pair): basis state ``src`` keeps
-    ``amplitude``, the square root of the binomial weight of that loss,
-    and lands on ``dst``, the same state with those photons gone.  The map
-    is injective, so one fancy-index assignment applies it.
+    lost from each slot), keyed by that vector in :func:`_occupations`
+    order: basis state ``src`` keeps ``amplitude``, the square root of the
+    binomial weight of that loss, and lands on ``dst``, the same state with
+    those photons gone.  The map is injective, so one fancy-index
+    assignment applies it.  At survival 0 a map's key is the occupation of
+    ``slots`` it reads, and every amplitude is 1.
     """
-    slots = system.pair_slots(_PAIR)
     q = survival
     occs, probes = system.basis_table
     # factor[n, l]: weight of losing l of n photons, as Python floats so the
@@ -575,7 +573,7 @@ def _loss_maps(system: ModeSystem, survival: float):
     factor = np.array([[comb(n, l) * q ** (n - l) * (1.0 - q) ** l if l <= n else 0.0
                         for l in range(system.n_max + 1)]
                        for n in range(system.n_max + 1)])
-    maps = []
+    maps = {}
     for lost in _occupations(len(slots), system.n_max):
         coeff = np.ones(system.dim)
         for s, l in zip(slots, lost):
@@ -583,15 +581,16 @@ def _loss_maps(system: ModeSystem, survival: float):
         src = np.flatnonzero(coeff != 0.0)
         if len(src):
             survived = occs[src]
-            survived[:, slots] -= lost
-            maps.append((src, system.index_of(survived, probes[src]), np.sqrt(coeff[src])))
-    return tuple(maps)
+            survived[:, slots] -= np.array(lost, np.intp)  # intp even for no slots
+            maps[lost] = (src, system.index_of(survived, probes[src]), np.sqrt(coeff[src]))
+    return maps
 
 
 @lru_cache(maxsize=None)
 def _loss_plan(system: ModeSystem, survival: float) -> tuple:
-    """:func:`_loss_maps` merged into one split plan."""
-    return _merged_plan(system.dim, _loss_maps(system, survival))
+    """:func:`_loss_maps` of the transmitted pair merged into one split plan."""
+    return _merged_plan(system.dim, [*_loss_maps(system, system.pair_slots(_PAIR),
+                                                survival).values()])
 
 
 def _enumerator(attack: Attack, config: Optional[ProtocolConfig],

@@ -26,9 +26,10 @@ from .adversary import Attack, _check_probes, _check_unitary, _random_attacks, a
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
 from .fock import (FockVector, ModeSystem, _integer, _real, apply_truncating_unitary,
                    hadamard_change)
-from .measurement import PRUNE, AliceOp, ClickPattern, _branch_tables
+from .measurement import PRUNE, AliceOp, ClickPattern
 from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _PrunedApart, _branch_stack,
-                       _cells, _document, _enumerator, _eve_conditionals, _measure_plan, _split)
+                       _cells, _document, _enumerator, _eve_conditionals, _loss_maps,
+                       _measure_plan, _split)
 
 __all__ = [
     "ConditionReport",
@@ -166,7 +167,7 @@ def measurement_cross_check(attack: Attack) -> float:
         # The round's split, map k per rail occupation k; the joint storage
         # pair 0 has the attack pair's slot numbers, so rail counts embed.
         rails = swapped_slots(pair, op, 0)
-        keys = [key for key, *_ in _branch_tables(pair, rails)]
+        keys = sorted(_loss_maps(pair, rails, 0.0))
         plan, _, codes = _measure_plan(pair, (op,))
         rows, weight, which = _split(forward.amplitudes[None, None], plan)
         embedded = np.zeros((len(which), system.dim), dtype=np.complex128)

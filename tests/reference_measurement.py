@@ -2,16 +2,17 @@
 
 Import as ``from reference_measurement import measure_pair``; pytest puts
 this directory on ``sys.path`` for the test modules beside it.  Rounds
-measure with the same per-occupation index groups
-(``sqkdsim.measurement._branch_tables``) as stacked index maps; these
-functions apply them to one :class:`~sqkdsim.fock.FockVector` at a time.
+measure with stacked index maps (``sqkdsim.protocol._loss_maps`` at
+survival 0); these functions group the basis by their own masks and apply
+them to one :class:`~sqkdsim.fock.FockVector` at a time, sharing no map
+code with the rounds.
 """
 from dataclasses import dataclass
 
 import numpy as np
 
 from sqkdsim.fock import FockVector
-from sqkdsim.measurement import PRUNE, ClickPattern, _branch_tables
+from sqkdsim.measurement import PRUNE, ClickPattern
 
 
 @dataclass(frozen=True, eq=False)
@@ -32,21 +33,32 @@ class MeasurementBranch:
 def measure_slots(state: FockVector, slots: tuple[int, ...]) -> list[MeasurementBranch]:
     """Destructive threshold measurement of the modes in ``slots``.
 
-    One branch per exact occupation of ``slots`` (counts in slot order)
-    with weight above :data:`~sqkdsim.measurement.PRUNE`.  Each slot clicks
-    as the mode it belongs to, so a pair's mode-1 rail alone yields "00" or
-    "10".  Branch probabilities sum to the squared norm of ``state``, so
-    feeding a sub-normalized state through keeps joint probabilities exact.
+    One branch per exact occupation of ``slots`` (counts in slot order,
+    branches in tuple order of those counts) with weight above
+    :data:`~sqkdsim.measurement.PRUNE`.  Each slot clicks as the mode it
+    belongs to, so a pair's mode-1 rail alone yields "00" or "10".  Branch
+    probabilities sum to the squared norm of ``state``, so feeding a
+    sub-normalized state through keeps joint probabilities exact.
     """
     system = state.system
     amps = state.amplitudes
+    slots = list(slots)
+    occs, probes = system.basis_table
+    emptied = occs.copy()
+    emptied[:, slots] = 0
+    cleared = system.index_of(emptied, probes)
+    keys, group = np.unique(occs[:, slots], axis=0, return_inverse=True)
     branches = []
-    for key, pattern, sel, dst in _branch_tables(system, tuple(slots)):
+    for k, key in enumerate(map(tuple, keys.tolist())):
+        sel = np.flatnonzero(group.ravel() == k)
         weight = float(np.vdot(amps[sel], amps[sel]).real)
         if weight <= PRUNE:
             continue
         res = np.zeros(system.dim, dtype=np.complex128)
-        res[dst] = amps[sel]
+        res[cleared[sel]] = amps[sel]
+        # slot(pair, mode, tag) is (pair * 2 + mode) * tag_dim + tag
+        mode1 = sum(n for n, s in zip(key, slots) if s // system.tag_dim % 2)
+        pattern = ClickPattern.from_clicks(mode1 > 0, sum(key) > mode1)
         branches.append(MeasurementBranch(pattern, key, weight,
                                           FockVector(system, res, state.leaked)))
     return branches

@@ -1,6 +1,7 @@
 """Two-pass channel attacks: containers, builders, the named attacks."""
 import copy
 import dataclasses
+import json
 import pickle
 
 import numpy as np
@@ -13,6 +14,7 @@ from sqkdsim.adversary import (Attack, PROBE_IDLE, PROBE_SAW_CTRL,
                                identity_attack, load_attack,
                                measure_resend_attack, random_attack, save_attack,
                                tag_swap_unitary, tagging_attack)
+from sqkdsim import fock
 from sqkdsim.fock import FockVector, ModeSystem, apply_truncating_unitary, pair_mode_transform
 
 from extra_attacks import number_sector_phases, probe_rotation_attack, probe_unitary
@@ -400,4 +402,28 @@ def test_fixture_rejects_wrong_kind():
 def test_adversary_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()
+
+
+@pytest.mark.parametrize("declared, message", [
+    ({}, "u_forward must be 1929501x1929501"),
+    ({"photon_preserving": True}, "u_forward must be 1929501x1929501"),
+    ({"basis_order": [{"occupation": [0] * 80, "probe": 0}]}, "declared basis order"),
+], ids=["plain", "photon-preserving", "basis-order"])
+def test_a_small_fixture_of_a_vast_space_fails_before_its_basis_is_listed(
+        declared, message, tmp_path, monkeypatch):
+    """tag_dim 40 and n_max 4 make 1,929,501 occupations of 80 slots, too
+    many to list at once.  A fixture with 1x1 matrices on that space fails
+    on their shapes, or on its basis order's length, without listing the
+    basis (here listing it raises, so that is checked, not run)."""
+    def unlisted(n_slots, n_max):
+        raise AssertionError(f"listed the occupations of {n_slots} slots")
+
+    monkeypatch.setattr(fock, "_occupations", unlisted)
+    doc = {"kind": "sqkdsim-attack", "tag_dim": 40, "n_max": 4, "probe_dim": 1,
+           "initial_probe": [[1.0, 0.0]], "u_forward": [[[1.0, 0.0]]],
+           "v_backward": [[[1.0, 0.0]]], **declared}
+    path = tmp_path / "vast.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValueError, match=message):
+        load_attack(path)
 

@@ -47,7 +47,7 @@ def _loss(state: FockVector, q: float) -> list:
     if q >= 1.0:
         return [state]
     out = []
-    for src, dst, amp in _loss_maps(state.system, q):
+    for src, dst, amp in _loss_maps(state.system, state.system.pair_slots(0), q).values():
         amps = np.zeros(state.system.dim, dtype=np.complex128)
         amps[dst] = state.amplitudes[src] * amp
         vec = FockVector(state.system, amps, state.leaked)
@@ -228,7 +228,7 @@ def test_bobs_plan_writes_each_map_into_its_own_probe_block():
             for probe_dim in (1, 8):
                 system = ModeSystem(1, tag_dim, n_max, probe_dim)
                 plan, _, _ = protocol._measure_plan(system, (None,))
-                n_maps, src, dst, amp, starts, _ = plan
+                n_maps, src, dst, amp, starts = plan
                 assert dst is None and amp is None
                 pl = system.probe_levels
                 assert np.array_equal(starts, np.arange(n_maps) * pl)

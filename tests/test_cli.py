@@ -145,10 +145,14 @@ def test_run_rejects_on_load_an_attack_that_breaks_the_branch_total(tmp_path, ca
 
 @pytest.mark.parametrize("spec, tag_dim, n_max, message", [
     ("random:1:2:0.3:4", None, 2, "malformed random attack spec"),
+    ("random:", None, 2, "malformed random attack spec 'random:': SEED '' is not an integer"),
+    ("random:5:4.0", None, 2, r"spec 'random:5:4\.0': PROBE '4\.0' is not an integer"),
+    ("random:5:4:abc", None, 2, "spec 'random:5:4:abc': STRENGTH 'abc' is not a number"),
     ("random:1", 2, 2, "single tag level"),
     ("FIXTURE", 2, 2, "uses tag_dim=1, but --tag-dim 2"),
     ("FIXTURE", None, 3, "uses n_max=2, but --n-max 3"),
-], ids=["random-spec", "random-tags", "fixture-tags", "fixture-n-max"])
+], ids=["random-spec", "random-seed", "random-probe", "random-strength", "random-tags",
+        "fixture-tags", "fixture-n-max"])
 def test_build_attack_input_checks(spec, tag_dim, n_max, message, tmp_path):
     if spec == "FIXTURE":
         spec = str(tmp_path / "identity.json")

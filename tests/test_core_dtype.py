@@ -48,9 +48,9 @@ def _violations(function: ast.FunctionDef) -> tuple[list, list]:
     return sorted(named & FIXED_TYPES), weighted
 
 
-@pytest.mark.parametrize("name, function", list(_functions()))
-def test_core_function_takes_its_dtype_from_its_inputs(name, function):
-    assert _violations(function) == ([], []), name
+@pytest.mark.parametrize("function", [pytest.param(f, id=name) for name, f in _functions()])
+def test_core_function_takes_its_dtype_from_its_inputs(function):
+    assert _violations(function) == ([], [])
 
 
 def test_the_scan_sees_fixed_types_and_weighted_counts():

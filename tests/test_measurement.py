@@ -2,14 +2,16 @@
 import numpy as np
 import pytest
 
+from sqkdsim.alice import swapped_slots
 from sqkdsim.fock import ContractViolation, FockVector, ModeSystem, hadamard_change
-from sqkdsim.measurement import (AliceOp, ClickPattern, Interpretation,
+from sqkdsim.measurement import (PRUNE, AliceOp, ClickPattern, Interpretation,
                                  interpret_ctrl, interpret_legacy_sift,
                                  interpret_swap_all, interpret_swap_x, shared_bit)
+from sqkdsim.protocol import _loss_maps, _measure_plan
 
 from extra_states import (amplitude, basis_index, basis_state, basis_vector,
                           plus_state, single_photon)
-from reference_measurement import measure_pair
+from reference_measurement import measure_pair, measure_slots
 
 SEED = 424242
 
@@ -112,6 +114,42 @@ CTRL_TABLE = {
     ClickPattern.P10: Interpretation.ERROR,
     ClickPattern.P11: Interpretation.ERROR,
 }
+
+
+
+@pytest.mark.parametrize("probe_dim", [1, 3])
+@pytest.mark.parametrize("n_max", [1, 2, 3, 4])
+@pytest.mark.parametrize("tag_dim", [1, 2])
+def test_rounds_measure_by_loss_at_survival_zero(tag_dim, n_max, probe_dim):
+    """A round measures by ``_loss_maps`` of the measured slots at survival
+    0, read in the tuple order of their keys, with the click patterns of
+    ``_measure_plan``.  On a random state that gives the reference's
+    branches: the same occupations, patterns and residuals, and
+    probabilities within 1e-15.  Every slot set a round measures: each
+    swap's rails, and the pair (SIFT's, and Bob's as None)."""
+    system = ModeSystem(1, tag_dim, n_max, probe_dim)
+    rng = np.random.default_rng([SEED, tag_dim, n_max, probe_dim])
+    amps = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
+    state = FockVector(system, amps / np.linalg.norm(amps))
+    for op in (AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL, None):
+        slots = system.pair_slots(0) if op is None else swapped_slots(system, op, 0)
+        maps = sorted(_loss_maps(system, slots, 0.0).items())
+        _, _, codes = _measure_plan(system, (op,))
+        assert len(codes) == len(maps)
+        found = []
+        for (key, (src, dst, amp)), code in zip(maps, codes.tolist()):
+            assert (amp == 1.0).all()
+            residual = np.zeros(system.dim, dtype=np.complex128)
+            residual[dst] = state.amplitudes[src]
+            weight = float(np.vdot(residual, residual).real)
+            if weight > PRUNE:
+                found.append((key, code, weight, residual))
+        expected = measure_slots(state, slots)
+        assert ([(key, code) for key, code, *_ in found]
+                == [(b.occupation, b.pattern.code) for b in expected]), op
+        for (*_, weight, residual), branch in zip(found, expected):
+            assert np.array_equal(residual, branch.residual.amplitudes)
+            assert abs(weight - branch.probability) <= 1e-15
 
 
 @pytest.mark.parametrize("pattern", PATTERNS)

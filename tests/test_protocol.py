@@ -218,7 +218,7 @@ def test_loss_maps_are_binomial_kraus_branches(q):
     slots = system.pair_slots(0)
     rng = np.random.default_rng(8)
     state = rng.standard_normal(system.dim) + 1j * rng.standard_normal(system.dim)
-    maps = _loss_maps(system, q)
+    maps = _loss_maps(system, slots, q).values()
     weights = []
     for src, dst, amp in maps:
         out = np.zeros(system.dim, dtype=np.complex128)
