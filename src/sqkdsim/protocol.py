@@ -25,10 +25,11 @@ nested loop loss, Alice's outcome, loss, Bob's outcome) and sums each
 cell's rows into one weight, which the conditions, the tallies and the
 sampler read (round i of a run draws its operation, basis and cell from row
 i of a counter-based Philox stream keyed by the seed); Eve's probe states
-weigh each row by its cell.  :class:`BranchTable` is the row view of one
-attack's pass, gathered from the record when read.  Every analysis reads
-its config and attack from one enumerator, which must hold the config and
-attack it is passed with.
+weigh each row by its cell.  :meth:`RoundEnumerator.branches` is the one
+row view: one block of an attack's pass as a :class:`BranchTable`,
+gathered from the pass and the record when read, with no cached table.
+Every analysis reads its config and attack from one enumerator, which must
+hold the config and attack it is passed with.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -121,11 +122,13 @@ class ProtocolConfig:
         def put(name, value):  # the one write of each validated field
             object.__setattr__(self, name, value)
 
-        if isinstance(self.variant, str):
+        if not isinstance(self.variant, Variant):
             put("variant", Variant(self.variant))
         ops = self.variant.operations
         if self.alice_op_probs is None:
             probs = {op: 1.0 / len(ops) for op in ops}
+        elif not isinstance(self.alice_op_probs, Mapping):
+            raise ValueError(f"alice_op_probs must be a mapping, got {self.alice_op_probs!r}")
         else:
             # Both checks read "not defect <= tol", so NaN and inf fail too.
             probs = {}
@@ -200,10 +203,9 @@ class BranchTable:
     Every field is a read-only column.  ``table_id`` numbers the
     (operation, basis) of a row in :func:`_table_keys` order: with n
     operations in the variant, id k < n is operation k in the computational
-    basis and id n + k the same operation in the Hadamard basis.  An
-    enumerator's :attr:`~RoundEnumerator.table` holds every row of the
-    variant sorted by ``table_id``; :meth:`~RoundEnumerator.branches` is one
-    block of it.  ``alice_pattern`` and ``bob_pattern`` hold
+    basis and id n + k the same operation in the Hadamard basis.
+    :meth:`~RoundEnumerator.branches`, the one row view, gathers one such
+    block from the pass.  ``alice_pattern`` and ``bob_pattern`` hold
     :attr:`ClickPattern.code` values, indices into
     :data:`PATTERNS` (the mode-1 click is bit 1, the mode-0 click bit 0);
     ``alice_pattern`` is -1 where Alice measured nothing (CTRL).
@@ -400,8 +402,7 @@ class _Pass(NamedTuple):
     sorted stably by ``table_id``, and the columns named as in
     :class:`BranchTable` with a leading attack axis."""
     cells: _CellRecord  # the variant's one record
-    cell: np.ndarray  # each row's cell code
-    present: np.ndarray  # the codes of the cells that occur, ascending; none marked
+    cell: np.ndarray  # each row's cell code; none marked
     probability: np.ndarray
     eve_probe: np.ndarray
     leaked: np.ndarray
@@ -418,9 +419,9 @@ class RoundEnumerator:
     stage maps or splits every row at once.  That pass is
     :func:`_branch_stack` of a one-attack stack, the code a sweep runs on
     many attacks of one space at once; it keeps each row's cell and the
-    cells' weights, which the analyses read.  :attr:`table`,
-    :attr:`blocks` and :meth:`branches` are the row view, gathered from
-    the variant's cell record (:func:`_cells`) only when read.
+    cells' weights, which the analyses read.  :meth:`branches` is the one
+    row view, one block gathered from the pass and the variant's cell
+    record (:func:`_cells`) when read; no table of every row is kept.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -446,35 +447,21 @@ class RoundEnumerator:
         return _branch_stack(self.config, self.system, attack.u_forward[None],
                              attack.v_backward[None], attack.initial_probe[None])
 
-    @cached_property
-    def table(self) -> BranchTable:
-        """Every branch of the variant, rows sorted by ``table_id``: the
-        pass's columns of this attack, and each row's cell's entries in the
-        record for the others."""
-        found = self._pass
-        columns = {name: getattr(found, name)[0] if name in found._fields
-                   else getattr(found.cells, name)[found.cell] for name in _COLUMNS}
-        for column in columns.values():
-            column.setflags(write=False)
-        return BranchTable(**columns)
-
-    @cached_property
-    def blocks(self) -> dict:
-        """The row range (a slice of :attr:`table`) of each (operation, basis)."""
-        keys = _table_keys(self.config.variant)
-        bounds = self.table.table_id.searchsorted(np.arange(len(keys) + 1)).tolist()
-        return {key: slice(*bounds[t:t + 2]) for t, key in enumerate(keys)}
-
     def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
-        """The rows of :attr:`table` for one (operation, basis) as a table of
-        column views."""
-        if (op, basis) not in _table_keys(self.config.variant):
+        """One (operation, basis) block of the pass's rows, gathered when
+        read: the pass's columns of this attack at the block's rows, and
+        each row's cell's entries in the record for the others."""
+        keys = _table_keys(self.config.variant)
+        if (op, basis) not in keys:
             raise ValueError(f"operation {op} not defined for {self.config.variant}")
-        rows = self.blocks[op, basis]
-        return BranchTable(*(getattr(self.table, name)[rows] for name in _COLUMNS))
-
-
-_COLUMNS = tuple(f.name for f in fields(BranchTable))
+        found, t = self._pass, keys.index((op, basis))
+        rows = slice(*found.cells.table_id[found.cell].searchsorted([t, t + 1]).tolist())
+        columns = [getattr(found, f.name)[0, rows] if f.name in found._fields
+                   else getattr(found.cells, f.name)[found.cell[rows]]
+                   for f in fields(BranchTable)]
+        for column in columns:
+            column.setflags(write=False)
+        return BranchTable(*columns)
 
 
 def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndarray,
@@ -486,7 +473,7 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     keeping nothing between calls: the launch rows, each split's weights,
     live mask and gather, Eve's products per slice and Bob's Hadamard, and
     the index work (each row's labels read at its parent, the sort into
-    blocks, the cells that occur), so an attack's columns have the bits of
+    blocks, the marked-cell check), so an attack's columns have the bits of
     its own one-attack stack; every numeric check runs for every attack,
     raising for the first that fails.  A sweep passes a chunk's raw
     matrices, and :class:`RoundEnumerator` one-slice views; every column
@@ -521,8 +508,7 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
     record = _cells(variant)
     order = np.argsort(record.table_id[cell], kind="stable")
     cell = cell[order]
-    present = np.flatnonzero(np.bincount(cell))
-    if record.marked[present].any():
+    if record.marked[cell].any():
         raise ContractViolation("alice sum 2 on a single-mode swap round")
     probe, prob, leaked = (column.take(order, axis=1) for column in (probe, prob, leaked))
 
@@ -537,8 +523,7 @@ def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndar
         raise ContractViolation(
             f"round branches for ({op.value}, {basis.value}) sum to {float(totals[t])!r}")
     mass = _norm2(probe)
-    found = _Pass(record, cell, present, prob, probe / np.sqrt(mass)[..., None], leaked,
-                  weights)
+    found = _Pass(record, cell, prob, probe / np.sqrt(mass)[..., None], leaked, weights)
     for column in found[1:]:
         column.setflags(write=False)
     return found
@@ -642,7 +627,7 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
         table_id += draws[:, 0] >= weight
     u_cell = draws[:, 2].copy()
     del draws
-    present = found.present  # each has a positive weight: Bob's split prunes dust
+    present = np.flatnonzero(found.weights[0])  # every row weighs more than PRUNE
     blocks = found.cells.table_id[present]
     return present[_search_blocks(found.weights[0, present], blocks, table_id, u_cell)]
 

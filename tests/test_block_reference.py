@@ -2,13 +2,13 @@
 
 The analyses read each cell's weight, the sum of its rows, and Eve's states
 weigh each row by its cell.  The reference here picks each (operation,
-basis) block's rows with a ``table.table_id == t`` mask, adds each cell's
-rows one at a time, derives click counts and the SharedBit mask on its
-own, and repeats each formula in the order the library adds.  Every value
-must agree exactly, not approximately.  Per-row formulas that sum each
-block's rows directly are a second reference, within 1e-14.
-The configs include a skewed operation distribution, which the command
-line cannot set.
+basis) block's rows of the branch pass with a ``table_id == t`` mask over
+the record read at each row's cell, adds each cell's rows one at a time,
+derives click counts and the SharedBit mask on its own, and repeats each
+formula in the order the library adds.  Every value must agree exactly,
+not approximately.  Per-row formulas that sum each block's rows directly
+are a second reference, within 1e-14.  The configs include a skewed
+operation distribution, which the command line cannot set.
 """
 import numpy as np
 import pytest
@@ -37,14 +37,17 @@ def _config(variant, n_max, loss, p_had):
 
 
 def _block(enum, op, basis):
-    """The columns of one (operation, basis) block, picked by a mask."""
+    """The columns of one (operation, basis) block of the pass, picked by a
+    mask: the pass's own columns, and the record read at each row's cell."""
     ops = enum.config.variant.operations
     t = ops.index(op) + (len(ops) if basis is Basis.HADAMARD else 0)
-    rows = enum.table.table_id == t
+    found = enum._pass
+    rows = found.cells.table_id[found.cell] == t
     assert rows.any()
-    return {name: getattr(enum.table, name)[rows]
-            for name in ("probability", "alice_pattern", "bob_pattern",
-                         "interpretation", "bob_bit", "eve_probe")}
+    cell = found.cell[rows]
+    return {"probability": found.probability[0, rows], "eve_probe": found.eve_probe[0, rows],
+            **{name: getattr(found.cells, name)[cell]
+               for name in ("alice_pattern", "bob_pattern", "interpretation", "bob_bit")}}
 
 
 def _assert_branches_are_the_blocks(enum):

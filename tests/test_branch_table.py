@@ -190,7 +190,7 @@ def test_attacks_that_prune_apart_match_reference_loop(survival):
     for pair in pairs:
         for variant in Variant:
             config = ProtocolConfig(variant=variant, channel_loss=survival)
-            rows = [len(RoundEnumerator(config, attack).table) for attack in pair]
+            rows = [len(RoundEnumerator(config, attack)._pass.cell) for attack in pair]
             assert rows[0] < rows[1], (pair[0].name, variant)
         assert _worst_gap_to_reference(pair, 2, survival) < 1e-12
 

@@ -2,17 +2,18 @@
 
 ``_branch_stack`` does its index work on every call: each row's cell from
 Alice's and Bob's plans and the live masks, the stable sort into (operation,
-basis) blocks and the cells that occur, all read against the variant's one
+basis) blocks and the marked-cell check, all read against the variant's one
 cell record.  The pass's cell weights, which the analyses and the sampler
-read, must equal a per-row loop; the row view (``RoundEnumerator.table``) is
-gathered from the record only when read, so no analysis builds it.
+read, must equal a per-row loop; the row view (``RoundEnumerator.branches``)
+gathers one block from the pass and the record only when read, so no
+analysis builds it.
 """
 import numpy as np
 import pytest
 
 from sqkdsim import protocol
 from sqkdsim.adversary import Attack, identity_attack, random_attack
-from sqkdsim.measurement import Interpretation
+from sqkdsim.measurement import AliceOp, Basis, Interpretation
 from sqkdsim.protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant,
                               eve_conditional_states, exact_statistics, legacy_identification,
                               run_protocol)
@@ -24,9 +25,10 @@ CONDITIONS = list(ConditionReport.__dataclass_fields__)
 
 
 def _results(config, attack):
-    """Every column and analysis value of one attack, from a new enumerator."""
+    """Every column of the pass and analysis value of one attack, from a new
+    enumerator."""
     enum = RoundEnumerator(config, attack)
-    found = {name: getattr(enum.table, name) for name in COLUMNS}
+    found = {name: getattr(enum._pass, name) for name in protocol._Pass._fields[1:]}
     if config.variant is Variant.MIRROR:
         report = check_conditions(attack, config, enumerator=enum)
         found.update((name, getattr(report, name)) for name in CONDITIONS)
@@ -66,17 +68,19 @@ def _assert_passes_apart(config, attacks):
         _assert_equal(got, expected, attack.name)
     for (got, _), expected, attack in zip(reversed(after), reversed(alone), reversed(attacks)):
         _assert_equal(_results(config, attack)[0], expected, attack.name)
-    return [len(got["probability"]) for got, _ in after]
+    return [len(got["cell"]) for got, _ in after]
 
 
 def test_table_columns_are_read_only():
     enum = RoundEnumerator(ProtocolConfig(channel_loss=0.9), random_attack(1, probe_dim=2))
     assert "interpretation" in STRUCTURAL
-    for name in COLUMNS:
-        column = getattr(enum.table, name)
-        assert not column.flags.writeable, name
-        with pytest.raises(ValueError, match="read-only"):
-            column[0] = 0
+    for key in protocol._table_keys(Variant.MIRROR):
+        block = enum.branches(*key)
+        for name in COLUMNS:
+            column = getattr(block, name)
+            assert not column.flags.writeable, (name, key)
+            with pytest.raises(ValueError, match="read-only"):
+                column[0] = 0
     for name in protocol._Pass._fields[1:]:  # the record's own columns are checked apart
         assert not getattr(enum._pass, name).flags.writeable, name
 
@@ -85,17 +89,22 @@ def test_table_columns_are_read_only():
 def test_block_views_carry_the_derived_columns(variant):
     enum = RoundEnumerator(ProtocolConfig(variant=variant, channel_loss=0.9),
                            random_attack(3, probe_dim=2))
-    table, found = enum.table, enum._pass
+    found = enum._pass
     shared = protocol.INTERPRETATIONS.index(Interpretation.SHARED_BIT)
-    for name in STRUCTURAL:  # every structural column is its cell's entry in the record
-        assert np.array_equal(getattr(found.cells, name)[found.cell], getattr(table, name)), name
-    for name in ("interpretation", "alice_bit", "bob_bit"):
-        assert getattr(table, name).dtype == np.int8, name
-    assert (table.interpretation == shared).any()
-    for (op, basis), rows in enum.blocks.items():
-        block = enum.branches(op, basis)
-        for name in COLUMNS:
-            assert np.array_equal(getattr(block, name), getattr(table, name)[rows]), name
+    table_id = found.cells.table_id[found.cell]
+    blocks = [enum.branches(*key) for key in protocol._table_keys(variant)]
+    assert sum(map(len, blocks)) == len(found.cell)  # the blocks hold every row
+    for t, block in enumerate(blocks):
+        rows = table_id == t
+        for name in COLUMNS:  # a structural column is its cell's entry in the record
+            expected = (getattr(found.cells, name)[found.cell[rows]] if name in STRUCTURAL
+                        else getattr(found, name)[0, rows])
+            column = getattr(block, name)
+            assert column.dtype == expected.dtype, (name, t)
+            assert np.array_equal(column, expected), (name, t)
+        for name in ("interpretation", "alice_bit", "bob_bit"):
+            assert getattr(block, name).dtype == np.int8, name
+    assert any((block.interpretation == shared).any() for block in blocks)
 
 
 def test_analyses_build_no_row_view(monkeypatch):
@@ -112,9 +121,9 @@ def test_analyses_build_no_row_view(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a row view was built")
 
-    monkeypatch.setattr(protocol, "BranchTable", forbidden)
+    monkeypatch.setattr(BranchTable, "__init__", forbidden)
     with pytest.raises(AssertionError, match="row view"):
-        RoundEnumerator(mirror, attack).table  # the patch does bite
+        RoundEnumerator(mirror, attack).branches(AliceOp.CTRL, Basis.HADAMARD)  # it bites
     assert [run_protocol(mirror, attack), exact_statistics(mirror, attack),
             check_conditions(attack, mirror), eve_conditional_states(attack, mirror).p_bit,
             legacy_identification(attack, legacy).trace_distance,
@@ -161,21 +170,23 @@ def test_cell_weights_equal_a_per_row_loop(n_max, variant, survival):
     for probe_dim in (1, 4, 8):
         attack = random_attack(10 * n_max + probe_dim, probe_dim=probe_dim, n_max=n_max)
         enum = RoundEnumerator(config, attack)
-        table, found = enum.table, enum._pass
+        found = enum._pass
+        record, cell = found.cells, found.cell
         sums = {}
-        for cell in zip(table.table_id.tolist(), table.alice_pattern.tolist(),
-                        table.bob_pattern.tolist(), table.probability.tolist()):
-            key = cell[:3]
-            sums[key] = sums.get(key, 0.0) + cell[3]
+        for row in zip(record.table_id[cell].tolist(), record.alice_pattern[cell].tolist(),
+                       record.bob_pattern[cell].tolist(), found.probability[0].tolist()):
+            key = row[:3]
+            sums[key] = sums.get(key, 0.0) + row[3]
         expected = np.zeros(2 * len(variant.operations) * 20)
         for (t, a, b), p in sums.items():
             expected[t * 20 + (a + 1) * 4 + b] = p
-        where = (probe_dim, len(table))
+        where = (probe_dim, len(cell))
         assert found.weights.shape == (1, len(expected)), where
         assert (found.weights[0] == expected).all(), where
         assert len(sums) == PRESENT_CELLS[variant][min(n_max, 2)], where
         assert min(sums.values()) > 0.0, where
-        assert found.present.tolist() == np.flatnonzero(expected).tolist(), where
+        # The sampler takes the cells that occur from the nonzero weights.
+        assert np.unique(cell).tolist() == np.flatnonzero(expected).tolist(), where
 
 
 @pytest.mark.parametrize("variant", list(Variant))

@@ -36,6 +36,11 @@ def test_config_validation():
     with pytest.raises(ValueError):
         ProtocolConfig(variant=Variant.LEGACY,
                        alice_op_probs={AliceOp.SWAP_10: 1.0})
+    for variant in (None, 1, b"mirror"):  # each a ValueError, not an AttributeError
+        with pytest.raises(ValueError, match="is not a valid Variant"):
+            ProtocolConfig(variant=variant)
+    with pytest.raises(ValueError, match="alice_op_probs must be a mapping"):
+        ProtocolConfig(alice_op_probs=[("CTRL", 1.0)])
 
 
 @pytest.mark.parametrize("weight", [math.nan, math.inf])
@@ -503,18 +508,20 @@ def test_attack_config_shape_mismatch_is_rejected():
         RoundEnumerator(ProtocolConfig(tag_dim=2), identity_attack(tag_dim=1))
 
 
-def _cell_code(table, row):
-    """Row ``row``'s cell: table_id * 20 + (Alice's code + 1) * 4 + Bob's code."""
-    return (int(table.table_id[row]) * 20 + (int(table.alice_pattern[row]) + 1) * 4
-            + int(table.bob_pattern[row]))
+def _cell_code(found, row):
+    """Row ``row``'s cell in a pass, from its entries in the record:
+    table_id * 20 + (Alice's code + 1) * 4 + Bob's code."""
+    record, cell = found.cells, found.cell[row]
+    return (int(record.table_id[cell]) * 20 + (int(record.alice_pattern[cell]) + 1) * 4
+            + int(record.bob_pattern[cell]))
 
 
-def _cell_weights(table):
-    """Each occurring cell's weight, its rows added one at a time in row
-    order, in code order."""
+def _cell_weights(found):
+    """Each occurring cell's weight in a pass, its rows added one at a time
+    in row order, in code order."""
     weights = {}
-    for row, p in enumerate(table.probability.tolist()):
-        code = _cell_code(table, row)
+    for row, p in enumerate(found.probability[0].tolist()):
+        code = _cell_code(found, row)
         weights[code] = weights.get(code, 0.0) + p
     return dict(sorted(weights.items()))
 
@@ -531,7 +538,7 @@ def _per_round_reference(cfg, enum):
     ops = cfg.variant.operations
     op_cum = np.cumsum([cfg.alice_op_probs[op] for op in ops])
     block = {key: t for t, key in enumerate((op, b) for b in BASES for op in ops)}
-    weights = _cell_weights(enum.table)
+    weights = _cell_weights(enum._pass)
     codes = {t: [code for code in weights if code // 20 == t] for t in block.values()}
     expected, picked = [], []
     draws = np.random.Generator(np.random.Philox(key=cfg.rng_seed)).random(
@@ -646,8 +653,8 @@ def _tally_configs(variant, n_max):
                                      bob_hadamard_prob=hadamard, alice_op_probs=op_probs)
 
 
-def _label(table, row):
-    code = int(table.interpretation[row])
+def _label(found, row):
+    code = int(found.cells.interpretation[found.cell[row]])
     return "Discarded" if code < 0 else INTERPRETATIONS[code].value
 
 
@@ -674,30 +681,31 @@ def test_exact_statistics_match_a_per_row_loop(variant, n_max):
     time in table order and agrees within 1e-14."""
     attack = random_attack(n_max, probe_dim=2, strength=0.8, n_max=n_max)
     for cfg in _tally_configs(variant, n_max):
-        table = RoundEnumerator(cfg, attack).table
-        ops = cfg.variant.operations
-        row_of = {_cell_code(table, row): row for row in range(len(table))}
+        found = RoundEnumerator(cfg, attack)._pass
+        record, ops = found.cells, cfg.variant.operations
+        row_of = {_cell_code(found, row): row for row in range(len(found.cell))}
         sums, row_sums = {op: {} for op in ops}, {op: {} for op in ops}
         shared, mismatched = [], []
-        for code, w in _cell_weights(table).items():
+        for code, w in _cell_weights(found).items():
             hadamard, k = divmod(code // 20, len(ops))
             weight = cfg.bob_hadamard_prob if hadamard else 1.0 - cfg.bob_hadamard_prob
             row = row_of[code]
             if weight > 0.0:
                 cell = sums[ops[k]]
-                label = _label(table, row)
+                label = _label(found, row)
                 cell[label] = cell.get(label, 0.0) + weight * w
-            if table.interpretation[row] == INTERPRETATIONS.index(Interpretation.SHARED_BIT):
+            entry = found.cell[row]  # the row's cell's entry in the record
+            if record.interpretation[entry] == INTERPRETATIONS.index(Interpretation.SHARED_BIT):
                 shared.append(weight * w * cfg.alice_op_probs.get(ops[k], 0.0))
-                if table.alice_bit[row] != table.bob_bit[row]:
+                if record.alice_bit[entry] != record.bob_bit[entry]:
                     mismatched.append(shared[-1])
-        for row in range(len(table)):
-            hadamard, k = divmod(int(table.table_id[row]), len(ops))
+        for row, p in enumerate(found.probability[0].tolist()):
+            hadamard, k = divmod(int(record.table_id[found.cell[row]]), len(ops))
             weight = cfg.bob_hadamard_prob if hadamard else 1.0 - cfg.bob_hadamard_prob
             if weight > 0.0:
                 cell = row_sums[ops[k]]
-                label = _label(table, row)
-                cell[label] = cell.get(label, 0.0) + weight * float(table.probability[row])
+                label = _label(found, row)
+                cell[label] = cell.get(label, 0.0) + weight * p
         outcome = _in_tally_order(sums, ops)
         exact = exact_statistics(cfg, attack)
         assert _items(exact.outcome_probs) == _items(outcome)
@@ -721,8 +729,8 @@ def test_run_tally_matches_a_per_round_recount(variant, n_max):
     attack = random_attack(n_max, probe_dim=2, strength=0.8, n_max=n_max)
     for cfg in _tally_configs(variant, n_max):
         enum = RoundEnumerator(cfg, attack)
-        table, ops = enum.table, cfg.variant.operations
-        labels = {_cell_code(table, row): _label(table, row) for row in range(len(table))}
+        found, ops = enum._pass, cfg.variant.operations
+        labels = {_cell_code(found, row): _label(found, row) for row in range(len(found.cell))}
         per_op = {op: {} for op in ops}
         for code in simulate_records(cfg, attack, enum).tolist():
             cell = per_op[ops[code // 20 % len(ops)]]

@@ -104,22 +104,44 @@ def test_cross_check_agrees_with_measurement_branches():
         assert measurement_cross_check(attack) < 1e-12, attack.name
 
 
+def _swapped_destinations(plan, codes):
+    n_maps, src, dst, *rest = plan
+    dst = dst.copy()
+    dst[[0, 1]] = dst[[1, 0]]
+    return (n_maps, src, dst, *rest), codes
+
+
+def _swapped_codes(plan, codes):
+    codes = codes.copy()
+    codes[[0, 1]] = codes[[1, 0]]
+    return plan, codes
+
+
+def _last_map_dropped(plan, codes):
+    n_maps, src, dst, amp, starts = plan
+    return (n_maps - 1, src[:starts[-1]], dst[:starts[-1]], amp, starts[:-1]), codes
+
+
 def test_cross_check_reads_the_rounds_measurement_plan(monkeypatch):
-    """Two swapped destinations in a SWAP map of the rounds' split plan
-    misplace a residual, and the cross check reports it."""
+    """A corrupted SWAP-10 split plan of the rounds fails the cross check.
+    Two swapped destinations misplace a residual; two swapped click codes,
+    or a dropped map, make the check infinite."""
     plans = robustness._measure_plan
-
-    def corrupted(system, ops):
-        (n_maps, src, dst, *rest), map_op, codes = plans(system, ops)
-        if ops == (AliceOp.SWAP_10,):
-            dst = dst.copy()
-            dst[[0, 1]] = dst[[1, 0]]
-        return (n_maps, src, dst, *rest), map_op, codes
-
     attack = random_attack(9, probe_dim=2, strength=0.8)
     assert measurement_cross_check(attack) < 1e-12
-    monkeypatch.setattr(robustness, "_measure_plan", corrupted)
-    assert measurement_cross_check(attack) > 1e-12
+    for corrupt in (_swapped_destinations, _swapped_codes, _last_map_dropped):
+        def corrupted(system, ops, corrupt=corrupt):
+            plan, map_op, codes = plans(system, ops)
+            if ops == (AliceOp.SWAP_10,):
+                plan, codes = corrupt(plan, codes)
+            return plan, map_op, codes
+
+        monkeypatch.setattr(robustness, "_measure_plan", corrupted)
+        gap = measurement_cross_check(attack)
+        if corrupt is _swapped_destinations:
+            assert 1e-12 < gap < float("inf")
+        else:
+            assert gap == float("inf"), corrupt.__name__
 
 
 def test_conditions_require_mirror_variant():

@@ -17,12 +17,11 @@ from sqkdsim.adversary import (Attack, _check_unitary, _random_attacks, attack_s
 from sqkdsim.cli import main
 from sqkdsim.fock import ContractViolation, DensityOperator, ModeSystem, _check_densities
 from sqkdsim.measurement import AliceOp
-from sqkdsim.protocol import (BranchTable, ProtocolConfig, RoundEnumerator,
-                              eve_conditional_states, legacy_identification)
+from sqkdsim.protocol import (ProtocolConfig, RoundEnumerator, eve_conditional_states,
+                              legacy_identification)
 from sqkdsim.robustness import ConditionReport, check_conditions, robustness_sweep
 
 CONDITIONS = list(ConditionReport.__dataclass_fields__)
-COLUMNS = list(BranchTable.__dataclass_fields__)
 
 
 def _config(n_max, lossy):
@@ -76,14 +75,14 @@ def test_stack_equals_one_attack_at_a_time(n_max, strength, lossy):
                                  strength=strength, n_max=n_max) for k in range(3)]
         stacked = _branch_stack(config, attacks)  # one pruned row set
         for k, attack in enumerate(attacks):
-            enum = RoundEnumerator(config, attack)
-            alone = enum.table
-            for name in COLUMNS:
-                mine = (getattr(stacked, name)[k] if name in stacked._fields
-                        else getattr(stacked.cells, name)[stacked.cell])
-                assert mine.shape == getattr(alone, name).shape, name
-                assert (mine == getattr(alone, name)).all(), (name, probe_dim, k)
-            assert (stacked.weights[k] == enum._pass.weights[0]).all(), (probe_dim, k)
+            alone = RoundEnumerator(config, attack)._pass
+            assert stacked.cells is alone.cells  # so equal cells give equal labels
+            for name in protocol._Pass._fields[1:]:
+                mine, theirs = getattr(stacked, name), getattr(alone, name)
+                if name != "cell":
+                    mine, theirs = mine[k], theirs[0]
+                assert mine.shape == theirs.shape, name
+                assert (mine == theirs).all(), (name, probe_dim, k)
         found = _evaluate(config, attacks)
         for k, attack in enumerate(attacks):
             assert_row_equal(found, k, attack, config)
@@ -142,7 +141,7 @@ def test_probability_sum_check_fires_for_a_later_attack_of_a_stack():
     good, bad = random_attack(4, probe_dim=2), random_attack(5, probe_dim=2)
     object.__setattr__(bad, "u_forward", 0.9 * bad.u_forward)  # after validation
     with pytest.raises(ContractViolation, match="sum to") as alone:
-        RoundEnumerator(ProtocolConfig(), bad).table
+        RoundEnumerator(ProtocolConfig(), bad)._pass
     with pytest.raises(ContractViolation, match="sum to") as stacked:
         _branch_stack(ProtocolConfig(), [good, bad])
     assert str(stacked.value) == str(alone.value)
