@@ -11,8 +11,7 @@ from .adversary import (Attack, attack_from_document, attack_to_document,
                         identity_attack, load_attack, measure_resend_attack,
                         random_attack, save_attack, tagging_attack)
 from .alice import ALICE_PAIR, TRANSMIT_PAIR, apply_alice_op
-from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   hadamard_change, trace_distance)
+from .fock import ContractViolation, FockVector, ModeSystem, hadamard_change, trace_distance
 from .measurement import (AliceOp, Basis, ClickPattern, Interpretation,
                           interpret_ctrl, interpret_legacy_sift, interpret_swap_all,
                           interpret_swap_x, shared_bit)
@@ -30,8 +29,8 @@ __version__ = "0.1.0"
 __all__ = [
     "__version__",
     # state space
-    "ContractViolation", "ModeSystem", "FockVector", "DensityOperator",
-    "hadamard_change", "trace_distance",
+    "ContractViolation", "ModeSystem", "FockVector", "hadamard_change",
+    "trace_distance",
     # parties
     "ALICE_PAIR", "TRANSMIT_PAIR", "AliceOp", "Basis", "ClickPattern",
     "Interpretation", "apply_alice_op",

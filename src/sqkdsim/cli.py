@@ -436,8 +436,9 @@ def main(argv=None) -> int:
             raise ValueError(f"--out {args.out}: the CSV table would overwrite "
                              "the JSON report; give BASE another suffix")
         return args.func(args)
-    except (ValueError, ContractViolation, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (ValueError, ContractViolation, OSError, MemoryError) as exc:
+        # Python's own MemoryError carries no text.
+        print(f"error: {str(exc) or type(exc).__name__}", file=sys.stderr)
         return EXIT_FAILURE
 
 

@@ -46,7 +46,6 @@ __all__ = [
     "ContractViolation",
     "ModeSystem",
     "FockVector",
-    "DensityOperator",
     "creation_operator",
     "apply_truncating_unitary",
     "pair_mode_transform",
@@ -80,11 +79,11 @@ def _real(name: str, value) -> float:
 class ModeSystem:
     """Shape of a truncated Fock space.
 
-    ``num_pairs`` two-mode pairs share a global photon budget ``n_max``.
+    ``num_pairs`` (at least one) two-mode pairs share a global photon budget
+    ``n_max``.
     Every mode is replicated ``tag_dim`` times, once per tag value.
     ``probe_dim == 0`` means the system carries no probe factor; any positive
-    value adjoins a probe of that dimension.  ``num_pairs == 0`` is allowed
-    and describes a bare probe space.
+    value adjoins a probe of that dimension.
     """
 
     num_pairs: int
@@ -95,7 +94,7 @@ class ModeSystem:
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
-        if self.num_pairs < 0 or self.tag_dim < 1 or self.n_max < 0 or self.probe_dim < 0:
+        if self.num_pairs < 1 or self.tag_dim < 1 or self.n_max < 0 or self.probe_dim < 0:
             raise ValueError(f"invalid mode system {self}")
 
     # -- geometry ---------------------------------------------------------
@@ -215,7 +214,6 @@ class FockVector:
 # -- ladder operators -------------------------------------------------------
 
 
-@lru_cache(maxsize=None)
 def creation_operator(system: ModeSystem, slot: int) -> np.ndarray:
     """Dense matrix of a-dagger on ``slot``; weight above n_max is dropped:
     a basis state below the photon cap, with n photons in ``slot``, goes to
@@ -229,7 +227,6 @@ def creation_operator(system: ModeSystem, slot: int) -> np.ndarray:
     dst = system.index_of(raised, probes[below])
     mat = np.zeros((system.dim, system.dim), dtype=np.complex128)
     mat[dst, np.flatnonzero(below)] = np.sqrt(occs[below, slot] + 1.0)
-    mat.setflags(write=False)
     return mat
 
 
@@ -309,28 +306,10 @@ def hadamard_change(state: FockVector, pair: int) -> FockVector:
     return apply_truncating_unitary(state, hadamard_matrix(state.system, pair))
 
 
-@dataclass(frozen=True, eq=False)
-class DensityOperator:
-    """Dense density matrix over a :class:`ModeSystem` basis."""
-
-    system: ModeSystem
-    matrix: np.ndarray
-
-    def __post_init__(self) -> None:
-        mat = np.array(self.matrix, dtype=np.complex128)
-        if mat.shape != (self.system.dim, self.system.dim):
-            raise ValueError(f"expected a {self.system.dim}-dim square matrix")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
-
-    def validate(self) -> None:
-        """Check Hermiticity, positivity, and unit trace to 1e-10."""
-        _check_densities(self.matrix[None])
-
-
 def _check_densities(mats: np.ndarray, differences: np.ndarray | None = None) -> np.ndarray:
-    """:meth:`DensityOperator.validate` on a stack of matrices, one stacked
-    call per check, raising for the first failing matrix of the stack.
+    """Check each matrix of a stack for Hermiticity, positivity and unit
+    trace to 1e-10, one stacked call per check, raising for the first
+    failing matrix of the stack.
 
     Given a stack of Hermitian ``differences`` (a - b), returns half the
     trace norm of each, the trace distance of each pair, from the same
@@ -355,13 +334,12 @@ def _check_densities(mats: np.ndarray, differences: np.ndarray | None = None) ->
     return _half_trace_norms(values[len(mats):])
 
 
-def trace_distance(a: DensityOperator | np.ndarray, b: DensityOperator | np.ndarray) -> float:
+def trace_distance(a: np.ndarray, b: np.ndarray) -> float:
     """Half the trace norm of (a - b); 0 = identical, 1 = perfectly distinguishable."""
-    am = a.matrix if isinstance(a, DensityOperator) else np.asarray(a)
-    bm = b.matrix if isinstance(b, DensityOperator) else np.asarray(b)
-    if am.shape != bm.shape:
+    a, b = np.asarray(a), np.asarray(b)
+    if a.shape != b.shape:
         raise ValueError("trace distance needs operators of equal dimension")
-    return float(_half_trace_norms(np.linalg.eigvalsh(am - bm)))
+    return float(_half_trace_norms(np.linalg.eigvalsh(a - b)))
 
 
 def _half_trace_norms(eigenvalues: np.ndarray) -> np.ndarray:

@@ -51,9 +51,8 @@ import numpy as np
 
 from .adversary import Attack
 from .alice import swapped_slots
-from .fock import (ContractViolation, DensityOperator, FockVector, ModeSystem,
-                   _check_densities, _evolve, _integer, _norm2, _occupations, _real,
-                   hadamard_matrix)
+from .fock import (ContractViolation, FockVector, ModeSystem, _check_densities, _evolve,
+                   _integer, _norm2, _occupations, _real, hadamard_matrix)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           interpret_ctrl, interpret_legacy_sift, interpret_swap_all,
                           interpret_swap_x, shared_bit)
@@ -539,7 +538,6 @@ def _launch(system: ModeSystem) -> tuple[np.ndarray, np.ndarray]:
     return amplitude, probes
 
 
-@lru_cache(maxsize=None)
 def _loss_maps(system: ModeSystem, slots: tuple[int, ...], survival: float) -> dict:
     """Per-photon loss on ``slots`` as index maps.
 
@@ -571,7 +569,7 @@ def _loss_maps(system: ModeSystem, slots: tuple[int, ...], survival: float) -> d
     return maps
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=128)  # bounded: a loss scan visits many survivals
 def _loss_plan(system: ModeSystem, survival: float) -> tuple:
     """:func:`_loss_maps` of the transmitted pair merged into one split plan."""
     return _merged_plan(system.dim, [*_loss_maps(system, system.pair_slots(_PAIR),
@@ -817,7 +815,8 @@ def _probe_states(found: _Pass, mix: np.ndarray) -> tuple:
     every row whose cell has a nonzero weight w in row k of ``mix``, a
     (state, cell) matrix.  Each state is normalised by its trace p, and one
     :func:`~sqkdsim.fock._check_densities` call checks them all and takes
-    each distance, NaN if a state is absent, from one ``eigvalsh``."""
+    each distance, NaN if a state is absent, from one ``eigvalsh``; ``rho``
+    is returned read-only."""
     pl = found.eve_probe.shape[-1]
     rho = np.zeros((len(found.probability), 2, pl, pl), found.eve_probe.dtype)  # (attack, state)
     for k, w in enumerate(mix.take(found.cell, axis=1)):
@@ -830,6 +829,7 @@ def _probe_states(found: _Pass, mix: np.ndarray) -> tuple:
     both = present.all(axis=1)
     dist = np.full(len(rho), np.nan)
     dist[both] = _check_densities(rho[present], rho[both, 0] - rho[both, 1])
+    rho.setflags(write=False)
     return p, rho, dist
 
 
@@ -840,7 +840,8 @@ class EveConditionals:
     ``p_shared`` is the SharedBit probability conditioned on Alice playing a
     single-mode swap (SWAP-10 and SWAP-01 weighted as in the config, or
     equally if it plays neither) and Bob measuring computationally.
-    ``trace_distance`` is None when one of the two bit values never occurs.
+    ``states`` maps each bit that occurs to her read-only (level, level)
+    density matrix; ``trace_distance`` is None when one of them never occurs.
     """
 
     p_shared: float
@@ -858,10 +859,9 @@ def eve_conditional_states(attack: Attack,
     given enumerator must hold that config and ``attack``."""
     enum = _enumerator(attack, config, enumerator, Variant.MIRROR)
     p_bit, rho, dist = (column[0] for column in _eve_conditionals(enum.config, enum._pass))
-    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
     return EveConditionals(float(p_bit.sum()), dict(enumerate(p_bit.tolist())),
-                           {b: DensityOperator(probe_space, rho[b]) for b in (0, 1)
-                            if p_bit[b] > _PROBE_MASS_TOL}, None if isnan(dist) else float(dist))
+                           {b: rho[b] for b in (0, 1) if p_bit[b] > _PROBE_MASS_TOL},
+                           None if isnan(dist) else float(dist))
 
 
 def _eve_conditionals(config: ProtocolConfig, found: _Pass) -> tuple:
@@ -882,8 +882,8 @@ def _eve_conditionals(config: ProtocolConfig, found: _Pass) -> tuple:
 class SiftCtrlIdentification:
     """How well Eve's probe distinguishes SIFT from CTRL on the legacy protocol."""
 
-    rho_ctrl: DensityOperator
-    rho_sift: DensityOperator
+    rho_ctrl: np.ndarray  # read-only, (level, level)
+    rho_sift: np.ndarray
     trace_distance: float
     accuracy: float  # best single-shot guess with equal priors
 
@@ -900,6 +900,4 @@ def legacy_identification(attack: Attack,
     cells = enum._pass.cells
     mix = (cells.op == np.arange(2)[:, None]) * cells.basis_weight(enum.config.bob_hadamard_prob)
     _, rho, dist = (column[0] for column in _probe_states(enum._pass, mix))
-    probe_space = ModeSystem(num_pairs=0, n_max=0, probe_dim=attack.system.probe_dim)
-    return SiftCtrlIdentification(*(DensityOperator(probe_space, m) for m in rho),
-                                  float(dist), 0.5 * (1.0 + float(dist)))
+    return SiftCtrlIdentification(*rho, float(dist), 0.5 * (1.0 + float(dist)))

@@ -181,7 +181,7 @@ def test_mirror_analyses_equal_the_block_reference(n_max, loss, p_had):
         assert conditionals.p_bit == {0: p_bit[0], 1: p_bit[1]}
         assert conditionals.p_shared == p_bit[0] + p_bit[1]
         for bit in (0, 1):
-            assert np.array_equal(conditionals.states[bit].matrix, states[bit])
+            assert np.array_equal(conditionals.states[bit], states[bit])
         assert conditionals.trace_distance == trace_distance(*states)
         row_p_bit, row_states = _row_order_eve(enum)
         assert np.abs(np.subtract(p_bit, row_p_bit)).max() <= ROW_ORDER_TOL
@@ -207,7 +207,7 @@ def test_legacy_identification_equals_the_block_reference(n_max, loss, p_had):
             probes.append(block["eve_probe"])
         mat = _mixture(1.0, np.concatenate(weighted), np.concatenate(probes))
         mat /= float(np.trace(mat).real)  # normalised as Eve's mirror states are
-        assert np.array_equal(density.matrix, mat)
+        assert np.array_equal(density, mat)
         reference.append(mat)
 
         # Second reference: one product per block, added per basis.

@@ -188,6 +188,24 @@ def test_unknown_attack_fails_cleanly(capsys):
     assert "unknown attack" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("failure, message", [
+    (MemoryError("Unable to allocate 2.18 TiB for an array"),
+     "Unable to allocate 2.18 TiB for an array"),  # numpy's
+    (MemoryError(), "MemoryError"),  # Python's own has no text
+], ids=["numpy", "bare"])
+def test_an_allocation_failure_is_an_error_not_a_traceback(failure, message, monkeypatch,
+                                                           capsys):
+    """``run --rounds 100000000000`` asks numpy for terabytes.  The failure
+    is raised here rather than allocated: an overcommitting kernel may grant
+    the array and then kill the process."""
+    def too_large(*args, **kwargs):
+        raise failure
+
+    monkeypatch.setattr(cli, "run_protocol", too_large)
+    assert main(["run", "--rounds", "100000000000"]) == 1
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
 def test_tag_dim_conflict_fails(capsys):
     assert main(["run", "--attack", "tagging", "--tag-dim", "1"]) == 1
     assert "tag" in capsys.readouterr().err

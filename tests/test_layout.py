@@ -34,11 +34,10 @@ def _results(config, attack):
         found.update((name, getattr(report, name)) for name in CONDITIONS)
         eve = eve_conditional_states(attack, config, enumerator=enum)
         found.update(p_shared=eve.p_shared, p_bit=eve.p_bit,
-                     trace_distance=eve.trace_distance,
-                     states={b: rho.matrix for b, rho in eve.states.items()})
+                     trace_distance=eve.trace_distance, states=eve.states)
     else:
         ident = legacy_identification(attack, config, enumerator=enum)
-        found.update(rho_ctrl=ident.rho_ctrl.matrix, rho_sift=ident.rho_sift.matrix,
+        found.update(rho_ctrl=ident.rho_ctrl, rho_sift=ident.rho_sift,
                      trace_distance=ident.trace_distance)
     return found, enum._pass
 

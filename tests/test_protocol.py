@@ -11,6 +11,7 @@ from sqkdsim.adversary import (identity_attack, measure_resend_attack, random_at
                                tagging_attack)
 from sqkdsim.fock import ModeSystem
 from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
+from sqkdsim import protocol
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
                               Variant, _loss_maps, _search_blocks,
                               eve_conditional_states,
@@ -261,6 +262,26 @@ def test_loss_maps_are_binomial_kraus_branches(q):
     assert lost == pytest.approx(1 - q, abs=1e-14)
 
 
+def test_a_loss_scan_keeps_a_bounded_number_of_plans():
+    """A scan over survival keeps no more loss plans than the cache's bound,
+    and a survival met again after its plan was dropped gives the same bits."""
+    plans = protocol._loss_plan
+    bound = plans.cache_parameters()["maxsize"]
+    attack = random_attack(5, probe_dim=2, n_max=1)
+
+    def conditions(survival):
+        return check_conditions(attack, ProtocolConfig(n_max=1, channel_loss=survival))
+
+    plans.cache_clear()
+    first = conditions(0.5)
+    for k in range(1, bound + 1):
+        conditions(0.5 + k / 1024)
+    assert plans.cache_info().currsize == bound
+    misses = plans.cache_info().misses
+    assert conditions(0.5) == first
+    assert plans.cache_info().misses == misses + 1  # rebuilt, not kept
+
+
 def test_eve_probe_vectors_are_normalized():
     enum = RoundEnumerator(ProtocolConfig(), measure_resend_attack("computational"))
     for op in MIRROR_OPS:
@@ -404,8 +425,8 @@ def test_eve_conditionals_measure_resend():
     cond = eve_conditional_states(measure_resend_attack("computational"))
     assert cond.trace_distance == pytest.approx(1.0, abs=1e-12)
     # bit 0 leaves the record-1 pointer, bit 1 the record-2 pointer
-    assert cond.states[0].matrix[1, 1] == pytest.approx(1.0, abs=1e-12)
-    assert cond.states[1].matrix[2, 2] == pytest.approx(1.0, abs=1e-12)
+    assert cond.states[0][1, 1] == pytest.approx(1.0, abs=1e-12)
+    assert cond.states[1][2, 2] == pytest.approx(1.0, abs=1e-12)
 
 
 def test_quiet_probe_rotation_learns_nothing():
@@ -427,7 +448,8 @@ def test_eve_conditionals_fall_back_to_equal_swap_weights():
     assert fallback.trace_distance == default.trace_distance
     assert fallback.states.keys() == default.states.keys() == {0, 1}
     for b in (0, 1):
-        assert np.array_equal(fallback.states[b].matrix, default.states[b].matrix)
+        assert np.array_equal(fallback.states[b], default.states[b])
+        assert not fallback.states[b].flags.writeable
 
 
 def test_legacy_identity_run_shares_bits():
@@ -452,7 +474,8 @@ def test_tagging_identifies_sift_exactly():
     tagged = legacy_identification(tagging_attack())
     assert (tagged.trace_distance, tagged.accuracy) == (1.0, 1.0)
     for state in (tagged.rho_ctrl, tagged.rho_sift):
-        assert abs(np.trace(state.matrix).real - 1.0) <= 1e-15
+        assert abs(np.trace(state).real - 1.0) <= 1e-15
+        assert not state.flags.writeable
 
 
 def test_variant_mismatch_is_rejected():

@@ -15,7 +15,7 @@ from sqkdsim import protocol, robustness
 from sqkdsim.adversary import (Attack, _check_unitary, _random_attacks, attack_space,
                                identity_attack, random_attack)
 from sqkdsim.cli import main
-from sqkdsim.fock import ContractViolation, DensityOperator, ModeSystem, _check_densities
+from sqkdsim.fock import ContractViolation, _check_densities
 from sqkdsim.measurement import AliceOp
 from sqkdsim.protocol import (ProtocolConfig, RoundEnumerator, eve_conditional_states,
                               legacy_identification)
@@ -59,7 +59,7 @@ def assert_row_equal(found, k, attack, config):
     present = found.p_bit[k] > protocol._PROBE_MASS_TOL
     assert set(np.flatnonzero(present).tolist()) == eve.states.keys()
     for b, state in eve.states.items():
-        assert np.array_equal(found.rho[k, b], state.matrix)
+        assert np.array_equal(found.rho[k, b], state)
     dist = found.trace_distance[k].item()
     assert (None if math.isnan(dist) else dist) == eve.trace_distance
     assert math.isnan(dist) == (not present.all())
@@ -120,14 +120,13 @@ def test_an_absent_bit_has_no_state_and_no_distance(config, bits):
 
 
 def test_sweep_builds_no_report_objects(monkeypatch):
-    """The sweep reads the stacked record: it builds no condition report,
-    no Eve report and no density operator."""
+    """The sweep reads the stacked record: it builds no condition report
+    and no Eve report."""
     expected = robustness_sweep(master_seed=5, count=16, max_probe_dim=8)
 
     def forbidden(*args, **kwargs):
         raise AssertionError("the sweep built a report object")
 
-    monkeypatch.setattr(protocol, "DensityOperator", forbidden)
     monkeypatch.setattr(protocol, "EveConditionals", forbidden)
     monkeypatch.setattr(robustness, "ConditionReport", forbidden)
     with pytest.raises(AssertionError, match="report object"):
@@ -213,6 +212,8 @@ def _density(rng, n):
 
 @pytest.mark.parametrize("defect", ["adjoint", "negative", "trace"])
 def test_density_check_of_a_stack_raises_the_validate_message(defect):
+    """A good matrix passes the check alone, a defective one fails it, and
+    a stack fails with the message of its first defective matrix alone."""
     rng = np.random.default_rng(3)
     good, bad = _density(rng, 4), _density(rng, 4)
     if defect == "adjoint":
@@ -222,10 +223,9 @@ def test_density_check_of_a_stack_raises_the_validate_message(defect):
         assert np.linalg.eigvalsh(bad).min() < -1e-10
     else:
         bad = 1.001 * bad
-    space = ModeSystem(num_pairs=0, n_max=0, probe_dim=4)
-    DensityOperator(space, good).validate()
+    _check_densities(good[None])
     with pytest.raises(ValueError, match="density matrix") as alone:
-        DensityOperator(space, bad).validate()
+        _check_densities(bad[None])
     with pytest.raises(ValueError, match="density matrix") as stacked:
         _check_densities(np.array([good, bad, good]))
     assert str(stacked.value) == str(alone.value)
@@ -264,7 +264,7 @@ def test_eve_state_check_of_a_sweep_stack_raises_the_validate_message(defect, mo
     with pytest.raises(ValueError, match=message) as stacked:
         _evaluate(ProtocolConfig(), [random_attack(20 + k, probe_dim=4) for k in range(3)])
     with pytest.raises(ValueError, match="density matrix") as alone:
-        DensityOperator(ModeSystem(num_pairs=0, n_max=0, probe_dim=4), seen[0]).validate()
+        _check_densities(seen[0][None])
     assert str(stacked.value) == str(alone.value)
 
 
@@ -285,6 +285,6 @@ def test_legacy_state_check_raises_the_validate_message(defect, which, monkeypat
     with pytest.raises(ValueError, match="density matrix") as stacked:
         legacy_identification(random_attack(7, probe_dim=4))
     with pytest.raises(ValueError, match="density matrix") as alone:
-        DensityOperator(ModeSystem(num_pairs=0, n_max=0, probe_dim=4), seen[0]).validate()
+        _check_densities(seen[0][None])
     assert len(seen) == 1
     assert str(stacked.value) == str(alone.value)

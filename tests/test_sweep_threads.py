@@ -257,6 +257,12 @@ def test_blas_pinned_rule(environ, pinned):
     assert _blas_pinned(environ) is pinned
 
 
+def test_cores_reads_the_affinity_mask_else_the_cpu_count(monkeypatch):
+    assert robustness._cores() == len(os.sched_getaffinity(0))
+    monkeypatch.delattr(os, "sched_getaffinity")  # as on a platform without it
+    assert robustness._cores() == (os.cpu_count() or 1)
+
+
 @pytest.mark.parametrize("blas, count, helpers", [
     ("1", 16, 1),  # two cores, eight chunks
     ("1", 1, 0),  # one chunk
