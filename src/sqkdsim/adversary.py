@@ -6,10 +6,9 @@ Alice, ``v_backward`` on the way back.  Both are arbitrary unitaries on the
 truncated space, so Eve may inject or absorb photons unless she declares
 herself photon-preserving.  This one-pair-plus-probe space is also the
 space every protocol round runs on: Alice's storage is empty whenever Eve
-acts, so the matrices apply as they are, by one function: a round's
-branch pass multiplies its stacked rows by them (``sqkdsim.fock._evolve``),
-and the measurement cross-check's single state goes through its one-row
-case, :func:`sqkdsim.fock.apply_truncating_unitary`.
+acts, so the matrices apply as they are, by one function,
+``sqkdsim.fock._evolve``: a round's branch pass multiplies its stacked rows
+by them, as the measurement cross-check does Bob's one launch row.
 
 Two exported builders compose the named attacks and serve for new ones:
 :func:`basis_permutation` takes the image of every basis index as
@@ -52,8 +51,6 @@ PROBE_SAW_CTRL = 2
 
 def attack_space(tag_dim: int = 1, n_max: int = 2, probe_dim: int = 1) -> ModeSystem:
     """The one-pair-plus-probe system an attack is defined over."""
-    if probe_dim < 1:
-        raise ValueError("probe_dim must be at least 1")
     return ModeSystem(num_pairs=1, tag_dim=tag_dim, n_max=n_max, probe_dim=probe_dim)
 
 
@@ -82,8 +79,6 @@ class Attack:
     def validate(self) -> None:
         if self.system.num_pairs != 1:
             raise ValueError("attacks are defined over a single transmitted pair")
-        if self.system.probe_dim < 1:
-            raise ValueError("attacks need a probe factor (probe_dim >= 1)")
         d = self.system.dim
         mats = {"u_forward": self.u_forward, "v_backward": self.v_backward}
         for label, mat in mats.items():  # before the basis is listed: it may not fit

@@ -3,7 +3,7 @@
 Photons live in two-mode ("dual-rail") pairs, one pair per party that can
 hold light.  Every photon additionally carries a tag: an internal label such
 as a frequency bin that threshold detectors ignore but that distinguishes
-photons perfectly in principle.  An optional finite-dimensional probe factor
+photons perfectly in principle.  A probe factor of at least one level
 models an eavesdropper's private memory.  Amplitudes are stored densely over
 all occupation configurations with at most ``n_max`` photons in total, so
 every operation reduces to ordinary complex matrix algebra and probabilities
@@ -82,19 +82,19 @@ class ModeSystem:
     ``num_pairs`` (at least one) two-mode pairs share a global photon budget
     ``n_max``.
     Every mode is replicated ``tag_dim`` times, once per tag value.
-    ``probe_dim == 0`` means the system carries no probe factor; any positive
-    value adjoins a probe of that dimension.
+    A probe factor of ``probe_dim`` (at least one) levels, Eve's memory,
+    is adjoined to every space.
     """
 
     num_pairs: int
     tag_dim: int = 1
     n_max: int = 2
-    probe_dim: int = 0
+    probe_dim: int = 1
 
     def __post_init__(self) -> None:
         for f in fields(self):
             object.__setattr__(self, f.name, _integer(f.name, getattr(self, f.name)))
-        if self.num_pairs < 1 or self.tag_dim < 1 or self.n_max < 0 or self.probe_dim < 0:
+        if self.num_pairs < 1 or self.tag_dim < 1 or self.n_max < 0 or self.probe_dim < 1:
             raise ValueError(f"invalid mode system {self}")
 
     # -- geometry ---------------------------------------------------------
@@ -104,14 +104,9 @@ class ModeSystem:
         return self.num_pairs * 2 * self.tag_dim
 
     @property
-    def probe_levels(self) -> int:
-        """Dimension of the probe factor (1 when no probe is present)."""
-        return self.probe_dim if self.probe_dim else 1
-
-    @property
     def dim(self) -> int:
-        """``len(self.occupations()) * probe_levels``, counted without listing them."""
-        return comb(self.n_slots + self.n_max, self.n_max) * self.probe_levels
+        """``len(self.occupations()) * probe_dim``, counted without listing them."""
+        return comb(self.n_slots + self.n_max, self.n_max) * self.probe_dim
 
     def slot(self, pair: int, mode: int, tag: int = 0) -> int:
         if not (0 <= pair < self.num_pairs):
@@ -149,10 +144,10 @@ class ModeSystem:
             raise ValueError(f"occupations need {self.n_slots} counts, got {occs.shape}")
         total = occs.sum(axis=-1)
         if ((occs < 0).any() or (total > self.n_max).any() or (occs != occupations).any()
-                or (probes < 0).any() or (probes >= self.probe_levels).any()):
+                or (probes < 0).any() or (probes >= self.probe_dim).any()):
             raise ValueError(f"state outside the truncated basis of {self}")
         rank = _basis_table(self)[2].searchsorted(_rank_key(occs, total, self.n_max))
-        return rank * self.probe_levels + probes
+        return rank * self.probe_dim + probes
 
 
 @lru_cache(maxsize=None)
@@ -179,8 +174,8 @@ def _basis_table(system: ModeSystem):
     """Occupation rows and probe levels of the basis, and the rank keys."""
     occs = np.array(system.occupations(), dtype=np.intp)
     keys = _rank_key(occs, occs.sum(axis=1), system.n_max)
-    table = (np.repeat(occs, system.probe_levels, axis=0),
-             np.tile(np.arange(system.probe_levels), len(occs)), keys)
+    table = (np.repeat(occs, system.probe_dim, axis=0),
+             np.tile(np.arange(system.probe_dim), len(occs)), keys)
     for column in table:
         column.setflags(write=False)
     return table

@@ -51,8 +51,8 @@ import numpy as np
 
 from .adversary import Attack
 from .alice import swapped_slots
-from .fock import (ContractViolation, FockVector, ModeSystem, _check_densities, _evolve,
-                   _integer, _norm2, _occupations, _real, hadamard_matrix)
+from .fock import (ContractViolation, ModeSystem, _check_densities, _evolve, _integer,
+                   _norm2, _occupations, _real, hadamard_matrix)
 from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
                           interpret_ctrl, interpret_legacy_sift, interpret_swap_all,
                           interpret_swap_x, shared_bit)
@@ -301,7 +301,7 @@ def _measure_plan(system: ModeSystem, ops: tuple[AliceOp, ...]) -> tuple:
     out; SIFT, and Bob (``None``), measure the whole pair.  SIFT's maps
     land on the light it resends there, one tag-0 photon per clicked mode.
     Bob's maps have no destinations: he empties the attack's one pair, and
-    each of his maps reads one occupation's ``probe_levels`` consecutive
+    each of his maps reads one occupation's ``probe_dim`` consecutive
     indices in probe order, so its moved columns are Eve's probe state.
     Returns the plan and, per map, the index of its operation in ``ops``
     and its pattern code (-1 for CTRL).
@@ -432,12 +432,6 @@ class RoundEnumerator:
         self.config = config
         self.attack = attack
         self.system = asys
-
-    @cached_property
-    def initial(self) -> FockVector:
-        """Bob's plus photon next to Eve's initial probe state."""
-        plus, probes = _launch(self.system)
-        return FockVector(self.system, plus * self.attack.initial_probe[probes])
 
     @cached_property
     def _pass(self) -> _Pass:

@@ -24,12 +24,11 @@ import numpy as np
 
 from .adversary import Attack, _check_probes, _check_unitary, _random_attacks, attack_space
 from .alice import ALICE_PAIR, apply_alice_op, swapped_slots
-from .fock import (FockVector, ModeSystem, _integer, _real, apply_truncating_unitary,
-                   hadamard_change)
+from .fock import FockVector, ModeSystem, _evolve, _integer, _real, hadamard_change
 from .measurement import PRUNE, AliceOp, ClickPattern
 from .protocol import (ProtocolConfig, RoundEnumerator, Variant, _PrunedApart, _branch_stack,
-                       _cells, _document, _enumerator, _eve_conditionals, _loss_maps,
-                       _measure_plan, _split)
+                       _cells, _document, _enumerator, _eve_conditionals, _launch,
+                       _loss_maps, _measure_plan, _split)
 
 __all__ = [
     "ConditionReport",
@@ -138,9 +137,10 @@ def measurement_cross_check(attack: Attack) -> float:
     means both routes agree to machine precision, infinity that their
     branch sets differ).  The state depends on the attack alone.
     """
-    forward = apply_truncating_unitary(_enumerator(attack, None, None).initial,
-                                       attack.u_forward)
-    pair = forward.system
+    pair = attack.system
+    plus, levels = _launch(pair)  # Bob's launch, then Eve's forward unitary
+    forward, _ = _evolve((plus * attack.initial_probe[levels])[None, None], np.zeros((1, 1)),
+                         attack.u_forward[None])
     system = ModeSystem(2, pair.tag_dim, pair.n_max, pair.probe_dim)
     # The attack pair's basis state i, next to the empty storage pair, is
     # joint basis state embed[i]: the storage factor is exactly 1.
@@ -148,7 +148,7 @@ def measurement_cross_check(attack: Attack) -> float:
     embed = system.index_of(np.concatenate([np.zeros_like(pair_occs), pair_occs], axis=1),
                             pair_probes)
     amps = np.zeros(system.dim, dtype=np.complex128)
-    amps[embed] = forward.amplitudes
+    amps[embed] = forward[0, 0]
     joint = FockVector(system, amps)
     alice_slots = list(system.pair_slots(ALICE_PAIR))
     occs, probes = system.basis_table
@@ -169,7 +169,7 @@ def measurement_cross_check(attack: Attack) -> float:
         rails = swapped_slots(pair, op, 0)
         keys = sorted(_loss_maps(pair, rails, 0.0))
         plan, _, codes = _measure_plan(pair, (op,))
-        rows, weight, which = _split(forward.amplitudes[None, None], plan)
+        rows, weight, which = _split(forward, plan)
         embedded = np.zeros((len(which), system.dim), dtype=np.complex128)
         embedded[:, embed] = rows[0]
         branches = {}
@@ -295,7 +295,7 @@ def verify_lemma1(spec_input: LemmaInput, zero_tol: float = 1e-9,
 
 
 def random_lemma_input(rng: np.random.Generator, probe_dim: int = 3,
-                       n_max: int = 2, delta: float = 0.0) -> LemmaInput:
+                       delta: float = 0.0) -> LemmaInput:
     """A random input satisfying the premise, optionally perturbed.
 
     With ``delta == 0`` the two single-photon probe vectors are identical
@@ -311,7 +311,7 @@ def random_lemma_input(rng: np.random.Generator, probe_dim: int = 3,
     if delta > 0.0:
         bump = cvec(probe_dim)
         g1 = g1 + delta * bump / np.linalg.norm(bump)
-    return LemmaInput(f={1: f1}, g={1: g1}, h=cvec(probe_dim), n_max=n_max)
+    return LemmaInput(f={1: f1}, g={1: g1}, h=cvec(probe_dim))
 
 
 # -- randomized sweep ----------------------------------------------------------

@@ -14,7 +14,7 @@ from sqkdsim.fock import ModeSystem
 def probe_unitary(system: ModeSystem, u_probe: np.ndarray) -> np.ndarray:
     """Act with ``u_probe`` on the probe factor alone."""
     u_probe = np.asarray(u_probe, dtype=np.complex128)
-    if u_probe.shape != (system.probe_levels, system.probe_levels):
+    if u_probe.shape != (system.probe_dim, system.probe_dim):
         raise ValueError("probe unitary has the wrong dimension")
     n_occ = len(system.occupations())
     return np.kron(np.eye(n_occ), u_probe)

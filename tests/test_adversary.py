@@ -398,9 +398,7 @@ def test_fixture_rejects_wrong_kind():
     (lambda: Attack("bad", ModeSystem(2, probe_dim=1), np.eye(15), np.eye(15), [1.0]),
      "a single transmitted pair"),
     (lambda: measure_resend_attack("diagonal"), "unknown basis 'diagonal'"),
-    (lambda: Attack("bad", ModeSystem(num_pairs=1, n_max=2), np.eye(6), np.eye(6),
-                    np.zeros(0)), "need a probe factor"),
-], ids=["matrix-shape", "probe-size", "two-pairs", "resend-basis", "no-probe"])
+], ids=["matrix-shape", "probe-size", "two-pairs", "resend-basis"])
 def test_adversary_input_checks(call, message):
     with pytest.raises(ValueError, match=message):
         call()

@@ -149,7 +149,7 @@ def _row_order_conditions(enum):
 def _row_order_eve(enum):
     probs = enum.config.alice_op_probs
     w10, w01 = probs[AliceOp.SWAP_10], probs[AliceOp.SWAP_01]
-    pl = enum.system.probe_levels
+    pl = enum.system.probe_dim
     rho = [np.zeros((pl, pl), dtype=np.complex128) for _ in (0, 1)]
     for op, w in ((AliceOp.SWAP_10, w10 / (w10 + w01)),
                   (AliceOp.SWAP_01, w01 / (w10 + w01))):
@@ -196,7 +196,7 @@ def test_legacy_identification_equals_the_block_reference(n_max, loss, p_had):
     enum = RoundEnumerator(config, attack)
     _assert_branches_are_the_blocks(enum)
     ident = legacy_identification(attack, config, enumerator=enum)
-    pl = enum.system.probe_levels
+    pl = enum.system.probe_dim
     reference = []
     for op, density in ((AliceOp.CTRL, ident.rho_ctrl), (AliceOp.SIFT, ident.rho_sift)):
         # One product over both bases' rows, in table order (computational first).

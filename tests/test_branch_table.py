@@ -77,8 +77,10 @@ def _alice(state: FockVector, op: AliceOp, variant: Variant) -> list:
 def reference_branches(enum: RoundEnumerator, op: AliceOp, basis: Basis) -> list:
     """(probability, alice pattern, bob pattern, residual) per branch."""
     q = enum.config.channel_loss
+    plus, levels = protocol._launch(enum.system)
+    launch = FockVector(enum.system, plus * enum.attack.initial_probe[levels])
     out = []
-    for s1 in _loss(enum.initial, q):
+    for s1 in _loss(launch, q):
         s2 = apply_truncating_unitary(s1, enum.attack.u_forward)
         for a_pat, s4 in _alice(s2, op, enum.config.variant):
             s5 = apply_truncating_unitary(s4, enum.attack.v_backward)
@@ -140,7 +142,7 @@ def _worst_gap_to_reference(attacks: list, n_max: int, survival: float) -> float
             cfg = ProtocolConfig(variant=variant, tag_dim=attack.system.tag_dim,
                                  n_max=n_max, channel_loss=survival)
             enum = RoundEnumerator(cfg, attack)
-            pl = attack.system.probe_levels
+            pl = attack.system.probe_dim
             for op in variant.operations:
                 for basis in Basis:
                     table = enum.branches(op, basis)
@@ -221,7 +223,7 @@ def test_probability_sum_check_fires():
 def test_bobs_plan_writes_each_map_into_its_own_probe_block():
     """Bob empties the pair, so his split's moved columns, reshaped to
     (row·map, probe level), are Eve's probe states: his plan has no
-    destinations, and map k reads the ``probe_levels`` consecutive indices
+    destinations, and map k reads the ``probe_dim`` consecutive indices
     of one occupation in probe order, each occupation once."""
     for tag_dim in (1, 2):
         for n_max in (2, 3, 4):
@@ -230,7 +232,7 @@ def test_bobs_plan_writes_each_map_into_its_own_probe_block():
                 plan, _, _ = protocol._measure_plan(system, (None,))
                 n_maps, src, dst, amp, starts = plan
                 assert dst is None and amp is None
-                pl = system.probe_levels
+                pl = system.probe_dim
                 assert np.array_equal(starts, np.arange(n_maps) * pl)
                 blocks = src.reshape(n_maps, pl)
                 levels = np.broadcast_to(np.arange(pl), blocks.shape)

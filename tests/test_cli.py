@@ -12,7 +12,7 @@ from sqkdsim import cli
 from sqkdsim.adversary import (attack_space, attack_to_document, identity_attack,
                                load_attack, random_attack, save_attack)
 from sqkdsim.cli import EXIT_USAGE, build_attack, build_parser, main
-from sqkdsim.protocol import ProtocolConfig, RoundEnumerator
+from sqkdsim.protocol import _launch
 from sqkdsim.robustness import measurement_cross_check
 
 from extra_attacks import probe_rotation_attack
@@ -131,7 +131,8 @@ def test_run_rejects_on_load_an_attack_that_breaks_the_branch_total(tmp_path, ca
     each block's total, though no entry of V^dagger V - I exceeds 1e-10."""
     identity = identity_attack(probe_dim=8)
     d = identity.system.dim  # 48
-    launch = RoundEnumerator(ProtocolConfig(), identity).initial.amplitudes
+    plus, levels = _launch(identity.system)
+    launch = plus * identity.initial_probe[levels]
     v = launch - d ** -0.5
     householder = np.eye(d) - 2 * np.outer(v, v.conj()) / np.vdot(v, v).real
     all_ones = np.eye(d) + ((1 + 0.99e-10 * d) ** 0.5 - 1) / d

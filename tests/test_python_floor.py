@@ -1,4 +1,5 @@
-"""The package's source parses at the Python floor ``pyproject.toml`` declares.
+"""The package's source, and the tests and bench scripts that tier-1 runs
+(``testpaths``), parse at the Python floor ``pyproject.toml`` declares.
 
 A best-effort grammar check: ``ast.parse`` with ``feature_version`` rejects
 much, though not all, syntax newer than the floor, and it cannot see a
@@ -16,7 +17,8 @@ def test_package_parses_at_the_declared_floor():
                          (ROOT / "pyproject.toml").read_text(), re.MULTILINE)
     floor = tuple(int(part) for part in declared.groups())
     assert floor == (3, 10)
-    sources = sorted((ROOT / "src" / "sqkdsim").glob("*.py"))
-    assert sources
-    for path in sources:
-        ast.parse(path.read_text(), filename=str(path), feature_version=floor)
+    for folder in (ROOT / "src" / "sqkdsim", ROOT / "tests", ROOT / "bench"):
+        sources = sorted(folder.glob("*.py"))
+        assert sources, folder
+        for path in sources:
+            ast.parse(path.read_text(), filename=str(path), feature_version=floor)

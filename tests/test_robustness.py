@@ -5,7 +5,7 @@ import pytest
 from sqkdsim.adversary import (identity_attack, measure_resend_attack, random_attack,
                                tagging_attack)
 from sqkdsim.measurement import AliceOp
-from sqkdsim.protocol import (ProtocolConfig, Variant, eve_conditional_states,
+from sqkdsim.protocol import (ProtocolConfig, RoundEnumerator, Variant, eve_conditional_states,
                               exact_statistics)
 from sqkdsim.robustness import (LemmaInput, check_conditions, lemma_state,
                                 measurement_cross_check, random_lemma_input,
@@ -102,6 +102,19 @@ def test_cross_check_agrees_with_measurement_branches():
     for attack in (identity_attack(), tagging_attack(), tagging_attack(n_max=3),
                    random_attack(9, probe_dim=2, strength=0.8), *randoms):
         assert measurement_cross_check(attack) < 1e-12, attack.name
+
+
+def test_cross_check_builds_no_enumerator(monkeypatch):
+    """The cross check launches Bob's photon itself, as the pass does, so it
+    returns the same value when no enumerator can be built."""
+    attack = random_attack(9, probe_dim=2, strength=0.8)
+    expected = measurement_cross_check(attack)
+
+    def unbuildable(self, config, attack):
+        raise AssertionError("the cross check built an enumerator")
+
+    monkeypatch.setattr(RoundEnumerator, "__init__", unbuildable)
+    assert measurement_cross_check(attack) == expected
 
 
 def _swapped_destinations(plan, codes):

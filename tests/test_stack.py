@@ -211,7 +211,7 @@ def _density(rng, n):
 
 
 @pytest.mark.parametrize("defect", ["adjoint", "negative", "trace"])
-def test_density_check_of_a_stack_raises_the_validate_message(defect):
+def test_density_check_of_a_stack_raises_the_one_matrix_message(defect):
     """A good matrix passes the check alone, a defective one fails it, and
     a stack fails with the message of its first defective matrix alone."""
     rng = np.random.default_rng(3)
@@ -246,7 +246,7 @@ def _corrupt(mats, k, defect):
 
 
 @pytest.mark.parametrize("defect", ["adjoint", "negative", "trace"])
-def test_eve_state_check_of_a_sweep_stack_raises_the_validate_message(defect, monkeypatch):
+def test_eve_state_check_of_a_sweep_stack_raises_the_one_matrix_message(defect, monkeypatch):
     """A defective state of the second attack, met where the sweep's Eve
     core checks every state and takes every trace distance in one call."""
     check = protocol._check_densities
@@ -270,7 +270,7 @@ def test_eve_state_check_of_a_sweep_stack_raises_the_validate_message(defect, mo
 
 @pytest.mark.parametrize("which", [0, 1])  # CTRL, SIFT
 @pytest.mark.parametrize("defect", ["adjoint", "negative", "trace"])
-def test_legacy_state_check_raises_the_validate_message(defect, which, monkeypatch):
+def test_legacy_state_check_raises_the_one_matrix_message(defect, which, monkeypatch):
     """A defective CTRL or SIFT state, met where legacy identification
     checks both states and takes their distance in one call."""
     check = protocol._check_densities
