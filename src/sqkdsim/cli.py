@@ -352,9 +352,9 @@ def cmd_attack_demo(args) -> int:
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="BASE",
-                        help="write a JSON report to BASE; run and sweep also "
-                             "write a CSV table to BASE with its suffix replaced "
-                             "by .csv, so they refuse a BASE ending in .csv")
+                        help="write a JSON report to BASE; run and sweep also write a CSV "
+                             "table to BASE with its suffix replaced by .csv, so they "
+                             "refuse a BASE ending in .csv in any letter case")
     parser.add_argument("--format", choices=("table", "structured"),
                         default="table", help="stdout format")
 
@@ -432,7 +432,7 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        if vars(args).get("writes_csv") and args.out and Path(args.out).suffix == ".csv":
+        if vars(args).get("writes_csv") and args.out and Path(args.out).suffix.lower() == ".csv":
             raise ValueError(f"--out {args.out}: the CSV table would overwrite "
                              "the JSON report; give BASE another suffix")
         return args.func(args)

@@ -25,11 +25,10 @@ nested loop loss, Alice's outcome, loss, Bob's outcome) and sums each
 cell's rows into one weight, which the conditions, the tallies and the
 sampler read (round i of a run draws its operation, basis and cell from row
 i of a counter-based Philox stream keyed by the seed); Eve's probe states
-weigh each row by its cell.  :meth:`RoundEnumerator.branches` is the one
-row view: one block of an attack's pass as a :class:`BranchTable`,
-gathered from the pass and the record when read, with no cached table.
-Every analysis reads its config and attack from one enumerator, which must
-hold the config and attack it is passed with.
+weigh each row by its cell.  :meth:`RoundEnumerator.branches` reads one
+block's probabilities from the pass.  Every analysis reads its config and
+attack from one enumerator, which must hold the config and attack it is
+passed with.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -60,7 +59,6 @@ from .measurement import (PRUNE, AliceOp, Basis, ClickPattern, Interpretation,
 __all__ = [
     "Variant",
     "ProtocolConfig",
-    "BranchTable",
     "PATTERNS",
     "INTERPRETATIONS",
     "RoundEnumerator",
@@ -195,44 +193,6 @@ _ERROR = _LABELS.index(Interpretation.ERROR.value)
 _N_CELLS = (len(PATTERNS) + 1) * len(PATTERNS)  # (Alice code + 1, Bob code)
 
 
-@dataclass(frozen=True, eq=False)
-class BranchTable:
-    """Exact outcomes of a round, one row each.
-
-    Every field is a read-only column.  ``table_id`` numbers the
-    (operation, basis) of a row in :func:`_table_keys` order: with n
-    operations in the variant, id k < n is operation k in the computational
-    basis and id n + k the same operation in the Hadamard basis.
-    :meth:`~RoundEnumerator.branches`, the one row view, gathers one such
-    block from the pass.  ``alice_pattern`` and ``bob_pattern`` hold
-    :attr:`ClickPattern.code` values, indices into
-    :data:`PATTERNS` (the mode-1 click is bit 1, the mode-0 click bit 0);
-    ``alice_pattern`` is -1 where Alice measured nothing (CTRL).
-    ``interpretation`` indexes :data:`INTERPRETATIONS` and is -1 exactly
-    where sifting discards.  Bits are -1 unless the row is a SharedBit.
-    These three are read from the variant's cell record; this row view is
-    for tests and inspection, as the analyses read cells.  Row i of
-    ``eve_probe`` is Eve's normalized probe state after branch i;
-    ``leaked`` is the weight the photon cap dropped along its path (each
-    branch of a split inherits it whole).  A validated attack is unitary on
-    the truncated space and SIFT's resend always has room, so its column
-    holds only rounding; no report prints it yet.
-    """
-
-    probability: np.ndarray
-    alice_pattern: np.ndarray
-    bob_pattern: np.ndarray
-    interpretation: np.ndarray
-    alice_bit: np.ndarray
-    bob_bit: np.ndarray
-    eve_probe: np.ndarray
-    leaked: np.ndarray
-    table_id: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.probability)
-
-
 def _merged_plan(width: int, maps) -> tuple:
     """Index maps ``(src, dst, amp)`` merged into one split, which
     :func:`_split` pushes a stack of rows through.
@@ -353,10 +313,13 @@ def _table_keys(variant: Variant) -> tuple[tuple[AliceOp, Basis], ...]:
 class _CellRecord(NamedTuple):
     """Every cell code of a variant, ``table_id * _N_CELLS + (Alice's code +
     1) * 4 + Bob's code``, one entry per code in each read-only column.
-    Columns named as in :class:`BranchTable` hold a row's value there.  The
-    labels are :func:`_classify`'s, -1 standing for None and for a cell
-    whose Alice pattern does not fit its operation (a pattern on CTRL, none
-    on a measurement); ``marked`` cells are the ones it rejects."""
+    With n operations in the variant, ``table_id`` k < n is operation k in
+    the computational basis and n + k the same in the Hadamard basis
+    (:func:`_table_keys`).  Pattern codes index :data:`PATTERNS` (bit 1 the
+    mode-1 click, bit 0 the mode-0 click).  The labels are
+    :func:`_classify`'s, -1 standing for None and for a cell whose Alice
+    pattern does not fit its operation (a pattern on CTRL, none on a
+    measurement); ``marked`` cells are the ones it rejects."""
     table_id: np.ndarray  # the (operation, basis) of _table_keys
     op: np.ndarray  # index into the variant's operations
     hadamard: np.ndarray  # Bob measured in the Hadamard basis
@@ -398,8 +361,12 @@ def _cells(variant: Variant) -> _CellRecord:
 
 class _Pass(NamedTuple):
     """What :func:`_branch_stack` finds for a stack of attacks: its rows
-    sorted stably by ``table_id``, and the columns named as in
-    :class:`BranchTable` with a leading attack axis."""
+    sorted stably by their cells' ``table_id``, the numeric columns with a
+    leading attack axis.  ``eve_probe`` is Eve's normalized probe state
+    after each branch; ``leaked`` is the weight the photon cap dropped on
+    the row's path (a split's branches inherit it whole), only rounding for
+    a validated attack, which is unitary on the truncated space (SIFT's
+    resend always has room); no report prints it yet."""
     cells: _CellRecord  # the variant's one record
     cell: np.ndarray  # each row's cell code; none marked
     probability: np.ndarray
@@ -418,9 +385,8 @@ class RoundEnumerator:
     stage maps or splits every row at once.  That pass is
     :func:`_branch_stack` of a one-attack stack, the code a sweep runs on
     many attacks of one space at once; it keeps each row's cell and the
-    cells' weights, which the analyses read.  :meth:`branches` is the one
-    row view, one block gathered from the pass and the variant's cell
-    record (:func:`_cells`) when read; no table of every row is kept.
+    cells' weights, which the analyses read.  :meth:`branches` reads one
+    block's probabilities from the pass; no table of every row is kept.
     """
 
     def __init__(self, config: ProtocolConfig, attack: Attack):
@@ -440,21 +406,14 @@ class RoundEnumerator:
         return _branch_stack(self.config, self.system, attack.u_forward[None],
                              attack.v_backward[None], attack.initial_probe[None])
 
-    def branches(self, op: AliceOp, basis: Basis) -> BranchTable:
-        """One (operation, basis) block of the pass's rows, gathered when
-        read: the pass's columns of this attack at the block's rows, and
-        each row's cell's entries in the record for the others."""
+    def branches(self, op: AliceOp, basis: Basis) -> np.ndarray:
+        """One (operation, basis) block's probabilities, read-only, in row order."""
         keys = _table_keys(self.config.variant)
         if (op, basis) not in keys:
             raise ValueError(f"operation {op} not defined for {self.config.variant}")
         found, t = self._pass, keys.index((op, basis))
         rows = slice(*found.cells.table_id[found.cell].searchsorted([t, t + 1]).tolist())
-        columns = [getattr(found, f.name)[0, rows] if f.name in found._fields
-                   else getattr(found.cells, f.name)[found.cell[rows]]
-                   for f in fields(BranchTable)]
-        for column in columns:
-            column.setflags(write=False)
-        return BranchTable(*columns)
+        return found.probability[0, rows]  # a view of a read-only column
 
 
 def _branch_stack(config: ProtocolConfig, system: ModeSystem, u_forward: np.ndarray,
@@ -599,7 +558,7 @@ def simulate_records(config: ProtocolConfig, attack: Attack,
     given enumerator must hold ``config`` and ``attack``.
 
     A cell's code is ``table_id * 20 + (alice_pattern + 1) * 4 + bob_pattern``
-    in the codes of :class:`BranchTable` (Alice's pattern is -1 where she
+    in the codes of :class:`_CellRecord` (Alice's pattern is -1 where she
     measured nothing), whose parts :func:`_cells` records.  Round i reads
     row i of ``Generator(Philox(key=rng_seed)).random((n_rounds, 3))``:
     Alice's operation, Bob's basis and the cell within that (operation,

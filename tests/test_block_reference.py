@@ -20,6 +20,8 @@ from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
                               Variant, eve_conditional_states, legacy_identification)
 from sqkdsim.robustness import check_conditions
 
+from pass_blocks import pass_block
+
 SHARED = INTERPRETATIONS.index(Interpretation.SHARED_BIT)
 ROW_ORDER_TOL = 1e-14  # the per-row formulas add in another order
 SKEWED = {
@@ -36,26 +38,11 @@ def _config(variant, n_max, loss, p_had):
                           bob_hadamard_prob=p_had, alice_op_probs=SKEWED[variant])
 
 
-def _block(enum, op, basis):
-    """The columns of one (operation, basis) block of the pass, picked by a
-    mask: the pass's own columns, and the record read at each row's cell."""
-    ops = enum.config.variant.operations
-    t = ops.index(op) + (len(ops) if basis is Basis.HADAMARD else 0)
-    found = enum._pass
-    rows = found.cells.table_id[found.cell] == t
-    assert rows.any()
-    cell = found.cell[rows]
-    return {"probability": found.probability[0, rows], "eve_probe": found.eve_probe[0, rows],
-            **{name: getattr(found.cells, name)[cell]
-               for name in ("alice_pattern", "bob_pattern", "interpretation", "bob_bit")}}
-
-
 def _assert_branches_are_the_blocks(enum):
     for op in enum.config.variant.operations:
         for basis in Basis:
-            table, block = enum.branches(op, basis), _block(enum, op, basis)
-            for name, column in block.items():
-                assert np.array_equal(getattr(table, name), column)
+            probability = pass_block(enum, op, basis)["probability"]
+            assert np.array_equal(enum.branches(op, basis), probability)
 
 
 def _clicks(codes):
@@ -86,18 +73,18 @@ def _cell_conditions(enum):
     p_had = enum.config.bob_hadamard_prob
     p_comp = 1.0 - p_had
     a, b = _clicks(_CELL_ALICE), _clicks(_CELL_BOB)
-    ctrl = _cell_weights(_block(enum, AliceOp.CTRL, Basis.HADAMARD))
+    ctrl = _cell_weights(pass_block(enum, AliceOp.CTRL, Basis.HADAMARD))
     ctrl_minus = p_had * float(ctrl[_CELL_BOB >= ClickPattern.P10.code].sum())
     both_held = double = 0.0
     wrong = []
     for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
                           (AliceOp.SWAP_01, ClickPattern.P01)):
-        w = _cell_weights(_block(enum, op, Basis.COMPUTATIONAL))
+        w = _cell_weights(pass_block(enum, op, Basis.COMPUTATIONAL))
         both_held = max(both_held, float(p_comp * w[(a >= 1) & (b >= 1)].sum()))
         double = max(double, float(p_comp * w[(a == 2) | (b == 2)].sum()))
         wrong.append(float(p_comp * w[(_CELL_ALICE == ClickPattern.P00.code)
                                       & (_CELL_BOB == forbidden.code)].sum()))
-    w = _cell_weights(_block(enum, AliceOp.SWAP_ALL, Basis.COMPUTATIONAL))
+    w = _cell_weights(pass_block(enum, AliceOp.SWAP_ALL, Basis.COMPUTATIONAL))
     alice_double = float(w[_CELL_ALICE == ClickPattern.P11.code].sum())
     bob_click = p_comp * float(w[b >= 1].sum())
     return (ctrl_minus, both_held, double, *wrong, alice_double, bob_click)
@@ -113,7 +100,7 @@ def _cell_eve(enum):
         weighted, probes = [], []
         for op, w in ((AliceOp.SWAP_10, w10 / (w10 + w01)),
                       (AliceOp.SWAP_01, w01 / (w10 + w01))):
-            block = _block(enum, op, Basis.COMPUTATIONAL)
+            block = pass_block(enum, op, Basis.COMPUTATIONAL)
             rows = (block["interpretation"] == SHARED) & (block["bob_bit"] == bit)
             weighted.append(w * block["probability"][rows])
             probes.append(block["eve_probe"][rows])
@@ -125,21 +112,21 @@ def _cell_eve(enum):
 def _row_order_conditions(enum):
     p_had = enum.config.bob_hadamard_prob
     p_comp = 1.0 - p_had
-    ctrl = _block(enum, AliceOp.CTRL, Basis.HADAMARD)
+    ctrl = pass_block(enum, AliceOp.CTRL, Basis.HADAMARD)
     ctrl_minus = p_had * float(
         ctrl["probability"][ctrl["bob_pattern"] >= ClickPattern.P10.code].sum())
     both_held = double = 0.0
     wrong = []
     for op, forbidden in ((AliceOp.SWAP_10, ClickPattern.P10),
                           (AliceOp.SWAP_01, ClickPattern.P01)):
-        block = _block(enum, op, Basis.COMPUTATIONAL)
+        block = pass_block(enum, op, Basis.COMPUTATIONAL)
         p = block["probability"]
         a, b = _clicks(block["alice_pattern"]), _clicks(block["bob_pattern"])
         both_held = max(both_held, float(p_comp * p[(a >= 1) & (b >= 1)].sum()))
         double = max(double, float(p_comp * p[(a == 2) | (b == 2)].sum()))
         wrong.append(float(p_comp * p[(a == 0)
                                       & (block["bob_pattern"] == forbidden.code)].sum()))
-    swap_all = _block(enum, AliceOp.SWAP_ALL, Basis.COMPUTATIONAL)
+    swap_all = pass_block(enum, AliceOp.SWAP_ALL, Basis.COMPUTATIONAL)
     p = swap_all["probability"]
     alice_double = float(p[swap_all["alice_pattern"] == ClickPattern.P11.code].sum())
     bob_click = p_comp * float(p[_clicks(swap_all["bob_pattern"]) >= 1].sum())
@@ -153,7 +140,7 @@ def _row_order_eve(enum):
     rho = [np.zeros((pl, pl), dtype=np.complex128) for _ in (0, 1)]
     for op, w in ((AliceOp.SWAP_10, w10 / (w10 + w01)),
                   (AliceOp.SWAP_01, w01 / (w10 + w01))):
-        block = _block(enum, op, Basis.COMPUTATIONAL)
+        block = pass_block(enum, op, Basis.COMPUTATIONAL)
         for bit in (0, 1):
             rows = (block["interpretation"] == SHARED) & (block["bob_bit"] == bit)
             rho[bit] += _mixture(w, block["probability"][rows], block["eve_probe"][rows])
@@ -202,7 +189,7 @@ def test_legacy_identification_equals_the_block_reference(n_max, loss, p_had):
         # One product over both bases' rows, in table order (computational first).
         weighted, probes = [], []
         for basis, w in ((Basis.COMPUTATIONAL, 1.0 - p_had), (Basis.HADAMARD, p_had)):
-            block = _block(enum, op, basis)
+            block = pass_block(enum, op, basis)
             weighted.append(w * block["probability"])
             probes.append(block["eve_probe"])
         mat = _mixture(1.0, np.concatenate(weighted), np.concatenate(probes))
@@ -213,7 +200,7 @@ def test_legacy_identification_equals_the_block_reference(n_max, loss, p_had):
         # Second reference: one product per block, added per basis.
         row_order = np.zeros((pl, pl), dtype=np.complex128)
         for basis, w in ((Basis.HADAMARD, p_had), (Basis.COMPUTATIONAL, 1.0 - p_had)):
-            block = _block(enum, op, basis)
+            block = pass_block(enum, op, basis)
             row_order += _mixture(w, block["probability"], block["eve_probe"])
         row_order /= float(np.trace(row_order).real)
         assert np.abs(mat - row_order).max() <= ROW_ORDER_TOL

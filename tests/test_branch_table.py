@@ -1,4 +1,4 @@
-"""The stacked-array branch tables against a per-branch reference loop.
+"""The stacked-array branch pass against a per-branch reference loop.
 
 ``reference_branches`` walks one round branch by branch with
 :class:`FockVector` states and the per-state reference measurement
@@ -22,6 +22,7 @@ import sqkdsim.protocol as protocol
 
 from extra_attacks import probe_rotation_attack
 from extra_states import apply_creation
+from pass_blocks import pass_block
 from reference_measurement import measure_pair, measure_slots
 
 PRUNE = 1e-24
@@ -145,10 +146,10 @@ def _worst_gap_to_reference(attacks: list, n_max: int, survival: float) -> float
             pl = attack.system.probe_dim
             for op in variant.operations:
                 for basis in Basis:
-                    table = enum.branches(op, basis)
+                    table = pass_block(enum, op, basis)
                     ref = reference_branches(enum, op, basis)
                     where = (attack.name, variant, op, basis)
-                    assert len(table) == len(ref), where
+                    assert len(table["probability"]) == len(ref), where
                     probs, a_pats, b_pats, residuals = zip(*ref)
                     labels = [reference_label(op, basis, a, b)
                               for a, b in zip(a_pats, b_pats)]
@@ -161,13 +162,13 @@ def _worst_gap_to_reference(attacks: list, n_max: int, survival: float) -> float
                         "bob_bit": [-1 if b is None else b for _, _, b in labels],
                     }
                     for name, column in expected.items():
-                        assert getattr(table, name).tolist() == column, (where, name)
+                        assert table[name].tolist() == column, (where, name)
                     probes = np.array([r.amplitudes[:pl] for r in residuals])
                     worst = max(worst,
-                                np.abs(table.probability - probs).max(),
-                                np.abs(table.eve_probe
+                                np.abs(table["probability"] - probs).max(),
+                                np.abs(table["eve_probe"]
                                        - probes / np.sqrt(probs)[:, None]).max(),
-                                np.abs(table.leaked
+                                np.abs(table["leaked"]
                                        - [r.leaked for r in residuals]).max())
     return worst
 
@@ -208,7 +209,7 @@ def test_leaked_weight_matches_reference():
             for basis in Basis:
                 leaked = [r.leaked for *_, r in reference_branches(enum, op, basis)]
                 assert min(leaked) > 1e-13
-                assert np.allclose(enum.branches(op, basis).leaked, leaked,
+                assert np.allclose(pass_block(enum, op, basis)["leaked"], leaked,
                                    rtol=0, atol=1e-14)
 
 

@@ -256,17 +256,19 @@ def test_sweep_writes_csv(tmp_path, capsys):
 def test_a_table_that_would_overwrite_its_report_is_refused(argv, tmp_path, capsys,
                                                            monkeypatch):
     """The CSV table goes to BASE with its suffix replaced, so a BASE ending
-    in ``.csv`` would lose its JSON report: refused before any work, and
-    nothing written."""
+    in ``.csv`` in any letter case would lose its JSON report (``r.CSV`` and
+    ``r.csv`` are one file on a case-insensitive filesystem): refused before
+    any work, and nothing written."""
     def never(*args, **kwargs):
         raise AssertionError("the command ran before its --out was checked")
 
     monkeypatch.setattr(cli, "run_protocol", never)
     monkeypatch.setattr(cli, "robustness_sweep", never)
-    assert main(argv + ["--out", str(tmp_path / "r.csv")]) == 1
-    err = capsys.readouterr().err
-    assert err.startswith("error:") and "--out" in err
-    assert list(tmp_path.iterdir()) == []
+    for name in ("r.csv", "r.CSV"):
+        assert main(argv + ["--out", str(tmp_path / name)]) == 1, name
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "--out" in err, name
+        assert list(tmp_path.iterdir()) == [], name
 
 
 @pytest.mark.parametrize("argv", [["lemma", "--random", "2"], ["attack-demo"]],

@@ -4,23 +4,19 @@
 Alice's and Bob's plans and the live masks, the stable sort into (operation,
 basis) blocks and the marked-cell check, all read against the variant's one
 cell record.  The pass's cell weights, which the analyses and the sampler
-read, must equal a per-row loop; the row view (``RoundEnumerator.branches``)
-gathers one block from the pass and the record only when read, so no
-analysis builds it.
+read, must equal a per-row loop; ``RoundEnumerator.branches`` reads one
+block's probabilities from the pass, and no analysis calls it.
 """
 import numpy as np
 import pytest
 
 from sqkdsim import protocol
 from sqkdsim.adversary import Attack, identity_attack, random_attack
-from sqkdsim.measurement import AliceOp, Basis, Interpretation
-from sqkdsim.protocol import (BranchTable, ProtocolConfig, RoundEnumerator, Variant,
-                              eve_conditional_states, exact_statistics, legacy_identification,
-                              run_protocol)
+from sqkdsim.measurement import AliceOp, Basis
+from sqkdsim.protocol import (ProtocolConfig, RoundEnumerator, Variant, eve_conditional_states,
+                              exact_statistics, legacy_identification, run_protocol)
 from sqkdsim.robustness import ConditionReport, check_conditions, robustness_sweep
 
-COLUMNS = list(BranchTable.__dataclass_fields__)
-STRUCTURAL = [name for name in COLUMNS if name not in protocol._Pass._fields]
 CONDITIONS = list(ConditionReport.__dataclass_fields__)
 
 
@@ -72,43 +68,34 @@ def _assert_passes_apart(config, attacks):
 
 def test_table_columns_are_read_only():
     enum = RoundEnumerator(ProtocolConfig(channel_loss=0.9), random_attack(1, probe_dim=2))
-    assert "interpretation" in STRUCTURAL
     for key in protocol._table_keys(Variant.MIRROR):
         block = enum.branches(*key)
-        for name in COLUMNS:
-            column = getattr(block, name)
-            assert not column.flags.writeable, (name, key)
-            with pytest.raises(ValueError, match="read-only"):
-                column[0] = 0
+        assert not block.flags.writeable, key
+        with pytest.raises(ValueError, match="read-only"):
+            block[0] = 0
     for name in protocol._Pass._fields[1:]:  # the record's own columns are checked apart
         assert not getattr(enum._pass, name).flags.writeable, name
 
 
 @pytest.mark.parametrize("variant", list(Variant))
-def test_block_views_carry_the_derived_columns(variant):
+def test_blocks_are_the_pass_rows(variant):
+    """Each (operation, basis) block is the pass's probabilities at the
+    rows whose cells the record puts in it, in row order."""
     enum = RoundEnumerator(ProtocolConfig(variant=variant, channel_loss=0.9),
                            random_attack(3, probe_dim=2))
     found = enum._pass
-    shared = protocol.INTERPRETATIONS.index(Interpretation.SHARED_BIT)
     table_id = found.cells.table_id[found.cell]
     blocks = [enum.branches(*key) for key in protocol._table_keys(variant)]
     assert sum(map(len, blocks)) == len(found.cell)  # the blocks hold every row
     for t, block in enumerate(blocks):
-        rows = table_id == t
-        for name in COLUMNS:  # a structural column is its cell's entry in the record
-            expected = (getattr(found.cells, name)[found.cell[rows]] if name in STRUCTURAL
-                        else getattr(found, name)[0, rows])
-            column = getattr(block, name)
-            assert column.dtype == expected.dtype, (name, t)
-            assert np.array_equal(column, expected), (name, t)
-        for name in ("interpretation", "alice_bit", "bob_bit"):
-            assert getattr(block, name).dtype == np.int8, name
-    assert any((block.interpretation == shared).any() for block in blocks)
+        expected = found.probability[0, table_id == t]
+        assert block.ndim == 1 and block.dtype == expected.dtype, t
+        assert block.shape == expected.shape and (block == expected).all(), t
 
 
 def test_analyses_build_no_row_view(monkeypatch):
     """Runs, exact statistics, conditions, Eve's states, legacy
-    identification and sweeps read the pass, never a ``BranchTable``."""
+    identification and sweeps read the pass, never ``branches``."""
     attack = random_attack(5, probe_dim=2)
     mirror, legacy = (ProtocolConfig(variant=v, n_rounds=200, channel_loss=0.9)
                       for v in Variant)
@@ -120,7 +107,7 @@ def test_analyses_build_no_row_view(monkeypatch):
     def forbidden(*args, **kwargs):
         raise AssertionError("a row view was built")
 
-    monkeypatch.setattr(BranchTable, "__init__", forbidden)
+    monkeypatch.setattr(RoundEnumerator, "branches", forbidden)
     with pytest.raises(AssertionError, match="row view"):
         RoundEnumerator(mirror, attack).branches(AliceOp.CTRL, Basis.HADAMARD)  # it bites
     assert [run_protocol(mirror, attack), exact_statistics(mirror, attack),

@@ -16,8 +16,12 @@ beside them.  A scan of the syntax trees, so it needs no linter.
 The check matches names, not the objects they belong to.  A method still
 passes when another object's attribute of the same name is read: the
 ``validate`` of one class by a call to the ``validate`` of another.
+
+Every name an ``__all__`` exports must also exist, which only a
+``from module import *`` would otherwise find.
 """
 import ast
+import importlib
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -29,7 +33,7 @@ SRC_ORACLES = {
     "alice.swap_matrix": "the two-pair specification of Alice's swaps (acceptance criterion 3)",
     "adversary.save_attack": "the fixture writer the README documents",
     "cli.EXIT_USAGE": "a documented exit code",
-    "protocol.branches": "the block view of RoundEnumerator that bench/worker.py reads",
+    "protocol.branches": "one block's probabilities, whose rows bench/worker.py's trace counts",
     "fock.trace_distance": "the reference the stacked distances are compared against in tests",
 }
 
@@ -104,3 +108,15 @@ def test_every_defined_name_is_used_by_the_package():
     now_inside = [n for n in SRC_ORACLES if n not in unused]
     assert not only_outside + now_inside, \
         f"used only outside src/: {only_outside}; oracle now used in src/: {now_inside}"
+
+
+def test_every_exported_name_exists():
+    """Each name in the ``__all__`` of the package and of each of its
+    modules is an attribute of that module, so ``import *`` finds it."""
+    missing = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        name = "sqkdsim" if path.stem == "__init__" else f"sqkdsim.{path.stem}"
+        module = importlib.import_module(name)
+        missing += [f"{name}.{export}" for export in getattr(module, "__all__", ())
+                    if not hasattr(module, export)]
+    assert not missing, f"exported but not defined: {missing}"

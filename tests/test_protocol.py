@@ -21,6 +21,7 @@ from sqkdsim.robustness import check_conditions
 
 from extra_attacks import probe_rotation_attack
 from extra_states import basis_index, basis_state
+from pass_blocks import pass_block
 
 MIRROR_OPS = (AliceOp.CTRL, AliceOp.SWAP_10, AliceOp.SWAP_01, AliceOp.SWAP_ALL)
 BASES = (Basis.COMPUTATIONAL, Basis.HADAMARD)
@@ -156,7 +157,7 @@ def test_branch_probabilities_conserved(attack_name, attack):
     enum = RoundEnumerator(cfg, attack)
     for op in MIRROR_OPS:
         for basis in BASES:
-            total = enum.branches(op, basis).probability.sum()
+            total = enum.branches(op, basis).sum()
             assert total == pytest.approx(1.0, abs=1e-9), (attack_name, op, basis)
 
 
@@ -165,45 +166,45 @@ def test_branch_probabilities_conserved_with_loss():
     enum = RoundEnumerator(cfg, identity_attack())
     for op in MIRROR_OPS:
         for basis in BASES:
-            total = enum.branches(op, basis).probability.sum()
+            total = enum.branches(op, basis).sum()
             assert total == pytest.approx(1.0, abs=1e-9)
 
 
 def test_identity_ctrl_branches():
     enum = RoundEnumerator(ProtocolConfig(), identity_attack())
-    table = enum.branches(AliceOp.CTRL, Basis.HADAMARD)
-    assert len(table) == 1
-    assert table.probability[0] == pytest.approx(1.0)
-    assert table.bob_pattern[0] == ClickPattern.P01.code
-    assert INTERPRETATIONS[table.interpretation[0]] is Interpretation.LEGAL
+    table = pass_block(enum, AliceOp.CTRL, Basis.HADAMARD)
+    assert len(table["probability"]) == 1
+    assert table["probability"][0] == pytest.approx(1.0)
+    assert table["bob_pattern"][0] == ClickPattern.P01.code
+    assert INTERPRETATIONS[table["interpretation"][0]] is Interpretation.LEGAL
     # computational CTRL rounds are discarded at sifting
-    comp = enum.branches(AliceOp.CTRL, Basis.COMPUTATIONAL)
-    assert (comp.interpretation == -1).all()
+    comp = pass_block(enum, AliceOp.CTRL, Basis.COMPUTATIONAL)
+    assert (comp["interpretation"] == -1).all()
 
 
 def test_identity_swap_10_branches():
     enum = RoundEnumerator(ProtocolConfig(), identity_attack())
-    table = enum.branches(AliceOp.SWAP_10, Basis.COMPUTATIONAL)
+    table = pass_block(enum, AliceOp.SWAP_10, Basis.COMPUTATIONAL)
     by_interp = {INTERPRETATIONS[c]: i
-                 for i, c in enumerate(table.interpretation.tolist())}
+                 for i, c in enumerate(table["interpretation"].tolist())}
     shared = by_interp[Interpretation.SHARED_BIT]
-    assert table.probability[shared] == pytest.approx(0.5)
-    assert table.alice_pattern[shared] == ClickPattern.P00.code
-    assert table.bob_pattern[shared] == ClickPattern.P01.code
-    assert (table.alice_bit[shared], table.bob_bit[shared]) == (0, 0)
+    assert table["probability"][shared] == pytest.approx(0.5)
+    assert table["alice_pattern"][shared] == ClickPattern.P00.code
+    assert table["bob_pattern"][shared] == ClickPattern.P01.code
+    assert (table["alice_bit"][shared], table["bob_bit"][shared]) == (0, 0)
     kept = by_interp[Interpretation.NO_SHARED_BIT]
-    assert table.probability[kept] == pytest.approx(0.5)
-    assert table.alice_pattern[kept] == ClickPattern.P10.code
-    assert table.bob_pattern[kept] == ClickPattern.P00.code
+    assert table["probability"][kept] == pytest.approx(0.5)
+    assert table["alice_pattern"][kept] == ClickPattern.P10.code
+    assert table["bob_pattern"][kept] == ClickPattern.P00.code
 
 
 def test_identity_swap_all_branches():
     enum = RoundEnumerator(ProtocolConfig(), identity_attack())
-    table = enum.branches(AliceOp.SWAP_ALL, Basis.COMPUTATIONAL)
-    assert set(table.interpretation.tolist()) == \
+    table = pass_block(enum, AliceOp.SWAP_ALL, Basis.COMPUTATIONAL)
+    assert set(table["interpretation"].tolist()) == \
         {INTERPRETATIONS.index(Interpretation.LEGAL)}
-    assert table.probability.sum() == pytest.approx(1.0)
-    assert set(table.alice_pattern.tolist()) == \
+    assert table["probability"].sum() == pytest.approx(1.0)
+    assert set(table["alice_pattern"].tolist()) == \
         {ClickPattern.P01.code, ClickPattern.P10.code}
 
 
@@ -212,9 +213,9 @@ def test_loss_probability_closed_form():
     for q in (1.0, 0.8, 0.5):
         cfg = ProtocolConfig(channel_loss=q)
         enum = RoundEnumerator(cfg, identity_attack())
-        table = enum.branches(AliceOp.CTRL, Basis.HADAMARD)
-        p_loss = table.probability[
-            table.interpretation == INTERPRETATIONS.index(Interpretation.LOSS)].sum()
+        table = pass_block(enum, AliceOp.CTRL, Basis.HADAMARD)
+        p_loss = table["probability"][
+            table["interpretation"] == INTERPRETATIONS.index(Interpretation.LOSS)].sum()
         assert p_loss == pytest.approx(1.0 - q * q, abs=1e-12)
 
 
@@ -286,7 +287,7 @@ def test_eve_probe_vectors_are_normalized():
     enum = RoundEnumerator(ProtocolConfig(), measure_resend_attack("computational"))
     for op in MIRROR_OPS:
         for basis in BASES:
-            probe = enum.branches(op, basis).eve_probe
+            probe = pass_block(enum, op, basis)["eve_probe"]
             assert np.abs(np.sum(np.abs(probe) ** 2, axis=1) - 1.0).max() < 1e-9
 
 
