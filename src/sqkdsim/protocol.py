@@ -23,12 +23,12 @@ its cell code through the splits, the pass sorts the rows stably
 into (operation, basis) blocks (within a block, rows keep the order of the
 nested loop loss, Alice's outcome, loss, Bob's outcome) and sums each
 cell's rows into one weight, which the conditions, the tallies and the
-sampler read (round i of a run draws its operation, basis and cell from row
-i of a counter-based Philox stream keyed by the seed); Eve's probe states
-weigh each row by its cell.  :meth:`RoundEnumerator.branches` reads one
-block's probabilities from the pass.  Every analysis reads its config and
-attack from one enumerator, which must hold the config and attack it is
-passed with.
+sampler read (round i of a run draws its cell from uniform i of a
+counter-based Philox stream keyed by the seed); Eve's probe states weigh
+each row by its cell.  :meth:`RoundEnumerator.branches` reads one block's
+probabilities from the pass.  Every analysis reads its config and attack
+from one enumerator, which must hold the config and attack it is passed
+with.
 
 Rounds of both variants run on the attack's own space, the transmitted pair
 plus Eve's probe.  Alice's storage is empty whenever Eve acts (before Alice
@@ -75,6 +75,7 @@ __all__ = [
 
 _PAIR = 0  # the transmitted pair, the only pair of an attack's space
 _PROB_ATOL = 1e-9
+_GUIDE = 1024  # buckets of the sampler's guide table
 
 
 class Variant(enum.Enum):
@@ -96,9 +97,9 @@ class ProtocolConfig:
     one channel pass (so 1.0 is a lossless channel and smaller values are
     lossier).  ``alice_op_probs`` defaults to the uniform distribution over
     the variant's operations.  Error thresholds are compared against the
-    category rates after the run; exceeding any of them aborts.  A config
-    is frozen, its ``alice_op_probs`` a read-only mapping, so an enumerator
-    always holds the config it was built from.
+    category rates after the run; exceeding any of them aborts.  A config is
+    frozen and hashable, its ``alice_op_probs`` a read-only mapping, so an
+    enumerator always holds the config it was built from.
     """
 
     variant: Variant = Variant.MIRROR
@@ -162,6 +163,10 @@ class ProtocolConfig:
                 put(f.name, v)
                 if not (isfinite(v) and v >= 0):
                     raise ValueError(f"{f.name} must be finite and non-negative, got {v}")
+
+    def __hash__(self):  # a read-only mapping does not hash: its items as a set
+        return hash(tuple(frozenset(v.items()) if isinstance(v, Mapping) else v
+                          for v in (getattr(self, f.name) for f in fields(self))))
 
     def __reduce__(self):  # a read-only mapping does not pickle: rebuild from a dict
         values = (getattr(self, f.name) for f in fields(self))
@@ -379,12 +384,10 @@ class RoundEnumerator:
     """Exact branch distribution of a round for every (operation, basis).
 
     ``system`` is the attack's one-pair-plus-probe space for both variants.
-    The first read of a result runs the enumerator's one pass: every branch
-    of every operation of the variant in both of Bob's bases, built over a
-    stack of sub-normalized states, one row per branch so far, where each
-    stage maps or splits every row at once.  That pass is
+    The first read of a result runs the enumerator's one pass, every branch
+    of every operation of the variant in both of Bob's bases:
     :func:`_branch_stack` of a one-attack stack, the code a sweep runs on
-    many attacks of one space at once; it keeps each row's cell and the
+    many attacks of one space at once.  It keeps each row's cell and the
     cells' weights, which the analyses read.  :meth:`branches` reads one
     block's probabilities from the pass; no table of every row is kept.
     """
@@ -552,56 +555,53 @@ def _enumerator(attack: Attack, config: Optional[ProtocolConfig],
     return enumerator
 
 
+def _round_weights(config: ProtocolConfig, found: _Pass) -> tuple:
+    """Per cell code of a one-attack pass: its probability per round of its
+    operation (weight times basis weight), and per round of a run."""
+    cells = found.cells
+    mass = cells.basis_weight(config.bob_hadamard_prob) * found.weights[0]
+    op_probs = [config.alice_op_probs.get(op, 0.0) for op in config.variant.operations]
+    return mass, mass * np.array(op_probs)[cells.op]
+
+
 def simulate_records(config: ProtocolConfig, attack: Attack,
                      enumerator: Optional[RoundEnumerator] = None) -> np.ndarray:
     """Cell drawn for every round of a run, deterministic in the seed.  A
     given enumerator must hold ``config`` and ``attack``.
 
     A cell's code is ``table_id * 20 + (alice_pattern + 1) * 4 + bob_pattern``
-    in the codes of :class:`_CellRecord` (Alice's pattern is -1 where she
-    measured nothing), whose parts :func:`_cells` records.  Round i reads
-    row i of ``Generator(Philox(key=rng_seed)).random((n_rounds, 3))``:
-    Alice's operation, Bob's basis and the cell within that (operation,
-    basis), drawn from the cells that occur by their weights in code order.
-    A counter-based stream puts every row at a fixed position, so the first
-    n rounds of a longer run are exactly the rounds of a run of n.  An exact
-    search finds the cell, equal to per-block ``np.searchsorted(side="right")``
-    (:func:`_search_blocks`).
+    in the codes of :class:`_CellRecord`.  Round i's cell, operation and
+    basis included, is drawn by uniform i of
+    ``Generator(Philox(key=rng_seed)).random(n_rounds)`` from the cells in
+    code order by their per-round probabilities (:func:`_round_weights`),
+    found by :func:`_search`.  Each uniform has a fixed position in the
+    stream, so the first n rounds of a longer run are the run of n.
     """
     enum = _enumerator(attack, config, enumerator)
-    found = enum._pass
-    draws = np.random.Generator(np.random.Philox(key=config.rng_seed)).random(
-        (config.n_rounds, 3))
-    ops = config.variant.operations
-    table_id = (draws[:, 1] < config.bob_hadamard_prob) * len(ops)
-    for weight in np.cumsum([config.alice_op_probs.get(op, 0.0) for op in ops])[:-1]:
-        table_id += draws[:, 0] >= weight
-    u_cell = draws[:, 2].copy()
-    del draws
-    present = np.flatnonzero(found.weights[0])  # every row weighs more than PRUNE
-    blocks = found.cells.table_id[present]
-    return present[_search_blocks(found.weights[0, present], blocks, table_id, u_cell)]
+    _, weight = _round_weights(config, enum._pass)
+    present = np.flatnonzero(weight)
+    u = np.random.Generator(np.random.Philox(key=config.rng_seed)).random(config.n_rounds)
+    return present.take(_search(weight.take(present), u))
 
 
-def _search_blocks(probability: np.ndarray, table_id: np.ndarray,
-                   block: np.ndarray, u: np.ndarray) -> np.ndarray:
-    """Entry ``start + min(searchsorted(cum, u * cum[-1], side="right"), size - 1)``
-    of each draw's block of entries (sharing a sorted ``table_id``; ``cum`` is its
-    ``np.cumsum``), by one branchless binary search over all blocks' cumsums
-    padded with their totals to a power-of-two width; exact whenever the
-    probabilities are finite and non-negative.  ``u`` is overwritten by the keys."""
-    bounds = table_id.searchsorted(np.arange(table_id[-1] + 2))
-    sizes = np.diff(bounds)[:, None]
-    col = np.arange(1 << int(sizes.max()).bit_length())  # width > every size
-    cum = np.zeros((len(sizes), len(col)))
-    cum[table_id, np.arange(len(table_id)) - bounds[table_id]] = probability
-    cum = np.cumsum(cum, axis=1)  # the same sums as each block's own cumsum
-    u *= cum[:, -1].take(block)
-    flat, pos, step = cum.ravel(), block * len(col), len(col) // 2
-    while step:  # take, compare, add; no step reads past column width - 2
-        pos += (flat[step - 1:].take(pos, mode="clip") <= u) * step
+def _search(probability: np.ndarray, u: np.ndarray) -> np.ndarray:
+    """``min(searchsorted(cum, u * cum[-1], side="right"), size - 1)``, ``cum``
+    the cumsum of finite non-negative probabilities, for ``u`` in [0, 1]:
+    buckets ``floor(value * scale)`` rise with the value, so a binary search
+    over a key's bucket finishes.  ``u`` is overwritten by the keys."""
+    cum = np.cumsum(probability)
+    scale = _GUIDE / cum[-1]  # floor(value * scale) is at most _GUIDE up to the total
+    bucket = (cum * scale).astype(np.intp)
+    start = bucket.searchsorted(np.arange(_GUIDE + 1))  # the values in lower buckets
+    width = 1 << int(np.bincount(bucket).max()).bit_length()  # > the values in a bucket
+    u *= cum[-1]
+    pos = start.take((u * scale).astype(np.intp))
+    cum = np.concatenate([cum, np.full(width, np.inf)])
+    step, narrow = width // 2, np.min_scalar_type(width // 2).type  # one byte per round
+    while step:  # take, compare, add; no step reads past the padding
+        pos += (cum[step - 1:].take(pos) <= u) * narrow(step)
         step //= 2
-    return (bounds[:-1, None] + np.minimum(col, sizes - 1)).ravel().take(pos)
+    return np.minimum(pos, len(probability) - 1, out=pos)
 
 
 @dataclass
@@ -742,7 +742,7 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
     ops = config.variant.operations
     cells, weights = enum._pass.cells, enum._pass.weights
     basis_weight = cells.basis_weight(config.bob_hadamard_prob)
-    mass = basis_weight * weights[0]
+    mass, weight = _round_weights(config, enum._pass)
     # Outcomes per (operation, label); a basis Bob never picks adds none,
     # not even at zero weight.
     tally = _outcome_sums(ops, cells, mass)
@@ -751,7 +751,6 @@ def exact_statistics(config: ProtocolConfig, attack: Attack,
                     for label in np.flatnonzero(shown[k]).tolist()}
                for k, op in enumerate(ops)}
     errors = dict(zip(ops, tally[:, _ERROR].tolist()))
-    weight = mass * np.array([config.alice_op_probs.get(op, 0.0) for op in ops])[cells.op]
     shared = cells.interpretation == _SHARED
     p_shared = float(weight[shared].sum())
     p_mismatch = float(weight[shared & (cells.alice_bit != cells.bob_bit)].sum())

@@ -1,7 +1,9 @@
 """Round enumeration, sampling, sifting, and the exact analyses."""
 import copy
+import functools
 import math
 import pickle
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -13,7 +15,7 @@ from sqkdsim.fock import ModeSystem
 from sqkdsim.measurement import AliceOp, Basis, ClickPattern, Interpretation
 from sqkdsim import protocol
 from sqkdsim.protocol import (INTERPRETATIONS, ProtocolConfig, RoundEnumerator,
-                              Variant, _loss_maps, _search_blocks,
+                              Variant, _GUIDE, _loss_maps, _search,
                               eve_conditional_states,
                               exact_statistics, legacy_identification,
                               run_protocol, simulate_records)
@@ -111,6 +113,27 @@ def test_config_is_frozen():
         assert twin == cfg and twin is not cfg
         with pytest.raises(TypeError):
             twin.alice_op_probs[AliceOp.CTRL] = 1.0
+
+
+def test_config_is_hashable():
+    """Equal configs hash equal, their operation weights given in any order,
+    so a config can key a dict or an ``lru_cache``; a pickled copy too."""
+    weights = {"CTRL": 0.1, "SWAP-10": 0.2, "SWAP-01": 0.3, "SWAP-ALL": 0.4}
+    cfg = ProtocolConfig(channel_loss=0.9, alice_op_probs=weights)
+    reordered = ProtocolConfig(channel_loss=0.9,
+                               alice_op_probs=dict(reversed(weights.items())))
+    assert list(cfg.alice_op_probs) != list(reordered.alice_op_probs)
+    assert reordered == cfg and hash(reordered) == hash(cfg)
+    assert hash(pickle.loads(pickle.dumps(cfg))) == hash(cfg)
+    assert hash(ProtocolConfig()) == hash(ProtocolConfig())
+    assert {cfg: 1, ProtocolConfig(): 2}[reordered] == 1
+
+    @functools.lru_cache(maxsize=None)
+    def rounds(config):
+        return config.n_rounds
+
+    assert rounds(cfg) == rounds(reordered) == 1000
+    assert rounds.cache_info().hits == 1
 
 
 def test_config_stores_numpy_integers_as_int():
@@ -551,35 +574,35 @@ def _cell_weights(found):
 
 
 def _per_round_reference(cfg, enum):
-    """Cells a scalar loop over the run's stream rows picks, and the weight
-    of each picked cell.
+    """Cells a scalar loop over the run's uniforms picks, and the weight of
+    each picked cell.
 
-    The loop picks cell j of the drawn (operation, basis) block's occurring
-    cells, in code order, with ``np.searchsorted`` over their cumulative
-    weights; the blocks run computational then Hadamard, each in operation
-    order.
+    An occurring cell's per-round probability is Bob's probability of its
+    basis times its weight times Alice's probability of its operation; a
+    cell whose probability is 0 is never drawn and left out.  For each
+    uniform the loop picks, with ``np.searchsorted`` over the cumulative
+    probabilities in code order, clamped to the last cell.
     """
-    ops = cfg.variant.operations
-    op_cum = np.cumsum([cfg.alice_op_probs[op] for op in ops])
-    block = {key: t for t, key in enumerate((op, b) for b in BASES for op in ops)}
-    weights = _cell_weights(enum._pass)
-    codes = {t: [code for code in weights if code // 20 == t] for t in block.values()}
+    ops, weights = cfg.variant.operations, _cell_weights(enum._pass)
+    codes, per_round = [], []
+    for code, w in weights.items():
+        hadamard, k = divmod(code // 20, len(ops))
+        basis = cfg.bob_hadamard_prob if hadamard else 1.0 - cfg.bob_hadamard_prob
+        p = basis * w * cfg.alice_op_probs[ops[k]]
+        if p > 0.0:
+            codes.append(code)
+            per_round.append(p)
+    cum = np.cumsum(per_round)
     expected, picked = [], []
-    draws = np.random.Generator(np.random.Philox(key=cfg.rng_seed)).random(
-        (cfg.n_rounds, 3))
-    for u_op, u_basis, u_cell in draws:
-        k = min(int(np.searchsorted(op_cum, u_op, side="right")), len(ops) - 1)
-        had = bool(u_basis < cfg.bob_hadamard_prob)
-        cells = codes[block[ops[k], Basis.HADAMARD if had else Basis.COMPUTATIONAL]]
-        cum = np.cumsum([weights[code] for code in cells])
-        j = min(int(np.searchsorted(cum, u_cell * cum[-1], side="right")), len(cells) - 1)
-        expected.append(cells[j])
-        picked.append(weights[cells[j]])
+    for u in np.random.Generator(np.random.Philox(key=cfg.rng_seed)).random(cfg.n_rounds):
+        j = min(int(np.searchsorted(cum, u * cum[-1], side="right")), len(codes) - 1)
+        expected.append(codes[j])
+        picked.append(weights[codes[j]])
     return expected, picked
 
 
 def test_sampler_matches_per_round_reference():
-    """The vectorized draw equals a scalar loop over the same stream rows."""
+    """The vectorized draw equals a scalar loop over the same uniforms."""
     cfg = ProtocolConfig(n_rounds=2000, rng_seed=6, channel_loss=0.8,
                          bob_hadamard_prob=0.8,
                          alice_op_probs={"CTRL": 0.1, "SWAP-10": 0.5,
@@ -617,37 +640,51 @@ def test_sampler_matches_per_round_reference_across_configs(
 @pytest.mark.parametrize("sizes", [
     (1,), (1, 8, 7, 8), (16, 15, 1, 2), (15, 7, 3, 1), (4, 32, 31, 5)])
 def test_search_blocks_matches_searchsorted(sizes):
-    """The branchless search equals per-block ``searchsorted(side="right")``
-    clamped to the block's last row, on keys that sit exactly on cumulative
-    values, at 0.0 and at the block total, over zero-probability plateaus,
-    one-row blocks and blocks of 2^k and 2^k - 1 rows."""
+    """The guided search equals ``searchsorted(side="right")`` clamped to
+    the last entry, on keys that sit exactly on cumulative values, at 0.0
+    and at the total, over zero-probability plateaus (leading and
+    trailing), and with 1, 2^k and 2^k - 1 cumulative values in one guide
+    bucket: each group of ``sizes`` is one weight of at least a bucket's
+    width followed by weights far below it."""
     rng = np.random.default_rng(len(sizes) + sum(sizes))
-    probability, block, u, expected, on_values = [], [], [], [], 0
-    start = 0
+    probability = [0.0, 0.0]  # a leading plateau: two values in the first bucket
     for t, size in enumerate(sizes):
-        # Sixteenths keep every cumsum, ratio and key exact; odd blocks
-        # have arbitrary weights.  Zeros make plateaus, leading and trailing.
-        p = rng.integers(0, 3, size) / 16.0 if t % 2 == 0 else rng.random(size)
-        p[rng.random(size) < 0.4] = 0.0
-        cum = np.cumsum(p)
-        draws = [0.0, 1.0, 0.5, np.nextafter(1.0, 0.0)] + list(rng.random(8))
-        if cum[-1] > 0:
-            ratios = cum / cum[-1]
-            draws += [*ratios, *np.nextafter(ratios, 0.0), *np.nextafter(ratios, 1.0)]
-        draws = np.clip(draws, 0.0, 1.0)
-        for x in draws:
-            j = np.searchsorted(cum, x * cum[-1], side="right")
-            expected.append(start + min(j, size - 1))
-            on_values += bool(np.any(cum == x * cum[-1]))
-        block += [t] * len(draws)
-        u += list(draws)
-        probability.append(p)
-        start += size
-    table_id = np.repeat(np.arange(len(sizes)), sizes)
-    rows = _search_blocks(np.concatenate(probability), table_id, np.array(block),
-                          np.array(u))
-    assert np.array_equal(rows, expected)
+        # Sixteenths and multiples of 2^-40 keep every cumsum, ratio and key
+        # exact; odd groups have arbitrary weights.  Zeros make plateaus.
+        if t % 2 == 0:
+            head, tail = rng.integers(1, 3) / 16.0, rng.integers(0, 3, size - 1) * 2.0**-40
+        else:
+            head, tail = 0.1 + rng.random(), rng.random(size - 1) * 1e-9
+        tail[rng.random(size - 1) < 0.4] = 0.0
+        probability += [head, *tail]
+    probability = np.array(probability)
+    cum = np.cumsum(probability)
+    buckets = (cum * (_GUIDE / cum[-1])).astype(np.intp)
+    assert np.bincount(buckets).max() == max(2, *sizes)  # the groups share buckets
+    ratios = cum / cum[-1]
+    u = np.clip([0.0, 1.0, 0.5, np.nextafter(1.0, 0.0), *rng.random(64), *ratios,
+                 *np.nextafter(ratios, 0.0), *np.nextafter(ratios, 1.0)], 0.0, 1.0)
+    expected = np.minimum(np.searchsorted(cum, u * cum[-1], side="right"), len(cum) - 1)
+    assert np.array_equal(_search(probability, u.copy()), expected)
+    on_values = np.isin(u * cum[-1], cum).sum()
     assert on_values > 2 * len(sizes)  # keys really do sit on cumulative values
+
+
+def test_sampler_peak_memory_per_round():
+    """At its peak the sampler holds the uniforms, the search positions and
+    one gathered value per round, not a row of three uniforms."""
+    cfg = ProtocolConfig(n_rounds=200_000, rng_seed=3, channel_loss=0.9)
+    attack = random_attack(11, probe_dim=4)
+    enum = RoundEnumerator(cfg, attack)
+    enum._pass  # the branch pass, built untraced
+    tracemalloc.start()
+    try:
+        cells = simulate_records(cfg, attack, enum)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(cells) == cfg.n_rounds
+    assert peak / cfg.n_rounds < 28.0, peak / cfg.n_rounds
 
 
 def test_simulator_draws_every_operation():
